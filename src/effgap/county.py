@@ -308,8 +308,14 @@ def write_plan_csv(plan: DistrictPlan) -> str:
 
 
 def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
-    """A plan file applied to a graph; bounds stay those of the initial plan."""
+    """A plan file applied to a graph; bounds stay those of the initial plan.
+
+    The plan keeps the initial plan's districts: an assigned district
+    outside them is rejected, and one left without nodes stays in the
+    plan, empty, for ``validate_plan`` to report.
+    """
     base = initial_plan(graph)
+    known = set(base.district_ids)
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or list(reader.fieldnames) != ["district", "county_id", "assigned_district"]:
         raise IngestError("plan header must be district,county_id,assigned_district")
@@ -324,10 +330,12 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
             raise IngestError(f"row {row_no}: unknown node {key[0]}:{key[1]}")
         if key in assignment:
             raise IngestError(f"row {row_no}: duplicate node {key[0]}:{key[1]}")
+        if assigned not in known:
+            raise IngestError(f"row {row_no}: unknown district {assigned}")
         assignment[key] = assigned
     if set(assignment) != set(graph.nodes):
         raise IngestError("plan does not cover every node")
-    district_ids = tuple(sorted(set(assignment.values())))
+    district_ids = base.district_ids
     members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
     votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
     for key, d in assignment.items():

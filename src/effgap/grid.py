@@ -56,9 +56,6 @@ class GridPolygon:
             total = total + v
         return total
 
-    def column_cells(self, col: int) -> list[Cell]:
-        return sorted(c for c in self.votes if c[1] == col)
-
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -68,9 +65,6 @@ class GridPartition:
 
     def label_cells(self, label: int) -> set[Cell]:
         return {cell for cell, lab in self.labels.items() if lab == label}
-
-    def used_labels(self) -> set[int]:
-        return set(self.labels.values())
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .county import CountyGraph, DistrictPlan, NodeKey, validate_plan
 from .core import VoteCounts, district_effgap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
 
@@ -170,16 +172,12 @@ def run_iteration(
     if r == 0:
         return []
     picked = [keys[i] for i in rng.choice(len(keys), size=min(r, len(keys)), replace=False)]
-    done: set[NodeKey] = set()
     records = []
     signed = plan.signed_scaled_effgap()
     for node in picked:
         neighbors = graph.nodes[node].neighbors
         if all(plan.assignment[nb] == plan.assignment[node] for nb in neighbors):
             continue  # interior node; nothing to try
-        if node in done:
-            continue
-        done.add(node)
         before_abs = abs(signed)
         best_choice: tuple[int, int] | None = None  # (new signed, target)
         for nb in neighbors:  # key order: neighbor tuples are stored sorted
@@ -209,6 +207,8 @@ def run_iteration(
 def _run_replica(
     graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig, replica: int
 ) -> SearchTrace:
+    import numpy as np  # deferred: only local search needs it, and it dominates import time
+
     started = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
     rng = np.random.Generator(np.random.PCG64(seed_seq))

@@ -7,6 +7,13 @@ flag and the label's segment in the current column.  Two contiguity
 rules beyond the vote recurrence keep every district connected: a label
 active in consecutive columns must overlap by at least one row, and a
 label that has gone inactive never reappears.
+
+``transition_feasible`` states the single-step rule on ``DPState``
+values.  ``solve_yconvex`` applies the same rule on plain tuples: each
+column's cuts into segments, with every segment's vote totals from
+prefix sums, are tabulated once per solve, and a segment joins a label
+only while that label stays within the district population, so
+over-full candidates are never built.
 """
 
 from __future__ import annotations
@@ -114,15 +121,6 @@ def _overlaps(a: Interval, b: Interval) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
-def _segment_votes(p: GridPolygon, column: int, interval: Interval) -> VoteCounts:
-    a = b = 0
-    for r in range(interval[0], interval[1] + 1):
-        v = p.votes[(r, column)]
-        a += v.party_a
-        b += v.party_b
-    return VoteCounts(a, b)
-
-
 def transition_feasible(p: GridPolygon, prev: DPState, seg: ColumnSegmentation) -> TransitionResult:
     """Apply a column segmentation to a DP state.
 
@@ -149,10 +147,12 @@ def transition_feasible(p: GridPolygon, prev: DPState, seg: ColumnSegmentation) 
             return TransitionResult(
                 False, reason=f"label {label} no overlap, district disconnected"
             )
-        votes = _segment_votes(p, seg.column, interval)
-        new_labels.append(
-            LabelState(st.party_a + votes.party_a, st.party_b + votes.party_b, ACTIVE, interval)
-        )
+        a, b = st.party_a, st.party_b
+        for r in range(interval[0], interval[1] + 1):
+            v = p.votes[(r, seg.column)]
+            a += v.party_a
+            b += v.party_b
+        new_labels.append(LabelState(a, b, ACTIVE, interval))
     return TransitionResult(True, DPState(seg.column, tuple(new_labels)))
 
 
@@ -177,47 +177,84 @@ class YConvexResult:
     max_vote_vectors: int = 0  # distinct per-label accumulator vectors in any column
 
 
-def _canonical_transitions(
-    p: GridPolygon, prev: DPState, column: int, kappa: int
-) -> Iterator[tuple[DPState, ColumnSegmentation]]:
-    """Successor states with labels canonicalized by first appearance.
+def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[tuple]:
+    """Every cut of the column's run, in enumeration order.
 
-    Each segment continues an overlapping active label or starts the
-    next unused one; interchangeable labelings are therefore explored
-    once.
+    Cuts come by ascending segment count, then in ``_compositions``
+    order; each is a tuple of ``(interval, party_a, party_b)`` per
+    segment, top to bottom, with totals from prefix sums.  A cut with a
+    segment above the target population fits no label and is left out.
     """
-    run = _column_run(p, column)
-    used = sum(1 for st in prev.labels if st.status != UNSTARTED)
-    if run is None:
-        seg = ColumnSegmentation(column, ())
-        res = transition_feasible(p, prev, seg)
-        if res.ok:
-            yield res.state, seg
-        return
-    lo, hi = run
+    lo, hi = _column_run(p, column)
+    pre_a = [0]
+    pre_b = [0]
+    for r in range(lo, hi + 1):
+        v = p.votes[(r, column)]
+        pre_a.append(pre_a[-1] + v.party_a)
+        pre_b.append(pre_b[-1] + v.party_b)
+    table = []
     for parts in range(1, min(kappa, hi - lo + 1) + 1):
         for intervals in _compositions(lo, hi, parts):
-            # Choices per segment: overlapping active labels, each at most
-            # once, or fresh labels taken in appearance order.
-            def assign(i: int, taken: frozenset[int], next_new: int, acc: tuple[int, ...]):
-                if i == len(intervals):
-                    yield acc
-                    return
-                interval = intervals[i]
-                for idx, st in enumerate(prev.labels):
-                    label = idx + 1
-                    if st.status != ACTIVE or label in taken:
-                        continue
-                    if _overlaps(st.interval, interval):
-                        yield from assign(i + 1, taken | {label}, next_new, acc + (label,))
-                if next_new <= kappa:
-                    yield from assign(i + 1, taken, next_new + 1, acc + (next_new,))
+            cut = []
+            for top, bottom in intervals:
+                a = pre_a[bottom - lo + 1] - pre_a[top - lo]
+                b = pre_b[bottom - lo + 1] - pre_b[top - lo]
+                if a + b > target:
+                    break
+                cut.append(((top, bottom), a, b))
+            else:
+                table.append(tuple(cut))
+    return table
 
-            for labels in assign(0, frozenset(), used + 1, ()):
-                seg = ColumnSegmentation(column, tuple(zip(labels, intervals)))
-                res = transition_feasible(p, prev, seg)
-                if res.ok:
-                    yield res.state, seg
+
+def _successors(key: tuple, table: list[tuple], kappa: int, target: int) -> list[tuple]:
+    """Successor keys of one state key, with the segments that produce them.
+
+    Each segment continues an overlapping active label or starts the
+    next unused one, so interchangeable labelings are explored once.
+    Labels are tried in index order with the fresh label last, and a
+    label may take a segment only while its population stays within
+    the target; an active label left without a segment finishes, so it
+    must already hold the target.  Returns ``(successor key,
+    ((label, interval), ...))`` pairs in enumeration order.
+    """
+    active = [(idx, st[3], st[0] + st[1]) for idx, st in enumerate(key) if st[2] == ACTIVE]
+    must_continue = 0  # active labels below target, as a bitmask
+    for idx, _, pop in active:
+        if pop != target:
+            must_continue |= 1 << idx
+    used = sum(1 for st in key if st[2] != UNSTARTED)
+    base = tuple((st[0], st[1], FINISHED, None) if st[2] == ACTIVE else st for st in key)
+    out: list[tuple] = []
+    chosen: list[int] = []
+
+    def assign(cut: tuple, i: int, taken: int, next_new: int) -> None:
+        if i == len(cut):
+            if must_continue & ~taken:
+                return
+            new = list(base)
+            for idx, (interval, a, b) in zip(chosen, cut):
+                st = key[idx]
+                new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
+            out.append((tuple(new), tuple((idx + 1, seg[0]) for idx, seg in zip(chosen, cut))))
+            return
+        (top, bottom), a, b = cut[i]
+        for idx, interval, pop in active:
+            bit = 1 << idx
+            if taken & bit or interval[0] > bottom or top > interval[1]:
+                continue
+            if pop + a + b <= target:
+                chosen.append(idx)
+                assign(cut, i + 1, taken | bit, next_new)
+                chosen.pop()
+        if next_new < kappa:
+            chosen.append(next_new)
+            assign(cut, i + 1, taken, next_new + 1)
+            chosen.pop()
+
+    for cut in table:
+        assign(cut, 0, 0, used)
+    return out
 
 
 def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
@@ -226,6 +263,11 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     Requires every polygon column to be a single run.  Returns the
     scaled optimum and a witness partition found by backtracking, or an
     infeasible result when no y-convex equipartition exists.
+
+    A state key holds one ``(party_a, party_b, status, interval)`` tuple
+    per label, the fields of ``LabelState``.  Frontier keys are expanded
+    in sorted order and the first path to reach a key is kept, so the
+    witness is deterministic.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -241,61 +283,41 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     target = pop // kappa
 
     columns = sorted({c for (_, c) in p.votes})
-    for col in columns:
-        _column_run(p, col)  # raises on multi-run columns
+    # Raises on multi-run columns before any state is expanded.
+    tables = {col: _column_table(p, col, kappa, target) for col in columns}
 
-    def state_key(state: DPState):
-        return tuple(
-            (st.party_a, st.party_b, st.status, st.interval) for st in state.labels
-        )
-
-    start = DPState(columns[0] - 1, tuple(LabelState(0, 0, UNSTARTED, None) for _ in range(kappa)))
-    frontier: dict[tuple, DPState] = {state_key(start): start}
+    frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
     # Backpointers keyed by (column, state key): identical states can recur
     # across columns when columns carry no population.
-    back: dict[tuple[int, tuple], tuple[tuple, ColumnSegmentation]] = {}
+    back: dict[tuple[int, tuple], tuple[tuple, tuple]] = {}
     max_states = 1
     max_vectors = 1
+    prev_col = columns[0] - 1
 
     for col in columns:
-        nxt: dict[tuple, DPState] = {}
-        for key, state in sorted(frontier.items()):
-            for new_state, seg in _canonical_transitions(p, state, col, kappa):
-                ok = True
-                for st in new_state.labels:
-                    if st.population() > target:
-                        ok = False
-                        break
-                    if st.status == FINISHED and st.population() != target:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                nkey = state_key(new_state)
+        # Segments only extend into the adjacent column; a gap column
+        # admits no transition.
+        table = tables[col] if col == prev_col + 1 else []
+        prev_col = col
+        nxt: dict[tuple, None] = {}
+        for key in sorted(frontier):
+            for nkey, segments in _successors(key, table, kappa, target):
                 if nkey not in nxt:
-                    nxt[nkey] = new_state
-                    back[(col, nkey)] = (key, seg)
-        frontier = nxt
+                    nxt[nkey] = None
+                    back[(col, nkey)] = (key, segments)
+        frontier = list(nxt)
         max_states = max(max_states, len(frontier))
-        vectors = {
-            tuple((st.party_a, st.party_b) for st in state.labels)
-            for state in frontier.values()
-        }
+        vectors = {tuple((st[0], st[1]) for st in key) for key in frontier}
         max_vectors = max(max_vectors, len(vectors))
         if not frontier:
             return YConvexResult(False, None, None, max_states, max_vectors)
 
     best_key = None
     best_value = None
-    for key, state in sorted(frontier.items()):
-        if any(st.status == UNSTARTED for st in state.labels):
+    for key in sorted(frontier):
+        if any(st[2] == UNSTARTED or st[0] + st[1] != target for st in key):
             continue
-        if any(st.population() != target for st in state.labels):
-            continue
-        signed = sum(
-            district_effgap(VoteCounts(st.party_a, st.party_b)) for st in state.labels
-        )
-        value = abs(signed)
+        value = abs(sum(district_effgap(VoteCounts(st[0], st[1])) for st in key))
         if best_value is None or value < best_value:
             best_value = value
             best_key = key
@@ -305,8 +327,8 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     labels: dict[tuple[int, int], int] = {}
     key = best_key
     for col in reversed(columns):
-        prev_key, seg = back[(col, key)]
-        for lab, (top, bottom) in seg.segments:
+        prev_key, segments = back[(col, key)]
+        for lab, (top, bottom) in segments:
             for r in range(top, bottom + 1):
                 labels[(r, col)] = lab
         key = prev_key

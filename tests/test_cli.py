@@ -61,6 +61,18 @@ def test_stats_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_stats_plan_unknown_district_exit_code(toy_file, tmp_path, capsys):
+    plan = tmp_path / "plan.csv"
+    plan.write_text(
+        "district,county_id,assigned_district\n"
+        "1,A1,1\n1,A2,1\n2,B1,7\n2,B2,7\n"
+    )
+    assert main(["stats", str(toy_file), "--plan", str(plan)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 4: unknown district 7\n"
+
+
 def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):
     argv = ["localsearch", str(toy_file), "--seed", "42", "--mu", "10", "--k", "3",
             "--replicas", "2", "--jobs", "1",

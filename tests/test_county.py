@@ -146,6 +146,26 @@ def test_plan_csv_unknown_node():
         read_plan_csv(res.graph, "district,county_id,assigned_district\n9,ZZ,1\n")
 
 
+def test_plan_csv_unknown_district():
+    res = ingest(TOY_COUNTY_CSV)
+    text = write_plan_csv(res.plan).replace("2,B2,2", "2,B2,7")
+    with pytest.raises(IngestError, match=r"^row 5: unknown district 7$"):
+        read_plan_csv(res.graph, text)
+
+
+def test_plan_csv_keeps_emptied_district():
+    three = (
+        "District,County_id,County,Republicans,Democrats,Neighbors\n"
+        '1,a,A,5,5,"2:b"\n2,b,B,25,25,"1:a, 3:c"\n3,c,C,50,50,"2:b"\n'
+    )
+    res = ingest(three)
+    # Merging district 1 into 2 stays inside the frozen bounds [10, 100].
+    plan = read_plan_csv(res.graph, write_plan_csv(res.plan).replace("1,a,1", "1,a,2"))
+    assert plan.district_ids == (1, 2, 3)
+    report = validate_plan(res.graph, plan)
+    assert not report.ok and report.reason == "district 1 empty"
+
+
 def test_validate_plan_catches_violations():
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()

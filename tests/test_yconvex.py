@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from effgap.core import VoteCounts, district_effgap, total_effgap
 from effgap.grid import (
+    GridPolygon,
     enumerate_equipartitions,
     partition_vote_totals,
     validate_partition,
@@ -166,3 +168,82 @@ def test_deterministic_witness():
     b = solve_yconvex(p, 3)
     assert a.value == b.value
     assert dict(a.partition.labels) == dict(b.partition.labels)
+
+
+def _seeded_rect(m, n, seed, pop=2):
+    rng = random.Random(seed)
+    votes = {}
+    for r in range(m):
+        for c in range(n):
+            a = rng.randint(0, pop)
+            votes[(r, c)] = VoteCounts(a, pop - a)
+    return GridPolygon(m, n, votes)
+
+
+def _witness_digest(partition):
+    text = ";".join(f"{r},{c}:{lab}" for (r, c), lab in sorted(partition.labels.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (instance, kappa, value, max_column_states, max_vote_vectors, witness sha256);
+# the column polygons (seeds 50 and 52) contain zero-population cells.
+PINNED = [
+    (lambda: _seeded_rect(4, 4, 1), 4, 0, 119, 57,
+     "76ea3bff556ea113f7f49e25084d3302633f37171f8d55509e560d1f22dcd1a3"),
+    (lambda: _seeded_rect(3, 8, 2), 4, 12, 310, 212,
+     "5e806f5f7a6fbf72e6fe0f0457b021995370d0169a47a5535ea724ca8db86aec"),
+    (lambda: _seeded_rect(4, 6, 3), 3, 4, 532, 218,
+     "20f6de9b217c5e14da56e95af777ed2f324c8ae74df4c482a63f53c6e3a4041c"),
+    (lambda: _seeded_rect(5, 5, 4), 5, 2, 3210, 1698,
+     "379f498c3cdd6233094d7053add290a8c78cf222d01d5ba91b74cf94049b8939"),
+    (lambda: random_column_polygon(random.Random(50), max_cells=12), 3, 2, 11, 7,
+     "8428271e2abcd103c120a74c8423ec320e47af9298b1edf2d6023f0a0ad91a41"),
+    (lambda: random_column_polygon(random.Random(52), max_cells=12), 2, 10, 3, 3,
+     "163b4319f7898acd0d2eab34eb6bcffd8c758ea677319499b6e946e44c04bb2f"),
+]
+
+
+@pytest.mark.parametrize("build,kappa,value,states,vectors,digest", PINNED)
+def test_pinned_optimum_witness_and_counters(build, kappa, value, states, vectors, digest):
+    res = solve_yconvex(build(), kappa)
+    assert res.feasible and res.value == value
+    assert (res.max_column_states, res.max_vote_vectors) == (states, vectors)
+    assert _witness_digest(res.partition) == digest
+
+
+def _witness_segmentations(p, partition):
+    """One ColumnSegmentation per polygon column, segments top to bottom."""
+    columns = sorted({c for _, c in p.votes})
+    segs = []
+    for col in columns:
+        rows_of: dict[int, list[int]] = {}
+        for (r, c), lab in partition.labels.items():
+            if c == col:
+                rows_of.setdefault(lab, []).append(r)
+        segments = sorted(((lab, (min(rows), max(rows))) for lab, rows in rows_of.items()),
+                          key=lambda s: s[1])
+        segs.append(ColumnSegmentation(col, tuple(segments)))
+    return columns, segs
+
+
+def test_witness_replays_through_transition_rule():
+    rng = random.Random(31)
+    replayed = 0
+    for _ in range(80):
+        p = random_column_polygon(rng, max_cells=12, uniform=rng.random() < 0.3)
+        kappa = rng.choice([2, 3])
+        res = solve_yconvex(p, kappa)
+        if not res.feasible:
+            continue
+        replayed += 1
+        target = p.total_votes().population() // kappa
+        columns, segs = _witness_segmentations(p, res.partition)
+        state = DPState(columns[0] - 1, tuple(LabelState(0, 0, UNSTARTED, None) for _ in range(kappa)))
+        for seg in segs:
+            step = transition_feasible(p, state, seg)
+            assert step.ok, step.reason
+            state = step.state
+        assert all(st.population() == target for st in state.labels)
+        signed = sum(district_effgap(VoteCounts(st.party_a, st.party_b)) for st in state.labels)
+        assert abs(signed) == res.value
+    assert replayed >= 10
