@@ -140,6 +140,8 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
 
 
 def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
     data_path = _resolve(args.data)
     result = _ingest_path(data_path)
     graph, plan0 = result.graph, result.plan

@@ -267,15 +267,17 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
         return PlanReport(False, "assignment does not cover the graph")
     adjacency = {key: graph.nodes[key].neighbors for key in graph.nodes}
     recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
+    assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
     for key, d in plan.assignment.items():
         if d not in recomputed:
             return PlanReport(False, f"node assigned to unknown district {d}")
         recomputed[d] = recomputed[d] + graph.nodes[key].votes
+        assigned[d].add(key)
     for d in plan.district_ids:
         members = plan.members.get(d, set())
         if not members:
             return PlanReport(False, f"district {d} empty")
-        if {k for k, dd in plan.assignment.items() if dd == d} != members:
+        if assigned[d] != members:
             return PlanReport(False, f"district {d} member cache inconsistent")
         if recomputed[d] != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")

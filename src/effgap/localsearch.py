@@ -3,9 +3,13 @@
 Each outer iteration draws a random handful of nodes; a drawn boundary
 node is reassigned to a neighboring district when the move keeps every
 district connected and within the frozen population bounds and strictly
-lowers the plan's total absolute gap.  Runs are reproducible: replica
-streams derive from one root seed, nodes are drawn from a named
-generator, and neighbors are scanned in key order.
+lowers the plan's total absolute gap.  The checks on the node's own
+district do not depend on the target, so they run first and once per
+drawn node.  The connectivity check assumes the district is connected
+before the move: the starting plan is validated and every accepted move
+keeps it so.  Runs are reproducible: replica streams derive from one
+root seed, nodes are drawn from a named generator, and neighbors are
+scanned in key order.
 
 No worst-case approximation guarantee exists for this kind of strictly
 improving single-node search: adversarial instances stall it arbitrarily
@@ -92,18 +96,52 @@ class RunResult:
 def _connected_without(
     graph: CountyGraph, members: set[NodeKey], removed: NodeKey
 ) -> bool:
-    rest = members - {removed}
-    if not rest:
-        return False
-    start = next(iter(rest))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in graph.nodes[stack.pop()].neighbors:
-            if nb in rest and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == rest
+    """Whether a connected district stays connected once `removed` leaves.
+
+    The district must be connected with `removed` in it.  Then it stays
+    connected exactly when one of removed's same-district neighbours
+    reaches all the others, so the breadth-first search stops as soon as
+    they are all reached.  Breadth first, because they are usually a
+    couple of steps apart.
+    """
+    nodes = graph.nodes
+    linked = [nb for nb in nodes[removed].neighbors if nb in members]
+    if len(linked) < 2:
+        return bool(linked)
+    pending = set(linked[1:])
+    seen = {removed, linked[0]}
+    level = [linked[0]]
+    while level:
+        next_level = []
+        for key in level:
+            for nb in nodes[key].neighbors:
+                if nb in members and nb not in seen:
+                    if nb in pending:
+                        pending.discard(nb)
+                        if not pending:
+                            return True
+                    seen.add(nb)
+                    next_level.append(nb)
+        level = next_level
+    return False
+
+
+def _source_rejection(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> str | None:
+    """Why moving `node` out of its district is illegal whatever the target.
+
+    Cheapest first: emptied, then the source population bound, then
+    connectivity.  None when the source side allows the move.
+    """
+    source = plan.assignment[node]
+    members = plan.members[source]
+    if len(members) == 1:
+        return "district emptied"
+    pop = graph.nodes[node].votes.population()
+    if plan.district_votes[source].population() - pop < plan.pop_lo:
+        return "source below population bound"
+    if not _connected_without(graph, members, node):
+        return "source disconnected"
+    return None
 
 
 def move_is_legal(
@@ -113,21 +151,18 @@ def move_is_legal(
 
     Legal when the target is a neighbor's district, the source district
     stays non-empty and connected, and both touched districts stay
-    within the plan's population bounds.
+    within the plan's population bounds.  Source-side reasons are
+    decided before the target's; the plan's districts must be connected.
     """
     source = plan.assignment[node]
     if target == source:
         return MoveReport(False, "target equals current district")
     if target not in {plan.assignment[nb] for nb in graph.nodes[node].neighbors}:
         return MoveReport(False, "target district not adjacent to node")
-    members = plan.members[source]
-    if len(members) == 1:
-        return MoveReport(False, "district emptied")
-    if not _connected_without(graph, members, node):
-        return MoveReport(False, "source disconnected")
+    reason = _source_rejection(graph, plan, node)
+    if reason is not None:
+        return MoveReport(False, reason)
     pop = graph.nodes[node].votes.population()
-    if plan.district_votes[source].population() - pop < plan.pop_lo:
-        return MoveReport(False, "source below population bound")
     if plan.district_votes[target].population() + pop > plan.pop_hi:
         return MoveReport(False, "target above population bound")
     return MoveReport(True)
@@ -163,9 +198,11 @@ def run_iteration(
     """One outer iteration; mutates the plan and returns accepted moves.
 
     Draws r uniform in 0..k, then r distinct nodes.  A drawn boundary
-    node is processed once per iteration: its neighbors are scanned in
-    key order and the first (or, optionally, best) legal strictly
-    improving reassignment is applied.
+    node is processed once per iteration: the target-independent checks
+    of ``move_is_legal`` run once, then its neighbors are scanned in key
+    order, each needing only the target population bound, and the first
+    (or, optionally, best) legal strictly improving reassignment is
+    applied.
     """
     keys = graph.keys
     r = int(rng.integers(0, k + 1))
@@ -175,16 +212,18 @@ def run_iteration(
     records = []
     signed = plan.signed_scaled_effgap()
     for node in picked:
+        source = plan.assignment[node]
         neighbors = graph.nodes[node].neighbors
-        if all(plan.assignment[nb] == plan.assignment[node] for nb in neighbors):
+        if all(plan.assignment[nb] == source for nb in neighbors):
             continue  # interior node; nothing to try
+        if _source_rejection(graph, plan, node) is not None:
+            continue  # no target can take it
+        room = plan.pop_hi - graph.nodes[node].votes.population()
         before_abs = abs(signed)
         best_choice: tuple[int, int] | None = None  # (new signed, target)
         for nb in neighbors:  # key order: neighbor tuples are stored sorted
             target = plan.assignment[nb]
-            if target == plan.assignment[node]:
-                continue
-            if not move_is_legal(graph, plan, node, target).ok:
+            if target == source or plan.district_votes[target].population() > room:
                 continue
             new_signed = _trial_value(graph, plan, node, target, signed)
             if abs(new_signed) >= before_abs:
@@ -196,9 +235,7 @@ def run_iteration(
                 best_choice = (new_signed, target)
         if best_choice is not None:
             new_signed, target = best_choice
-            records.append(
-                MoveRecord(iteration, node, plan.assignment[node], target, before_abs, abs(new_signed))
-            )
+            records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
             plan.move(graph, node, target)
             signed = new_signed
     return records
@@ -230,6 +267,20 @@ def _run_replica(
     )
 
 
+# A pool worker's search inputs, set once per worker process by
+# _init_worker so that each task carries only its replica index.
+_worker_inputs: tuple[CountyGraph, DistrictPlan, SearchConfig] | None = None
+
+
+def _init_worker(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (graph, plan0, cfg)
+
+
+def _run_worker_replica(replica: int) -> SearchTrace:
+    return _run_replica(*_worker_inputs, replica)
+
+
 def run(
     graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig, jobs: int = 1
 ) -> RunResult:
@@ -237,7 +288,8 @@ def run(
 
     Replica streams are spawned from the root seed, so results are
     reproducible and independent of scheduling; ties between replicas go
-    to the lower index.
+    to the lower index.  Pool workers receive the graph, plan and config
+    once each, when they start, and each task only a replica index.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -247,10 +299,12 @@ def run(
     if jobs > 1 and cfg.replicas > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicas)) as pool:
-            traces = list(
-                pool.map(_run_replica, *zip(*[(graph, plan0, cfg, i) for i in range(cfg.replicas)]))
-            )
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, cfg.replicas),
+            initializer=_init_worker,
+            initargs=(graph, plan0, cfg),
+        ) as pool:
+            traces = list(pool.map(_run_worker_replica, range(cfg.replicas)))
     else:
         traces = [_run_replica(graph, plan0, cfg, i) for i in range(cfg.replicas)]
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))

@@ -78,6 +78,36 @@ def random_column_polygon(rng: random.Random, max_cells: int = 12, uniform: bool
         return GridPolygon(rows, cols, votes)
 
 
+def county_grid_csv(seed: int, side: int = 12, bands: int = 4) -> str:
+    """County CSV of a side x side grid cut into bands x bands districts.
+
+    Band edges are jittered and node populations vary, so the frozen
+    population bounds leave local search room to move many nodes.
+    """
+    rng = random.Random(seed)
+    step = side // bands
+    row_cuts = [0] + [b * step + rng.randint(-1, 1) for b in range(1, bands)] + [side]
+    col_cuts = [0] + [b * step + rng.randint(-1, 1) for b in range(1, bands)] + [side]
+
+    def district(r: int, c: int) -> int:
+        br = next(i for i in range(bands) if row_cuts[i] <= r < row_cuts[i + 1])
+        bc = next(i for i in range(bands) if col_cuts[i] <= c < col_cuts[i + 1])
+        return br * bands + bc + 1
+
+    lines = ["District,County_id,County,Republicans,Democrats,Neighbors"]
+    for r in range(side):
+        for c in range(side):
+            pop = rng.randint(80, 120)
+            dem = rng.randint(pop * 3 // 10, pop * 7 // 10)
+            nbs = ", ".join(
+                f"{district(rr, cc)}:g{rr}_{cc}"
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < side and 0 <= cc < side
+            )
+            lines.append(f'{district(r, c)},g{r}_{c},G,{pop - dem},{dem},"{nbs}"')
+    return "\n".join(lines) + "\n"
+
+
 TOY_COUNTY_CSV = """\
 District,County_id,County,Republicans,Democrats,Neighbors
 1,A1,Alpha,40,60,"1:A2, 2:B1"

@@ -88,6 +88,16 @@ def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):
     assert "original" in first and "new" in first
 
 
+def test_localsearch_negative_jobs_rejected(toy_file, tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), "localsearch", str(toy_file), "--k", "3", "--jobs", "-3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --jobs must be 0 (all cores) or positive, got -3\n"
+    assert not manifest.exists()
+
+
 def test_solve_brute_and_yconvex_agree(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")

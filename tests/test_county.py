@@ -173,3 +173,15 @@ def test_validate_plan_catches_violations():
     plan.move(res.graph, (1, "A2"), 2)
     report = validate_plan(res.graph, plan)
     assert not report.ok and "empty" in report.reason
+
+
+def test_validate_plan_reporting_order():
+    """Unknown district first, then per district: empty before a stale member cache."""
+    res = ingest(TOY_COUNTY_CSV)
+    plan = res.plan.copy()
+    plan.assignment[(1, "A1")] = 2  # caches left as they were
+    assert validate_plan(res.graph, plan).reason == "district 1 member cache inconsistent"
+    plan.members[1] = set()
+    assert validate_plan(res.graph, plan).reason == "district 1 empty"
+    plan.assignment[(2, "B1")] = 9
+    assert validate_plan(res.graph, plan).reason == "node assigned to unknown district 9"

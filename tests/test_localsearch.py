@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from effgap.localsearch import (
     run,
     run_iteration,
 )
-from conftest import TOY_COUNTY_CSV
+from effgap.synthdata import synth_state_csv
+from conftest import TOY_COUNTY_CSV, county_grid_csv
 
 # 2x3 node grid; district 1 = {a, b, d, e}, district 2 = {c, f}.  Exactly
 # one single-node move strictly improves the total gap: b -> district 2.
@@ -195,3 +199,128 @@ def test_best_improvement_mode_runs():
     result = run(res.graph, res.plan, cfg)
     for trace in result.traces:
         assert trace.final_scaled <= trace.initial_scaled
+
+
+def ring_csv(side: int = 5) -> str:
+    """District 1 is the border ring of a side x side grid, district 2 the rest.
+
+    Removing a ring node leaves its two ring neighbours joined only the
+    long way round, so a connectivity search must go past its first level.
+    """
+    def district(r, c):
+        return 1 if r in (0, side - 1) or c in (0, side - 1) else 2
+
+    lines = ["District,County_id,County,Republicans,Democrats,Neighbors"]
+    for r in range(side):
+        for c in range(side):
+            nbs = ", ".join(
+                f"{district(rr, cc)}:r{rr}_{cc}"
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < side and 0 <= cc < side
+            )
+            lines.append(f'{district(r, c)},r{r}_{c},R,{1 + (r + c) % 2},{1 + r % 3},"{nbs}"')
+    return "\n".join(lines) + "\n"
+
+
+def pin_graph(name: str) -> str:
+    return county_grid_csv(2) if name == "grid" else synth_state_csv(name, seed=0)
+
+
+# sha256 of the joined traces and of the best plan's CSV for
+# SearchConfig(mu=100, k=20, seed=11, replicas=2), recorded from the
+# search that ran move_is_legal for every (node, target) pair, so that
+# a faster legality check cannot change a single move.  On the synthetic
+# states first and best improvement make the same moves; on the grid
+# they differ.
+TRACE_PINS = {
+    ("WI", False): (
+        "72f2ec98b046e718884b4f7e5ec3afee0a110cbc81e739f0669d800072353623",
+        "73e683e3df56122ed47daa7260cc1885429dbd27d4e6a345b6da14ed90199522",
+    ),
+    ("WI", True): (
+        "72f2ec98b046e718884b4f7e5ec3afee0a110cbc81e739f0669d800072353623",
+        "73e683e3df56122ed47daa7260cc1885429dbd27d4e6a345b6da14ed90199522",
+    ),
+    ("TX", False): (
+        "d239a0ea6cf2de3222ee322a5ba9c7b6309176bc0d4a9a5ceab570dc152cc89e",
+        "0f0945b652f65573e1d49ccab5bd7656c7065dde7dc77575dce1e2d9401cafda",
+    ),
+    ("TX", True): (
+        "d239a0ea6cf2de3222ee322a5ba9c7b6309176bc0d4a9a5ceab570dc152cc89e",
+        "0f0945b652f65573e1d49ccab5bd7656c7065dde7dc77575dce1e2d9401cafda",
+    ),
+    ("VA", False): (
+        "6f7af461bfc483f743d35f54ac654bf5551d3c8f13cd469a8b2dcf5f747a38a8",
+        "f419c5299e1b6f93f34e7b33415d2aae07104c70c34d13898ab907ae77ae65a0",
+    ),
+    ("VA", True): (
+        "6f7af461bfc483f743d35f54ac654bf5551d3c8f13cd469a8b2dcf5f747a38a8",
+        "f419c5299e1b6f93f34e7b33415d2aae07104c70c34d13898ab907ae77ae65a0",
+    ),
+    ("PA", False): (
+        "f1b3c02a188a43b2afd70ee6be1911051639e3606bdd8642d48e55608d509f81",
+        "359b6edf07ef2f8440b07d443ee2d41bf2bffdb0f983d5cb8fdeee412f0a964b",
+    ),
+    ("PA", True): (
+        "f1b3c02a188a43b2afd70ee6be1911051639e3606bdd8642d48e55608d509f81",
+        "359b6edf07ef2f8440b07d443ee2d41bf2bffdb0f983d5cb8fdeee412f0a964b",
+    ),
+    ("grid", False): (
+        "b10a41a8cc7959dbd19291d5e2d3ebe8ea9f4364152a1ccda6fddd114e44a232",
+        "b0bf52832d8e6b591b1842be7c75035ceb1d653f75a732181f6371025a7f3335",
+    ),
+    ("grid", True): (
+        "72043f73f3f1d9323bb5465679aa81409ca42ed4cf7a16bd5b3203e39f518c85",
+        "b0bf52832d8e6b591b1842be7c75035ceb1d653f75a732181f6371025a7f3335",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,best", sorted(TRACE_PINS))
+def test_traces_match_pins(name, best):
+    res = ingest(pin_graph(name))
+    cfg = SearchConfig(mu=100, k=20, seed=11, replicas=2, best_improvement=best)
+    result = run(res.graph, res.plan, cfg)
+    traces = "".join(t.to_lines() for t in result.traces)
+    assert (
+        hashlib.sha256(traces.encode()).hexdigest(),
+        hashlib.sha256(write_plan_csv(result.best_plan).encode()).hexdigest(),
+    ) == TRACE_PINS[(name, best)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [synth_state_csv("WI", seed=0), county_grid_csv(2, side=8, bands=3), ring_csv()],
+    ids=["WI", "grid", "ring"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_move_is_legal_matches_full_validation(text, seed):
+    """Along a random walk of legal moves, every verdict agrees with validate_plan."""
+    res = ingest(text)
+    graph, plan = res.graph, res.plan.copy()
+    rng = random.Random(seed)
+    for _ in range(30):
+        legal = []
+        for node in graph.keys:
+            source = plan.assignment[node]
+            for target in sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source}):
+                verdict = move_is_legal(graph, plan, node, target).ok
+                plan.move(graph, node, target)
+                assert verdict == validate_plan(graph, plan).ok, (node, target)
+                plan.move(graph, node, source)
+                if verdict:
+                    legal.append((node, target))
+        if not legal:
+            break
+        plan.move(graph, *rng.choice(legal))
+    assert validate_plan(graph, plan).ok
+
+
+def test_parallel_replicas_match_sequential_on_state():
+    res = ingest(synth_state_csv("PA", seed=0))
+    cfg = SearchConfig(mu=100, k=20, seed=5, replicas=4)
+    seq = run(res.graph, res.plan, cfg, jobs=1)
+    par = run(res.graph, res.plan, cfg, jobs=2)
+    assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
+    assert seq.best_replica == par.best_replica
+    assert seq.best_plan.assignment == par.best_plan.assignment
