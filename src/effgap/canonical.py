@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import VoteCounts, district_effgap
-from .grid import Cell, GridPartition, GridPolygon, neighbors4
+from .grid import Cell, GridPartition, GridPolygon, _connected, neighbors4
 
 MAX_BLOCK_SIDE = 5  # interior subset enumeration is exponential in t*t
 
@@ -116,20 +116,6 @@ def build_decomposition(p: GridPolygon, t: int) -> BasicDecomposition:
     return BasicDecomposition(t, tuple(rects), frozenset(tree), interiors)
 
 
-def _cells_connected(cells: set[Cell]) -> bool:
-    if not cells:
-        return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in neighbors4(stack.pop()):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == cells
-
-
 def _votes_of(p: GridPolygon, cells: Iterator[Cell] | set[Cell]) -> VoteCounts:
     a = b = 0
     for cell in cells:
@@ -176,14 +162,14 @@ def solve_case1(
         cells = sorted(interior)
         for mask in range(1, 1 << len(cells)):
             subset = {cells[i] for i in range(len(cells)) if mask >> i & 1}
-            if not _cells_connected(subset):
+            if not _connected(subset):
                 continue
             v1 = _votes_of(p, subset)
             pop1 = v1.population()
             pop2 = total.population() - pop1
             if not (lo <= pop1 <= hi and lo <= pop2 <= hi):
                 continue
-            if not _cells_connected(set(p.votes) - subset):
+            if not _connected(set(p.votes) - subset):
                 continue
             v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
             key = (_plan_value(v1, v2), ri, mask)
@@ -346,7 +332,7 @@ def solve_canonical(
             side1 |= choice.cells
             side1 |= choice.connectors
         side2 = set(p.votes) - side1
-        if not side2 or not _cells_connected(side1) or not _cells_connected(side2):
+        if not side2 or not _connected(side1) or not _connected(side2):
             continue
         v1 = _votes_of(p, side1)
         v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)

@@ -28,6 +28,7 @@ from .grid import (
     gen_hardness_instance,
     read_instance,
     subset_sum_oracle,
+    validate_polygon,
     write_instance,
     write_partition,
 )
@@ -182,7 +183,13 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
 def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     grid_path = _resolve(args.grid)
     polygon, kappa = read_instance(grid_path.read_text())
-    if args.kappa:
+    report = validate_polygon(polygon)
+    if not report.ok:
+        where = f" at {report.witness}" if report.witness is not None else ""
+        raise ValueError(f"polygon {report.reason}{where}")
+    if args.kappa is not None:
+        if not 2 <= args.kappa <= polygon.size:
+            raise ValueError(f"--kappa must satisfy 2 <= kappa <= {polygon.size}, got {args.kappa}")
         kappa = args.kappa
     partition = None
     summary: dict = {"solver": args.solver, "kappa": kappa}

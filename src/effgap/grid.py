@@ -6,6 +6,12 @@ Cells are (row, col) pairs on an m x n unit grid.  Polygons must be
 kappa-partition meeting a population mode, so it is the ground truth the
 other solvers are checked against; it is only meant for desk-scale
 instances (the default cap is 14 cells).
+
+The oracle works on bitmasks laid out like the grid: cell (r, c) is bit
+r * width + c of the polygon's bounding box (rows and columns counted from
+its top-left corner), so bit order is sorted cell order, a full rectangle
+numbers its cells 0..m*n-1, and the four neighbours of a set are shifts of
+its mask by 1 and by the width.
 """
 
 from __future__ import annotations
@@ -201,77 +207,119 @@ class OracleLimitError(ValueError):
 
 
 class _MaskIndex:
-    """Bitmask view of a polygon for fast subset enumeration."""
+    """Bitmask view of a polygon for fast subset enumeration.
+
+    Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the polygon's
+    bounding box, so bits run in sorted cell order and a lowest-bit-first
+    loop visits cells in that order.  Bits of cells outside the polygon
+    stay clear in every mask; the per-bit tables read 0 (or None) there.
+    """
 
     def __init__(self, p: GridPolygon):
         self.cells = sorted(p.votes)
-        self.index = {cell: i for i, cell in enumerate(self.cells)}
-        self.pop = [p.votes[c].population() for c in self.cells]
-        self.party_a = [p.votes[c].party_a for c in self.cells]
-        self.adj = [0] * len(self.cells)
+        top = min((r for r, _ in self.cells), default=0)
+        left = min((c for _, c in self.cells), default=0)
+        self.width = width = max((c for _, c in self.cells), default=left) - left + 1
+        self.index = {(r, c): (r - top) * width + c - left for (r, c) in self.cells}
+        nbits = max(self.index.values(), default=-1) + 1
+        self.cell_at: list[Cell | None] = [None] * nbits
+        self.pop = [0] * nbits
+        self.party_a = [0] * nbits
+        self.adj = [0] * nbits
+        self.full = 0
         for cell, i in self.index.items():
+            self.cell_at[i] = cell
+            self.pop[i] = p.votes[cell].population()
+            self.party_a[i] = p.votes[cell].party_a
+            self.full |= 1 << i
             for nb in neighbors4(cell):
                 j = self.index.get(nb)
                 if j is not None:
                     self.adj[i] |= 1 << j
+        first_col = sum(1 << k for k in range(0, nbits, width))
+        # A shift by one bit moves a cell along its row; these masks drop the
+        # cells that would land in the next or previous row instead.
+        self.not_first_col = self.full & ~first_col
+        self.not_last_col = self.full & ~(first_col << (width - 1))
+
+    def flood(self, seed: int, within: int) -> int:
+        """The cells of `within` 4-connected to a cell of `seed`, a submask of `within`."""
+        w = self.width
+        into_right = within & self.not_first_col
+        into_left = within & self.not_last_col
+        comp = frontier = seed
+        while frontier:
+            frontier = (
+                (frontier << 1) & into_right
+                | (frontier >> 1) & into_left
+                | ((frontier << w) | (frontier >> w)) & within
+            ) & ~comp
+            comp |= frontier
+        return comp
 
     def connected(self, mask: int) -> bool:
-        if mask == 0:
-            return False
-        comp = mask & -mask
-        while True:
-            grown = comp
-            m = comp
-            while m:
-                bit = m & -m
-                m ^= bit
-                grown |= self.adj[bit.bit_length() - 1]
-            grown &= mask
-            if grown == comp:
-                return comp == mask
-            comp = grown
-
-    def mask_pop(self, mask: int) -> int:
-        total = 0
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            total += self.pop[bit.bit_length() - 1]
-        return total
+        return mask != 0 and self.flood(mask & -mask, mask) == mask
 
 
 def _connected_submasks(
-    idx: _MaskIndex, seed: int, allowed: int, pop_cap: int
+    idx: _MaskIndex, seed: int, allowed: int, pop_cap: int, whole_rest: bool = False
 ) -> Iterator[tuple[int, int]]:
     """All connected submasks of `allowed` containing bit `seed`, each once.
 
-    Yields (mask, population); branches whose population already exceeds
-    pop_cap are cut (cell populations are non-negative, so growth never
-    shrinks a population).
+    Yields (mask, population) in depth-first pre-order; branches whose
+    population already exceeds pop_cap are cut (cell populations are
+    non-negative, so growth never shrinks a population).  With
+    `whole_rest`, the caller only wants submasks whose complement in
+    `allowed` is connected, and subtrees where that can never hold are cut.
     """
-    seed_bit = 1 << seed
-    seed_pop = idx.pop[seed]
-    if seed_pop > pop_cap:
-        return
-
-    def rec(mask: int, pop: int, cand: int, banned: int) -> Iterator[tuple[int, int]]:
-        yield mask, pop
-        remaining = cand
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            i = bit.bit_length() - 1
-            new_pop = pop + idx.pop[i]
-            if new_pop > pop_cap:
-                continue
-            # Candidates already offered in this loop are excluded from the
-            # branch that includes `bit`, which makes each subset unique.
-            child_banned = banned | (cand & ~remaining & ~bit)
-            new_mask = mask | bit
-            child_cand = (remaining | (idx.adj[i] & allowed)) & ~new_mask & ~child_banned
-            yield from rec(new_mask, new_pop, child_cand, child_banned)
-
-    yield from rec(seed_bit, seed_pop, idx.adj[seed] & allowed & ~seed_bit, 0)
+    pops, adj, flood = idx.pop, idx.adj, idx.flood
+    if whole_rest:
+        comp = flood(1 << seed, allowed)
+        if comp != allowed:
+            # Only the seed's whole component can leave a connected complement.
+            pop = sum(x for i, x in enumerate(pops) if comp >> i & 1)
+            if pop <= pop_cap:
+                yield comp, pop
+            return
+    stack: list[tuple[int, int, int, int, int]] = []
+    # The walk starts at a virtual root whose only candidate is the seed.
+    mask = pop = banned = 0
+    cand = remaining = 1 << seed
+    while True:
+        if not remaining:
+            if not stack:
+                return
+            mask, pop, cand, banned, remaining = stack.pop()
+            continue
+        bit = remaining & -remaining
+        remaining ^= bit
+        i = bit.bit_length() - 1
+        new_pop = pop + pops[i]
+        if new_pop > pop_cap:
+            continue
+        # Candidates already offered at this node are excluded from the
+        # branch that includes `bit`, which makes each subset unique.
+        child_banned = banned | (cand ^ remaining ^ bit)
+        new_mask = mask | bit
+        free = allowed & ~(new_mask | child_banned)
+        child_cand = remaining | adj[i] & free
+        if whole_rest and new_pop < pop_cap:
+            # The subtree only takes cells that its candidates reach through
+            # free cells; every other cell stays in the complement of every
+            # submask below.  If two such fixed cells lie in different
+            # components of the current complement, no submask below (this
+            # one included) leaves a connected complement.  A connected
+            # complement passes after one flood, and a node at the cap has
+            # no subtree worth the check.
+            rest = allowed & ~new_mask
+            comp = flood(rest & -rest, rest)
+            if comp != rest:
+                fixed = rest & ~flood(child_cand, free)
+                if fixed & ~comp and (fixed & comp or fixed & ~flood(fixed & -fixed, rest)):
+                    continue
+        yield new_mask, new_pop
+        stack.append((mask, pop, cand, banned, remaining))
+        mask, pop, cand, banned, remaining = new_mask, new_pop, child_cand, child_banned, child_cand
 
 
 def _enumerate_mask_partitions(
@@ -280,9 +328,7 @@ def _enumerate_mask_partitions(
     """All partitions of the polygon into kappa connected classes whose
     populations lie in [lo, hi].  Classes are canonically ordered by their
     smallest cell, so each partition appears exactly once."""
-    full = (1 << len(idx.cells)) - 1
-    total_pop = sum(idx.pop)
-    if lo > hi:
+    if lo > hi or idx.full == 0 or kappa > len(idx.cells):
         return
 
     def rec(remaining: int, pop_left: int, parts_left: int, acc: tuple[int, ...]):
@@ -290,8 +336,9 @@ def _enumerate_mask_partitions(
             if lo <= pop_left <= hi and idx.connected(remaining):
                 yield acc + (remaining,)
             return
+        last = parts_left == 2  # the rest must then be one connected class
         seed = (remaining & -remaining).bit_length() - 1
-        for sub, pop in _connected_submasks(idx, seed, remaining, hi):
+        for sub, pop in _connected_submasks(idx, seed, remaining, hi, last):
             if pop < lo:
                 continue
             rest_pop = pop_left - pop
@@ -300,11 +347,13 @@ def _enumerate_mask_partitions(
             rest = remaining & ~sub
             if rest == 0:
                 continue
-            yield from rec(rest, rest_pop, parts_left - 1, acc + (sub,))
+            if last:
+                if idx.connected(rest):
+                    yield acc + (sub, rest)
+            else:
+                yield from rec(rest, rest_pop, parts_left - 1, acc + (sub,))
 
-    if full == 0 or kappa > len(idx.cells):
-        return
-    yield from rec(full, total_pop, kappa, ())
+    yield from rec(idx.full, sum(idx.pop), kappa, ())
 
 
 def _masks_to_partition(idx: _MaskIndex, masks: Sequence[int]) -> GridPartition:
@@ -314,7 +363,7 @@ def _masks_to_partition(idx: _MaskIndex, masks: Sequence[int]) -> GridPartition:
         while m:
             bit = m & -m
             m ^= bit
-            labels[idx.cells[bit.bit_length() - 1]] = lab
+            labels[idx.cell_at[bit.bit_length() - 1]] = lab
     return GridPartition(labels)
 
 
@@ -367,18 +416,22 @@ def brute_force_opt(
         lo, hi = _population_bounds(p.total_votes().population(), kappa, mode, delta)
     best: int | None = None
     best_masks: list[tuple[int, ...]] = []
+    gaps: dict[int, int] = {}  # class mask -> its scaled signed gap
     for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
         signed = 0
         for mask in masks:
-            a = pop = 0
-            m = mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                i = bit.bit_length() - 1
-                a += idx.party_a[i]
-                pop += idx.pop[i]
-            signed += (4 * a - 3 * pop) if 2 * a >= pop else (4 * a - pop)
+            gap = gaps.get(mask)
+            if gap is None:
+                a = pop = 0
+                m = mask
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    i = bit.bit_length() - 1
+                    a += idx.party_a[i]
+                    pop += idx.pop[i]
+                gap = gaps[mask] = (4 * a - 3 * pop) if 2 * a >= pop else (4 * a - pop)
+            signed += gap
         value = abs(signed)
         if best is None or value < best:
             best = value

@@ -118,6 +118,43 @@ def test_solve_kappa_one(tmp_path, capsys):
     assert "value (scaled by 2): 6" in out
 
 
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+@pytest.mark.parametrize("kappa", [0, 1, 5])
+def test_solve_kappa_override_out_of_range(tmp_path, capsys, solver, kappa):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), "solve", str(grid), "--solver", solver, "--kappa", str(kappa)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --kappa must satisfy 2 <= kappa <= 4, got {kappa}\n"
+    assert not manifest.exists()
+
+
+def test_solve_kappa_override_replaces_header(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+    manifest = tmp_path / "run.json"
+    assert main(["--manifest", str(manifest), "solve", str(grid), "--kappa", "4"]) == 0
+    assert json.loads(manifest.read_text())["result"]["kappa"] == 4
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+@pytest.mark.parametrize("text, message", [
+    ("1 3 2\n0 0 1 0\n0 2 0 1\n", "error: polygon disconnected at (0, 2)\n"),
+    ("3 3 2\n" + "".join(f"{r} {c} 1 1\n" for r in range(3) for c in range(3) if (r, c) != (1, 1)),
+     "error: polygon hole at (1, 1)\n"),
+], ids=["disconnected", "hole"])
+def test_solve_rejects_invalid_polygon(tmp_path, capsys, solver, text, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert main(["solve", str(grid), "--solver", solver]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_solve_infeasible_exit(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("1 2 2\n0 0 1 0\n0 1 0 2\n")

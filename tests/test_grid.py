@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from effgap.core import VoteCounts, total_effgap
 from effgap.grid import (
     GridPartition,
+    GridPolygon,
     OracleLimitError,
     brute_force_opt,
     enumerate_equipartitions,
@@ -21,7 +23,9 @@ from effgap.grid import (
     write_partition,
     _connected,
     _connected_submasks,
+    _enumerate_mask_partitions,
     _MaskIndex,
+    _population_bounds,
 )
 from conftest import polygon, random_polygon, uniform_rect
 
@@ -104,6 +108,18 @@ def test_near_mode_window():
 # --- the oracle -------------------------------------------------------------
 
 
+def column_runs(rows, runs, seed=0, cell_pop=2):
+    """Polygon with one (top, bottom) row run per column; every cell holds
+    `cell_pop` voters split at random."""
+    rng = random.Random(seed)
+    votes = {}
+    for c, (top, bottom) in enumerate(runs):
+        for r in range(top, bottom + 1):
+            a = rng.randint(0, cell_pop)
+            votes[(r, c)] = VoteCounts(a, cell_pop - a)
+    return GridPolygon(rows, len(runs), votes)
+
+
 def test_connected_submask_enumeration_matches_powerset():
     p = uniform_rect(3, 3)
     idx = _MaskIndex(p)
@@ -119,6 +135,106 @@ def test_connected_submask_enumeration_matches_powerset():
             if _connected({cells[i] for i in combo}):
                 naive.add(sum(1 << i for i in combo))
     assert mine == naive
+
+    # A diamond leaves grid bits unused and puts row ends next to the
+    # starts of the following rows in bit order.
+    p = column_runs(4, ((1, 2), (0, 3), (0, 3), (1, 2)))
+    idx = _MaskIndex(p)
+    seed_cell = min(p.votes)
+    walk = [mask for mask, _ in _connected_submasks(idx, idx.index[seed_cell], idx.full, 10**9)]
+    assert len(walk) == len(set(walk))
+    others = sorted(set(p.votes) - {seed_cell})
+    naive = set()
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            if _connected({seed_cell, *combo}):
+                naive.add(sum(1 << idx.index[cell] for cell in (seed_cell, *combo)))
+    assert set(walk) == naive
+
+
+def test_mask_connectivity_matches_cell_search():
+    # Rows of width 4: the last cell of one row and the first of the next
+    # are neighbours in bit order but not on the grid.
+    cells = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+             (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
+    p = polygon({cell: (0, 1) for cell in cells}, rows=4, cols=4)
+    assert validate_polygon(p).ok
+    idx = _MaskIndex(p)
+    assert idx.index[(1, 0)] == 4 and idx.index[(0, 3)] == 3
+    bit = {cell: 1 << idx.index[cell] for cell in cells}
+    for wrap in (((0, 3), (1, 0)), ((1, 3), (2, 0))):
+        assert not idx.connected(bit[wrap[0]] | bit[wrap[1]])
+    for size in range(len(cells) + 1):
+        for combo in combinations(cells, size):
+            mask = sum(bit[cell] for cell in combo)
+            assert idx.connected(mask) == _connected(combo), combo
+
+
+def _naive_partitions(p, kappa, lo, hi):
+    """The oracle's partitions, found by filtering the unpruned submask walk
+    with cell-set checks."""
+    idx = _MaskIndex(p)
+
+    def cells_of(mask):
+        return {cell for cell, i in idx.index.items() if mask >> i & 1}
+
+    def pop_of(mask):
+        return sum(p.votes[cell].population() for cell in cells_of(mask))
+
+    def rec(remaining, parts_left, acc):
+        if parts_left == 1:
+            if lo <= pop_of(remaining) <= hi and _connected(cells_of(remaining)):
+                yield acc + (remaining,)
+            return
+        if not remaining:
+            return
+        seed = (remaining & -remaining).bit_length() - 1
+        for sub, pop in _connected_submasks(idx, seed, remaining, hi):
+            if pop >= lo:
+                yield from rec(remaining & ~sub, parts_left - 1, acc + (sub,))
+
+    if p.size >= kappa:
+        yield from rec(idx.full, kappa, ())
+
+
+def test_pruned_walk_keeps_every_valid_submask_in_order():
+    rng = random.Random(41)
+    for trial in range(30):
+        p = random_polygon(rng, rng.randint(6, 12), max_pop=3)
+        idx = _MaskIndex(p)
+        total = p.total_votes().population()
+        cap = rng.randint(total // 3, total)
+        allowed = idx.full
+        if trial % 2:
+            # Leave out a few cells, which may split what is allowed.
+            for cell in rng.sample(sorted(p.votes), 3):
+                allowed &= ~(1 << idx.index[cell])
+        seed = (allowed & -allowed).bit_length() - 1
+
+        def valid(walk):
+            return [m for m, _ in walk if m != allowed and idx.connected(allowed & ~m)]
+
+        full_walk = list(_connected_submasks(idx, seed, allowed, cap))
+        pruned = list(_connected_submasks(idx, seed, allowed, cap, whole_rest=True))
+        assert valid(pruned) == valid(full_walk)
+        assert set(pruned) <= set(full_walk)
+
+
+def test_enumeration_matches_naive_filter():
+    rng = random.Random(43)
+    checked = 0
+    for trial in range(40):
+        p = random_polygon(rng, rng.randint(5, 11), max_pop=3)
+        kappa = rng.choice([2, 2, 3, 4])
+        total = p.total_votes().population()
+        if trial % 2:
+            lo, hi = _population_bounds(total, kappa, "near", Fraction(1, 5))
+        else:
+            lo, hi = max(0, total // kappa - 1), total // kappa + 2
+        expected = list(_naive_partitions(p, kappa, lo, hi))
+        assert list(_enumerate_mask_partitions(_MaskIndex(p), kappa, lo, hi)) == expected
+        checked += len(expected)
+    assert checked > 100
 
 
 def test_oracle_2x2_top_vs_bottom():
@@ -163,6 +279,58 @@ def test_oracle_reports_all_argmins():
         stats = total_effgap(partition_vote_totals(p, q, 2))
         values.add(stats.total_scaled_abs)
     assert values == {res.value}
+
+
+# sha256 of (value, every optimum's labels), recorded before the oracle's
+# walk moved to grid-layout bits and learnt to prune: the optima, and the
+# order in which they are found, must not change.
+ORACLE_PINS = {
+    "hex26-k2": "b47876eed288e91f5734ebc18d250811d1d7a58f25617ad916de6de08c1d6e04",
+    "barrel26-k2": "e5aebf76c1b99986f43e0ee71bee45eecd1d279a570d3494edef1740d57063cb",
+    "diamond7-k2": "f37b7922ccbbbd87ef3c9c27e573b0a8a5e0a8b73aea4befaccb2d31cfe54f5c",
+    "rect4x6-k3": "84198611e64055fa8cd2aaa9e89b46f290ae1d641f02a7edc0adeddf74ac6c82",
+    "rect5x5-k5": "9e17e8156cf28f47121f617f5f6d36b1ce1d56e1948b923c74fd099f81f2f771",
+    "rect3x8-k4": "f002a4b4fea097d619166c2d2c6c0712d3b592fe314c91e312c10bfdf60f17c4",
+    "gadget-yes-d1": "adae8c5546247b2d4cfe541fb8e2fa1a5ea2168db5c5982e0554f1fb3b8baf65",
+    "gadget-no-d1": "f99462b9e9dbc6062089a727dd5c33232d07fc9d7eb669315b01ee994df4844b",
+    "near-k3": "a1a396fe0e55c6a10f88f3c50b24fcd0c4391ec7dde7afedd5b7150e8c6e3683",
+    "window-k3": "ac35b42ec76942224128072882b3124ac0a4f0d86a82670a07ea984d81663d60",
+}
+
+
+def pin_instance(name):
+    """(polygon, kappa, oracle keyword arguments) of a pinned instance."""
+    if name == "hex26-k2":
+        return column_runs(5, ((1, 3), (0, 4), (0, 4), (0, 4), (0, 4), (1, 3)), 1), 2, {}
+    if name == "barrel26-k2":
+        return column_runs(6, ((1, 4), (0, 5), (0, 5), (0, 5), (1, 4)), 2), 2, {}
+    if name == "diamond7-k2":
+        runs = ((2, 3), (1, 4), (0, 5), (0, 5), (1, 4), (2, 3), (2, 3))
+        return column_runs(6, runs, 3), 2, {}
+    if name.startswith("rect"):
+        m, n, kappa, seed = {"rect4x6-k3": (4, 6, 3, 4), "rect5x5-k5": (5, 5, 5, 5),
+                             "rect3x8-k4": (3, 8, 4, 6)}[name]
+        return column_runs(m, [(0, m - 1)] * n, seed), kappa, {}
+    if name.startswith("gadget"):
+        # Zero-population cells, one decoy; the yes instance has an equal split.
+        values = (3, 5, 8, 2, 7, 9) if name == "gadget-yes-d1" else (3, 5, 8, 2, 7, 13)
+        inst = gen_hardness_instance([4 * v for v in values], decoy_count=1,
+                                     seed=0 if name == "gadget-yes-d1" else 1)
+        return inst.polygon, inst.kappa, {}
+    if name == "near-k3":
+        return random_polygon(random.Random(11), 13), 3, {"mode": "near", "delta": Fraction(1, 6)}
+    p = random_polygon(random.Random(24), 14)
+    total = p.total_votes().population()
+    return p, 3, {"window": (total // 3 - 2, total // 3 + 3)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PINS))
+def test_oracle_matches_pins(name):
+    p, kappa, kwargs = pin_instance(name)
+    res = brute_force_opt(p, kappa, cell_limit=32, **kwargs)
+    assert res.feasible and len(res.partitions) > 1
+    key = (res.value, [sorted(q.labels.items()) for q in res.partitions])
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == ORACLE_PINS[name]
 
 
 def test_enumerate_equipartitions_members_are_valid():
