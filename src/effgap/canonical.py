@@ -19,6 +19,7 @@ from .core import VoteCounts, district_effgap
 from .grid import Cell, GridPartition, GridPolygon, _connected, neighbors4
 
 MAX_BLOCK_SIDE = 5  # interior subset enumeration is exponential in t*t
+MAX_INTERIOR_CELLS = 16  # ragged last bands can grow an interior past (t - 2)**2
 
 
 class CanonicalPlanError(ValueError):
@@ -138,50 +139,84 @@ class CanonicalPlan:
     source: str  # "case1" or "canonical"
 
 
+@dataclass
+class PassCounts:
+    """Work done by one search pass.
+
+    ``candidates`` counts the plans scored (non-empty interior subsets for
+    case1, marked pairs for canonical), ``in_window`` those whose sides
+    fall inside the population window, and ``checks`` the connectivity
+    checks made in key order, the winner's included.
+    """
+
+    candidates: int = 0
+    in_window: int = 0
+    checks: int = 0
+
+
 def _plan_value(v1: VoteCounts, v2: VoteCounts) -> int:
     return abs(district_effgap(v1) + district_effgap(v2))
 
 
+def _require_small_interiors(decomp: BasicDecomposition) -> None:
+    for ri, (rect, interior) in enumerate(zip(decomp.rects, decomp.interiors)):
+        if len(interior) > MAX_INTERIOR_CELLS:
+            raise ValueError(
+                f"block {ri} (rows {rect.row0}-{rect.row1 - 1}, cols {rect.col0}-{rect.col1 - 1}) "
+                f"has {len(interior)} interior cells; subset enumeration allows at most "
+                f"{MAX_INTERIOR_CELLS}"
+            )
+
+
 def solve_case1(
-    p: GridPolygon, t: int, window: tuple[int, int]
+    p: GridPolygon, t: int, window: tuple[int, int], *, counts: PassCounts | None = None
 ) -> CanonicalPlan | None:
     """Best plan whose side 1 is a connected subset of one block interior.
 
-    Both sides must be connected and have populations inside the window;
-    returns None when no such plan exists.
+    Scores first, then verifies: every non-empty subset's votes come from
+    a lowest-set-bit recurrence over masks, subsets whose sides fall
+    outside the population window are dropped, and the rest are sorted by
+    (value, block index, mask).  Connectivity of the subset and of its
+    complement is checked in that order, and the first subset that passes
+    is the plan.  Returns None when none passes; ``counts``, when given,
+    receives the pass's counters.
     """
     _require_rectangle(p)
     if t > MAX_BLOCK_SIDE:
         raise ValueError(f"t={t} too large for subset enumeration; use t <= {MAX_BLOCK_SIDE}")
     decomp = build_decomposition(p, t)
+    _require_small_interiors(decomp)
+    counts = counts if counts is not None else PassCounts()
     lo, hi = window
     total = p.total_votes()
-    best: tuple[int, int, int] | None = None  # (value, rect index, mask)
-    best_subset: set[Cell] | None = None
-    for ri, interior in enumerate(decomp.interiors):
-        cells = sorted(interior)
-        for mask in range(1, 1 << len(cells)):
-            subset = {cells[i] for i in range(len(cells)) if mask >> i & 1}
-            if not _connected(subset):
-                continue
-            v1 = _votes_of(p, subset)
-            pop1 = v1.population()
-            pop2 = total.population() - pop1
-            if not (lo <= pop1 <= hi and lo <= pop2 <= hi):
-                continue
-            if not _connected(set(p.votes) - subset):
-                continue
+    pop = total.population()
+    blocks = [sorted(interior) for interior in decomp.interiors]
+    scored: list[tuple[int, int, int, VoteCounts]] = []
+    for ri, cells in enumerate(blocks):
+        size = 1 << len(cells)
+        counts.candidates += size - 1
+        sum_a = [0] * size
+        sum_b = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            v = p.votes[cells[low.bit_length() - 1]]
+            a = sum_a[mask] = sum_a[mask ^ low] + v.party_a
+            b = sum_b[mask] = sum_b[mask ^ low] + v.party_b
+            if lo <= a + b <= hi and lo <= pop - a - b <= hi:
+                v1 = VoteCounts(a, b)
+                v2 = VoteCounts(total.party_a - a, total.party_b - b)
+                scored.append((_plan_value(v1, v2), ri, mask, v1))
+    counts.in_window += len(scored)
+    scored.sort(key=lambda entry: entry[:3])
+    everything = set(p.votes)
+    for value, ri, mask, v1 in scored:
+        counts.checks += 1
+        cells = blocks[ri]
+        subset = {cells[i] for i in range(len(cells)) if mask >> i & 1}
+        if _connected(subset) and _connected(everything - subset):
             v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-            key = (_plan_value(v1, v2), ri, mask)
-            if best is None or key < best:
-                best = key
-                best_subset = subset
-    if best is None:
-        return None
-    v1 = _votes_of(p, best_subset)
-    total = p.total_votes()
-    v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-    return CanonicalPlan(_two_district_partition(p, best_subset), best[0], (v1, v2), "case1")
+            return CanonicalPlan(_two_district_partition(p, subset), value, (v1, v2), "case1")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +249,19 @@ class ReachTable:
 
 
 def _subset_choices(
-    p: GridPolygon, decomp: BasicDecomposition, rect_index: int
+    p: GridPolygon,
+    decomp: BasicDecomposition,
+    rect_index: int,
+    adjacent_to_tree: set[Cell],
 ) -> tuple[SubsetChoice, ...]:
     """Valid interior subsets of one block, in ascending mask order.
 
     A subset qualifies when each of its connected components has a
-    connector: a cell adjacent to both the component and the spine.  The
+    connector: a cell adjacent to both the component and the spine
+    (``adjacent_to_tree`` holds every non-spine cell next to it).  The
     lexicographically smallest such cell is recorded per component.
     """
     interior = sorted(decomp.interiors[rect_index])
-    tree = decomp.tree
-    adjacent_to_tree = {
-        cell
-        for cell in p.votes
-        if cell not in tree and any(nb in tree for nb in neighbors4(cell))
-    }
     out = []
     for mask in range(1 << len(interior)):
         subset = {interior[i] for i in range(len(interior)) if mask >> i & 1}
@@ -272,17 +305,27 @@ def build_reach_table(p: GridPolygon, decomp: BasicDecomposition) -> ReachTable:
     block index, then the smallest subset mask, then the smallest
     predecessor pair.
     """
-    choices = tuple(_subset_choices(p, decomp, ri) for ri in range(len(decomp.rects)))
+    _require_small_interiors(decomp)
+    tree = decomp.tree
+    adjacent_to_tree = {
+        cell
+        for cell in p.votes
+        if cell not in tree and any(nb in tree for nb in neighbors4(cell))
+    }
+    choices = tuple(
+        _subset_choices(p, decomp, ri, adjacent_to_tree) for ri in range(len(decomp.rects))
+    )
     marked: set[Pair] = {(0, 0)}
     first_marked: dict[Pair, tuple[int, Pair, int]] = {}
     layers = []
     for ri, block_choices in enumerate(choices):
         additions: dict[Pair, tuple[int, Pair, int]] = {}
+        ordered = sorted(marked)  # marked only grows between blocks
         for choice in block_choices:  # ascending mask order
             if choice.mask == 0:
                 continue  # empty subset carries marks forward unchanged
             da, db = choice.votes.party_a, choice.votes.party_b
-            for pair in sorted(marked):
+            for pair in ordered:
                 new_pair = (pair[0] + da, pair[1] + db)
                 if new_pair not in marked and new_pair not in additions:
                     additions[new_pair] = (ri, pair, choice.mask)
@@ -303,50 +346,60 @@ def _reconstruct_masks(table: ReachTable, pair: Pair, blocks: int) -> list[int]:
 
 
 def solve_canonical(
-    p: GridPolygon, t: int, window: tuple[int, int]
+    p: GridPolygon, t: int, window: tuple[int, int], *, counts: PassCounts | None = None
 ) -> CanonicalPlan:
     """Best normal-form plan over all marked interior vote pairs.
 
-    For each marked pair, side 1 is rebuilt as spine + chosen subsets +
-    their connectors; pairs whose rebuilt sides are disconnected or fall
-    outside the population window are skipped.  Raises when nothing
-    valid remains.
+    Scores first, then verifies.  Side 1 of a marked pair is the spine
+    plus the chosen subsets and their connectors, so its votes are the
+    spine's plus those of the union of the added cells (a connector
+    shared by two components counts once).  Pairs whose sides fall
+    outside the population window are dropped, the rest are sorted by
+    (value, pair), and connectivity of both sides is checked in that
+    order; the first pair that passes is the plan, which is the smallest
+    key among all valid pairs.  Raises when none passes; ``counts``, when
+    given, receives the pass's counters.
     """
     _require_rectangle(p)
     if t > MAX_BLOCK_SIDE:
         raise ValueError(f"t={t} too large for subset enumeration; use t <= {MAX_BLOCK_SIDE}")
     decomp = build_decomposition(p, t)
     table = build_reach_table(p, decomp)
+    counts = counts if counts is not None else PassCounts()
     lo, hi = window
     total = p.total_votes()
-    all_pairs = {(0, 0)} | set(table.first_marked)
-    best_key = None
-    best_plan = None
-    for pair in sorted(all_pairs):
-        masks = _reconstruct_masks(table, pair, len(decomp.rects))
-        side1 = set(decomp.tree)
-        for ri, mask in enumerate(masks):
-            if mask == 0:
-                continue
-            choice = next(c for c in table.choices[ri] if c.mask == mask)
-            side1 |= choice.cells
-            side1 |= choice.connectors
-        side2 = set(p.votes) - side1
-        if not side2 or not _connected(side1) or not _connected(side2):
+    pop = total.population()
+    spine = _votes_of(p, decomp.tree)
+    added = [{c.mask: c.cells | c.connectors for c in block} for block in table.choices]
+
+    def added_cells(pair: Pair) -> set[Cell]:
+        cells: set[Cell] = set()
+        for ri, mask in enumerate(_reconstruct_masks(table, pair, len(decomp.rects))):
+            if mask:
+                cells |= added[ri][mask]
+        return cells
+
+    pairs = {(0, 0)} | set(table.first_marked)
+    counts.candidates += len(pairs)
+    scored: list[tuple[int, Pair, VoteCounts]] = []
+    for pair in pairs:
+        v1 = spine + _votes_of(p, added_cells(pair))
+        pop1 = v1.population()
+        if not (lo <= pop1 <= hi and lo <= pop - pop1 <= hi):
             continue
-        v1 = _votes_of(p, side1)
         v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-        if not (lo <= v1.population() <= hi and lo <= v2.population() <= hi):
-            continue
-        key = (_plan_value(v1, v2), pair)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_plan = CanonicalPlan(
-                _two_district_partition(p, side1), key[0], (v1, v2), "canonical"
-            )
-    if best_plan is None:
-        raise CanonicalPlanError("no canonical plan in window")
-    return best_plan
+        scored.append((_plan_value(v1, v2), pair, v1))
+    counts.in_window += len(scored)
+    scored.sort(key=lambda entry: entry[:2])
+    everything = set(p.votes)
+    for value, pair, v1 in scored:
+        counts.checks += 1
+        side1 = decomp.tree | added_cells(pair)
+        side2 = everything - side1
+        if side2 and _connected(side1) and _connected(side2):
+            v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
+            return CanonicalPlan(_two_district_partition(p, side1), value, (v1, v2), "canonical")
+    raise CanonicalPlanError("no canonical plan in window")
 
 
 @dataclass(frozen=True)
@@ -357,6 +410,7 @@ class StableResult:
     delta_bound: Fraction
     delta_achieved: Fraction
     stability: Fraction | None  # min district gap / population, None on empty pops
+    passes: dict[str, PassCounts]  # keyed by plan source
 
 
 def solve_two_near_stable(
@@ -389,12 +443,13 @@ def solve_two_near_stable(
     hi = min(pop, hi_frac.numerator // hi_frac.denominator)
     window = (lo, hi)
 
+    passes = {"case1": PassCounts(), "canonical": PassCounts()}
     candidates: list[CanonicalPlan] = []
-    plan1 = solve_case1(p, t, window)
+    plan1 = solve_case1(p, t, window, counts=passes["case1"])
     if plan1 is not None:
         candidates.append(plan1)
     try:
-        candidates.append(solve_canonical(p, t, window))
+        candidates.append(solve_canonical(p, t, window, counts=passes["canonical"]))
     except CanonicalPlanError:
         pass
     if not candidates:
@@ -411,4 +466,4 @@ def solve_two_near_stable(
         )
     else:
         stability = None
-    return StableResult(best, t, window, delta_bound, delta_achieved, stability)
+    return StableResult(best, t, window, delta_bound, delta_achieved, stability, passes)

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,6 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         summary["delta_achieved"] = str(res.delta_achieved)
         summary["delta_bound"] = str(res.delta_bound)
         summary["source"] = res.plan.source
+        summary["canonical"] = {name: asdict(c) for name, c in res.passes.items()}
         print(f"nearness achieved: {res.delta_achieved} (bound {res.delta_bound})")
         if res.stability is not None:
             print(f"stability ratio: {res.stability}")
@@ -300,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=100, help="outer iterations (default 100)")
     p.add_argument("--k", type=int, default=20, help="per-iteration node budget (default 20)")
     p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=0, help="replica parallelism; 0 = all cores")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="replica worker processes (default 1, in-process); 0 = all cores")
     p.add_argument("--best-improvement", action="store_true")
     p.add_argument("--plan-out")
     p.add_argument("--trace-out")

@@ -15,6 +15,7 @@ curated files commonly have them.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -47,7 +48,7 @@ class CountyNode:
 class CountyGraph:
     nodes: dict[NodeKey, CountyNode]
 
-    @property
+    @functools.cached_property
     def keys(self) -> tuple[NodeKey, ...]:
         return tuple(self.nodes)
 

@@ -28,6 +28,18 @@ def test_defaults_match_published_run_parameters():
     assert args.mu == 100 and args.k == 20
 
 
+def test_localsearch_runs_replicas_in_process_by_default(toy_file, tmp_path, capsys):
+    assert build_parser().parse_args(["localsearch", "x.csv"]).jobs == 1
+    outputs = []
+    for extra in ([], ["--jobs", "1"]):
+        trace = tmp_path / "trace.txt"
+        argv = ["localsearch", str(toy_file), "--seed", "3", "--mu", "10", "--k", "3",
+                "--replicas", "2", "--trace-out", str(trace), *extra]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, trace.read_text()))
+    assert outputs[0] == outputs[1]
+
+
 def test_stats_command(toy_file, capsys):
     code = main(["stats", str(toy_file)])
     assert code == 0
@@ -192,6 +204,52 @@ def test_solve_canonical_subcommand(tmp_path, capsys):
     assert main(["solve", str(grid), "--solver", "canonical", "--epsilon", "1/5"]) == 0
     out = capsys.readouterr().out
     assert "nearness achieved" in out and "status: optimal" in out
+
+
+def test_solve_canonical_manifest_counters(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    lines = ["6 6 2"]
+    for r in range(6):
+        for c in range(6):
+            a = 4 if (r, c) in {(2, 2), (2, 3), (3, 2), (3, 3)} else 0
+            lines.append(f"{r} {c} {a} {4 - a}")
+    grid.write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), "solve", str(grid), "--solver", "canonical",
+            "--epsilon", "1/5"]
+    assert main(argv) == 0
+    # stdout as the per-pair loop printed it, before the counters existed.
+    assert capsys.readouterr().out == (
+        "nearness achieved: 1/36 (bound 4/5)\n"
+        "stability ratio: -1/2\n"
+        "status: optimal\n"
+        "value (scaled by 2): 80\n"
+        "value: 40\n"
+    )
+    result = json.loads(manifest.read_text())["result"]
+    passes = result["canonical"]
+    assert passes == {
+        "case1": {"candidates": 15, "in_window": 15, "checks": 1},
+        "canonical": {"candidates": 5, "in_window": 5, "checks": 1},
+    }
+    assert passes[result["source"]]["checks"] >= 1
+
+
+def test_solve_canonical_oversized_interior(tmp_path, capsys):
+    # At t=5 a 9x9 grid is one ragged block with a 25-cell interior.
+    grid = tmp_path / "sq9.txt"
+    grid.write_text("9 9 2\n" + "".join(f"{r} {c} 1 1\n" for r in range(9) for c in range(9)))
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), "solve", str(grid), "--solver", "canonical",
+            "--epsilon", "1/5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: block 0 (rows 0-8, cols 0-8) has 25 interior cells; "
+        "subset enumeration allows at most 16\n"
+    )
+    assert not manifest.exists()
 
 
 def test_synth_data_command(tmp_path, capsys):
