@@ -6,17 +6,18 @@ Normal-form plans put the spine on side 1 and attach, inside each block
 interior, connected components that reach side 1 through a single
 connector cell.  A reachability table over interior vote totals then
 searches all such plans at once; a separate pass covers plans with one
-side living entirely inside a single block interior.
+side living entirely inside a single block interior.  Both passes work
+on the grid-layout bitmasks of ``grid._MaskIndex``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import VoteCounts, district_effgap
-from .grid import Cell, GridPartition, GridPolygon, _connected, neighbors4
+from .grid import Cell, GridPartition, GridPolygon, _MaskIndex, _masks_to_partition
 
 MAX_BLOCK_SIDE = 5  # interior subset enumeration is exponential in t*t
 MAX_INTERIOR_CELLS = 16  # ragged last bands can grow an interior past (t - 2)**2
@@ -47,12 +48,6 @@ class BasicDecomposition:
     rects: tuple[BlockRect, ...]
     tree: frozenset[Cell]
     interiors: tuple[frozenset[Cell], ...]  # aligned with rects
-
-    def interior_union(self) -> frozenset[Cell]:
-        out: set[Cell] = set()
-        for interior in self.interiors:
-            out |= interior
-        return frozenset(out)
 
 
 def _require_rectangle(p: GridPolygon) -> None:
@@ -117,18 +112,16 @@ def build_decomposition(p: GridPolygon, t: int) -> BasicDecomposition:
     return BasicDecomposition(t, tuple(rects), frozenset(tree), interiors)
 
 
-def _votes_of(p: GridPolygon, cells: Iterator[Cell] | set[Cell]) -> VoteCounts:
-    a = b = 0
-    for cell in cells:
-        v = p.votes[cell]
-        a += v.party_a
-        b += v.party_b
-    return VoteCounts(a, b)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
-def _two_district_partition(p: GridPolygon, side1: set[Cell]) -> GridPartition:
-    labels = {cell: (1 if cell in side1 else 2) for cell in p.votes}
-    return GridPartition(labels)
+def _mask_of(idx: _MaskIndex, cells: Iterable[Cell]) -> int:
+    return sum(1 << idx.index[cell] for cell in cells)
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,11 @@ def _require_small_interiors(decomp: BasicDecomposition) -> None:
 
 
 def solve_case1(
-    p: GridPolygon, t: int, window: tuple[int, int], *, counts: PassCounts | None = None
+    decomp: BasicDecomposition,
+    idx: _MaskIndex,
+    window: tuple[int, int],
+    *,
+    counts: PassCounts | None = None,
 ) -> CanonicalPlan | None:
     """Best plan whose side 1 is a connected subset of one block interior.
 
@@ -181,41 +178,35 @@ def solve_case1(
     is the plan.  Returns None when none passes; ``counts``, when given,
     receives the pass's counters.
     """
-    _require_rectangle(p)
-    if t > MAX_BLOCK_SIDE:
-        raise ValueError(f"t={t} too large for subset enumeration; use t <= {MAX_BLOCK_SIDE}")
-    decomp = build_decomposition(p, t)
     _require_small_interiors(decomp)
     counts = counts if counts is not None else PassCounts()
     lo, hi = window
-    total = p.total_votes()
+    total = idx.votes(idx.full)
     pop = total.population()
-    blocks = [sorted(interior) for interior in decomp.interiors]
+    blocks = [[idx.index[cell] for cell in sorted(interior)] for interior in decomp.interiors]
     scored: list[tuple[int, int, int, VoteCounts]] = []
-    for ri, cells in enumerate(blocks):
-        size = 1 << len(cells)
+    for ri, bits in enumerate(blocks):
+        size = 1 << len(bits)
         counts.candidates += size - 1
         sum_a = [0] * size
-        sum_b = [0] * size
+        sum_pop = [0] * size
         for mask in range(1, size):
             low = mask & -mask
-            v = p.votes[cells[low.bit_length() - 1]]
-            a = sum_a[mask] = sum_a[mask ^ low] + v.party_a
-            b = sum_b[mask] = sum_b[mask ^ low] + v.party_b
-            if lo <= a + b <= hi and lo <= pop - a - b <= hi:
-                v1 = VoteCounts(a, b)
-                v2 = VoteCounts(total.party_a - a, total.party_b - b)
-                scored.append((_plan_value(v1, v2), ri, mask, v1))
+            i = bits[low.bit_length() - 1]
+            a = sum_a[mask] = sum_a[mask ^ low] + idx.party_a[i]
+            n = sum_pop[mask] = sum_pop[mask ^ low] + idx.pop[i]
+            if lo <= n <= hi and lo <= pop - n <= hi:
+                v1 = VoteCounts(a, n - a)
+                scored.append((_plan_value(v1, total - v1), ri, mask, v1))
     counts.in_window += len(scored)
     scored.sort(key=lambda entry: entry[:3])
-    everything = set(p.votes)
     for value, ri, mask, v1 in scored:
         counts.checks += 1
-        cells = blocks[ri]
-        subset = {cells[i] for i in range(len(cells)) if mask >> i & 1}
-        if _connected(subset) and _connected(everything - subset):
-            v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-            return CanonicalPlan(_two_district_partition(p, subset), value, (v1, v2), "case1")
+        side1 = sum(1 << i for k, i in enumerate(blocks[ri]) if mask >> k & 1)
+        side2 = idx.full & ~side1
+        if idx.connected(side1) and idx.connected(side2):
+            partition = _masks_to_partition(idx, (side1, side2))
+            return CanonicalPlan(partition, value, (v1, total - v1), "case1")
     return None
 
 
@@ -249,83 +240,73 @@ class ReachTable:
 
 
 def _subset_choices(
-    p: GridPolygon,
-    decomp: BasicDecomposition,
-    rect_index: int,
-    adjacent_to_tree: set[Cell],
+    idx: _MaskIndex, interior: frozenset[Cell], connectable: int
 ) -> tuple[SubsetChoice, ...]:
-    """Valid interior subsets of one block, in ascending mask order.
+    """Valid subsets of one block interior, in ascending mask order.
 
     A subset qualifies when each of its connected components has a
     connector: a cell adjacent to both the component and the spine
-    (``adjacent_to_tree`` holds every non-spine cell next to it).  The
-    lexicographically smallest such cell is recorded per component.
+    (``connectable`` holds every non-spine cell next to it).  The smallest
+    such cell is recorded per component.  Subset masks number the
+    interior's cells in sorted order; components are found on grid masks.
     """
-    interior = sorted(decomp.interiors[rect_index])
+    cells = sorted(interior)
+    bits = [1 << idx.index[cell] for cell in cells]
+    grid_masks = [0] * (1 << len(cells))
     out = []
-    for mask in range(1 << len(interior)):
-        subset = {interior[i] for i in range(len(interior)) if mask >> i & 1}
-        connectors: set[Cell] = set()
-        ok = True
-        remaining = set(subset)
-        while remaining:
-            start = remaining.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                for nb in neighbors4(stack.pop()):
-                    if nb in remaining:
-                        remaining.discard(nb)
-                        comp.add(nb)
-                        stack.append(nb)
-            candidates = sorted(
-                nb
-                for cell in comp
-                for nb in neighbors4(cell)
-                if nb in adjacent_to_tree
-            )
-            if not candidates:
-                ok = False
+    for mask in range(1 << len(cells)):
+        if mask:
+            low = mask & -mask
+            grid_masks[mask] = grid_masks[mask ^ low] | bits[low.bit_length() - 1]
+        connectors = 0
+        rest = grid_masks[mask]
+        while rest:
+            comp = idx.flood(rest & -rest, rest)
+            rest &= ~comp
+            touching = 0
+            for i in _bits(comp):
+                touching |= idx.adj[i]
+            touching &= connectable
+            if not touching:
                 break
-            connectors.add(candidates[0])
-        if not ok:
-            continue
-        out.append(
-            SubsetChoice(mask, frozenset(subset), _votes_of(p, subset), frozenset(connectors))
-        )
+            connectors |= touching & -touching
+        else:  # every component has a connector
+            out.append(SubsetChoice(
+                mask,
+                frozenset(cell for k, cell in enumerate(cells) if mask >> k & 1),
+                idx.votes(grid_masks[mask]),
+                frozenset(idx.cell_at[i] for i in _bits(connectors)),
+            ))
     return tuple(out)
 
 
-def build_reach_table(p: GridPolygon, decomp: BasicDecomposition) -> ReachTable:
+def build_reach_table(decomp: BasicDecomposition, idx: _MaskIndex) -> ReachTable:
     """Mark every achievable interior vote pair, block by block.
 
     (0, 0) is marked before any block; each block contributes exactly one
     subset choice (possibly empty), so existing marks persist and the
     mark set grows monotonically.  Backpointer ties go to the smallest
-    block index, then the smallest subset mask, then the smallest
-    predecessor pair.
+    block index, then the smallest subset mask: for one subset choice,
+    different predecessor pairs give different new pairs.
     """
     _require_small_interiors(decomp)
-    tree = decomp.tree
-    adjacent_to_tree = {
-        cell
-        for cell in p.votes
-        if cell not in tree and any(nb in tree for nb in neighbors4(cell))
-    }
+    tree = _mask_of(idx, decomp.tree)
+    touching = 0
+    for i in _bits(tree):
+        touching |= idx.adj[i]
     choices = tuple(
-        _subset_choices(p, decomp, ri, adjacent_to_tree) for ri in range(len(decomp.rects))
+        _subset_choices(idx, interior, touching & ~tree) for interior in decomp.interiors
     )
     marked: set[Pair] = {(0, 0)}
     first_marked: dict[Pair, tuple[int, Pair, int]] = {}
     layers = []
     for ri, block_choices in enumerate(choices):
         additions: dict[Pair, tuple[int, Pair, int]] = {}
-        ordered = sorted(marked)  # marked only grows between blocks
         for choice in block_choices:  # ascending mask order
             if choice.mask == 0:
                 continue  # empty subset carries marks forward unchanged
             da, db = choice.votes.party_a, choice.votes.party_b
-            for pair in ordered:
+            for pair in marked:
                 new_pair = (pair[0] + da, pair[1] + db)
                 if new_pair not in marked and new_pair not in additions:
                     additions[new_pair] = (ri, pair, choice.mask)
@@ -346,7 +327,11 @@ def _reconstruct_masks(table: ReachTable, pair: Pair, blocks: int) -> list[int]:
 
 
 def solve_canonical(
-    p: GridPolygon, t: int, window: tuple[int, int], *, counts: PassCounts | None = None
+    decomp: BasicDecomposition,
+    idx: _MaskIndex,
+    window: tuple[int, int],
+    *,
+    counts: PassCounts | None = None,
 ) -> CanonicalPlan:
     """Best normal-form plan over all marked interior vote pairs.
 
@@ -360,45 +345,40 @@ def solve_canonical(
     key among all valid pairs.  Raises when none passes; ``counts``, when
     given, receives the pass's counters.
     """
-    _require_rectangle(p)
-    if t > MAX_BLOCK_SIDE:
-        raise ValueError(f"t={t} too large for subset enumeration; use t <= {MAX_BLOCK_SIDE}")
-    decomp = build_decomposition(p, t)
-    table = build_reach_table(p, decomp)
+    table = build_reach_table(decomp, idx)
     counts = counts if counts is not None else PassCounts()
     lo, hi = window
-    total = p.total_votes()
+    total = idx.votes(idx.full)
     pop = total.population()
-    spine = _votes_of(p, decomp.tree)
-    added = [{c.mask: c.cells | c.connectors for c in block} for block in table.choices]
+    tree = _mask_of(idx, decomp.tree)
+    spine = idx.votes(tree)
+    added = [
+        {c.mask: _mask_of(idx, c.cells | c.connectors) for c in block} for block in table.choices
+    ]
 
-    def added_cells(pair: Pair) -> set[Cell]:
-        cells: set[Cell] = set()
-        for ri, mask in enumerate(_reconstruct_masks(table, pair, len(decomp.rects))):
-            if mask:
-                cells |= added[ri][mask]
-        return cells
+    def added_mask(pair: Pair) -> int:
+        mask = 0
+        for ri, subset in enumerate(_reconstruct_masks(table, pair, len(decomp.rects))):
+            mask |= added[ri][subset]
+        return mask
 
     pairs = {(0, 0)} | set(table.first_marked)
     counts.candidates += len(pairs)
     scored: list[tuple[int, Pair, VoteCounts]] = []
     for pair in pairs:
-        v1 = spine + _votes_of(p, added_cells(pair))
+        v1 = spine + idx.votes(added_mask(pair))
         pop1 = v1.population()
-        if not (lo <= pop1 <= hi and lo <= pop - pop1 <= hi):
-            continue
-        v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-        scored.append((_plan_value(v1, v2), pair, v1))
+        if lo <= pop1 <= hi and lo <= pop - pop1 <= hi:
+            scored.append((_plan_value(v1, total - v1), pair, v1))
     counts.in_window += len(scored)
     scored.sort(key=lambda entry: entry[:2])
-    everything = set(p.votes)
     for value, pair, v1 in scored:
         counts.checks += 1
-        side1 = decomp.tree | added_cells(pair)
-        side2 = everything - side1
-        if side2 and _connected(side1) and _connected(side2):
-            v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
-            return CanonicalPlan(_two_district_partition(p, side1), value, (v1, v2), "canonical")
+        side1 = tree | added_mask(pair)
+        side2 = idx.full & ~side1
+        if idx.connected(side1) and idx.connected(side2):
+            partition = _masks_to_partition(idx, (side1, side2))
+            return CanonicalPlan(partition, value, (v1, total - v1), "canonical")
     raise CanonicalPlanError("no canonical plan in window")
 
 
@@ -443,13 +423,15 @@ def solve_two_near_stable(
     hi = min(pop, hi_frac.numerator // hi_frac.denominator)
     window = (lo, hi)
 
+    decomp = build_decomposition(p, t)
+    idx = _MaskIndex(p)
     passes = {"case1": PassCounts(), "canonical": PassCounts()}
     candidates: list[CanonicalPlan] = []
-    plan1 = solve_case1(p, t, window, counts=passes["case1"])
+    plan1 = solve_case1(decomp, idx, window, counts=passes["case1"])
     if plan1 is not None:
         candidates.append(plan1)
     try:
-        candidates.append(solve_canonical(p, t, window, counts=passes["canonical"]))
+        candidates.append(solve_canonical(decomp, idx, window, counts=passes["canonical"]))
     except CanonicalPlanError:
         pass
     if not candidates:

@@ -42,6 +42,9 @@ class VoteCounts:
     def __add__(self, other: "VoteCounts") -> "VoteCounts":
         return VoteCounts(self.party_a + other.party_a, self.party_b + other.party_b)
 
+    def __sub__(self, other: "VoteCounts") -> "VoteCounts":
+        return VoteCounts(self.party_a - other.party_a, self.party_b - other.party_b)
+
 
 ZERO_VOTES = VoteCounts(0, 0)
 

@@ -18,7 +18,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Container, Iterable
 
 from .core import PlanStats, VoteCounts, ZERO_VOTES, district_effgap, total_effgap
 
@@ -105,10 +105,8 @@ class DistrictPlan:
         self.assignment[node] = target
         self.members[source].discard(node)
         self.members[target].add(node)
-        src = self.district_votes[source]
-        tgt = self.district_votes[target]
-        self.district_votes[source] = VoteCounts(src.party_a - votes.party_a, src.party_b - votes.party_b)
-        self.district_votes[target] = VoteCounts(tgt.party_a + votes.party_a, tgt.party_b + votes.party_b)
+        self.district_votes[source] = self.district_votes[source] - votes
+        self.district_votes[target] = self.district_votes[target] + votes
 
 
 @dataclass(frozen=True)
@@ -131,22 +129,41 @@ def _parse_neighbor_token(token: str) -> NodeKey:
     return (int(head), tail)
 
 
-def _connected_nodes(keys: Iterable[NodeKey], adjacency: dict[NodeKey, tuple[NodeKey, ...]]) -> bool:
-    keys = set(keys)
-    if not keys:
-        return False
-    start = next(iter(keys))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb in keys and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == keys
+def _reaches(
+    graph: CountyGraph,
+    start: NodeKey,
+    within: Container[NodeKey],
+    excluded: Iterable[NodeKey],
+    targets: Collection[NodeKey],
+) -> bool:
+    """Whether paths from `start` through `within` reach every node of `targets`.
+
+    The search never enters `excluded`.  It runs breadth first and stops
+    as soon as the last target is reached, so a caller whose targets lie
+    a few steps from the start pays for a few levels, not for the whole
+    of `within`.
+    """
+    nodes = graph.nodes
+    left = len(targets) - (start in targets)
+    seen = {start, *excluded}
+    level = [start]
+    while left and level:
+        next_level = []
+        for key in level:
+            for nb in nodes[key].neighbors:
+                if nb in within and nb not in seen:
+                    seen.add(nb)
+                    next_level.append(nb)
+                    if nb in targets:
+                        left -= 1
+                        if not left:
+                            return True
+        level = next_level
+    return not left
 
 
-def _plan_from_columns(graph: CountyGraph) -> DistrictPlan:
+def initial_plan(graph: CountyGraph) -> DistrictPlan:
+    """The plan encoded by the District column, with its frozen bounds."""
     assignment = {key: key[0] for key in graph.nodes}
     district_ids = tuple(sorted(set(assignment.values())))
     members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
@@ -157,11 +174,6 @@ def _plan_from_columns(graph: CountyGraph) -> DistrictPlan:
         votes[d] = votes[d] + node.votes
     pops = [votes[d].population() for d in district_ids]
     return DistrictPlan(assignment, district_ids, votes, members, min(pops), max(pops))
-
-
-def initial_plan(graph: CountyGraph) -> DistrictPlan:
-    """The plan encoded by the District column, with its frozen bounds."""
-    return _plan_from_columns(graph)
 
 
 def ingest(source: str | io.TextIOBase) -> IngestResult:
@@ -235,13 +247,12 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         )
     graph = CountyGraph(nodes)
 
-    adjacency = {key: nodes[key].neighbors for key in nodes}
-    if not _connected_nodes(nodes.keys(), adjacency):
+    if not _reaches(graph, next(iter(nodes)), nodes, (), nodes):
         raise IngestError("graph disconnected")
-    plan = _plan_from_columns(graph)
+    plan = initial_plan(graph)
     for d in plan.district_ids:
         members = plan.members[d]
-        if not _connected_nodes(members, adjacency):
+        if not _reaches(graph, next(iter(members)), members, (), members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, plan, tuple(warnings))
@@ -266,7 +277,6 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     """Full check: cover, non-empty connected districts, population bounds."""
     if set(plan.assignment) != set(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    adjacency = {key: graph.nodes[key].neighbors for key in graph.nodes}
     recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
     assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
     for key, d in plan.assignment.items():
@@ -282,7 +292,7 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
             return PlanReport(False, f"district {d} member cache inconsistent")
         if recomputed[d] != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
-        if not _connected_nodes(members, adjacency):
+        if not _reaches(graph, next(iter(members)), members, (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = recomputed[d].population()
         if not plan.pop_lo <= pop <= plan.pop_hi:
@@ -313,9 +323,10 @@ def write_plan_csv(plan: DistrictPlan) -> str:
 def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
     """A plan file applied to a graph; bounds stay those of the initial plan.
 
-    The plan keeps the initial plan's districts: an assigned district
-    outside them is rejected, and one left without nodes stays in the
-    plan, empty, for ``validate_plan`` to report.
+    The plan is the initial plan with every node the file reassigns moved,
+    so it keeps the initial plan's districts: an assigned district outside
+    them is rejected, and one left without nodes stays in the plan, empty,
+    for ``validate_plan`` to report.
     """
     base = initial_plan(graph)
     known = set(base.district_ids)
@@ -338,10 +349,7 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
         assignment[key] = assigned
     if set(assignment) != set(graph.nodes):
         raise IngestError("plan does not cover every node")
-    district_ids = base.district_ids
-    members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
-    votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
     for key, d in assignment.items():
-        members[d].add(key)
-        votes[d] = votes[d] + graph.nodes[key].votes
-    return DistrictPlan(assignment, district_ids, votes, members, base.pop_lo, base.pop_hi)
+        if d != base.assignment[key]:
+            base.move(graph, key, d)
+    return base

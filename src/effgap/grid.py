@@ -7,11 +7,12 @@ kappa-partition meeting a population mode, so it is the ground truth the
 other solvers are checked against; it is only meant for desk-scale
 instances (the default cap is 14 cells).
 
-The oracle works on bitmasks laid out like the grid: cell (r, c) is bit
-r * width + c of the polygon's bounding box (rows and columns counted from
-its top-left corner), so bit order is sorted cell order, a full rectangle
-numbers its cells 0..m*n-1, and the four neighbours of a set are shifts of
-its mask by 1 and by the width.
+The oracle, the polygon and partition checks and the canonical solver work
+on bitmasks laid out like the grid: cell (r, c) is bit r * width + c of the
+polygon's bounding box (rows and columns counted from its top-left corner),
+so bit order is sorted cell order, a full rectangle numbers its cells
+0..m*n-1, and the four neighbours of a set are shifts of its mask by 1 and
+by the width.  ``_MaskIndex.flood`` is the one connectivity routine.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .core import VoteCounts, ZERO_VOTES
+from .core import VoteCounts, ZERO_VOTES, district_effgap
 
 Cell = tuple[int, int]
-
-_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
@@ -69,9 +68,6 @@ class GridPartition:
 
     labels: Mapping[Cell, int]
 
-    def label_cells(self, label: int) -> set[Cell]:
-        return {cell for cell, lab in self.labels.items() if lab == label}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -80,52 +76,101 @@ class ValidationReport:
     witness: Cell | None = None
 
 
-def _connected(cells: Iterable[Cell]) -> bool:
-    cells = set(cells)
-    if not cells:
-        return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in neighbors4(stack.pop()):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == cells
+class _MaskIndex:
+    """Bitmask view of a polygon for fast subset enumeration.
+
+    Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the polygon's
+    bounding box, so bits run in sorted cell order and a lowest-bit-first
+    loop visits cells in that order.  The per-bit tables read 0 (or None)
+    at cells of the box outside the polygon; ``full`` holds the polygon's
+    cells, ``box`` the whole box and ``border`` the box's outer ring.
+    """
+
+    def __init__(self, p: GridPolygon):
+        self.cells = sorted(p.votes)
+        self.top = top = min((r for r, _ in self.cells), default=0)
+        self.left = left = min((c for _, c in self.cells), default=0)
+        self.width = width = max((c for _, c in self.cells), default=left) - left + 1
+        height = max((r for r, _ in self.cells), default=top) - top + 1
+        self.index = {(r, c): (r - top) * width + c - left for (r, c) in self.cells}
+        nbits = height * width
+        self.cell_at: list[Cell | None] = [None] * nbits
+        self.pop = [0] * nbits
+        self.party_a = [0] * nbits
+        self.adj = [0] * nbits
+        self.full = 0
+        for cell, i in self.index.items():
+            self.cell_at[i] = cell
+            self.pop[i] = p.votes[cell].population()
+            self.party_a[i] = p.votes[cell].party_a
+            self.full |= 1 << i
+            for nb in neighbors4(cell):
+                j = self.index.get(nb)
+                if j is not None:
+                    self.adj[i] |= 1 << j
+        first_col = sum(1 << k for k in range(0, nbits, width))
+        last_col = first_col << (width - 1)
+        first_row = (1 << width) - 1
+        self.box = (1 << nbits) - 1
+        self.border = first_row | first_row << (nbits - width) | first_col | last_col
+        # A shift by one bit moves a cell along its row; these masks drop the
+        # cells that would land in the next or previous row instead.
+        self.not_first_col = self.box & ~first_col
+        self.not_last_col = self.box & ~last_col
+
+    def flood(self, seed: int, within: int) -> int:
+        """The cells of `within` 4-connected to a cell of `seed`, a submask of `within`."""
+        w = self.width
+        into_right = within & self.not_first_col
+        into_left = within & self.not_last_col
+        comp = frontier = seed
+        while frontier:
+            frontier = (
+                (frontier << 1) & into_right
+                | (frontier >> 1) & into_left
+                | ((frontier << w) | (frontier >> w)) & within
+            ) & ~comp
+            comp |= frontier
+        return comp
+
+    def connected(self, mask: int) -> bool:
+        return mask != 0 and self.flood(mask & -mask, mask) == mask
+
+    def votes(self, mask: int) -> VoteCounts:
+        """Vote totals of the cells of `mask`."""
+        party_a, pops = self.party_a, self.pop
+        a = pop = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            i = low.bit_length() - 1
+            a += party_a[i]
+            pop += pops[i]
+        return VoteCounts(a, pop - a)
 
 
 def validate_polygon(p: GridPolygon) -> ValidationReport:
-    """Check 4-connectivity and hole-freeness; reports the first violation."""
-    cells = p.cells
-    if not cells:
+    """Check 4-connectivity and hole-freeness; reports the first violation.
+
+    The witness is the smallest offending cell: the smallest cell not
+    reached from the smallest cell, or else the smallest empty cell of the
+    bounding box that the box border does not reach through empty cells.
+    """
+    if not p.votes:
         return ValidationReport(False, "empty", None)
-    start = min(cells)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in neighbors4(stack.pop()):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != cells:
-        return ValidationReport(False, "disconnected", min(cells - seen))
-    # Holes: the complement within a one-cell frame around the grid must
-    # be a single 4-connected region reachable from the frame corner.
-    comp_seen: set[Cell] = set()
-    frame_start = (-1, -1)
-    stack = [frame_start]
-    comp_seen.add(frame_start)
-    while stack:
-        for nb in neighbors4(stack.pop()):
-            r, c = nb
-            if -1 <= r <= p.rows and -1 <= c <= p.cols and nb not in cells and nb not in comp_seen:
-                comp_seen.add(nb)
-                stack.append(nb)
-    for r in range(p.rows):
-        for c in range(p.cols):
-            if (r, c) not in cells and (r, c) not in comp_seen:
-                return ValidationReport(False, "hole", (r, c))
+    idx = _MaskIndex(p)
+    full = idx.full
+    lost = full & ~idx.flood(full & -full, full)
+    if lost:
+        return ValidationReport(False, "disconnected", idx.cell_at[(lost & -lost).bit_length() - 1])
+    # Every empty cell outside the bounding box reaches the grid's outside
+    # through empty cells, so a hole is an empty cell of the box that the
+    # box border cannot reach.
+    empty = idx.box & ~full
+    hole = empty & ~idx.flood(empty & idx.border, empty)
+    if hole:
+        r, c = divmod((hole & -hole).bit_length() - 1, idx.width)
+        return ValidationReport(False, "hole", (idx.top + r, idx.left + c))
     return ValidationReport(True)
 
 
@@ -175,16 +220,21 @@ def validate_partition(
         if not 1 <= lab <= kappa:
             return ValidationReport(False, f"label {lab} outside 1..{kappa}", cell)
     lo, hi = _population_bounds(p.total_votes().population(), kappa, mode, delta)
+    idx = _MaskIndex(p)
+    masks = [0] * (kappa + 1)
+    for cell, lab in q.labels.items():
+        masks[lab] |= 1 << idx.index[cell]
     for lab in range(1, kappa + 1):
-        members = q.label_cells(lab)
-        if not members:
+        mask = masks[lab]
+        if not mask:
             return ValidationReport(False, f"label {lab} empty", None)
-        if not _connected(members):
-            return ValidationReport(False, f"label {lab} disconnected", min(members))
-        pop = sum(p.votes[c].population() for c in members)
+        first = idx.cell_at[(mask & -mask).bit_length() - 1]
+        if not idx.connected(mask):
+            return ValidationReport(False, f"label {lab} disconnected", first)
+        pop = idx.votes(mask).population()
         if not lo <= pop <= hi:
             return ValidationReport(
-                False, f"label {lab} population {pop} outside [{lo}, {hi}]", min(members)
+                False, f"label {lab} population {pop} outside [{lo}, {hi}]", first
             )
     return ValidationReport(True)
 
@@ -206,61 +256,6 @@ class OracleLimitError(ValueError):
     pass
 
 
-class _MaskIndex:
-    """Bitmask view of a polygon for fast subset enumeration.
-
-    Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the polygon's
-    bounding box, so bits run in sorted cell order and a lowest-bit-first
-    loop visits cells in that order.  Bits of cells outside the polygon
-    stay clear in every mask; the per-bit tables read 0 (or None) there.
-    """
-
-    def __init__(self, p: GridPolygon):
-        self.cells = sorted(p.votes)
-        top = min((r for r, _ in self.cells), default=0)
-        left = min((c for _, c in self.cells), default=0)
-        self.width = width = max((c for _, c in self.cells), default=left) - left + 1
-        self.index = {(r, c): (r - top) * width + c - left for (r, c) in self.cells}
-        nbits = max(self.index.values(), default=-1) + 1
-        self.cell_at: list[Cell | None] = [None] * nbits
-        self.pop = [0] * nbits
-        self.party_a = [0] * nbits
-        self.adj = [0] * nbits
-        self.full = 0
-        for cell, i in self.index.items():
-            self.cell_at[i] = cell
-            self.pop[i] = p.votes[cell].population()
-            self.party_a[i] = p.votes[cell].party_a
-            self.full |= 1 << i
-            for nb in neighbors4(cell):
-                j = self.index.get(nb)
-                if j is not None:
-                    self.adj[i] |= 1 << j
-        first_col = sum(1 << k for k in range(0, nbits, width))
-        # A shift by one bit moves a cell along its row; these masks drop the
-        # cells that would land in the next or previous row instead.
-        self.not_first_col = self.full & ~first_col
-        self.not_last_col = self.full & ~(first_col << (width - 1))
-
-    def flood(self, seed: int, within: int) -> int:
-        """The cells of `within` 4-connected to a cell of `seed`, a submask of `within`."""
-        w = self.width
-        into_right = within & self.not_first_col
-        into_left = within & self.not_last_col
-        comp = frontier = seed
-        while frontier:
-            frontier = (
-                (frontier << 1) & into_right
-                | (frontier >> 1) & into_left
-                | ((frontier << w) | (frontier >> w)) & within
-            ) & ~comp
-            comp |= frontier
-        return comp
-
-    def connected(self, mask: int) -> bool:
-        return mask != 0 and self.flood(mask & -mask, mask) == mask
-
-
 def _connected_submasks(
     idx: _MaskIndex, seed: int, allowed: int, pop_cap: int, whole_rest: bool = False
 ) -> Iterator[tuple[int, int]]:
@@ -277,7 +272,7 @@ def _connected_submasks(
         comp = flood(1 << seed, allowed)
         if comp != allowed:
             # Only the seed's whole component can leave a connected complement.
-            pop = sum(x for i, x in enumerate(pops) if comp >> i & 1)
+            pop = idx.votes(comp).population()
             if pop <= pop_cap:
                 yield comp, pop
             return
@@ -422,15 +417,7 @@ def brute_force_opt(
         for mask in masks:
             gap = gaps.get(mask)
             if gap is None:
-                a = pop = 0
-                m = mask
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    i = bit.bit_length() - 1
-                    a += idx.party_a[i]
-                    pop += idx.pop[i]
-                gap = gaps[mask] = (4 * a - 3 * pop) if 2 * a >= pop else (4 * a - pop)
+                gap = gaps[mask] = district_effgap(idx.votes(mask))
             signed += gap
         value = abs(signed)
         if best is None or value < best:

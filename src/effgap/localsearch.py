@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .county import CountyGraph, DistrictPlan, NodeKey, validate_plan
-from .core import VoteCounts, district_effgap
+from .county import CountyGraph, DistrictPlan, NodeKey, _reaches, validate_plan
+from .core import district_effgap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,39 +93,6 @@ class RunResult:
     traces: tuple[SearchTrace, ...]
 
 
-def _connected_without(
-    graph: CountyGraph, members: set[NodeKey], removed: NodeKey
-) -> bool:
-    """Whether a connected district stays connected once `removed` leaves.
-
-    The district must be connected with `removed` in it.  Then it stays
-    connected exactly when one of removed's same-district neighbours
-    reaches all the others, so the breadth-first search stops as soon as
-    they are all reached.  Breadth first, because they are usually a
-    couple of steps apart.
-    """
-    nodes = graph.nodes
-    linked = [nb for nb in nodes[removed].neighbors if nb in members]
-    if len(linked) < 2:
-        return bool(linked)
-    pending = set(linked[1:])
-    seen = {removed, linked[0]}
-    level = [linked[0]]
-    while level:
-        next_level = []
-        for key in level:
-            for nb in nodes[key].neighbors:
-                if nb in members and nb not in seen:
-                    if nb in pending:
-                        pending.discard(nb)
-                        if not pending:
-                            return True
-                    seen.add(nb)
-                    next_level.append(nb)
-        level = next_level
-    return False
-
-
 def _source_rejection(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> str | None:
     """Why moving `node` out of its district is illegal whatever the target.
 
@@ -139,7 +106,11 @@ def _source_rejection(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> 
     pop = graph.nodes[node].votes.population()
     if plan.district_votes[source].population() - pop < plan.pop_lo:
         return "source below population bound"
-    if not _connected_without(graph, members, node):
+    # The district is connected with `node` in it, so it stays connected
+    # exactly when one of node's neighbours in it reaches all the others,
+    # which are usually a couple of steps apart.
+    linked = [nb for nb in graph.nodes[node].neighbors if nb in members]
+    if not linked or not _reaches(graph, linked[0], members, (node,), linked[1:]):
         return "source disconnected"
     return None
 
@@ -176,14 +147,12 @@ def _trial_value(
     votes = graph.nodes[node].votes
     src = plan.district_votes[source]
     tgt = plan.district_votes[target]
-    new_src = VoteCounts(src.party_a - votes.party_a, src.party_b - votes.party_b)
-    new_tgt = VoteCounts(tgt.party_a + votes.party_a, tgt.party_b + votes.party_b)
     return (
         signed
         - district_effgap(src)
         - district_effgap(tgt)
-        + district_effgap(new_src)
-        + district_effgap(new_tgt)
+        + district_effgap(src - votes)
+        + district_effgap(tgt + votes)
     )
 
 

@@ -7,7 +7,58 @@ import random
 import pytest
 
 from effgap.core import VoteCounts
-from effgap.grid import GridPolygon, validate_polygon
+from effgap.grid import GridPolygon, neighbors4, validate_polygon
+
+
+def cells_connected(cells) -> bool:
+    """Set-based reference for 4-connectivity: a flood fill over cell tuples."""
+    cells = set(cells)
+    if not cells:
+        return False
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbors4(stack.pop()):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen == cells
+
+
+def validate_polygon_reference(p: GridPolygon) -> tuple[bool, str | None, tuple[int, int] | None]:
+    """Set-based reference for validate_polygon: (ok, reason, witness).
+
+    Floods the polygon from its smallest cell, then the empty cells of a
+    one-cell frame around the grid from the frame corner, and reports the
+    first unreached cell of a row-major scan.
+    """
+    cells = p.cells
+    if not cells:
+        return False, "empty", None
+    start = min(cells)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbors4(stack.pop()):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if seen != cells:
+        return False, "disconnected", min(cells - seen)
+    outside = {(-1, -1)}
+    stack = [(-1, -1)]
+    while stack:
+        for nb in neighbors4(stack.pop()):
+            r, c = nb
+            if -1 <= r <= p.rows and -1 <= c <= p.cols and nb not in cells and nb not in outside:
+                outside.add(nb)
+                stack.append(nb)
+    for r in range(p.rows):
+        for c in range(p.cols):
+            if (r, c) not in cells and (r, c) not in outside:
+                return False, "hole", (r, c)
+    return True, None, None
 
 
 def polygon(votes: dict[tuple[int, int], tuple[int, int]], rows=None, cols=None) -> GridPolygon:

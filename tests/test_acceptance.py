@@ -26,12 +26,11 @@ from effgap.grid import (
     partition_vote_totals,
     subset_sum_oracle,
     validate_partition,
-    _connected,
 )
 from effgap.localsearch import SearchConfig, run
 from effgap.synthdata import STATE_PROFILES, synth_state_csv
 from effgap.yconvex import is_yconvex_partition, solve_yconvex
-from conftest import random_column_polygon, random_polygon, uniform_rect
+from conftest import cells_connected, random_column_polygon, random_polygon, uniform_rect
 
 STATES = ("WI", "TX", "VA", "PA")
 
@@ -220,14 +219,14 @@ def test_criterion_7_canonical_machinery():
         assert st.delta_achieved <= st.delta_bound
         side1 = {c for c, lab in st.plan.partition.labels.items() if lab == 1}
         side2 = set(p.votes) - side1
-        assert _connected(side1) and _connected(side2)
+        assert cells_connected(side1) and cells_connected(side2)
         pops = [v.population() for v in st.plan.votes]
         assert st.window[0] <= min(pops) and max(pops) <= st.window[1]
         # Perturbation envelope: plans can differ from a window-optimal one
         # only on non-interior cells (all of them at t = 3), plus a winner
         # flip allowance per district.
         decomp = build_decomposition(p, 3)
-        interior = decomp.interior_union()
+        interior = set().union(*decomp.interiors)
         out_a = sum(p.votes[c].party_a for c in p.votes if c not in interior)
         out_pop = sum(p.votes[c].population() for c in p.votes if c not in interior)
         envelope = 8 * out_a + 6 * out_pop + 2 * p.total_votes().population()

@@ -16,14 +16,26 @@ from effgap.canonical import (
     solve_two_near_stable,
 )
 from effgap.core import VoteCounts, district_effgap
-from effgap.grid import GridPolygon, validate_partition, _connected
-from conftest import polygon, uniform_rect
+from effgap.grid import GridPolygon, _MaskIndex, validate_partition
+from conftest import cells_connected, polygon, uniform_rect
+
+
+def case1(p, t, window, **kwargs):
+    return solve_case1(build_decomposition(p, t), _MaskIndex(p), window, **kwargs)
+
+
+def canonical(p, t, window, **kwargs):
+    return solve_canonical(build_decomposition(p, t), _MaskIndex(p), window, **kwargs)
+
+
+def reach_table(p, decomp):
+    return build_reach_table(decomp, _MaskIndex(p))
 
 
 def test_9x9_t3_nine_blocks_tree_connected():
     d = build_decomposition(uniform_rect(9, 9), 3)
     assert len(d.rects) == 9
-    assert _connected(set(d.tree))
+    assert cells_connected(set(d.tree))
     # The spine touches every block.
     for rect in d.rects:
         assert any(cell in d.tree for cell in rect.cells())
@@ -39,7 +51,7 @@ def test_degenerate_single_block_is_ring_minus_one():
 def test_32x32_t10_matches_published_structure():
     d = build_decomposition(uniform_rect(32, 32), 10)
     assert len(d.rects) == 9
-    assert _connected(set(d.tree))
+    assert cells_connected(set(d.tree))
     assert all(interior for interior in d.interiors)
 
 
@@ -70,7 +82,7 @@ def case1_reference(p, t, window):
         for size in range(1, len(cells) + 1):
             for combo in combinations(cells, size):
                 subset = set(combo)
-                if not _connected(subset):
+                if not cells_connected(subset):
                     continue
                 v1 = VoteCounts(
                     sum(p.votes[c].party_a for c in subset),
@@ -80,7 +92,7 @@ def case1_reference(p, t, window):
                 pop2 = total.population() - pop1
                 if not (lo <= pop1 <= hi and lo <= pop2 <= hi):
                     continue
-                if not _connected(set(p.votes) - subset):
+                if not cells_connected(set(p.votes) - subset):
                     continue
                 v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
                 value = abs(district_effgap(v1) + district_effgap(v2))
@@ -91,14 +103,14 @@ def case1_reference(p, t, window):
 
 def test_case1_window_excludes_everything():
     p = uniform_rect(6, 6, pop=2)
-    assert solve_case1(p, 5, (30, 40)) is None  # interior pop <= 8 < 30
+    assert case1(p, 5, (30, 40)) is None  # interior pop <= 8 < 30
 
 
 def test_case1_matches_interior_subset_enumeration():
     # 6x6 with a 2x2 interior at t=5; A concentrated inside it.
     p = uniform_rect(6, 6, pop=4, a_cells=[(2, 2), (2, 3), (3, 2), (3, 3)])
     window = (4, 140)
-    got = solve_case1(p, 5, window)
+    got = case1(p, 5, window)
     want = case1_reference(p, 5, window)
     assert got is not None and got.value == want
     q = got.partition
@@ -110,30 +122,30 @@ def test_case1_respects_connectivity():
     # block, whose diagonal pairs are disconnected and must be skipped.
     p = uniform_rect(6, 6, pop=1, a_cells=[(2, 2), (3, 3)])
     window = (2, 34)
-    got = solve_case1(p, 5, window)
+    got = case1(p, 5, window)
     ref = case1_reference(p, 5, window)
     assert got.value == ref
     side1 = {c for c, lab in got.partition.labels.items() if lab == 1}
-    assert _connected(side1)
+    assert cells_connected(side1)
 
 
 def test_reach_table_base_plan_is_tree():
     p = uniform_rect(6, 6, pop=2)
     d = build_decomposition(p, 3)  # interiors all empty at t=3
     assert all(not i for i in d.interiors)
-    table = build_reach_table(p, d)
+    table = reach_table(p, d)
     assert set(table.layers[-1]) == {(0, 0)}
     pop = p.total_votes().population()
-    plan = solve_canonical(p, 3, (0, pop))
+    plan = canonical(p, 3, (0, pop))
     side1 = {c for c, lab in plan.partition.labels.items() if lab == 1}
     assert side1 == set(d.tree)
-    assert _connected(side1) and _connected(set(p.votes) - side1)
+    assert cells_connected(side1) and cells_connected(set(p.votes) - side1)
 
 
 def test_reach_table_monotone_and_reconstructible():
     p = uniform_rect(10, 10, pop=2, a_cells=[(2, 2), (6, 6), (6, 7), (2, 6)])
     d = build_decomposition(p, 5)
-    table = build_reach_table(p, d)
+    table = reach_table(p, d)
     for earlier, later in zip(table.layers, table.layers[1:]):
         assert earlier <= later
     # Every marked pair reconstructs to subsets with exactly those totals.
@@ -153,8 +165,8 @@ def test_reach_table_monotone_and_reconstructible():
 def test_canonical_plan_valid_and_deterministic():
     p = uniform_rect(10, 10, pop=2, a_cells=[(2, 2), (6, 6), (7, 7), (2, 7)])
     pop = p.total_votes().population()
-    first = solve_canonical(p, 5, (pop // 4, 3 * pop // 4))
-    second = solve_canonical(p, 5, (pop // 4, 3 * pop // 4))
+    first = canonical(p, 5, (pop // 4, 3 * pop // 4))
+    second = canonical(p, 5, (pop // 4, 3 * pop // 4))
     assert first.value == second.value
     assert dict(first.partition.labels) == dict(second.partition.labels)
     assert validate_partition(p, first.partition, 2, mode="near", delta=Fraction(1, 2)).ok
@@ -162,13 +174,13 @@ def test_canonical_plan_valid_and_deterministic():
     d = build_decomposition(p, 5)
     side1 = {c for c, lab in first.partition.labels.items() if lab == 1}
     assert set(d.tree) <= side1
-    assert _connected(set(p.votes) - side1)
+    assert cells_connected(set(p.votes) - side1)
 
 
 def test_canonical_no_plan_in_window():
     p = uniform_rect(6, 6, pop=2)
     with pytest.raises(CanonicalPlanError, match="no canonical plan in window"):
-        solve_canonical(p, 3, (35, 37))
+        canonical(p, 3, (35, 37))
 
 
 def test_canonical_beats_or_equals_tree_plan():
@@ -184,7 +196,7 @@ def test_canonical_beats_or_equals_tree_plan():
     total = p.total_votes()
     rest = VoteCounts(total.party_a - tree_votes.party_a, total.party_b - tree_votes.party_b)
     tree_value = abs(district_effgap(tree_votes) + district_effgap(rest))
-    plan = solve_canonical(p, 5, window)
+    plan = canonical(p, 5, window)
     assert plan.value <= tree_value
 
 
@@ -279,14 +291,14 @@ def test_two_near_stable_output_pins_and_pass_counters(name):
     assert res.passes[source].checks >= 1
     d = build_decomposition(p, res.t)
     assert res.passes["case1"].candidates == sum((1 << len(i)) - 1 for i in d.interiors)
-    table = build_reach_table(p, d)
+    table = reach_table(p, d)
     assert res.passes["canonical"].candidates == 1 + len(table.first_marked)
 
 
 def canonical_loop_reference(p, t, window):
     """The per-pair loop: rebuild and flood-fill both sides of every pair."""
     d = build_decomposition(p, t)
-    table = build_reach_table(p, d)
+    table = reach_table(p, d)
     lo, hi = window
     total = p.total_votes()
     best_key = best = None
@@ -297,7 +309,7 @@ def canonical_loop_reference(p, t, window):
                 choice = next(c for c in table.choices[ri] if c.mask == mask)
                 side1 |= choice.cells | choice.connectors
         side2 = set(p.votes) - side1
-        if not side2 or not _connected(side1) or not _connected(side2):
+        if not side2 or not cells_connected(side1) or not cells_connected(side2):
             continue
         v1 = VoteCounts(sum(p.votes[c].party_a for c in side1),
                         sum(p.votes[c].party_b for c in side1))
@@ -325,7 +337,7 @@ def case1_loop_reference(p, t, window):
             v2 = VoteCounts(total.party_a - v1.party_a, total.party_b - v1.party_b)
             if not (lo <= v1.population() <= hi and lo <= v2.population() <= hi):
                 continue
-            if not _connected(subset) or not _connected(set(p.votes) - subset):
+            if not cells_connected(subset) or not cells_connected(set(p.votes) - subset):
                 continue
             key = (abs(district_effgap(v1) + district_effgap(v2)), ri, mask)
             if best_key is None or key < best_key:
@@ -353,13 +365,13 @@ def test_score_then_verify_matches_reference_loops():
         counts = PassCounts()
         if want is None:
             with pytest.raises(CanonicalPlanError):
-                solve_canonical(p, t, window, counts=counts)
+                canonical(p, t, window, counts=counts)
         else:
-            assert plan_summary(solve_canonical(p, t, window, counts=counts)) == want
+            assert plan_summary(canonical(p, t, window, counts=counts)) == want
             canonical_found += 1
         assert counts.checks <= counts.in_window <= counts.candidates
         want = case1_loop_reference(p, t, window)
-        got = solve_case1(p, t, window)
+        got = case1(p, t, window)
         assert (got and plan_summary(got)) == want
         case1_found += want is not None
         compared += 1
@@ -370,11 +382,11 @@ def test_score_then_verify_matches_reference_loops():
 def test_pass_counters_when_nothing_passes():
     p = uniform_rect(6, 6, pop=2)
     counts = PassCounts()
-    assert solve_case1(p, 5, (30, 40), counts=counts) is None
+    assert case1(p, 5, (30, 40), counts=counts) is None
     assert counts == PassCounts(candidates=15, in_window=0, checks=0)
     counts = PassCounts()
     with pytest.raises(CanonicalPlanError):
-        solve_canonical(p, 3, (35, 37), counts=counts)
+        canonical(p, 3, (35, 37), counts=counts)
     assert counts.in_window == counts.checks == 0 and counts.candidates == 1
 
 
@@ -383,9 +395,9 @@ def test_oversized_interior_rejected_before_enumeration(solver):
     # One 9x9 block at t=5: its interior is the 5x5 middle, 2**25 subsets.
     p = uniform_rect(9, 9)
     with pytest.raises(ValueError, match=r"block 0 \(rows 0-8, cols 0-8\) has 25 interior cells"):
-        solver(p, 5, (0, 81))
+        solver(build_decomposition(p, 5), _MaskIndex(p), (0, 81))
     with pytest.raises(ValueError, match="at most 16"):
-        build_reach_table(p, build_decomposition(p, 5))
+        reach_table(p, build_decomposition(p, 5))
 
 
 def small_pop_rect(seed, side, pops):
@@ -406,7 +418,7 @@ def small_pop_rect(seed, side, pops):
 def test_case1_tie_break_and_enclosing_subset_match_reference(seed, side, pops):
     p = small_pop_rect(seed, side, pops)
     window = (0, p.total_votes().population())
-    got = solve_case1(p, 5, window)
+    got = case1(p, 5, window)
     assert plan_summary(got) == case1_loop_reference(p, 5, window)
 
 
@@ -422,7 +434,7 @@ REACH_PINS = [
 @pytest.mark.parametrize("args, t, marked, digest", REACH_PINS)
 def test_reach_table_pins(args, t, marked, digest):
     p = random_rect(*args)
-    table = build_reach_table(p, build_decomposition(p, t))
+    table = reach_table(p, build_decomposition(p, t))
     blob = repr((sorted(table.first_marked.items()), [len(layer) for layer in table.layers],
                  [[(c.mask, sorted(c.connectors)) for c in block] for block in table.choices]))
     assert len(table.first_marked) == marked

@@ -73,6 +73,13 @@ def test_negative_votes_rejected():
         VoteCounts(-1, 4)
 
 
+def test_vote_subtraction_inverts_addition():
+    v, w = VoteCounts(7, 3), VoteCounts(2, 3)
+    assert (v + w) - w == v and v - w == VoteCounts(5, 0)
+    with pytest.raises(ValueError):
+        w - v  # a region cannot hold negative votes
+
+
 def test_total_effgap_two_districts():
     stats = total_effgap([VoteCounts(60, 40), VoteCounts(20, 80)])
     # Hand sum: scaled gaps are -60 and -20.

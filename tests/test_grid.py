@@ -21,13 +21,12 @@ from effgap.grid import (
     validate_polygon,
     write_instance,
     write_partition,
-    _connected,
     _connected_submasks,
     _enumerate_mask_partitions,
     _MaskIndex,
     _population_bounds,
 )
-from conftest import polygon, random_polygon, uniform_rect
+from conftest import cells_connected, polygon, random_polygon, uniform_rect, validate_polygon_reference
 
 
 # --- polygon validation -----------------------------------------------------
@@ -52,6 +51,28 @@ def test_ring_has_hole():
     p = polygon({cell: (0, 0) for cell in ring})
     report = validate_polygon(p)
     assert not report.ok and report.reason == "hole" and report.witness == (1, 1)
+
+
+def test_validate_polygon_matches_set_based_reference():
+    # Random cell sets in boxes up to 6x6, placed away from (0, 0) on a grid
+    # with spare rows and columns; sparse sets tend to be disconnected and
+    # dense ones to have holes.
+    rng = random.Random(11)
+    seen = {}
+    for _ in range(3000):
+        h, w = rng.randint(1, 6), rng.randint(1, 6)
+        top, left = rng.randint(0, 2), rng.randint(0, 2)
+        density = rng.choice([0.3, 0.6, 0.85, 0.95])
+        cells = [(top + r, left + c) for r in range(h) for c in range(w) if rng.random() < density]
+        rows, cols = top + h + rng.randint(0, 2), left + w + rng.randint(0, 2)
+        p = GridPolygon(rows, cols, {cell: VoteCounts(0, 0) for cell in cells})
+        got = validate_polygon(p)
+        assert (got.ok, got.reason, got.witness) == validate_polygon_reference(p), sorted(cells)
+        offset = bool(cells) and min(r for r, _ in cells) > 0 and min(c for _, c in cells) > 0
+        seen[got.reason, offset] = seen.get((got.reason, offset), 0) + 1
+    for reason in (None, "disconnected", "hole"):
+        assert seen.get((reason, True), 0) >= 20, seen
+    assert seen.get(("empty", False), 0) >= 1
 
 
 # --- partition validation ---------------------------------------------------
@@ -132,7 +153,7 @@ def test_connected_submask_enumeration_matches_powerset():
         for combo in combinations(range(9), size):
             if 0 not in combo:
                 continue
-            if _connected({cells[i] for i in combo}):
+            if cells_connected({cells[i] for i in combo}):
                 naive.add(sum(1 << i for i in combo))
     assert mine == naive
 
@@ -147,7 +168,7 @@ def test_connected_submask_enumeration_matches_powerset():
     naive = set()
     for size in range(len(others) + 1):
         for combo in combinations(others, size):
-            if _connected({seed_cell, *combo}):
+            if cells_connected({seed_cell, *combo}):
                 naive.add(sum(1 << idx.index[cell] for cell in (seed_cell, *combo)))
     assert set(walk) == naive
 
@@ -167,7 +188,7 @@ def test_mask_connectivity_matches_cell_search():
     for size in range(len(cells) + 1):
         for combo in combinations(cells, size):
             mask = sum(bit[cell] for cell in combo)
-            assert idx.connected(mask) == _connected(combo), combo
+            assert idx.connected(mask) == cells_connected(combo), combo
 
 
 def _naive_partitions(p, kappa, lo, hi):
@@ -183,7 +204,7 @@ def _naive_partitions(p, kappa, lo, hi):
 
     def rec(remaining, parts_left, acc):
         if parts_left == 1:
-            if lo <= pop_of(remaining) <= hi and _connected(cells_of(remaining)):
+            if lo <= pop_of(remaining) <= hi and cells_connected(cells_of(remaining)):
                 yield acc + (remaining,)
             return
         if not remaining:

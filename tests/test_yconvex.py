@@ -9,7 +9,6 @@ from effgap.grid import (
     enumerate_equipartitions,
     partition_vote_totals,
     validate_partition,
-    _connected,
 )
 from effgap.yconvex import (
     ColumnSegmentation,
@@ -23,7 +22,7 @@ from effgap.yconvex import (
     solve_yconvex,
     transition_feasible,
 )
-from conftest import polygon, random_column_polygon, uniform_rect
+from conftest import cells_connected, polygon, random_column_polygon, uniform_rect
 
 
 def test_segmentations_two_cells_two_labels():
@@ -74,7 +73,7 @@ def test_transition_no_overlap_rejected_and_truly_disconnected():
     res = transition_feasible(p, prev, seg)
     assert not res.ok and "no overlap" in res.reason
     # Independent connectivity check: those two cells really are disconnected.
-    assert not _connected({(0, 0), (2, 1)})
+    assert not cells_connected({(0, 0), (2, 1)})
 
 
 def test_transition_reactivation_rejected():
