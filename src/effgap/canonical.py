@@ -7,7 +7,9 @@ interior, connected components that reach side 1 through a single
 connector cell.  A reachability table over interior vote totals then
 searches all such plans at once; a separate pass covers plans with one
 side living entirely inside a single block interior.  Both passes work
-on the grid-layout bitmasks of ``grid._MaskIndex``.
+on the grid-layout bitmasks of ``grid._MaskIndex``, draw interior
+subsets from one table, and pick their plan with one score-then-verify
+routine.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import VoteCounts, district_effgap
-from .grid import Cell, GridPartition, GridPolygon, _MaskIndex, _masks_to_partition
+from .grid import (
+    Cell, GridPartition, GridPolygon, _MaskIndex, _masks_to_partition, _population_bounds,
+)
 
 MAX_BLOCK_SIDE = 5  # interior subset enumeration is exponential in t*t
 MAX_INTERIOR_CELLS = 16  # ragged last bands can grow an interior past (t - 2)**2
@@ -112,16 +116,18 @@ def build_decomposition(p: GridPolygon, t: int) -> BasicDecomposition:
     return BasicDecomposition(t, tuple(rects), frozenset(tree), interiors)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, lowest first."""
+def _mask_of(idx: _MaskIndex, cells: Iterable[Cell]) -> int:
+    return sum(1 << idx.index[cell] for cell in cells)
+
+
+def _touching(idx: _MaskIndex, mask: int) -> int:
+    """Cells 4-adjacent to some cell of `mask`."""
+    out = 0
     while mask:
         low = mask & -mask
         mask ^= low
-        yield low.bit_length() - 1
-
-
-def _mask_of(idx: _MaskIndex, cells: Iterable[Cell]) -> int:
-    return sum(1 << idx.index[cell] for cell in cells)
+        out |= idx.adj[low.bit_length() - 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,54 @@ def _plan_value(v1: VoteCounts, v2: VoteCounts) -> int:
     return abs(district_effgap(v1) + district_effgap(v2))
 
 
-def _require_small_interiors(decomp: BasicDecomposition) -> None:
+def _first_valid(
+    idx: _MaskIndex,
+    window: tuple[int, int],
+    candidates: Iterable[tuple[tuple, int, int, int]],
+    counts: PassCounts | None,
+    source: str,
+) -> CanonicalPlan | None:
+    """Score every candidate, then verify them in (value, key) order.
+
+    A candidate is (key, side-1 A votes, side-1 population, side-1 grid
+    mask), with side 2 the rest of the grid.  Candidates whose sides fall
+    outside the population window are dropped, the rest are sorted by
+    (value, key), and both sides are checked for connectivity in that
+    order; the first that passes is the plan, which is the smallest key
+    among all valid candidates.  Returns None when none passes.
+    """
+    counts = counts if counts is not None else PassCounts()
+    lo, hi = window
+    total = idx.votes(idx.full)
+    pop = total.population()
+    scored = []
+    for key, a, n, side1 in candidates:
+        counts.candidates += 1
+        if lo <= n <= hi and lo <= pop - n <= hi:
+            v1 = VoteCounts(a, n - a)
+            scored.append((_plan_value(v1, total - v1), key, v1, side1))
+    counts.in_window += len(scored)
+    scored.sort(key=lambda entry: entry[:2])
+    for value, _, v1, side1 in scored:
+        counts.checks += 1
+        side2 = idx.full & ~side1
+        if idx.connected(side1) and idx.connected(side2):
+            partition = _masks_to_partition(idx, (side1, side2))
+            return CanonicalPlan(partition, value, (v1, total - v1), source)
+    return None
+
+
+SubsetTable = list[tuple[int, int, int]]  # (A votes, population, grid mask) by subset mask
+
+
+def _subset_tables(idx: _MaskIndex, decomp: BasicDecomposition) -> list[SubsetTable]:
+    """Per block, (A votes, population, grid mask) of every interior subset.
+
+    Subset masks number an interior's cells in sorted order, and a table
+    is indexed by subset mask: each entry extends the entry without its
+    lowest bit by one cell.  An interior above ``MAX_INTERIOR_CELLS``
+    raises before any enumeration.
+    """
     for ri, (rect, interior) in enumerate(zip(decomp.rects, decomp.interiors)):
         if len(interior) > MAX_INTERIOR_CELLS:
             raise ValueError(
@@ -159,6 +212,17 @@ def _require_small_interiors(decomp: BasicDecomposition) -> None:
                 f"has {len(interior)} interior cells; subset enumeration allows at most "
                 f"{MAX_INTERIOR_CELLS}"
             )
+    tables = []
+    for interior in decomp.interiors:
+        bits = [idx.index[cell] for cell in sorted(interior)]
+        table = [(0, 0, 0)]
+        for mask in range(1, 1 << len(bits)):
+            low = mask & -mask
+            i = bits[low.bit_length() - 1]
+            a, n, cells = table[mask ^ low]
+            table.append((a + idx.party_a[i], n + idx.pop[i], cells | 1 << i))
+        tables.append(table)
+    return tables
 
 
 def solve_case1(
@@ -170,44 +234,17 @@ def solve_case1(
 ) -> CanonicalPlan | None:
     """Best plan whose side 1 is a connected subset of one block interior.
 
-    Scores first, then verifies: every non-empty subset's votes come from
-    a lowest-set-bit recurrence over masks, subsets whose sides fall
-    outside the population window are dropped, and the rest are sorted by
-    (value, block index, mask).  Connectivity of the subset and of its
-    complement is checked in that order, and the first subset that passes
-    is the plan.  Returns None when none passes; ``counts``, when given,
-    receives the pass's counters.
+    Every non-empty subset is a candidate keyed by (block index, mask),
+    and its complement is side 2.  Returns None when no candidate is
+    valid; ``counts``, when given, receives the pass's counters.
     """
-    _require_small_interiors(decomp)
-    counts = counts if counts is not None else PassCounts()
-    lo, hi = window
-    total = idx.votes(idx.full)
-    pop = total.population()
-    blocks = [[idx.index[cell] for cell in sorted(interior)] for interior in decomp.interiors]
-    scored: list[tuple[int, int, int, VoteCounts]] = []
-    for ri, bits in enumerate(blocks):
-        size = 1 << len(bits)
-        counts.candidates += size - 1
-        sum_a = [0] * size
-        sum_pop = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            i = bits[low.bit_length() - 1]
-            a = sum_a[mask] = sum_a[mask ^ low] + idx.party_a[i]
-            n = sum_pop[mask] = sum_pop[mask ^ low] + idx.pop[i]
-            if lo <= n <= hi and lo <= pop - n <= hi:
-                v1 = VoteCounts(a, n - a)
-                scored.append((_plan_value(v1, total - v1), ri, mask, v1))
-    counts.in_window += len(scored)
-    scored.sort(key=lambda entry: entry[:3])
-    for value, ri, mask, v1 in scored:
-        counts.checks += 1
-        side1 = sum(1 << i for k, i in enumerate(blocks[ri]) if mask >> k & 1)
-        side2 = idx.full & ~side1
-        if idx.connected(side1) and idx.connected(side2):
-            partition = _masks_to_partition(idx, (side1, side2))
-            return CanonicalPlan(partition, value, (v1, total - v1), "case1")
-    return None
+    candidates = (
+        ((ri, mask), a, n, cells)
+        for ri, table in enumerate(_subset_tables(idx, decomp))
+        for mask, (a, n, cells) in enumerate(table)
+        if mask
+    )
+    return _first_valid(idx, window, candidates, counts, "case1")
 
 
 # ---------------------------------------------------------------------------
@@ -219,64 +256,48 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class SubsetChoice:
-    mask: int
-    cells: frozenset[Cell]
-    votes: VoteCounts
-    connectors: frozenset[Cell]
+    mask: int  # over the interior's cells in sorted order
+    votes: VoteCounts  # of the subset's cells
+    added: int  # grid mask: the subset's cells and its connectors
+    connectors: int  # grid mask
 
 
 @dataclass(frozen=True)
 class ReachTable:
     """Marked (interior A-votes, interior B-votes) pairs with backpointers.
 
-    ``first_marked`` maps a pair to (block index, predecessor pair,
-    subset mask) recording the earliest way to reach it; ``layers`` holds
-    the cumulative mark sets after each block, so marks only ever grow.
+    (0, 0) is always marked; ``first_marked`` maps every other marked
+    pair to (block index, predecessor pair, subset mask) recording the
+    earliest way to reach it.
     """
 
     choices: tuple[tuple[SubsetChoice, ...], ...]
     first_marked: dict[Pair, tuple[int, Pair, int]]
-    layers: tuple[frozenset[Pair], ...]
 
 
 def _subset_choices(
-    idx: _MaskIndex, interior: frozenset[Cell], connectable: int
+    idx: _MaskIndex, table: SubsetTable, connectable: int
 ) -> tuple[SubsetChoice, ...]:
     """Valid subsets of one block interior, in ascending mask order.
 
     A subset qualifies when each of its connected components has a
     connector: a cell adjacent to both the component and the spine
     (``connectable`` holds every non-spine cell next to it).  The smallest
-    such cell is recorded per component.  Subset masks number the
-    interior's cells in sorted order; components are found on grid masks.
+    such cell is recorded per component.
     """
-    cells = sorted(interior)
-    bits = [1 << idx.index[cell] for cell in cells]
-    grid_masks = [0] * (1 << len(cells))
     out = []
-    for mask in range(1 << len(cells)):
-        if mask:
-            low = mask & -mask
-            grid_masks[mask] = grid_masks[mask ^ low] | bits[low.bit_length() - 1]
+    for mask, (a, n, cells) in enumerate(table):
         connectors = 0
-        rest = grid_masks[mask]
+        rest = cells
         while rest:
             comp = idx.flood(rest & -rest, rest)
             rest &= ~comp
-            touching = 0
-            for i in _bits(comp):
-                touching |= idx.adj[i]
-            touching &= connectable
+            touching = _touching(idx, comp) & connectable
             if not touching:
                 break
             connectors |= touching & -touching
         else:  # every component has a connector
-            out.append(SubsetChoice(
-                mask,
-                frozenset(cell for k, cell in enumerate(cells) if mask >> k & 1),
-                idx.votes(grid_masks[mask]),
-                frozenset(idx.cell_at[i] for i in _bits(connectors)),
-            ))
+            out.append(SubsetChoice(mask, VoteCounts(a, n - a), cells | connectors, connectors))
     return tuple(out)
 
 
@@ -289,17 +310,12 @@ def build_reach_table(decomp: BasicDecomposition, idx: _MaskIndex) -> ReachTable
     block index, then the smallest subset mask: for one subset choice,
     different predecessor pairs give different new pairs.
     """
-    _require_small_interiors(decomp)
+    tables = _subset_tables(idx, decomp)
     tree = _mask_of(idx, decomp.tree)
-    touching = 0
-    for i in _bits(tree):
-        touching |= idx.adj[i]
-    choices = tuple(
-        _subset_choices(idx, interior, touching & ~tree) for interior in decomp.interiors
-    )
+    connectable = _touching(idx, tree) & ~tree
+    choices = tuple(_subset_choices(idx, table, connectable) for table in tables)
     marked: set[Pair] = {(0, 0)}
     first_marked: dict[Pair, tuple[int, Pair, int]] = {}
-    layers = []
     for ri, block_choices in enumerate(choices):
         additions: dict[Pair, tuple[int, Pair, int]] = {}
         for choice in block_choices:  # ascending mask order
@@ -312,8 +328,7 @@ def build_reach_table(decomp: BasicDecomposition, idx: _MaskIndex) -> ReachTable
                     additions[new_pair] = (ri, pair, choice.mask)
         first_marked.update(additions)
         marked.update(additions)
-        layers.append(frozenset(marked))
-    return ReachTable(choices, first_marked, tuple(layers))
+    return ReachTable(choices, first_marked)
 
 
 def _reconstruct_masks(table: ReachTable, pair: Pair, blocks: int) -> list[int]:
@@ -332,54 +347,31 @@ def solve_canonical(
     window: tuple[int, int],
     *,
     counts: PassCounts | None = None,
-) -> CanonicalPlan:
+) -> CanonicalPlan | None:
     """Best normal-form plan over all marked interior vote pairs.
 
-    Scores first, then verifies.  Side 1 of a marked pair is the spine
-    plus the chosen subsets and their connectors, so its votes are the
-    spine's plus those of the union of the added cells (a connector
-    shared by two components counts once).  Pairs whose sides fall
-    outside the population window are dropped, the rest are sorted by
-    (value, pair), and connectivity of both sides is checked in that
-    order; the first pair that passes is the plan, which is the smallest
-    key among all valid pairs.  Raises when none passes; ``counts``, when
-    given, receives the pass's counters.
+    Every marked pair is a candidate keyed by the pair.  Its side 1 is
+    the spine plus the chosen subsets and their connectors, so its votes
+    are the spine's plus those of the union of the added cells (a
+    connector shared by two components counts once).  Returns None when
+    no pair is valid; ``counts``, when given, receives the pass's
+    counters.
     """
     table = build_reach_table(decomp, idx)
-    counts = counts if counts is not None else PassCounts()
-    lo, hi = window
-    total = idx.votes(idx.full)
-    pop = total.population()
     tree = _mask_of(idx, decomp.tree)
     spine = idx.votes(tree)
-    added = [
-        {c.mask: _mask_of(idx, c.cells | c.connectors) for c in block} for block in table.choices
-    ]
+    spine_a, spine_pop = spine.party_a, spine.population()
+    added = [{c.mask: c.added for c in block} for block in table.choices]
 
-    def added_mask(pair: Pair) -> int:
-        mask = 0
-        for ri, subset in enumerate(_reconstruct_masks(table, pair, len(decomp.rects))):
-            mask |= added[ri][subset]
-        return mask
+    def candidates():
+        for pair in {(0, 0)} | set(table.first_marked):
+            mask = 0
+            for ri, subset in enumerate(_reconstruct_masks(table, pair, len(decomp.rects))):
+                mask |= added[ri][subset]
+            v = idx.votes(mask)
+            yield pair, spine_a + v.party_a, spine_pop + v.population(), tree | mask
 
-    pairs = {(0, 0)} | set(table.first_marked)
-    counts.candidates += len(pairs)
-    scored: list[tuple[int, Pair, VoteCounts]] = []
-    for pair in pairs:
-        v1 = spine + idx.votes(added_mask(pair))
-        pop1 = v1.population()
-        if lo <= pop1 <= hi and lo <= pop - pop1 <= hi:
-            scored.append((_plan_value(v1, total - v1), pair, v1))
-    counts.in_window += len(scored)
-    scored.sort(key=lambda entry: entry[:2])
-    for value, pair, v1 in scored:
-        counts.checks += 1
-        side1 = tree | added_mask(pair)
-        side2 = idx.full & ~side1
-        if idx.connected(side1) and idx.connected(side2):
-            partition = _masks_to_partition(idx, (side1, side2))
-            return CanonicalPlan(partition, value, (v1, total - v1), "canonical")
-    raise CanonicalPlanError("no canonical plan in window")
+    return _first_valid(idx, window, candidates(), counts, "canonical")
 
 
 @dataclass(frozen=True)
@@ -398,10 +390,10 @@ def solve_two_near_stable(
 ) -> StableResult:
     """Run both searches at block side ceil(1/epsilon), keep the better plan.
 
-    The population window half-width is epsilon times the maximum cell
-    population (as a fraction of total population, clipped to [0, 1/2]).
-    Reports the nearness actually achieved and the plan's stability
-    ratio.
+    The population window is the near window for two districts at
+    nearness epsilon times the maximum cell population, taken as a
+    fraction of the total population.  Reports the nearness actually
+    achieved and the plan's stability ratio.
     """
     _require_rectangle(p)
     if epsilon <= 0:
@@ -416,27 +408,22 @@ def solve_two_near_stable(
         max_cell_pop = max(v.population() for v in p.votes.values())
     pop = p.total_votes().population()
     delta_bound = epsilon * max_cell_pop
-    half_width = min(delta_bound, Fraction(1, 2))
-    lo_frac = (Fraction(1, 2) - half_width) * pop
-    hi_frac = (Fraction(1, 2) + half_width) * pop
-    lo = max(0, -(-lo_frac.numerator // lo_frac.denominator))
-    hi = min(pop, hi_frac.numerator // hi_frac.denominator)
-    window = (lo, hi)
+    window = _population_bounds(pop, 2, "near", delta_bound)
 
     decomp = build_decomposition(p, t)
     idx = _MaskIndex(p)
     passes = {"case1": PassCounts(), "canonical": PassCounts()}
-    candidates: list[CanonicalPlan] = []
-    plan1 = solve_case1(decomp, idx, window, counts=passes["case1"])
-    if plan1 is not None:
-        candidates.append(plan1)
-    try:
-        candidates.append(solve_canonical(decomp, idx, window, counts=passes["canonical"]))
-    except CanonicalPlanError:
-        pass
-    if not candidates:
+    plans = [
+        plan
+        for plan in (
+            solve_case1(decomp, idx, window, counts=passes["case1"]),
+            solve_canonical(decomp, idx, window, counts=passes["canonical"]),
+        )
+        if plan is not None
+    ]
+    if not plans:
         raise CanonicalPlanError("no canonical plan in window")
-    best = min(candidates, key=lambda c: (c.value, c.source))
+    best = min(plans, key=lambda c: (c.value, c.source))
     pops = [v.population() for v in best.votes]
     if pop == 0:
         delta_achieved = Fraction(0)

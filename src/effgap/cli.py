@@ -221,12 +221,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     elif args.solver == "canonical":
         if kappa != 2:
             raise ValueError("canonical solver is defined for kappa = 2 only")
-        epsilon = args.epsilon
-        if epsilon is None and args.t:
-            epsilon = Fraction(1, args.t)
-        if epsilon is None:
-            epsilon = Fraction(1, 3)
-        res = solve_two_near_stable(polygon, epsilon)
+        res = solve_two_near_stable(polygon, args.epsilon)
         value = res.plan.value
         partition = res.plan.partition
         summary["delta_achieved"] = str(res.delta_achieved)
@@ -315,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["brute", "yconvex", "canonical"], default="brute")
     p.add_argument("--kappa", type=int, help="override the file header's district count")
     p.add_argument("--delta-near", type=Fraction, help="population slack for near mode")
-    p.add_argument("--t", type=int, help="canonical block side")
-    p.add_argument("--epsilon", type=Fraction, help="canonical accuracy parameter")
+    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 3),
+                   help="canonical accuracy parameter; the block side is ceil(1/epsilon) "
+                        "(default 1/3)")
     p.add_argument("--oracle-limit", type=int, default=14)
     p.add_argument("--plan-out")
     p.add_argument("--exact", action="store_true")

@@ -138,23 +138,20 @@ def _district_populations(profile: StateProfile, pop_w: int, rng: random.Random)
 
 def _district_votes_a(
     profile: StateProfile, pops: list[int], rng: random.Random
-) -> tuple[list[int], dict[int, int]]:
+) -> list[int]:
     """Per-district party-A totals hitting the statewide share exactly.
 
     Narrow losers sit just under the flip point; the remaining A mass is
     split between packed winners (around a 64% share) and ordinary
-    losers.  Returns the totals and each narrow district's margin.
+    losers.
     """
-    kappa, w = profile.kappa, profile.seats_a
+    kappa = profile.kappa
     winners = set(profile.winner_blocks)
     narrow = set(profile.narrow_blocks)
     total_a = profile.share_bp * TOTAL_POP // 10000
     votes_a = [0] * kappa
-    margins: dict[int, int] = {}
     for b in sorted(narrow):
-        margin = max(1, pops[b] * 9 // 1000)
-        votes_a[b] = pops[b] // 2 - margin
-        margins[b] = pops[b] - 2 * votes_a[b]  # actual gap to the flip point, scaled by 2
+        votes_a[b] = pops[b] // 2 - max(1, pops[b] * 9 // 1000)
     pool = total_a - sum(votes_a[b] for b in narrow)
 
     w_list = sorted(winners)
@@ -186,11 +183,11 @@ def _district_votes_a(
     )
     for b, a in zip(w_list, split):
         votes_a[b] = a
-    return votes_a, margins
+    return votes_a
 
 
-def _seed_nodes(profile: StateProfile) -> dict[int, tuple[int, int]]:
-    """narrow block -> (host winner block, flat preference rank).
+def _seed_nodes(profile: StateProfile) -> dict[int, int]:
+    """narrow block -> host winner block.
 
     The host is the largest adjacent winner block, which keeps seeds out
     of the low-population anchor.
@@ -201,7 +198,7 @@ def _seed_nodes(profile: StateProfile) -> dict[int, tuple[int, int]]:
         hosts = [nb for nb in _block_neighbors(b, profile) if nb in winners]
         if not hosts:
             raise AssertionError(f"narrow block {b} not adjacent to any winner block")
-        out[b] = (max(hosts), 0)
+        out[b] = max(hosts)
     return out
 
 
@@ -209,7 +206,7 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
     """CSV text for one synthetic state; deterministic in (code, seed)."""
     profile = STATE_PROFILES[code]
     rng = random.Random(f"effgap-synth:{code}:{seed}")
-    kappa, w = profile.kappa, profile.seats_a
+    kappa = profile.kappa
     total_a = profile.share_bp * TOTAL_POP // 10000
     target_scaled = profile.effgap_bp * TOTAL_POP * 2 // 10000
     pop_w = (4 * total_a - TOTAL_POP - target_scaled) // 2
@@ -217,7 +214,7 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
         raise AssertionError("winner population mass out of range; retune profile")
 
     pops = _district_populations(profile, pop_w, rng)
-    votes_a, _ = _district_votes_a(profile, pops, rng)
+    votes_a = _district_votes_a(profile, pops, rng)
 
     grows, gcols = profile.block_grid
     brows, bcols = profile.block_shape
@@ -237,7 +234,7 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
     # cell sharing an edge with the narrow block, skipping cells already
     # taken by another seed.
     seed_cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (pop, a)
-    for narrow_b, (host, _) in sorted(seeds.items()):
+    for narrow_b, host in sorted(seeds.items()):
         candidates = []
         for (r, c) in cells_of[host]:
             for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):

@@ -32,6 +32,11 @@ def reach_table(p, decomp):
     return build_reach_table(decomp, _MaskIndex(p))
 
 
+def mask_cells(idx, mask):
+    """The cells of a grid mask, in sorted order."""
+    return [idx.cell_at[i] for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_9x9_t3_nine_blocks_tree_connected():
     d = build_decomposition(uniform_rect(9, 9), 3)
     assert len(d.rects) == 9
@@ -134,7 +139,7 @@ def test_reach_table_base_plan_is_tree():
     d = build_decomposition(p, 3)  # interiors all empty at t=3
     assert all(not i for i in d.interiors)
     table = reach_table(p, d)
-    assert set(table.layers[-1]) == {(0, 0)}
+    assert not table.first_marked  # (0, 0) is the only marked pair
     pop = p.total_votes().population()
     plan = canonical(p, 3, (0, pop))
     side1 = {c for c, lab in plan.partition.labels.items() if lab == 1}
@@ -146,8 +151,6 @@ def test_reach_table_monotone_and_reconstructible():
     p = uniform_rect(10, 10, pop=2, a_cells=[(2, 2), (6, 6), (6, 7), (2, 6)])
     d = build_decomposition(p, 5)
     table = reach_table(p, d)
-    for earlier, later in zip(table.layers, table.layers[1:]):
-        assert earlier <= later
     # Every marked pair reconstructs to subsets with exactly those totals.
     from effgap.canonical import _reconstruct_masks
 
@@ -179,8 +182,7 @@ def test_canonical_plan_valid_and_deterministic():
 
 def test_canonical_no_plan_in_window():
     p = uniform_rect(6, 6, pop=2)
-    with pytest.raises(CanonicalPlanError, match="no canonical plan in window"):
-        canonical(p, 3, (35, 37))
+    assert canonical(p, 3, (35, 37)) is None
 
 
 def test_canonical_beats_or_equals_tree_plan():
@@ -211,6 +213,39 @@ def test_two_near_stable_reports_delta_and_stability():
     # Determinism.
     again = solve_two_near_stable(p, Fraction(1, 3))
     assert dict(again.plan.partition.labels) == dict(res.plan.partition.labels)
+
+
+def window_reference(pop, epsilon, max_cell_pop):
+    """The inline window formula that grid._population_bounds replaced."""
+    half_width = min(epsilon * max_cell_pop, Fraction(1, 2))
+    lo_frac = (Fraction(1, 2) - half_width) * pop
+    hi_frac = (Fraction(1, 2) + half_width) * pop
+    lo = max(0, -(-lo_frac.numerator // lo_frac.denominator))
+    hi = min(pop, hi_frac.numerator // hi_frac.denominator)
+    return lo, hi
+
+
+def test_two_near_stable_window_matches_inline_formula():
+    # Population sits in one spine cell and one cell off the spine, split
+    # as evenly as it goes, so spine versus rest is valid exactly when the
+    # window holds an integer.
+    outcomes = set()
+    for pop in range(14):
+        votes = {(r, c): VoteCounts(0, 0) for r in range(6) for c in range(6)}
+        votes[(0, 0)] = VoteCounts(pop // 2, 0)
+        votes[(1, 1)] = VoteCounts(0, pop - pop // 2)
+        p = GridPolygon(6, 6, votes)
+        for eps in (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)):
+            for cap in (None, *range(8)):
+                max_cell_pop = pop - pop // 2 if cap is None else cap
+                lo, hi = window_reference(pop, eps, max_cell_pop)
+                outcomes.add((eps * max_cell_pop > Fraction(1, 2), lo <= hi))
+                if lo > hi:
+                    with pytest.raises(CanonicalPlanError, match="no canonical plan in window"):
+                        solve_two_near_stable(p, eps, cap)
+                else:
+                    assert solve_two_near_stable(p, eps, cap).window == (lo, hi)
+    assert outcomes == {(False, False), (False, True), (True, True)}
 
 
 def test_two_near_stable_epsilon_too_small():
@@ -298,7 +333,8 @@ def test_two_near_stable_output_pins_and_pass_counters(name):
 def canonical_loop_reference(p, t, window):
     """The per-pair loop: rebuild and flood-fill both sides of every pair."""
     d = build_decomposition(p, t)
-    table = reach_table(p, d)
+    idx = _MaskIndex(p)
+    table = build_reach_table(d, idx)
     lo, hi = window
     total = p.total_votes()
     best_key = best = None
@@ -307,7 +343,7 @@ def canonical_loop_reference(p, t, window):
         for ri, mask in enumerate(_reconstruct_masks(table, pair, len(d.rects))):
             if mask:
                 choice = next(c for c in table.choices[ri] if c.mask == mask)
-                side1 |= choice.cells | choice.connectors
+                side1.update(mask_cells(idx, choice.added))
         side2 = set(p.votes) - side1
         if not side2 or not cells_connected(side1) or not cells_connected(side2):
             continue
@@ -364,8 +400,7 @@ def test_score_then_verify_matches_reference_loops():
         want = canonical_loop_reference(p, t, window)
         counts = PassCounts()
         if want is None:
-            with pytest.raises(CanonicalPlanError):
-                canonical(p, t, window, counts=counts)
+            assert canonical(p, t, window, counts=counts) is None
         else:
             assert plan_summary(canonical(p, t, window, counts=counts)) == want
             canonical_found += 1
@@ -385,8 +420,7 @@ def test_pass_counters_when_nothing_passes():
     assert case1(p, 5, (30, 40), counts=counts) is None
     assert counts == PassCounts(candidates=15, in_window=0, checks=0)
     counts = PassCounts()
-    with pytest.raises(CanonicalPlanError):
-        canonical(p, 3, (35, 37), counts=counts)
+    assert canonical(p, 3, (35, 37), counts=counts) is None
     assert counts.in_window == counts.checks == 0 and counts.candidates == 1
 
 
@@ -423,7 +457,8 @@ def test_case1_tie_break_and_enclosing_subset_match_reference(seed, side, pops):
 
 
 # sha256 over the backpointers, layer sizes and per-choice connectors,
-# recorded before the spine-adjacency and sort hoists.
+# recorded before the spine-adjacency and sort hoists.  The size of the
+# mark set after block b is 1 plus the pairs first marked at a block <= b.
 REACH_PINS = [
     ((1, 10, 10), 5, 91, "c03d0916ca1d2f7f5238fad34e3ef78a09e115a4f4724514b8a4eec06e0a1faf"),
     ((6, 7, 17), 5, 391, "eda77dab392d31caf6bc936e29fdf0131b33f1c0b191c9f0986e2df9e50afe3f"),
@@ -434,8 +469,12 @@ REACH_PINS = [
 @pytest.mark.parametrize("args, t, marked, digest", REACH_PINS)
 def test_reach_table_pins(args, t, marked, digest):
     p = random_rect(*args)
-    table = reach_table(p, build_decomposition(p, t))
-    blob = repr((sorted(table.first_marked.items()), [len(layer) for layer in table.layers],
-                 [[(c.mask, sorted(c.connectors)) for c in block] for block in table.choices]))
+    idx = _MaskIndex(p)
+    table = build_reach_table(build_decomposition(p, t), idx)
+    firsts = [ri for ri, _, _ in table.first_marked.values()]
+    layer_sizes = [1 + sum(ri <= b for ri in firsts) for b in range(len(table.choices))]
+    blob = repr((sorted(table.first_marked.items()), layer_sizes,
+                 [[(c.mask, mask_cells(idx, c.connectors)) for c in block]
+                  for block in table.choices]))
     assert len(table.first_marked) == marked
     assert hashlib.sha256(blob.encode()).hexdigest() == digest

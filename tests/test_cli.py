@@ -252,6 +252,17 @@ def test_solve_canonical_oversized_interior(tmp_path, capsys):
     assert not manifest.exists()
 
 
+def test_solve_epsilon_is_the_only_accuracy_option(tmp_path, capsys):
+    assert build_parser().parse_args(["solve", "g.txt"]).epsilon == Fraction(1, 3)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "g.txt", "--t", "4"])
+    capsys.readouterr()
+    grid = tmp_path / "grid.txt"
+    grid.write_text("6 6 2\n" + "".join(f"{r} {c} 1 1\n" for r in range(6) for c in range(6)))
+    assert main(["solve", str(grid), "--solver", "canonical", "--epsilon", "0"]) == 1
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+
+
 def test_synth_data_command(tmp_path, capsys):
     out_file = tmp_path / "wi.csv"
     assert main(["synth-data", "WI", "-o", str(out_file)]) == 0
