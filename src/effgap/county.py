@@ -18,13 +18,14 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import Collection, Container, Iterable
+from typing import Collection, Container, Iterable, Iterator
 
-from .core import PlanStats, VoteCounts, ZERO_VOTES, district_effgap, total_effgap
+from .core import PlanStats, VoteCounts, district_effgap, total_effgap
 
 NodeKey = tuple[int, str]
 
 CSV_COLUMNS = ["District", "County_id", "County", "Republicans", "Democrats", "Neighbors"]
+PLAN_COLUMNS = ["district", "county_id", "assigned_district"]
 
 
 class IngestError(ValueError):
@@ -56,10 +57,11 @@ class CountyGraph:
         return self.nodes[key].neighbors
 
     def total_votes(self) -> VoteCounts:
-        total = ZERO_VOTES
+        party_a = party_b = 0
         for node in self.nodes.values():
-            total = total + node.votes
-        return total
+            party_a += node.votes.party_a
+            party_b += node.votes.party_b
+        return VoteCounts(party_a, party_b)
 
 
 @dataclass
@@ -122,6 +124,27 @@ class IngestResult:
     warnings: tuple[str, ...] = field(default=())
 
 
+def _csv_rows(text: str, columns: list[str], header_error: str) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each data row of a CSV with header `columns`.
+
+    Blank lines are skipped and not counted, so row numbers count the
+    header as row 1 and every non-blank row after it.  `header_error` is
+    formatted with ``got``, the header row read (None for empty text).  A
+    row with a different number of fields than `columns` is an error: a
+    short row has no value for some column, and a long one, such as an
+    unquoted Neighbors list, would silently lose the fields beyond it.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != columns:
+        raise IngestError(header_error.format(got=header))
+    width = len(columns)
+    for row_no, row in enumerate(filter(None, reader), start=2):
+        if len(row) != width:
+            raise IngestError(f"row {row_no}: expected {width} fields, got {len(row)}")
+        yield row_no, row
+
+
 def _parse_neighbor_token(token: str) -> NodeKey:
     head, sep, tail = token.strip().partition(":")
     if not sep or not tail:
@@ -167,11 +190,14 @@ def initial_plan(graph: CountyGraph) -> DistrictPlan:
     assignment = {key: key[0] for key in graph.nodes}
     district_ids = tuple(sorted(set(assignment.values())))
     members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
-    votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
+    sum_a = dict.fromkeys(district_ids, 0)
+    sum_b = dict.fromkeys(district_ids, 0)
     for key, node in graph.nodes.items():
-        d = assignment[key]
+        d = key[0]
         members[d].add(key)
-        votes[d] = votes[d] + node.votes
+        sum_a[d] += node.votes.party_a
+        sum_b[d] += node.votes.party_b
+    votes = {d: VoteCounts(sum_a[d], sum_b[d]) for d in district_ids}
     pops = [votes[d].population() for d in district_ids]
     return DistrictPlan(assignment, district_ids, votes, members, min(pops), max(pops))
 
@@ -179,27 +205,26 @@ def initial_plan(graph: CountyGraph) -> DistrictPlan:
 def ingest(source: str | io.TextIOBase) -> IngestResult:
     """Parse a county CSV into a graph and its initial district plan.
 
-    Raises IngestError (naming the offending rows) for duplicate keys,
-    unknown neighbors, malformed numbers, a disconnected graph, or a
-    disconnected initial district.
+    Raises IngestError (naming the offending rows) for a wrong header, a
+    row without exactly six fields, duplicate keys, unknown neighbors,
+    malformed numbers, a disconnected graph, or a disconnected initial
+    district.
     """
     text = source.read() if hasattr(source, "read") else source
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or list(reader.fieldnames) != CSV_COLUMNS:
-        raise IngestError(
-            f"header must be exactly {','.join(CSV_COLUMNS)}; got {reader.fieldnames}"
-        )
+    header_error = f"header must be exactly {','.join(CSV_COLUMNS)}; got {{got}}"
     rows = []
     row_of: dict[NodeKey, int] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, (district, county_id, name, republicans, democrats, neighbors) in _csv_rows(
+        text, CSV_COLUMNS, header_error
+    ):
         try:
-            district = int(row["District"])
-            county_id = row["County_id"].strip()
+            district = int(district)
+            county_id = county_id.strip()
             if not county_id or ":" in county_id or "," in county_id:
                 raise ValueError(f"county id {county_id!r} empty or contains ':' or ','")
-            republicans = int(row["Republicans"])
-            democrats = int(row["Democrats"])
-        except (TypeError, ValueError) as exc:
+            republicans = int(republicans)
+            democrats = int(democrats)
+        except ValueError as exc:
             raise IngestError(f"row {row_no}: {exc}") from exc
         if republicans < 0 or democrats < 0:
             raise IngestError(f"row {row_no}: negative vote count")
@@ -210,34 +235,47 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
                 f"(first seen at row {row_of[key]})"
             )
         row_of[key] = row_no
-        rows.append((row_no, key, row["County"], democrats, republicans, row["Neighbors"]))
+        rows.append((row_no, key, name, democrats, republicans, neighbors))
     if not rows:
         raise IngestError("no data rows")
 
-    neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for _, key, *_ in rows}
+    # A token spelled exactly as a key is written ("district:county_id") is
+    # looked up; any other spelling, such as "01:a", is parsed.
+    key_of_token = {f"{d}:{cid}": (d, cid) for d, cid in row_of}
+    neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for key in row_of}
     for row_no, key, _, _, _, raw in rows:
+        nbs = neighbor_sets[key]
         for token in raw.split(","):
             token = token.strip()
             if not token:
                 continue
-            try:
-                nb = _parse_neighbor_token(token)
-            except ValueError as exc:
-                raise IngestError(f"row {row_no}: {exc}") from exc
-            if nb not in neighbor_sets:
-                raise IngestError(f"row {row_no}: unknown neighbor {token}")
+            nb = key_of_token.get(token)
+            if nb is None:
+                try:
+                    nb = _parse_neighbor_token(token)
+                except ValueError as exc:
+                    raise IngestError(f"row {row_no}: {exc}") from exc
+                if nb not in neighbor_sets:
+                    raise IngestError(f"row {row_no}: unknown neighbor {token}")
             if nb == key:
                 raise IngestError(f"row {row_no}: node lists itself as neighbor")
-            neighbor_sets[key].add(nb)
+            nbs.add(nb)
 
+    # All one-sided pairs are found before any is mended.  Mending adds only
+    # the reverse of a one-sided pair, which is never one-sided itself, so
+    # the sorted pairs are the warnings in key order.
+    one_sided = sorted(
+        (key, nb)
+        for key, nbs in neighbor_sets.items()
+        for nb in nbs
+        if key not in neighbor_sets[nb]
+    )
     warnings = []
-    for key, nbs in sorted(neighbor_sets.items()):
-        for nb in sorted(nbs):
-            if key not in neighbor_sets[nb]:
-                neighbor_sets[nb].add(key)
-                warnings.append(
-                    f"one-sided neighbor listing {key[0]}:{key[1]} -> {nb[0]}:{nb[1]}; symmetrized"
-                )
+    for key, nb in one_sided:
+        neighbor_sets[nb].add(key)
+        warnings.append(
+            f"one-sided neighbor listing {key[0]}:{key[1]} -> {nb[0]}:{nb[1]}; symmetrized"
+        )
 
     nodes: dict[NodeKey, CountyNode] = {}
     for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
@@ -277,12 +315,16 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     """Full check: cover, non-empty connected districts, population bounds."""
     if set(plan.assignment) != set(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
+    nodes = graph.nodes
+    sum_a = dict.fromkeys(plan.district_ids, 0)
+    sum_b = dict.fromkeys(plan.district_ids, 0)
     assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
     for key, d in plan.assignment.items():
-        if d not in recomputed:
+        if d not in sum_a:
             return PlanReport(False, f"node assigned to unknown district {d}")
-        recomputed[d] = recomputed[d] + graph.nodes[key].votes
+        votes = nodes[key].votes
+        sum_a[d] += votes.party_a
+        sum_b[d] += votes.party_b
         assigned[d].add(key)
     for d in plan.district_ids:
         members = plan.members.get(d, set())
@@ -290,11 +332,11 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
             return PlanReport(False, f"district {d} empty")
         if assigned[d] != members:
             return PlanReport(False, f"district {d} member cache inconsistent")
-        if recomputed[d] != plan.district_votes[d]:
+        if VoteCounts(sum_a[d], sum_b[d]) != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
         if not _reaches(graph, next(iter(members)), members, (), members):
             return PlanReport(False, f"district {d} disconnected")
-        pop = recomputed[d].population()
+        pop = sum_a[d] + sum_b[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:
             return PlanReport(
                 False,
@@ -314,7 +356,7 @@ def plan_stats(graph: CountyGraph, plan: DistrictPlan) -> PlanStats:
 def write_plan_csv(plan: DistrictPlan) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["district", "county_id", "assigned_district"])
+    writer.writerow(PLAN_COLUMNS)
     for (district, county_id) in sorted(plan.assignment):
         writer.writerow([district, county_id, plan.assignment[(district, county_id)]])
     return buf.getvalue()
@@ -330,15 +372,13 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
     """
     base = initial_plan(graph)
     known = set(base.district_ids)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or list(reader.fieldnames) != ["district", "county_id", "assigned_district"]:
-        raise IngestError("plan header must be district,county_id,assigned_district")
+    header_error = f"plan header must be {','.join(PLAN_COLUMNS)}"
     assignment: dict[NodeKey, int] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, (district, county_id, assigned) in _csv_rows(text, PLAN_COLUMNS, header_error):
         try:
-            key = (int(row["district"]), row["county_id"].strip())
-            assigned = int(row["assigned_district"])
-        except (TypeError, ValueError) as exc:
+            key = (int(district), county_id.strip())
+            assigned = int(assigned)
+        except ValueError as exc:
             raise IngestError(f"row {row_no}: {exc}") from exc
         if key not in graph.nodes:
             raise IngestError(f"row {row_no}: unknown node {key[0]}:{key[1]}")

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 
-from effgap.core import VoteCounts
+from effgap.core import ZERO_VOTES, VoteCounts
+from effgap.county import (
+    CSV_COLUMNS,
+    CountyGraph,
+    CountyNode,
+    DistrictPlan,
+    IngestError,
+    IngestResult,
+    NodeKey,
+    PlanReport,
+    _reaches,
+)
 from effgap.grid import GridPolygon, neighbors4, validate_polygon
 
 
@@ -157,6 +170,134 @@ def county_grid_csv(seed: int, side: int = 12, bands: int = 4) -> str:
             )
             lines.append(f'{district(r, c)},g{r}_{c},G,{pop - dem},{dem},"{nbs}"')
     return "\n".join(lines) + "\n"
+
+
+def _initial_plan_reference(graph: CountyGraph) -> DistrictPlan:
+    """initial_plan summing one VoteCounts per node."""
+    assignment = {key: key[0] for key in graph.nodes}
+    district_ids = tuple(sorted(set(assignment.values())))
+    members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
+    votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
+    for key, node in graph.nodes.items():
+        d = assignment[key]
+        members[d].add(key)
+        votes[d] = votes[d] + node.votes
+    pops = [votes[d].population() for d in district_ids]
+    return DistrictPlan(assignment, district_ids, votes, members, min(pops), max(pops))
+
+
+def ingest_reference(text: str) -> IngestResult:
+    """Reference county parser: csv.DictReader rows, every neighbor token
+    parsed, and a symmetry check that sorts every neighbor set.
+
+    Same graph, plan, warnings and errors as ``ingest`` on every input whose
+    rows all have six fields; on other rows it fails differently.
+    """
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or list(reader.fieldnames) != CSV_COLUMNS:
+        raise IngestError(
+            f"header must be exactly {','.join(CSV_COLUMNS)}; got {reader.fieldnames}"
+        )
+    rows = []
+    row_of: dict[NodeKey, int] = {}
+    for row_no, row in enumerate(reader, start=2):
+        try:
+            district = int(row["District"])
+            county_id = row["County_id"].strip()
+            if not county_id or ":" in county_id or "," in county_id:
+                raise ValueError(f"county id {county_id!r} empty or contains ':' or ','")
+            republicans = int(row["Republicans"])
+            democrats = int(row["Democrats"])
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"row {row_no}: {exc}") from exc
+        if republicans < 0 or democrats < 0:
+            raise IngestError(f"row {row_no}: negative vote count")
+        key = (district, county_id)
+        if key in row_of:
+            raise IngestError(
+                f"row {row_no}: duplicate county key {district}:{county_id} "
+                f"(first seen at row {row_of[key]})"
+            )
+        row_of[key] = row_no
+        rows.append((row_no, key, row["County"], democrats, republicans, row["Neighbors"]))
+    if not rows:
+        raise IngestError("no data rows")
+
+    neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for _, key, *_ in rows}
+    for row_no, key, _, _, _, raw in rows:
+        for token in raw.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            head, sep, tail = token.partition(":")
+            try:
+                if not sep or not tail:
+                    raise ValueError(f"neighbor token {token!r} is not 'district:county_id'")
+                nb = (int(head), tail)
+            except ValueError as exc:
+                raise IngestError(f"row {row_no}: {exc}") from exc
+            if nb not in neighbor_sets:
+                raise IngestError(f"row {row_no}: unknown neighbor {token}")
+            if nb == key:
+                raise IngestError(f"row {row_no}: node lists itself as neighbor")
+            neighbor_sets[key].add(nb)
+
+    warnings = []
+    for key, nbs in sorted(neighbor_sets.items()):
+        for nb in sorted(nbs):
+            if key not in neighbor_sets[nb]:
+                neighbor_sets[nb].add(key)
+                warnings.append(
+                    f"one-sided neighbor listing {key[0]}:{key[1]} -> {nb[0]}:{nb[1]}; symmetrized"
+                )
+
+    nodes: dict[NodeKey, CountyNode] = {}
+    for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
+        nodes[key] = CountyNode(
+            key[0], key[1], name, VoteCounts(democrats, republicans),
+            tuple(sorted(neighbor_sets[key])),
+        )
+    graph = CountyGraph(nodes)
+
+    if not _reaches(graph, next(iter(nodes)), nodes, (), nodes):
+        raise IngestError("graph disconnected")
+    plan = _initial_plan_reference(graph)
+    for d in plan.district_ids:
+        members = plan.members[d]
+        if not _reaches(graph, next(iter(members)), members, (), members):
+            member_rows = sorted(row_of[k] for k in members)
+            raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
+    return IngestResult(graph, plan, tuple(warnings))
+
+
+def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
+    """Reference plan check summing one VoteCounts per node."""
+    if set(plan.assignment) != set(graph.nodes):
+        return PlanReport(False, "assignment does not cover the graph")
+    recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
+    assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
+    for key, d in plan.assignment.items():
+        if d not in recomputed:
+            return PlanReport(False, f"node assigned to unknown district {d}")
+        recomputed[d] = recomputed[d] + graph.nodes[key].votes
+        assigned[d].add(key)
+    for d in plan.district_ids:
+        members = plan.members.get(d, set())
+        if not members:
+            return PlanReport(False, f"district {d} empty")
+        if assigned[d] != members:
+            return PlanReport(False, f"district {d} member cache inconsistent")
+        if recomputed[d] != plan.district_votes[d]:
+            return PlanReport(False, f"district {d} vote cache inconsistent")
+        if not _reaches(graph, next(iter(members)), members, (), members):
+            return PlanReport(False, f"district {d} disconnected")
+        pop = recomputed[d].population()
+        if not plan.pop_lo <= pop <= plan.pop_hi:
+            return PlanReport(
+                False,
+                f"district {d} population {pop} outside [{plan.pop_lo}, {plan.pop_hi}]",
+            )
+    return PlanReport(True)
 
 
 TOY_COUNTY_CSV = """\

@@ -85,6 +85,44 @@ def test_stats_plan_unknown_district_exit_code(toy_file, tmp_path, capsys):
     assert captured.err == "error: row 4: unknown district 7\n"
 
 
+COUNTY_HEADER = TOY_COUNTY_CSV.splitlines()[0]
+PLAN_HEADER = "district,county_id,assigned_district"
+# (defect, county file with it, plan file with it)
+MALFORMED = [
+    ("empty", "", ""),
+    ("header only", COUNTY_HEADER + "\n", PLAN_HEADER + "\n"),
+    ("bad header",
+     "District,County,Republicans,Democrats,Neighbors\n1,A1,40,60,\n",
+     "district,assigned_district\n1,1\n"),
+    ("short row", TOY_COUNTY_CSV + "2,B3,Eps,1,1\n", PLAN_HEADER + "\n1\n"),
+    ("long row",
+     TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', "1:A2, 2:B1"),  # unquoted Neighbors
+     PLAN_HEADER + "\n1,A1,1,1\n"),
+    ("bad token",
+     TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', '"1:A2, 2-B1"'),
+     PLAN_HEADER + "\none,A1,1\n"),
+]
+
+
+@pytest.mark.parametrize("command", ["stats", "stats --plan", "localsearch"])
+@pytest.mark.parametrize("county_text, plan_text", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_input_is_a_one_line_error(command, county_text, plan_text, toy_file,
+                                             tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    if command == "stats --plan":
+        bad.write_text(plan_text)
+        argv = ["stats", str(toy_file), "--plan", str(bad)]
+    else:
+        bad.write_text(county_text)
+        argv = [command, str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):
     argv = ["localsearch", str(toy_file), "--seed", "42", "--mu", "10", "--k", "3",
             "--replicas", "2", "--jobs", "1",

@@ -1,3 +1,8 @@
+import csv
+import io
+import random
+import re
+
 import pytest
 
 from effgap.core import VoteCounts
@@ -11,7 +16,8 @@ from effgap.county import (
     validate_plan,
     write_plan_csv,
 )
-from conftest import TOY_COUNTY_CSV
+from effgap.synthdata import synth_state_csv
+from conftest import TOY_COUNTY_CSV, county_grid_csv, ingest_reference, validate_plan_reference
 
 
 def test_toy_ingest_shapes():
@@ -185,3 +191,181 @@ def test_validate_plan_reporting_order():
     assert validate_plan(res.graph, plan).reason == "district 1 empty"
     plan.assignment[(2, "B1")] = 9
     assert validate_plan(res.graph, plan).reason == "node assigned to unknown district 9"
+
+
+@pytest.mark.parametrize("row, got", [
+    ("1,A1,Alpha,40,60", 5),
+    ("1,A1,Alpha,40,60,1:A2, 2:B1", 7),  # unquoted Neighbors list
+])
+def test_county_row_with_wrong_field_count_rejected(row, got):
+    lines = TOY_COUNTY_CSV.splitlines()
+    lines[2] = row
+    lines.insert(1, "")  # blank lines are not counted
+    with pytest.raises(IngestError, match=rf"^row 3: expected 6 fields, got {got}$"):
+        ingest("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row, got", [("1", 1), ("1,A1,1,2", 4)])
+def test_plan_row_with_wrong_field_count_rejected(row, got):
+    res = ingest(TOY_COUNTY_CSV)
+    text = write_plan_csv(res.plan).replace("1,A2,1", row)
+    with pytest.raises(IngestError, match=rf"^row 3: expected 3 fields, got {got}$"):
+        read_plan_csv(res.graph, text)
+
+
+def _outcome(parse, text):
+    """Everything ingest reports: nodes in order, the plan, warnings, or the error."""
+    try:
+        res = parse(text)
+    except Exception as exc:  # the error type is part of the comparison
+        return type(exc), str(exc)
+    g, p = res.graph, res.plan
+    nodes = [(k, n.county_name, n.votes, n.neighbors) for k, n in g.nodes.items()]
+    plan = (
+        list(p.assignment.items()), p.district_ids, list(p.district_votes.items()),
+        [(d, list(m)) for d, m in p.members.items()], p.pop_lo, p.pop_hi,
+    )
+    return nodes, plan, res.warnings
+
+
+def _mutated_county_csv(rng: random.Random, base: str) -> str:
+    """`base` with one to three random edits; every row keeps six fields."""
+    header, *rows = list(csv.reader(io.StringIO(base)))
+    blank_after: set[int] = set()
+    for _ in range(rng.randint(1, 3)):
+        if not rows:
+            break
+        row = rng.choice(rows)
+        tokens = [t.strip() for t in row[5].split(",") if t.strip()]
+        kind = rng.randrange(14)
+        if kind <= 2 and tokens:  # one-sided listing
+            tokens.remove(rng.choice(tokens))
+        elif kind == 3:  # another spelling of a known key, or a repeat
+            d, cid = rng.choice(rows)[:2]
+            tokens.append(rng.choice([f"0{d}:{cid}", f" {d} :{cid}", f"+{d}:{cid}", f"{d}:{cid}"]))
+        elif kind == 4:  # a token that is unknown, malformed or the node itself
+            d, cid = row[:2]
+            tokens.append(rng.choice(
+                ["99:ZZ", f"{d}:{cid}x", "abc", f"{d}:", f":{cid}", f"x:{cid}", f"{d}:{cid}"]
+            ))
+        elif kind == 5:
+            blank_after.add(rng.randrange(-1, len(rows)))
+        elif kind == 6:  # duplicate key
+            rows.insert(rng.randrange(len(rows) + 1), list(row))
+        elif kind == 7:
+            row[rng.choice([3, 4])] = rng.choice(["x", "", "-5", "1.5", " 7 ", "+3", "0"])
+        elif kind == 8:
+            row[1] = rng.choice([f" {row[1]} ", f"{row[1]}\t", "", "a:b", "a,b"])
+        elif kind == 9:
+            row[0] = rng.choice([f"0{row[0]}", f" {row[0]}", "x", str(int(row[0]) + 1)])
+        elif kind == 10:
+            tokens = []
+        elif kind == 11:
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 12:  # a node moved to another district, renamed everywhere
+            old = f"{row[0]}:{row[1]}"
+            row[0] = rng.choice(rows)[0]
+            for other in rows:
+                other[5] = ", ".join(
+                    f"{row[0]}:{row[1]}" if t == old else t for t in other[5].split(", ")
+                )
+        else:  # a node cut off from the graph, or every row removed
+            old = f"{row[0]}:{row[1]}"
+            for other in rows:
+                other[5] = ", ".join(t for t in other[5].split(", ") if t != old)
+            tokens = []
+            if rng.random() < 0.1:
+                rows.clear()
+        row[5] = ", ".join(tokens)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if -1 in blank_after:
+        buf.write("\n")
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        assert len(row) == 6
+        writer.writerow(row)
+        if i in blank_after:
+            buf.write("\n")
+    return buf.getvalue()
+
+
+def test_ingest_matches_reference_on_mutated_inputs():
+    """Same nodes, plan, warnings and errors as the DictReader parser."""
+    rng = random.Random(8)
+    bases = [county_grid_csv(seed, side, 2) for seed in range(4) for side in (4, 5, 6)]
+    bases.append(synth_state_csv("WI", 0))
+    tally = {"valid": 0, "warned": 0, "error": 0}
+    for trial in range(2400):
+        base = bases[-1] if trial % 40 == 0 else rng.choice(bases[:-1])
+        text = _mutated_county_csv(rng, base)
+        expected = _outcome(ingest_reference, text)
+        assert _outcome(ingest, text) == expected, text
+        if isinstance(expected[0], type):
+            tally["error"] += 1
+        else:
+            tally["valid"] += 1
+            tally["warned"] += bool(expected[2])
+    assert tally["valid"] >= 300 and tally["warned"] >= 50 and tally["error"] >= 300, tally
+
+
+def _break_plan(rng: random.Random, graph, plan):
+    """A copy of `plan` with one random kind of damage.
+
+    Boundary moves (the last kind) may leave the plan valid or break the
+    population bounds; the other kinds each give a defect the check reports.
+    """
+    plan = plan.copy()
+    key = rng.choice(graph.keys)
+    d = plan.assignment[key]
+    kind = rng.randrange(7)
+    if kind == 0:
+        del plan.assignment[key]
+    elif kind == 1:
+        plan.assignment[key] = max(plan.district_ids) + 1
+    elif kind == 2:  # merge a whole district into another
+        other = rng.choice([x for x in plan.district_ids if x != d])
+        for k in list(plan.members[d]):
+            plan.move(graph, k, other)
+    elif kind == 3:  # reassigned without updating the caches
+        plan.assignment[key] = rng.choice([x for x in plan.district_ids if x != d])
+    elif kind == 4:
+        plan.district_votes[d] = plan.district_votes[d] + VoteCounts(rng.randint(0, 1), 1)
+    elif kind == 5:  # a node moved to a district it does not touch
+        far = [x for x in plan.district_ids
+               if x != d and all(plan.assignment[nb] != x for nb in graph.neighbors(key))]
+        plan.move(graph, key, rng.choice(far))
+    else:
+        for _ in range(rng.randint(1, 3)):  # boundary moves, then maybe tighter bounds
+            k = rng.choice(graph.keys)
+            targets = sorted({plan.assignment[nb] for nb in graph.neighbors(k)}
+                             - {plan.assignment[k]})
+            if targets:
+                plan.move(graph, k, rng.choice(targets))
+        if rng.random() < 0.5:
+            pops = sorted(v.population() for v in plan.district_votes.values())
+            plan.pop_lo, plan.pop_hi = rng.choice([(pops[1], pops[-1]), (pops[0], pops[-2])])
+    return plan
+
+
+def test_validate_plan_matches_reference_on_broken_plans():
+    rng = random.Random(8)
+    reasons = {}
+    for text in (synth_state_csv("WI", 0), county_grid_csv(3)):
+        res = ingest(text)
+        for _ in range(300):
+            plan = _break_plan(rng, res.graph, res.plan)
+            report = validate_plan(res.graph, plan)
+            assert report == validate_plan_reference(res.graph, plan)
+            kind = "ok" if report.ok else re.sub(r"-?\d+", "N", report.reason)
+            reasons[kind] = reasons.get(kind, 0) + 1
+    assert set(reasons) >= {
+        "assignment does not cover the graph",
+        "node assigned to unknown district N",
+        "district N empty",
+        "district N member cache inconsistent",
+        "district N vote cache inconsistent",
+        "district N disconnected",
+        "district N population N outside [N, N]",
+    }, reasons
