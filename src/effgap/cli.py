@@ -141,6 +141,13 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     return 0, summary, inputs
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     if args.jobs < 0:
         raise ValueError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
@@ -151,7 +158,7 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         mu=args.mu, k=args.k, seed=args.seed, replicas=args.replicas,
         best_improvement=args.best_improvement,
     )
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs > 0 else _usable_cpus()
     run_result = run(graph, plan0, cfg, jobs=jobs)
     before = plan_stats(graph, plan0)
     after = plan_stats(graph, run_result.best_plan)
@@ -298,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20, help="per-iteration node budget (default 20)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
-                   help="replica worker processes (default 1, in-process); 0 = all cores")
+                   help="replica worker processes (default 1, in-process); "
+                        "0 = one per CPU this process may use")
     p.add_argument("--best-improvement", action="store_true")
     p.add_argument("--plan-out")
     p.add_argument("--trace-out")

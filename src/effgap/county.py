@@ -18,7 +18,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import Collection, Container, Iterable, Iterator
+from typing import Collection, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import PlanStats, VoteCounts, district_effgap, total_effgap
 
@@ -52,6 +52,11 @@ class CountyGraph:
     @functools.cached_property
     def keys(self) -> tuple[NodeKey, ...]:
         return tuple(self.nodes)
+
+    @functools.cached_property
+    def adjacency(self) -> dict[NodeKey, tuple[NodeKey, ...]]:
+        """{key: neighbours}, the lookup that ``_reaches`` walks."""
+        return {key: node.neighbors for key, node in self.nodes.items()}
 
     def neighbors(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self.nodes[key].neighbors
@@ -132,48 +137,56 @@ def _csv_rows(text: str, columns: list[str], header_error: str) -> Iterator[tupl
     formatted with ``got``, the header row read (None for empty text).  A
     row with a different number of fields than `columns` is an error: a
     short row has no value for some column, and a long one, such as an
-    unquoted Neighbors list, would silently lose the fields beyond it.
+    unquoted Neighbors list, would silently lose the fields beyond it.  A
+    row the csv module cannot read, such as one with a bare carriage
+    return in an unquoted field, is an error naming that row.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != columns:
-        raise IngestError(header_error.format(got=header))
-    width = len(columns)
-    for row_no, row in enumerate(filter(None, reader), start=2):
-        if len(row) != width:
-            raise IngestError(f"row {row_no}: expected {width} fields, got {len(row)}")
-        yield row_no, row
+    row_no = 0  # rows read so far; the reader fails on the next one
+    try:
+        header = next(reader, None)
+        row_no = 1
+        if header != columns:
+            raise IngestError(header_error.format(got=header))
+        width = len(columns)
+        for row in filter(None, reader):
+            row_no += 1
+            if len(row) != width:
+                raise IngestError(f"row {row_no}: expected {width} fields, got {len(row)}")
+            yield row_no, row
+    except csv.Error as exc:
+        raise IngestError(f"row {row_no + 1}: {exc}") from exc
 
 
 def _parse_neighbor_token(token: str) -> NodeKey:
     head, sep, tail = token.strip().partition(":")
     if not sep or not tail:
         raise ValueError(f"neighbor token {token.strip()!r} is not 'district:county_id'")
-    return (int(head), tail)
+    return (int(head), tail.strip())
 
 
 def _reaches(
-    graph: CountyGraph,
-    start: NodeKey,
-    within: Container[NodeKey],
-    excluded: Iterable[NodeKey],
-    targets: Collection[NodeKey],
+    adj: Mapping[Hashable, Iterable[Hashable]] | Sequence[Iterable[int]],
+    start: Hashable,
+    within: Container[Hashable],
+    excluded: Iterable[Hashable],
+    targets: Collection[Hashable],
 ) -> bool:
     """Whether paths from `start` through `within` reach every node of `targets`.
 
-    The search never enters `excluded`.  It runs breadth first and stops
-    as soon as the last target is reached, so a caller whose targets lie
-    a few steps from the start pays for a few levels, not for the whole
-    of `within`.
+    ``adj[node]`` gives a node's neighbours: a graph's ``adjacency`` table,
+    or local search's int neighbour tuples.  The search never enters
+    `excluded`.  It runs breadth first and stops as soon as the last
+    target is reached, so a caller whose targets lie a few steps from the
+    start pays for a few levels, not for the whole of `within`.
     """
-    nodes = graph.nodes
     left = len(targets) - (start in targets)
     seen = {start, *excluded}
     level = [start]
     while left and level:
         next_level = []
         for key in level:
-            for nb in nodes[key].neighbors:
+            for nb in adj[key]:
                 if nb in within and nb not in seen:
                     seen.add(nb)
                     next_level.append(nb)
@@ -206,7 +219,8 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     """Parse a county CSV into a graph and its initial district plan.
 
     Raises IngestError (naming the offending rows) for a wrong header, a
-    row without exactly six fields, duplicate keys, unknown neighbors,
+    row the csv module cannot read or without exactly six fields,
+    duplicate keys, unknown neighbors,
     malformed numbers, a disconnected graph, or a disconnected initial
     district.
     """
@@ -285,12 +299,13 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         )
     graph = CountyGraph(nodes)
 
-    if not _reaches(graph, next(iter(nodes)), nodes, (), nodes):
+    adj = graph.adjacency
+    if not _reaches(adj, next(iter(nodes)), nodes, (), nodes):
         raise IngestError("graph disconnected")
     plan = initial_plan(graph)
     for d in plan.district_ids:
         members = plan.members[d]
-        if not _reaches(graph, next(iter(members)), members, (), members):
+        if not _reaches(adj, next(iter(members)), members, (), members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, plan, tuple(warnings))
@@ -334,7 +349,7 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
             return PlanReport(False, f"district {d} member cache inconsistent")
         if VoteCounts(sum_a[d], sum_b[d]) != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
-        if not _reaches(graph, next(iter(members)), members, (), members):
+        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = sum_a[d] + sum_b[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:

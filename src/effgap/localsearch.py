@@ -11,6 +11,15 @@ keeps it so.  Runs are reproducible: replica streams derive from one
 root seed, nodes are drawn from a named generator, and neighbors are
 scanned in key order.
 
+Each ``run`` builds a NodeIndex once: node i is the graph's i-th key, with
+its neighbours as int tuples and its votes as ints.  A replica searches
+on a ReplicaState over that index, which keeps each district's members,
+vote sums and gap and the plan's signed gap.  A drawn node's source gap
+is computed once and each target's in one step, and an accepted move
+updates the two districts it touches.  Pool workers send back only the
+moves and the final district of each node; the DistrictPlan is built
+once, at the end.
+
 No worst-case approximation guarantee exists for this kind of strictly
 improving single-node search: adversarial instances stall it arbitrarily
 far from the optimum, so its value is empirical.
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .county import CountyGraph, DistrictPlan, NodeKey, _reaches, validate_plan
-from .core import district_effgap
+from .core import VoteCounts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,26 +102,121 @@ class RunResult:
     traces: tuple[SearchTrace, ...]
 
 
-def _source_rejection(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> str | None:
-    """Why moving `node` out of its district is illegal whatever the target.
+def _gap(party_a: int, pop: int) -> int:
+    """``district_effgap`` of a district with these party-A votes and population."""
+    return 4 * party_a - 3 * pop if 2 * party_a >= pop else 4 * party_a - pop
 
-    Cheapest first: emptied, then the source population bound, then
-    connectivity.  None when the source side allows the move.
+
+@dataclass(frozen=True)
+class NodeIndex:
+    """The graph as int lists: node i is ``keys[i]``.
+
+    ``adj[i]`` holds node i's neighbours in their stored (key) order, and
+    ``party_a[i]`` and ``pop[i]`` its votes.
     """
-    source = plan.assignment[node]
-    members = plan.members[source]
-    if len(members) == 1:
-        return "district emptied"
-    pop = graph.nodes[node].votes.population()
-    if plan.district_votes[source].population() - pop < plan.pop_lo:
-        return "source below population bound"
-    # The district is connected with `node` in it, so it stays connected
-    # exactly when one of node's neighbours in it reaches all the others,
-    # which are usually a couple of steps apart.
-    linked = [nb for nb in graph.nodes[node].neighbors if nb in members]
-    if not linked or not _reaches(graph, linked[0], members, (node,), linked[1:]):
-        return "source disconnected"
-    return None
+
+    keys: tuple[NodeKey, ...]
+    adj: tuple[tuple[int, ...], ...]
+    party_a: tuple[int, ...]
+    pop: tuple[int, ...]
+
+    @classmethod
+    def of(cls, graph: CountyGraph) -> "NodeIndex":
+        keys = graph.keys
+        pos = dict(zip(keys, range(len(keys)))).__getitem__
+        nodes = [graph.nodes[key] for key in keys]
+        return cls(
+            keys,
+            tuple(tuple(map(pos, node.neighbors)) for node in nodes),
+            tuple(node.votes.party_a for node in nodes),
+            tuple(node.votes.population() for node in nodes),
+        )
+
+
+class ReplicaState:
+    """One replica's plan on a NodeIndex, with per-district sums kept current.
+
+    ``dist[i]`` is node i's district.  Each district keeps its member
+    set, party-A votes, population and ``district_effgap``, and
+    ``signed`` is the sum of those gaps, so a move updates two districts
+    and the sum in O(1).
+    """
+
+    __slots__ = ("index", "district_ids", "pop_lo", "pop_hi",
+                 "dist", "members", "party_a", "pop", "gap", "signed")
+
+    def __init__(
+        self, index: NodeIndex, district_ids: tuple[int, ...], dist: list[int],
+        pop_lo: int, pop_hi: int,
+    ) -> None:
+        self.index = index
+        self.district_ids = district_ids
+        self.pop_lo = pop_lo
+        self.pop_hi = pop_hi
+        self.dist = dist
+        self.members = members = {d: set() for d in district_ids}
+        for i, d in enumerate(dist):
+            members[d].add(i)
+        self.party_a = {d: sum(map(index.party_a.__getitem__, m)) for d, m in members.items()}
+        self.pop = {d: sum(map(index.pop.__getitem__, m)) for d, m in members.items()}
+        self.gap = {d: _gap(self.party_a[d], self.pop[d]) for d in district_ids}
+        self.signed = sum(self.gap.values())
+
+    @classmethod
+    def from_plan(cls, graph: CountyGraph, plan: DistrictPlan) -> "ReplicaState":
+        index = NodeIndex.of(graph)
+        dist = [plan.assignment[key] for key in index.keys]
+        return cls(index, plan.district_ids, dist, plan.pop_lo, plan.pop_hi)
+
+    def with_dist(self, dist: list[int]) -> "ReplicaState":
+        """The state of the same graph and bounds with ``dist`` as its districts."""
+        return ReplicaState(self.index, self.district_ids, dist, self.pop_lo, self.pop_hi)
+
+    def source_rejection(self, i: int) -> str | None:
+        """Why moving node i out of its district is illegal whatever the target.
+
+        Cheapest first: emptied, then the source population bound, then
+        connectivity.  None when the source side allows the move.
+        """
+        dist, adj = self.dist, self.index.adj
+        source = dist[i]
+        members = self.members[source]
+        if len(members) == 1:
+            return "district emptied"
+        if self.pop[source] - self.index.pop[i] < self.pop_lo:
+            return "source below population bound"
+        # The district is connected with i in it, so it stays connected
+        # exactly when one of i's neighbours in it reaches all the others,
+        # which are usually a couple of steps apart.
+        linked = [j for j in adj[i] if dist[j] == source]
+        if not linked or not _reaches(adj, linked[0], members, (i,), linked[1:]):
+            return "source disconnected"
+        return None
+
+    def move(self, i: int, target: int) -> None:
+        """Reassign node i; the caller is responsible for legality."""
+        source = self.dist[i]
+        a, p = self.index.party_a[i], self.index.pop[i]
+        self.dist[i] = target
+        self.members[source].remove(i)
+        self.members[target].add(i)
+        for d, da, dp in ((source, -a, -p), (target, a, p)):
+            self.party_a[d] += da
+            self.pop[d] += dp
+            gap = _gap(self.party_a[d], self.pop[d])
+            self.signed += gap - self.gap[d]
+            self.gap[d] = gap
+
+    def to_plan(self) -> DistrictPlan:
+        keys, ids = self.index.keys, self.district_ids
+        return DistrictPlan(
+            dict(zip(keys, self.dist)),
+            ids,
+            {d: VoteCounts(self.party_a[d], self.pop[d] - self.party_a[d]) for d in ids},
+            {d: set(map(keys.__getitem__, self.members[d])) for d in ids},
+            self.pop_lo,
+            self.pop_hi,
+        )
 
 
 def move_is_legal(
@@ -125,46 +229,29 @@ def move_is_legal(
     within the plan's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
     """
-    source = plan.assignment[node]
-    if target == source:
+    state = ReplicaState.from_plan(graph, plan)
+    i = state.index.keys.index(node)
+    dist = state.dist
+    if target == dist[i]:
         return MoveReport(False, "target equals current district")
-    if target not in {plan.assignment[nb] for nb in graph.nodes[node].neighbors}:
+    if target not in {dist[j] for j in state.index.adj[i]}:
         return MoveReport(False, "target district not adjacent to node")
-    reason = _source_rejection(graph, plan, node)
+    reason = state.source_rejection(i)
     if reason is not None:
         return MoveReport(False, reason)
-    pop = graph.nodes[node].votes.population()
-    if plan.district_votes[target].population() + pop > plan.pop_hi:
+    if state.pop[target] > state.pop_hi - state.index.pop[i]:
         return MoveReport(False, "target above population bound")
     return MoveReport(True)
 
 
-def _trial_value(
-    graph: CountyGraph, plan: DistrictPlan, node: NodeKey, target: int, signed: int
-) -> int:
-    """Signed scaled gap after a hypothetical move; only two districts change."""
-    source = plan.assignment[node]
-    votes = graph.nodes[node].votes
-    src = plan.district_votes[source]
-    tgt = plan.district_votes[target]
-    return (
-        signed
-        - district_effgap(src)
-        - district_effgap(tgt)
-        + district_effgap(src - votes)
-        + district_effgap(tgt + votes)
-    )
-
-
 def run_iteration(
-    graph: CountyGraph,
-    plan: DistrictPlan,
+    state: ReplicaState,
     rng: np.random.Generator,
     iteration: int,
     k: int,
     best_improvement: bool = False,
 ) -> list[MoveRecord]:
-    """One outer iteration; mutates the plan and returns accepted moves.
+    """One outer iteration; mutates the state and returns accepted moves.
 
     Draws r uniform in 0..k, then r distinct nodes.  A drawn boundary
     node is processed once per iteration: the target-independent checks
@@ -173,81 +260,79 @@ def run_iteration(
     (or, optionally, best) legal strictly improving reassignment is
     applied.
     """
-    keys = graph.keys
     r = int(rng.integers(0, k + 1))
     if r == 0:
         return []
-    picked = [keys[i] for i in rng.choice(len(keys), size=min(r, len(keys)), replace=False)]
+    dist, index = state.dist, state.index
+    adj, node_a, node_pop = index.adj, index.party_a, index.pop
+    party_a, pop, gap = state.party_a, state.pop, state.gap
+    n = len(dist)
     records = []
-    signed = plan.signed_scaled_effgap()
-    for node in picked:
-        source = plan.assignment[node]
-        neighbors = graph.nodes[node].neighbors
-        if all(plan.assignment[nb] == source for nb in neighbors):
+    for i in rng.choice(n, size=min(r, n), replace=False).tolist():
+        source = dist[i]
+        neighbors = adj[i]
+        for j in neighbors:
+            if dist[j] != source:
+                break
+        else:
             continue  # interior node; nothing to try
-        if _source_rejection(graph, plan, node) is not None:
+        if state.source_rejection(i) is not None:
             continue  # no target can take it
-        room = plan.pop_hi - graph.nodes[node].votes.population()
-        before_abs = abs(signed)
-        best_choice: tuple[int, int] | None = None  # (new signed, target)
-        for nb in neighbors:  # key order: neighbor tuples are stored sorted
-            target = plan.assignment[nb]
-            if target == source or plan.district_votes[target].population() > room:
+        a, p = node_a[i], node_pop[i]
+        room = state.pop_hi - p
+        before_abs = abs(state.signed)
+        # The signed gap with i taken out of its district; each target adds its own change.
+        without = state.signed - gap[source] + _gap(party_a[source] - a, pop[source] - p)
+        best_signed = best_target = None
+        for j in neighbors:  # key order
+            target = dist[j]
+            if target == source or pop[target] > room:
                 continue
-            new_signed = _trial_value(graph, plan, node, target, signed)
+            new_signed = without - gap[target] + _gap(party_a[target] + a, pop[target] + p)
             if abs(new_signed) >= before_abs:
                 continue
+            if best_target is None or abs(new_signed) < abs(best_signed):
+                best_signed, best_target = new_signed, target
             if not best_improvement:
-                best_choice = (new_signed, target)
                 break
-            if best_choice is None or abs(new_signed) < abs(best_choice[0]):
-                best_choice = (new_signed, target)
-        if best_choice is not None:
-            new_signed, target = best_choice
-            records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
-            plan.move(graph, node, target)
-            signed = new_signed
+        if best_target is not None:
+            records.append(
+                MoveRecord(iteration, index.keys[i], source, best_target, before_abs, abs(best_signed))
+            )
+            state.move(i, best_target)
     return records
 
 
 def _run_replica(
-    graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig, replica: int
-) -> SearchTrace:
+    state0: ReplicaState, cfg: SearchConfig, replica: int
+) -> tuple[tuple[MoveRecord, ...], ReplicaState, float]:
+    """(accepted moves, final state, wall time) of one replica."""
     import numpy as np  # deferred: only local search needs it, and it dominates import time
 
     started = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    plan = plan0.copy()
-    initial = plan.scaled_effgap()
+    state = state0.with_dist(list(state0.dist))
     moves: list[MoveRecord] = []
     for iteration in range(cfg.mu):
-        moves.extend(
-            run_iteration(graph, plan, rng, iteration, cfg.k, cfg.best_improvement)
-        )
-    return SearchTrace(
-        replica,
-        cfg.seed,
-        initial,
-        plan.scaled_effgap(),
-        tuple(moves),
-        plan,
-        time.perf_counter() - started,
-    )
+        moves.extend(run_iteration(state, rng, iteration, cfg.k, cfg.best_improvement))
+    return tuple(moves), state, time.perf_counter() - started
 
 
 # A pool worker's search inputs, set once per worker process by
 # _init_worker so that each task carries only its replica index.
-_worker_inputs: tuple[CountyGraph, DistrictPlan, SearchConfig] | None = None
+_worker_inputs: tuple[ReplicaState, SearchConfig] | None = None
 
 
-def _init_worker(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) -> None:
+def _init_worker(state0: ReplicaState, cfg: SearchConfig) -> None:
     global _worker_inputs
-    _worker_inputs = (graph, plan0, cfg)
+    _worker_inputs = (state0, cfg)
 
 
-def _run_worker_replica(replica: int) -> SearchTrace:
-    return _run_replica(*_worker_inputs, replica)
+def _run_worker_replica(replica: int) -> tuple[tuple[MoveRecord, ...], list[int], float]:
+    """A replica run in a pool worker; only the final ``dist`` list goes back."""
+    moves, state, wall_time = _run_replica(*_worker_inputs, replica)
+    return moves, state.dist, wall_time
 
 
 def run(
@@ -257,24 +342,35 @@ def run(
 
     Replica streams are spawned from the root seed, so results are
     reproducible and independent of scheduling; ties between replicas go
-    to the lower index.  Pool workers receive the graph, plan and config
-    once each, when they start, and each task only a replica index.
+    to the lower index.  The NodeIndex and the starting state are built
+    once.  Pool workers receive the state and config once each, when they
+    start; each task carries only a replica index and returns the moves
+    and the final ``dist`` list, from which the plan is built here.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
         raise ValueError(f"invalid starting plan: {report.reason}")
     if not cfg.k < len(graph.nodes):
         raise ValueError("k must be smaller than the number of nodes")
+    state0 = ReplicaState.from_plan(graph, plan0)
     if jobs > 1 and cfg.replicas > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
             max_workers=min(jobs, cfg.replicas),
             initializer=_init_worker,
-            initargs=(graph, plan0, cfg),
+            initargs=(state0, cfg),
         ) as pool:
-            traces = list(pool.map(_run_worker_replica, range(cfg.replicas)))
+            results = [
+                (moves, state0.with_dist(dist), wall_time)
+                for moves, dist, wall_time in pool.map(_run_worker_replica, range(cfg.replicas))
+            ]
     else:
-        traces = [_run_replica(graph, plan0, cfg, i) for i in range(cfg.replicas)]
+        results = [_run_replica(state0, cfg, i) for i in range(cfg.replicas)]
+    initial = abs(state0.signed)
+    traces = tuple(
+        SearchTrace(i, cfg.seed, initial, abs(state.signed), moves, state.to_plan(), wall_time)
+        for i, (moves, state, wall_time) in enumerate(results)
+    )
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))
-    return RunResult(traces[best].final_plan, best, tuple(traces))
+    return RunResult(traces[best].final_plan, best, traces)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from effgap.core import ZERO_VOTES, VoteCounts
+from effgap.core import ZERO_VOTES, VoteCounts, district_effgap
 from effgap.county import (
     CSV_COLUMNS,
     CountyGraph,
@@ -21,6 +21,7 @@ from effgap.county import (
     _reaches,
 )
 from effgap.grid import GridPolygon, neighbors4, validate_polygon
+from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
 
 
 def cells_connected(cells) -> bool:
@@ -233,7 +234,7 @@ def ingest_reference(text: str) -> IngestResult:
             try:
                 if not sep or not tail:
                     raise ValueError(f"neighbor token {token!r} is not 'district:county_id'")
-                nb = (int(head), tail)
+                nb = (int(head), tail.strip())
             except ValueError as exc:
                 raise IngestError(f"row {row_no}: {exc}") from exc
             if nb not in neighbor_sets:
@@ -259,12 +260,12 @@ def ingest_reference(text: str) -> IngestResult:
         )
     graph = CountyGraph(nodes)
 
-    if not _reaches(graph, next(iter(nodes)), nodes, (), nodes):
+    if not _reaches(graph.adjacency, next(iter(nodes)), nodes, (), nodes):
         raise IngestError("graph disconnected")
     plan = _initial_plan_reference(graph)
     for d in plan.district_ids:
         members = plan.members[d]
-        if not _reaches(graph, next(iter(members)), members, (), members):
+        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, plan, tuple(warnings))
@@ -289,7 +290,7 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
             return PlanReport(False, f"district {d} member cache inconsistent")
         if recomputed[d] != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
-        if not _reaches(graph, next(iter(members)), members, (), members):
+        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = recomputed[d].population()
         if not plan.pop_lo <= pop <= plan.pop_hi:
@@ -298,6 +299,96 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
                 f"district {d} population {pop} outside [{plan.pop_lo}, {plan.pop_hi}]",
             )
     return PlanReport(True)
+
+
+def _source_rejection_reference(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> str | None:
+    """The dict-based source-side check: emptied, source bound, connectivity."""
+    source = plan.assignment[node]
+    members = plan.members[source]
+    if len(members) == 1:
+        return "district emptied"
+    pop = graph.nodes[node].votes.population()
+    if plan.district_votes[source].population() - pop < plan.pop_lo:
+        return "source below population bound"
+    linked = [nb for nb in graph.nodes[node].neighbors if nb in members]
+    if not linked or not _reaches(graph.adjacency, linked[0], members, (node,), linked[1:]):
+        return "source disconnected"
+    return None
+
+
+def _trial_value_reference(
+    graph: CountyGraph, plan: DistrictPlan, node: NodeKey, target: int, signed: int
+) -> int:
+    """Signed scaled gap after a hypothetical move, from VoteCounts."""
+    votes = graph.nodes[node].votes
+    src = plan.district_votes[plan.assignment[node]]
+    tgt = plan.district_votes[target]
+    return (
+        signed
+        - district_effgap(src)
+        - district_effgap(tgt)
+        + district_effgap(src - votes)
+        + district_effgap(tgt + votes)
+    )
+
+
+def run_iteration_reference(
+    graph: CountyGraph, plan: DistrictPlan, rng, iteration: int, k: int,
+    best_improvement: bool = False,
+) -> list[MoveRecord]:
+    """Dict-based search iteration on a DistrictPlan: same draws, same rule."""
+    keys = graph.keys
+    r = int(rng.integers(0, k + 1))
+    if r == 0:
+        return []
+    picked = [keys[i] for i in rng.choice(len(keys), size=min(r, len(keys)), replace=False)]
+    records = []
+    signed = plan.signed_scaled_effgap()
+    for node in picked:
+        source = plan.assignment[node]
+        neighbors = graph.nodes[node].neighbors
+        if all(plan.assignment[nb] == source for nb in neighbors):
+            continue
+        if _source_rejection_reference(graph, plan, node) is not None:
+            continue
+        room = plan.pop_hi - graph.nodes[node].votes.population()
+        before_abs = abs(signed)
+        best_choice: tuple[int, int] | None = None
+        for nb in neighbors:
+            target = plan.assignment[nb]
+            if target == source or plan.district_votes[target].population() > room:
+                continue
+            new_signed = _trial_value_reference(graph, plan, node, target, signed)
+            if abs(new_signed) >= before_abs:
+                continue
+            if not best_improvement:
+                best_choice = (new_signed, target)
+                break
+            if best_choice is None or abs(new_signed) < abs(best_choice[0]):
+                best_choice = (new_signed, target)
+        if best_choice is not None:
+            new_signed, target = best_choice
+            records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
+            plan.move(graph, node, target)
+            signed = new_signed
+    return records
+
+
+def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) -> list[SearchTrace]:
+    """Every replica's trace from the dict-based search, run in-process."""
+    import numpy as np
+
+    traces = []
+    for replica in range(cfg.replicas):
+        seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
+        rng = np.random.Generator(np.random.PCG64(seed_seq))
+        plan = plan0.copy()
+        initial = plan.scaled_effgap()
+        moves = []
+        for iteration in range(cfg.mu):
+            moves.extend(run_iteration_reference(graph, plan, rng, iteration, cfg.k, cfg.best_improvement))
+        traces.append(SearchTrace(replica, cfg.seed, initial, plan.scaled_effgap(), tuple(moves), plan))
+    return traces
 
 
 TOY_COUNTY_CSV = """\

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from effgap import cli
 from effgap.cli import build_parser, format_half, format_percent, main
 from effgap.grid import read_instance, read_partition
 from fractions import Fraction
@@ -38,6 +43,34 @@ def test_localsearch_runs_replicas_in_process_by_default(toy_file, tmp_path, cap
         assert main(argv) == 0
         outputs.append((capsys.readouterr().out, trace.read_text()))
     assert outputs[0] == outputs[1]
+
+
+def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._usable_cpus() == 3
+    seen = []
+    real_run = cli.run
+
+    def spy(graph, plan0, cfg, jobs=1):
+        seen.append(jobs)
+        return real_run(graph, plan0, cfg, jobs=1)
+
+    monkeypatch.setattr(cli, "run", spy)
+    assert main(["localsearch", str(toy_file), "--k", "3", "--mu", "5", "--jobs", "0"]) == 0
+    capsys.readouterr()
+    assert seen == [3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == 64
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    """Only local search needs numpy, so every other command starts without it."""
+    code = "import sys, effgap.cli; print('numpy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_stats_command(toy_file, capsys):

@@ -205,6 +205,28 @@ def test_county_row_with_wrong_field_count_rejected(row, got):
         ingest("\n".join(lines) + "\n")
 
 
+def test_county_row_the_csv_module_cannot_read_rejected():
+    lines = TOY_COUNTY_CSV.splitlines()
+    lines[2] = lines[2].replace("Beta", "Be\rta")
+    lines.insert(1, "")  # blank lines are not counted
+    with pytest.raises(IngestError, match=r"^row 3: new-line character seen in unquoted field"):
+        ingest("\n".join(lines) + "\n")
+
+
+def test_plan_row_the_csv_module_cannot_read_rejected():
+    res = ingest(TOY_COUNTY_CSV)
+    text = write_plan_csv(res.plan).replace("1,A2,1", "1,A2\r,1")
+    with pytest.raises(IngestError, match=r"^row 3: new-line character seen in unquoted field"):
+        read_plan_csv(res.graph, text)
+
+
+@pytest.mark.parametrize("token", ["1: A2", "1 :A2", " 1 : A2 ", "01:A2"])
+def test_neighbor_token_spacing_names_the_same_node(token):
+    res = ingest(TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', f'"{token}, 2:B1"'))
+    assert res.graph.nodes[(1, "A1")].neighbors == ((1, "A2"), (2, "B1"))
+    assert res.warnings == ()
+
+
 @pytest.mark.parametrize("row, got", [("1", 1), ("1,A1,1,2", 4)])
 def test_plan_row_with_wrong_field_count_rejected(row, got):
     res = ingest(TOY_COUNTY_CSV)

@@ -1,19 +1,24 @@
+import csv
 import hashlib
+import io
 import random
 
 import numpy as np
 import pytest
 
+from effgap.core import VoteCounts, district_effgap
 from effgap.county import ingest, read_plan_csv, validate_plan, write_plan_csv
 from effgap.localsearch import (
     MoveRecord,
+    ReplicaState,
     SearchConfig,
+    _gap,
     move_is_legal,
     run,
     run_iteration,
 )
 from effgap.synthdata import synth_state_csv
-from conftest import TOY_COUNTY_CSV, county_grid_csv
+from conftest import TOY_COUNTY_CSV, county_grid_csv, run_reference
 
 # 2x3 node grid; district 1 = {a, b, d, e}, district 2 = {c, f}.  Exactly
 # one single-node move strictly improves the total gap: b -> district 2.
@@ -96,26 +101,27 @@ def test_population_bounds_enforced():
 
 def test_iteration_r_zero_is_noop():
     res = ingest(SIX_NODE_CSV)
-    plan = res.plan.copy()
-    records = run_iteration(res.graph, plan, FakeRng(0, []), 0, k=5)
-    assert records == [] and plan.assignment == res.plan.assignment
+    state = ReplicaState.from_plan(res.graph, res.plan)
+    records = run_iteration(state, FakeRng(0, []), 0, k=5)
+    assert records == [] and state.to_plan().assignment == res.plan.assignment
 
 
 def test_interior_node_skipped():
     res = ingest(SIX_NODE_CSV)
-    plan = res.plan.copy()
+    state = ReplicaState.from_plan(res.graph, res.plan)
     # Index 0 is (1, 'a'), whose neighbors are all in district 1.
-    records = run_iteration(res.graph, plan, FakeRng(1, [0]), 0, k=5)
-    assert records == [] and plan.assignment == res.plan.assignment
+    records = run_iteration(state, FakeRng(1, [0]), 0, k=5)
+    assert records == [] and state.to_plan().assignment == res.plan.assignment
 
 
 def test_unique_improving_move_accepted():
     res = ingest(SIX_NODE_CSV)
-    plan = res.plan.copy()
-    records = run_iteration(res.graph, plan, FakeRng(5, [0, 1, 2, 3, 4]), 3, k=5)
+    state = ReplicaState.from_plan(res.graph, res.plan)
+    records = run_iteration(state, FakeRng(5, [0, 1, 2, 3, 4]), 3, k=5)
     assert len(records) == 1
     rec = records[0]
     assert rec == MoveRecord(3, (1, "b"), 1, 2, 40, 20)
+    plan = state.to_plan()
     assert plan.assignment[(1, "b")] == 2
     assert validate_plan(res.graph, plan).ok
 
@@ -189,8 +195,9 @@ def test_parallel_replicas_match_sequential():
     seq = run(res.graph, res.plan, cfg, jobs=1)
     par = run(res.graph, res.plan, cfg, jobs=3)
     assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
+    assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
-    assert seq.best_plan.assignment == par.best_plan.assignment
+    assert seq.best_plan == par.best_plan
 
 
 def test_best_improvement_mode_runs():
@@ -322,5 +329,86 @@ def test_parallel_replicas_match_sequential_on_state():
     seq = run(res.graph, res.plan, cfg, jobs=1)
     par = run(res.graph, res.plan, cfg, jobs=2)
     assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
+    assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
-    assert seq.best_plan.assignment == par.best_plan.assignment
+    assert seq.best_plan == par.best_plan
+
+
+def test_gap_matches_district_effgap():
+    for a in range(12):
+        for b in range(12):
+            assert _gap(a, a + b) == district_effgap(VoteCounts(a, b)), (a, b)
+
+
+def _drained_plan(graph, plan, rng, steps):
+    """The plan after random legal moves that drain one district at a time.
+
+    Each round draws a district and tries `steps` random moves of its nodes
+    to neighbouring districts, so it ends close to the lower population
+    bound and its neighbours fill towards the upper one.
+    """
+    plan = plan.copy()
+    for _ in range(len(plan.district_ids)):
+        source = rng.choice(plan.district_ids)
+        for _ in range(steps):
+            node = rng.choice(sorted(plan.members[source]))
+            targets = sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source})
+            if targets:
+                target = rng.choice(targets)
+                if move_is_legal(graph, plan, node, target).ok:
+                    plan.move(graph, node, target)
+    assert validate_plan(graph, plan).ok
+    return plan
+
+
+def equal_pop_csv(text: str, seed: int) -> str:
+    """The county CSV with every node's population set to 2, split at random.
+
+    Equal populations put district populations on a lattice, so moves meet
+    the population bounds with equality.
+    """
+    rng = random.Random(seed)
+    rows = list(csv.reader(io.StringIO(text)))
+    for row in rows[1:]:
+        dem = rng.randint(0, 2)
+        row[3], row[4] = str(2 - dem), str(dem)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+DIFFERENTIAL_GRAPHS = {
+    "grid6x2": lambda: county_grid_csv(1, side=6, bands=2),
+    "grid9x3": lambda: county_grid_csv(2, side=9, bands=3),
+    "grid12x4": lambda: county_grid_csv(3, side=12, bands=4),
+    "grid16x4": lambda: county_grid_csv(4, side=16, bands=4),
+    **{name: (lambda name=name: synth_state_csv(name, seed=0)) for name in ("WI", "TX", "VA", "PA")},
+    "equal8x3": lambda: equal_pop_csv(county_grid_csv(5, side=8, bands=3), 5),
+    "equal10x4": lambda: equal_pop_csv(county_grid_csv(6, side=10, bands=4), 6),
+    "ring5": lambda: ring_csv(5),
+    "ring7": lambda: ring_csv(7),
+}
+
+
+def test_search_matches_dict_based_reference():
+    """Every trace and final plan equals the dict-based search's, from the
+    ingested plan and from plans with districts drained to their bounds, in
+    both modes."""
+    runs = accepted = 0
+    for name, make in DIFFERENTIAL_GRAPHS.items():
+        res = ingest(make())
+        graph = res.graph
+        rng = random.Random(name)
+        starts = [res.plan] + [_drained_plan(graph, res.plan, rng, 12) for _ in range(2)]
+        for start_no, plan0 in enumerate(starts):
+            for seed in range(4):
+                for best in (False, True):
+                    cfg = SearchConfig(mu=25, k=min(12, len(graph.keys) - 1), seed=1000 * start_no + seed,
+                                       replicas=1 + seed % 3, best_improvement=best)
+                    got = run(graph, plan0, cfg)
+                    want = run_reference(graph, plan0, cfg)
+                    assert [t.to_lines() for t in got.traces] == [t.to_lines() for t in want], (name, cfg)
+                    assert [t.final_plan for t in got.traces] == [t.final_plan for t in want], (name, cfg)
+                    runs += 1
+                    accepted += sum(len(t.moves) for t in want)
+    assert runs >= 200 and accepted >= 500, (runs, accepted)
