@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import PARTY_A, wasted_votes
+from .core import PARTY_A, total_effgap, wasted_votes
 from .county import ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
     OracleLimitError,
@@ -159,8 +159,8 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         best_improvement=args.best_improvement,
     )
     jobs = args.jobs if args.jobs > 0 else _usable_cpus()
-    run_result = run(graph, plan0, cfg, jobs=jobs)
-    before = plan_stats(graph, plan0)
+    run_result = run(graph, plan0, cfg, jobs=jobs)  # validates plan0
+    before = total_effgap([plan0.district_votes[d] for d in plan0.district_ids])
     after = plan_stats(graph, run_result.best_plan)
     out = [
         f"{'':10}  {'seats-D':>7}  {'seats-R':>7}  {'normalized gap':>15}",

@@ -18,7 +18,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import Collection, Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Container, Iterable, Iterator, Sequence
 
 from .core import PlanStats, VoteCounts, district_effgap, total_effgap
 
@@ -47,16 +47,29 @@ class CountyNode:
 
 @dataclass(frozen=True)
 class CountyGraph:
+    """Nodes by key, and the same graph on node numbers.
+
+    Node i is the i-th key in sorted order: ``keys[i]``, with
+    ``index[keys[i]] == i``.  ``adj[i]`` holds node i's neighbours as
+    ascending numbers, which is their key order, so ``adj[i]`` numbers
+    ``nodes[keys[i]].neighbors``.  ``nodes`` iterates in key order.
+    """
+
     nodes: dict[NodeKey, CountyNode]
+    adj: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
     def keys(self) -> tuple[NodeKey, ...]:
         return tuple(self.nodes)
 
     @functools.cached_property
-    def adjacency(self) -> dict[NodeKey, tuple[NodeKey, ...]]:
-        """{key: neighbours}, the lookup that ``_reaches`` walks."""
-        return {key: node.neighbors for key, node in self.nodes.items()}
+    def index(self) -> dict[NodeKey, int]:
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    def connected(self, members: Collection[NodeKey]) -> bool:
+        """Whether the non-empty node set `members` induces a connected subgraph."""
+        within = set(map(self.index.__getitem__, members))
+        return _reaches(self.adj, next(iter(within)), within, (), within)
 
     def neighbors(self, key: NodeKey) -> tuple[NodeKey, ...]:
         return self.nodes[key].neighbors
@@ -166,27 +179,27 @@ def _parse_neighbor_token(token: str) -> NodeKey:
 
 
 def _reaches(
-    adj: Mapping[Hashable, Iterable[Hashable]] | Sequence[Iterable[int]],
-    start: Hashable,
-    within: Container[Hashable],
-    excluded: Iterable[Hashable],
-    targets: Collection[Hashable],
+    adj: Sequence[Sequence[int]],
+    start: int,
+    within: Container[int],
+    excluded: Iterable[int],
+    targets: Collection[int],
 ) -> bool:
     """Whether paths from `start` through `within` reach every node of `targets`.
 
-    ``adj[node]`` gives a node's neighbours: a graph's ``adjacency`` table,
-    or local search's int neighbour tuples.  The search never enters
-    `excluded`.  It runs breadth first and stops as soon as the last
-    target is reached, so a caller whose targets lie a few steps from the
-    start pays for a few levels, not for the whole of `within`.
+    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``.  The
+    search never enters `excluded`.  It runs breadth first and stops as
+    soon as the last target is reached, so a caller whose targets lie a
+    few steps from the start pays for a few levels, not for the whole of
+    `within`.
     """
     left = len(targets) - (start in targets)
     seen = {start, *excluded}
     level = [start]
     while left and level:
         next_level = []
-        for key in level:
-            for nb in adj[key]:
+        for i in level:
+            for nb in adj[i]:
                 if nb in within and nb not in seen:
                     seen.add(nb)
                     next_level.append(nb)
@@ -220,9 +233,9 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
 
     Raises IngestError (naming the offending rows) for a wrong header, a
     row the csv module cannot read or without exactly six fields,
-    duplicate keys, unknown neighbors,
-    malformed numbers, a disconnected graph, or a disconnected initial
-    district.
+    duplicate keys, unknown neighbors, malformed numbers, a vote total of
+    0 (the normalized gap divides by it), a disconnected graph, or a
+    disconnected initial district.
     """
     text = source.read() if hasattr(source, "read") else source
     header_error = f"header must be exactly {','.join(CSV_COLUMNS)}; got {{got}}"
@@ -252,60 +265,62 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         rows.append((row_no, key, name, democrats, republicans, neighbors))
     if not rows:
         raise IngestError("no data rows")
+    if not sum(democrats + republicans for _, _, _, democrats, republicans, _ in rows):
+        raise IngestError("total vote count is 0")
 
-    # A token spelled exactly as a key is written ("district:county_id") is
-    # looked up; any other spelling, such as "01:a", is parsed.
-    key_of_token = {f"{d}:{cid}": (d, cid) for d, cid in row_of}
-    neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for key in row_of}
+    # Node i is the i-th key in sorted order.  A token spelled exactly as a
+    # key is written ("district:county_id") is looked up; any other
+    # spelling, such as "01:a", is parsed.
+    keys = sorted(row_of)
+    index = dict(zip(keys, range(len(keys))))
+    number_of_token = {f"{d}:{cid}": i for i, (d, cid) in enumerate(keys)}
+    neighbor_sets: list[set[int]] = [set() for _ in keys]
     for row_no, key, _, _, _, raw in rows:
-        nbs = neighbor_sets[key]
+        i = index[key]
+        nbs = neighbor_sets[i]
         for token in raw.split(","):
             token = token.strip()
             if not token:
                 continue
-            nb = key_of_token.get(token)
-            if nb is None:
+            j = number_of_token.get(token)
+            if j is None:
                 try:
-                    nb = _parse_neighbor_token(token)
+                    j = index.get(_parse_neighbor_token(token))
                 except ValueError as exc:
                     raise IngestError(f"row {row_no}: {exc}") from exc
-                if nb not in neighbor_sets:
+                if j is None:
                     raise IngestError(f"row {row_no}: unknown neighbor {token}")
-            if nb == key:
+            if j == i:
                 raise IngestError(f"row {row_no}: node lists itself as neighbor")
-            nbs.add(nb)
+            nbs.add(j)
 
     # All one-sided pairs are found before any is mended.  Mending adds only
     # the reverse of a one-sided pair, which is never one-sided itself, so
     # the sorted pairs are the warnings in key order.
     one_sided = sorted(
-        (key, nb)
-        for key, nbs in neighbor_sets.items()
-        for nb in nbs
-        if key not in neighbor_sets[nb]
+        (i, j) for i, nbs in enumerate(neighbor_sets) for j in nbs if i not in neighbor_sets[j]
     )
     warnings = []
-    for key, nb in one_sided:
-        neighbor_sets[nb].add(key)
-        warnings.append(
-            f"one-sided neighbor listing {key[0]}:{key[1]} -> {nb[0]}:{nb[1]}; symmetrized"
-        )
+    for i, j in one_sided:
+        neighbor_sets[j].add(i)
+        (d, cid), (nb_d, nb_cid) = keys[i], keys[j]
+        warnings.append(f"one-sided neighbor listing {d}:{cid} -> {nb_d}:{nb_cid}; symmetrized")
 
+    adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
     nodes: dict[NodeKey, CountyNode] = {}
-    for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
+    for i, (_, key, name, democrats, republicans, _) in enumerate(sorted(rows, key=lambda r: r[1])):
         nodes[key] = CountyNode(
             key[0], key[1], name, VoteCounts(democrats, republicans),
-            tuple(sorted(neighbor_sets[key])),
+            tuple(map(keys.__getitem__, adj[i])),
         )
-    graph = CountyGraph(nodes)
+    graph = CountyGraph(nodes, adj)
 
-    adj = graph.adjacency
-    if not _reaches(adj, next(iter(nodes)), nodes, (), nodes):
+    if not graph.connected(keys):
         raise IngestError("graph disconnected")
     plan = initial_plan(graph)
     for d in plan.district_ids:
         members = plan.members[d]
-        if not _reaches(adj, next(iter(members)), members, (), members):
+        if not graph.connected(members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, plan, tuple(warnings))
@@ -349,7 +364,7 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
             return PlanReport(False, f"district {d} member cache inconsistent")
         if VoteCounts(sum_a[d], sum_b[d]) != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
-        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
+        if not graph.connected(members):
             return PlanReport(False, f"district {d} disconnected")
         pop = sum_a[d] + sum_b[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:

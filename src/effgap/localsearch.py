@@ -11,11 +11,12 @@ keeps it so.  Runs are reproducible: replica streams derive from one
 root seed, nodes are drawn from a named generator, and neighbors are
 scanned in key order.
 
-Each ``run`` builds a NodeIndex once: node i is the graph's i-th key, with
-its neighbours as int tuples and its votes as ints.  A replica searches
-on a ReplicaState over that index, which keeps each district's members,
-vote sums and gap and the plan's signed gap.  A drawn node's source gap
-is computed once and each target's in one step, and an accepted move
+The search works on the graph's node numbers: node i is ``graph.keys[i]``
+and ``graph.adj[i]`` its neighbours, both built by ``ingest``.  A replica
+searches on a ReplicaState, which reads those two tables as they are,
+holds each node's votes as ints, and keeps each district's members, vote
+sums and gap and the plan's signed gap.  A drawn node's source gap is
+computed once and each target's in one step, and an accepted move
 updates the two districts it touches.  Pool workers send back only the
 moves and the final district of each node; the DistrictPlan is built
 once, at the end.
@@ -27,6 +28,7 @@ far from the optimum, so its value is empirical.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -107,70 +109,45 @@ def _gap(party_a: int, pop: int) -> int:
     return 4 * party_a - 3 * pop if 2 * party_a >= pop else 4 * party_a - pop
 
 
-@dataclass(frozen=True)
-class NodeIndex:
-    """The graph as int lists: node i is ``keys[i]``.
-
-    ``adj[i]`` holds node i's neighbours in their stored (key) order, and
-    ``party_a[i]`` and ``pop[i]`` its votes.
-    """
-
-    keys: tuple[NodeKey, ...]
-    adj: tuple[tuple[int, ...], ...]
-    party_a: tuple[int, ...]
-    pop: tuple[int, ...]
-
-    @classmethod
-    def of(cls, graph: CountyGraph) -> "NodeIndex":
-        keys = graph.keys
-        pos = dict(zip(keys, range(len(keys)))).__getitem__
-        nodes = [graph.nodes[key] for key in keys]
-        return cls(
-            keys,
-            tuple(tuple(map(pos, node.neighbors)) for node in nodes),
-            tuple(node.votes.party_a for node in nodes),
-            tuple(node.votes.population() for node in nodes),
-        )
-
-
 class ReplicaState:
-    """One replica's plan on a NodeIndex, with per-district sums kept current.
+    """One replica's plan on the graph's node numbers, with per-district sums kept current.
 
-    ``dist[i]`` is node i's district.  Each district keeps its member
-    set, party-A votes, population and ``district_effgap``, and
+    ``keys`` and ``adj`` are the graph's, ``node_a[i]`` and ``node_pop[i]``
+    node i's votes, and ``dist[i]`` its district.  Each district keeps its
+    member set, party-A votes, population and ``district_effgap``, and
     ``signed`` is the sum of those gaps, so a move updates two districts
     and the sum in O(1).
     """
 
-    __slots__ = ("index", "district_ids", "pop_lo", "pop_hi",
+    __slots__ = ("keys", "adj", "node_a", "node_pop", "district_ids", "pop_lo", "pop_hi",
                  "dist", "members", "party_a", "pop", "gap", "signed")
 
-    def __init__(
-        self, index: NodeIndex, district_ids: tuple[int, ...], dist: list[int],
-        pop_lo: int, pop_hi: int,
-    ) -> None:
-        self.index = index
-        self.district_ids = district_ids
-        self.pop_lo = pop_lo
-        self.pop_hi = pop_hi
+    def __init__(self, graph: CountyGraph, plan: DistrictPlan) -> None:
+        votes = [node.votes for node in graph.nodes.values()]
+        self.keys, self.adj = graph.keys, graph.adj
+        self.node_a = tuple(v.party_a for v in votes)
+        self.node_pop = tuple(v.population() for v in votes)
+        self.district_ids = plan.district_ids
+        self.pop_lo = plan.pop_lo
+        self.pop_hi = plan.pop_hi
+        self._set_dist(list(map(plan.assignment.__getitem__, self.keys)))
+
+    def _set_dist(self, dist: list[int]) -> None:
+        """Make ``dist`` the districts and recompute every district's sums."""
         self.dist = dist
-        self.members = members = {d: set() for d in district_ids}
+        self.members = members = {d: set() for d in self.district_ids}
         for i, d in enumerate(dist):
             members[d].add(i)
-        self.party_a = {d: sum(map(index.party_a.__getitem__, m)) for d, m in members.items()}
-        self.pop = {d: sum(map(index.pop.__getitem__, m)) for d, m in members.items()}
-        self.gap = {d: _gap(self.party_a[d], self.pop[d]) for d in district_ids}
+        self.party_a = {d: sum(map(self.node_a.__getitem__, m)) for d, m in members.items()}
+        self.pop = {d: sum(map(self.node_pop.__getitem__, m)) for d, m in members.items()}
+        self.gap = {d: _gap(self.party_a[d], self.pop[d]) for d in self.district_ids}
         self.signed = sum(self.gap.values())
-
-    @classmethod
-    def from_plan(cls, graph: CountyGraph, plan: DistrictPlan) -> "ReplicaState":
-        index = NodeIndex.of(graph)
-        dist = [plan.assignment[key] for key in index.keys]
-        return cls(index, plan.district_ids, dist, plan.pop_lo, plan.pop_hi)
 
     def with_dist(self, dist: list[int]) -> "ReplicaState":
         """The state of the same graph and bounds with ``dist`` as its districts."""
-        return ReplicaState(self.index, self.district_ids, dist, self.pop_lo, self.pop_hi)
+        state = copy.copy(self)
+        state._set_dist(dist)
+        return state
 
     def source_rejection(self, i: int) -> str | None:
         """Why moving node i out of its district is illegal whatever the target.
@@ -178,12 +155,12 @@ class ReplicaState:
         Cheapest first: emptied, then the source population bound, then
         connectivity.  None when the source side allows the move.
         """
-        dist, adj = self.dist, self.index.adj
+        dist, adj = self.dist, self.adj
         source = dist[i]
         members = self.members[source]
         if len(members) == 1:
             return "district emptied"
-        if self.pop[source] - self.index.pop[i] < self.pop_lo:
+        if self.pop[source] - self.node_pop[i] < self.pop_lo:
             return "source below population bound"
         # The district is connected with i in it, so it stays connected
         # exactly when one of i's neighbours in it reaches all the others,
@@ -196,7 +173,7 @@ class ReplicaState:
     def move(self, i: int, target: int) -> None:
         """Reassign node i; the caller is responsible for legality."""
         source = self.dist[i]
-        a, p = self.index.party_a[i], self.index.pop[i]
+        a, p = self.node_a[i], self.node_pop[i]
         self.dist[i] = target
         self.members[source].remove(i)
         self.members[target].add(i)
@@ -208,7 +185,7 @@ class ReplicaState:
             self.gap[d] = gap
 
     def to_plan(self) -> DistrictPlan:
-        keys, ids = self.index.keys, self.district_ids
+        keys, ids = self.keys, self.district_ids
         return DistrictPlan(
             dict(zip(keys, self.dist)),
             ids,
@@ -228,18 +205,21 @@ def move_is_legal(
     stays non-empty and connected, and both touched districts stay
     within the plan's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
+    A node not in the graph is a ValueError.
     """
-    state = ReplicaState.from_plan(graph, plan)
-    i = state.index.keys.index(node)
+    i = graph.index.get(node)
+    if i is None:
+        raise ValueError(f"unknown node {node[0]}:{node[1]}")
+    state = ReplicaState(graph, plan)
     dist = state.dist
     if target == dist[i]:
         return MoveReport(False, "target equals current district")
-    if target not in {dist[j] for j in state.index.adj[i]}:
+    if target not in {dist[j] for j in state.adj[i]}:
         return MoveReport(False, "target district not adjacent to node")
     reason = state.source_rejection(i)
     if reason is not None:
         return MoveReport(False, reason)
-    if state.pop[target] > state.pop_hi - state.index.pop[i]:
+    if state.pop[target] > state.pop_hi - state.node_pop[i]:
         return MoveReport(False, "target above population bound")
     return MoveReport(True)
 
@@ -263,8 +243,7 @@ def run_iteration(
     r = int(rng.integers(0, k + 1))
     if r == 0:
         return []
-    dist, index = state.dist, state.index
-    adj, node_a, node_pop = index.adj, index.party_a, index.pop
+    dist, adj, node_a, node_pop = state.dist, state.adj, state.node_a, state.node_pop
     party_a, pop, gap = state.party_a, state.pop, state.gap
     n = len(dist)
     records = []
@@ -297,7 +276,7 @@ def run_iteration(
                 break
         if best_target is not None:
             records.append(
-                MoveRecord(iteration, index.keys[i], source, best_target, before_abs, abs(best_signed))
+                MoveRecord(iteration, state.keys[i], source, best_target, before_abs, abs(best_signed))
             )
             state.move(i, best_target)
     return records
@@ -342,17 +321,18 @@ def run(
 
     Replica streams are spawned from the root seed, so results are
     reproducible and independent of scheduling; ties between replicas go
-    to the lower index.  The NodeIndex and the starting state are built
-    once.  Pool workers receive the state and config once each, when they
-    start; each task carries only a replica index and returns the moves
-    and the final ``dist`` list, from which the plan is built here.
+    to the lower index.  The starting state is built once, on the graph's
+    node numbers, and each replica copies only its ``dist`` list.  Pool
+    workers receive the state and config once each, when they start; each
+    task carries only a replica index and returns the moves and the final
+    ``dist`` list, from which the plan is built here.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
         raise ValueError(f"invalid starting plan: {report.reason}")
     if not cfg.k < len(graph.nodes):
         raise ValueError("k must be smaller than the number of nodes")
-    state0 = ReplicaState.from_plan(graph, plan0)
+    state0 = ReplicaState(graph, plan0)
     if jobs > 1 and cfg.replicas > 1:
         from concurrent.futures import ProcessPoolExecutor
 

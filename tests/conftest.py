@@ -18,7 +18,6 @@ from effgap.county import (
     IngestResult,
     NodeKey,
     PlanReport,
-    _reaches,
 )
 from effgap.grid import GridPolygon, neighbors4, validate_polygon
 from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
@@ -38,6 +37,22 @@ def cells_connected(cells) -> bool:
                 seen.add(nb)
                 stack.append(nb)
     return seen == cells
+
+
+def county_connected(graph: CountyGraph, members) -> bool:
+    """Set-based reference for county connectivity: a flood fill over node keys."""
+    members = set(members)
+    if not members:
+        return False
+    start = next(iter(members))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in graph.nodes[stack.pop()].neighbors:
+            if nb in members and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen == members
 
 
 def validate_polygon_reference(p: GridPolygon) -> tuple[bool, str | None, tuple[int, int] | None]:
@@ -223,6 +238,8 @@ def ingest_reference(text: str) -> IngestResult:
         rows.append((row_no, key, row["County"], democrats, republicans, row["Neighbors"]))
     if not rows:
         raise IngestError("no data rows")
+    if sum(democrats + republicans for _, _, _, democrats, republicans, _ in rows) == 0:
+        raise IngestError("total vote count is 0")
 
     neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for _, key, *_ in rows}
     for row_no, key, _, _, _, raw in rows:
@@ -258,14 +275,16 @@ def ingest_reference(text: str) -> IngestResult:
             key[0], key[1], name, VoteCounts(democrats, republicans),
             tuple(sorted(neighbor_sets[key])),
         )
-    graph = CountyGraph(nodes)
+    number = {key: i for i, key in enumerate(nodes)}
+    adj = tuple(tuple(number[nb] for nb in node.neighbors) for node in nodes.values())
+    graph = CountyGraph(nodes, adj)
 
-    if not _reaches(graph.adjacency, next(iter(nodes)), nodes, (), nodes):
+    if not county_connected(graph, nodes):
         raise IngestError("graph disconnected")
     plan = _initial_plan_reference(graph)
     for d in plan.district_ids:
         members = plan.members[d]
-        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
+        if not county_connected(graph, members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, plan, tuple(warnings))
@@ -290,7 +309,7 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
             return PlanReport(False, f"district {d} member cache inconsistent")
         if recomputed[d] != plan.district_votes[d]:
             return PlanReport(False, f"district {d} vote cache inconsistent")
-        if not _reaches(graph.adjacency, next(iter(members)), members, (), members):
+        if not county_connected(graph, members):
             return PlanReport(False, f"district {d} disconnected")
         pop = recomputed[d].population()
         if not plan.pop_lo <= pop <= plan.pop_hi:
@@ -310,8 +329,7 @@ def _source_rejection_reference(graph: CountyGraph, plan: DistrictPlan, node: No
     pop = graph.nodes[node].votes.population()
     if plan.district_votes[source].population() - pop < plan.pop_lo:
         return "source below population bound"
-    linked = [nb for nb in graph.nodes[node].neighbors if nb in members]
-    if not linked or not _reaches(graph.adjacency, linked[0], members, (node,), linked[1:]):
+    if not county_connected(graph, members - {node}):
         return "source disconnected"
     return None
 

@@ -1,16 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from effgap import cli
+from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
 from effgap.grid import read_instance, read_partition
 from fractions import Fraction
-from conftest import TOY_COUNTY_CSV
+from conftest import TOY_COUNTY_CSV, county_grid_csv
 
 
 @pytest.fixture
@@ -134,12 +135,18 @@ MALFORMED = [
     ("bad token",
      TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', '"1:A2, 2-B1"'),
      PLAN_HEADER + "\none,A1,1\n"),
+    ("zero votes",  # more nodes than the default --k, so localsearch gets past its check
+     re.sub(r"^(\d+,\w+,G),\d+,\d+,", r"\1,0,0,", county_grid_csv(0, 5, 2), flags=re.M),
+     None),  # no plan file has this defect
 ]
 
 
-@pytest.mark.parametrize("command", ["stats", "stats --plan", "localsearch"])
-@pytest.mark.parametrize("county_text, plan_text", [m[1:] for m in MALFORMED],
-                         ids=[m[0] for m in MALFORMED])
+@pytest.mark.parametrize("command, county_text, plan_text", [
+    pytest.param(command, county_text, plan_text, id=f"{defect}-{command}")
+    for defect, county_text, plan_text in MALFORMED
+    for command in ("stats", "stats --plan", "localsearch")
+    if plan_text is not None or command != "stats --plan"
+])
 def test_malformed_input_is_a_one_line_error(command, county_text, plan_text, toy_file,
                                              tmp_path, capsys):
     bad = tmp_path / "bad.csv"
@@ -154,6 +161,24 @@ def test_malformed_input_is_a_one_line_error(command, county_text, plan_text, to
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err
+
+
+def test_localsearch_validates_each_plan_once(toy_file, monkeypatch, capsys):
+    """``run`` checks the start plan and ``plan_stats`` the search's result."""
+    checked = []
+    real = county.validate_plan
+
+    def counting(graph, plan):
+        checked.append(plan)
+        return real(graph, plan)
+
+    monkeypatch.setattr(county, "validate_plan", counting)
+    monkeypatch.setattr(localsearch, "validate_plan", counting)
+    for extra in ([], ["--replicas", "3"]):
+        checked.clear()
+        assert main(["localsearch", str(toy_file), "--k", "3", "--mu", "5", *extra]) == 0
+        assert len(checked) == 2
+    capsys.readouterr()
 
 
 def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):

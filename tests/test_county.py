@@ -236,18 +236,20 @@ def test_plan_row_with_wrong_field_count_rejected(row, got):
 
 
 def _outcome(parse, text):
-    """Everything ingest reports: nodes in order, the plan, warnings, or the error."""
+    """Everything ingest reports: nodes in order, their numbered adjacency, the
+    plan, warnings, or the error."""
     try:
         res = parse(text)
     except Exception as exc:  # the error type is part of the comparison
         return type(exc), str(exc)
     g, p = res.graph, res.plan
     nodes = [(k, n.county_name, n.votes, n.neighbors) for k, n in g.nodes.items()]
+    graph = (nodes, g.adj)
     plan = (
         list(p.assignment.items()), p.district_ids, list(p.district_votes.items()),
         [(d, list(m)) for d, m in p.members.items()], p.pop_lo, p.pop_hi,
     )
-    return nodes, plan, res.warnings
+    return graph, plan, res.warnings
 
 
 def _mutated_county_csv(rng: random.Random, base: str) -> str:

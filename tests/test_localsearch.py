@@ -99,16 +99,22 @@ def test_population_bounds_enforced():
     assert not report.ok and "population" in report.reason
 
 
+def test_unknown_node_is_a_clear_error():
+    res = ingest(SIX_NODE_CSV)
+    with pytest.raises(ValueError, match="^unknown node 9:zz$"):
+        move_is_legal(res.graph, res.plan, (9, "zz"), 1)
+
+
 def test_iteration_r_zero_is_noop():
     res = ingest(SIX_NODE_CSV)
-    state = ReplicaState.from_plan(res.graph, res.plan)
+    state = ReplicaState(res.graph, res.plan)
     records = run_iteration(state, FakeRng(0, []), 0, k=5)
     assert records == [] and state.to_plan().assignment == res.plan.assignment
 
 
 def test_interior_node_skipped():
     res = ingest(SIX_NODE_CSV)
-    state = ReplicaState.from_plan(res.graph, res.plan)
+    state = ReplicaState(res.graph, res.plan)
     # Index 0 is (1, 'a'), whose neighbors are all in district 1.
     records = run_iteration(state, FakeRng(1, [0]), 0, k=5)
     assert records == [] and state.to_plan().assignment == res.plan.assignment
@@ -116,7 +122,7 @@ def test_interior_node_skipped():
 
 def test_unique_improving_move_accepted():
     res = ingest(SIX_NODE_CSV)
-    state = ReplicaState.from_plan(res.graph, res.plan)
+    state = ReplicaState(res.graph, res.plan)
     records = run_iteration(state, FakeRng(5, [0, 1, 2, 3, 4]), 3, k=5)
     assert len(records) == 1
     rec = records[0]
