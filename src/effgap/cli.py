@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import PARTY_A, total_effgap, wasted_votes
-from .county import ingest, plan_stats, read_plan_csv, write_plan_csv
+from .county import district_votes, ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
     OracleLimitError,
     brute_force_opt,
@@ -160,7 +160,7 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     )
     jobs = args.jobs if args.jobs > 0 else _usable_cpus()
     run_result = run(graph, plan0, cfg, jobs=jobs)  # validates plan0
-    before = total_effgap([plan0.district_votes[d] for d in plan0.district_ids])
+    before = total_effgap(list(district_votes(graph, plan0).values()))
     after = plan_stats(graph, run_result.best_plan)
     out = [
         f"{'':10}  {'seats-D':>7}  {'seats-R':>7}  {'normalized gap':>15}",
@@ -260,17 +260,18 @@ def cmd_gen_hardness(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         if "divisible by 4" in str(exc):
             raise ValueError(f"{exc} (hint: pass --scale 4)") from exc
         raise
-    text = write_instance(instance.polygon, instance.kappa)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # The summary can fail (the oracle's value limit), so it comes before any output.
     summary = {
         "cells": instance.polygon.size,
         "kappa": instance.kappa,
         "values_total": instance.values_total,
         "has_equal_split": subset_sum_oracle(values),
     }
+    text = write_instance(instance.polygon, instance.kappa)
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0, summary, []
 
 
@@ -281,6 +282,14 @@ def cmd_synth_data(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     else:
         sys.stdout.write(text)
     return 0, {"state": args.state, "rows": text.count("\n") - 1}, []
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)`` for argparse: a zero denominator is rejected like any malformed text."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--solver", choices=["brute", "yconvex", "canonical"], default="brute")
     p.add_argument("--kappa", type=int, help="override the file header's district count")
-    p.add_argument("--delta-near", type=Fraction, help="population slack for near mode")
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 3),
+    p.add_argument("--delta-near", type=_fraction, help="population slack for near mode")
+    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 3),
                    help="canonical accuracy parameter; the block side is ceil(1/epsilon) "
                         "(default 1/3)")
     p.add_argument("--oracle-limit", type=int, default=14)

@@ -17,10 +17,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Collection, Container, Iterable, Iterator, Sequence
 
-from .core import PlanStats, VoteCounts, district_effgap, total_effgap
+from .core import PlanStats, VoteCounts, total_effgap
 
 NodeKey = tuple[int, str]
 
@@ -34,25 +36,18 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class CountyNode:
-    district: int  # district of the original plan; part of the node's identity
-    county_id: str
     county_name: str
     votes: VoteCounts  # party_a = Democrats, party_b = Republicans
-    neighbors: tuple[NodeKey, ...]
-
-    @property
-    def key(self) -> NodeKey:
-        return (self.district, self.county_id)
 
 
 @dataclass(frozen=True)
 class CountyGraph:
-    """Nodes by key, and the same graph on node numbers.
+    """Nodes by key, and their adjacency on node numbers.
 
     Node i is the i-th key in sorted order: ``keys[i]``, with
     ``index[keys[i]] == i``.  ``adj[i]`` holds node i's neighbours as
-    ascending numbers, which is their key order, so ``adj[i]`` numbers
-    ``nodes[keys[i]].neighbors``.  ``nodes`` iterates in key order.
+    ascending numbers, which is their key order.  ``nodes`` iterates in
+    key order.
     """
 
     nodes: dict[NodeKey, CountyNode]
@@ -72,7 +67,8 @@ class CountyGraph:
         return _reaches(self.adj, next(iter(within)), within, (), within)
 
     def neighbors(self, key: NodeKey) -> tuple[NodeKey, ...]:
-        return self.nodes[key].neighbors
+        """The node's neighbours' keys, in key order."""
+        return tuple(map(self.keys.__getitem__, self.adj[self.index[key]]))
 
     def total_votes(self) -> VoteCounts:
         party_a = party_b = 0
@@ -84,17 +80,16 @@ class CountyGraph:
 
 @dataclass
 class DistrictPlan:
-    """Assignment of nodes to districts plus cached aggregates.
+    """Assignment of nodes to districts, with frozen population bounds.
 
-    Population bounds are frozen from the plan the graph was ingested
-    with and are never recomputed: a reassignment is valid only while
-    every district stays within them.
+    The bounds are taken from the plan the graph was ingested with and
+    are never recomputed: a reassignment is valid only while every
+    district stays within them.  Members and vote sums are derived from
+    the assignment when needed (``district_votes``, ``validate_plan``).
     """
 
     assignment: dict[NodeKey, int]
     district_ids: tuple[int, ...]
-    district_votes: dict[int, VoteCounts]
-    members: dict[int, set[NodeKey]]
     pop_lo: int
     pop_hi: int
 
@@ -103,30 +98,7 @@ class DistrictPlan:
         return len(self.district_ids)
 
     def copy(self) -> "DistrictPlan":
-        return DistrictPlan(
-            dict(self.assignment),
-            self.district_ids,
-            dict(self.district_votes),
-            {d: set(m) for d, m in self.members.items()},
-            self.pop_lo,
-            self.pop_hi,
-        )
-
-    def signed_scaled_effgap(self) -> int:
-        return sum(district_effgap(v) for v in self.district_votes.values())
-
-    def scaled_effgap(self) -> int:
-        return abs(self.signed_scaled_effgap())
-
-    def move(self, graph: CountyGraph, node: NodeKey, target: int) -> None:
-        """Reassign one node; caller is responsible for legality."""
-        source = self.assignment[node]
-        votes = graph.nodes[node].votes
-        self.assignment[node] = target
-        self.members[source].discard(node)
-        self.members[target].add(node)
-        self.district_votes[source] = self.district_votes[source] - votes
-        self.district_votes[target] = self.district_votes[target] + votes
+        return DistrictPlan(dict(self.assignment), self.district_ids, self.pop_lo, self.pop_hi)
 
 
 @dataclass(frozen=True)
@@ -215,17 +187,10 @@ def initial_plan(graph: CountyGraph) -> DistrictPlan:
     """The plan encoded by the District column, with its frozen bounds."""
     assignment = {key: key[0] for key in graph.nodes}
     district_ids = tuple(sorted(set(assignment.values())))
-    members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
-    sum_a = dict.fromkeys(district_ids, 0)
-    sum_b = dict.fromkeys(district_ids, 0)
-    for key, node in graph.nodes.items():
-        d = key[0]
-        members[d].add(key)
-        sum_a[d] += node.votes.party_a
-        sum_b[d] += node.votes.party_b
-    votes = {d: VoteCounts(sum_a[d], sum_b[d]) for d in district_ids}
-    pops = [votes[d].population() for d in district_ids]
-    return DistrictPlan(assignment, district_ids, votes, members, min(pops), max(pops))
+    pops = dict.fromkeys(district_ids, 0)
+    for (d, _), node in graph.nodes.items():
+        pops[d] += node.votes.population()
+    return DistrictPlan(assignment, district_ids, min(pops.values()), max(pops.values()))
 
 
 def ingest(source: str | io.TextIOBase) -> IngestResult:
@@ -306,24 +271,21 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         (d, cid), (nb_d, nb_cid) = keys[i], keys[j]
         warnings.append(f"one-sided neighbor listing {d}:{cid} -> {nb_d}:{nb_cid}; symmetrized")
 
-    adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
-    nodes: dict[NodeKey, CountyNode] = {}
-    for i, (_, key, name, democrats, republicans, _) in enumerate(sorted(rows, key=lambda r: r[1])):
-        nodes[key] = CountyNode(
-            key[0], key[1], name, VoteCounts(democrats, republicans),
-            tuple(map(keys.__getitem__, adj[i])),
-        )
-    graph = CountyGraph(nodes, adj)
+    nodes = {
+        key: CountyNode(name, VoteCounts(democrats, republicans))
+        for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1])
+    }
+    graph = CountyGraph(nodes, tuple(tuple(sorted(nbs)) for nbs in neighbor_sets))
 
     if not graph.connected(keys):
         raise IngestError("graph disconnected")
-    plan = initial_plan(graph)
-    for d in plan.district_ids:
-        members = plan.members[d]
+    # Keys are sorted, so each initial district's nodes are one run of them.
+    for d, group in itertools.groupby(keys, operator.itemgetter(0)):
+        members = list(group)
         if not graph.connected(members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
-    return IngestResult(graph, plan, tuple(warnings))
+    return IngestResult(graph, initial_plan(graph), tuple(warnings))
 
 
 def serialize_graph(graph: CountyGraph) -> str:
@@ -331,12 +293,10 @@ def serialize_graph(graph: CountyGraph) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for key in sorted(graph.nodes):
-        node = graph.nodes[key]
-        neighbors = ", ".join(f"{d}:{cid}" for d, cid in node.neighbors)
+    for (district, county_id), node in graph.nodes.items():
+        neighbors = ", ".join(f"{d}:{cid}" for d, cid in graph.neighbors((district, county_id)))
         writer.writerow(
-            [node.district, node.county_id, node.county_name,
-             node.votes.party_b, node.votes.party_a, neighbors]
+            [district, county_id, node.county_name, node.votes.party_b, node.votes.party_a, neighbors]
         )
     return buf.getvalue()
 
@@ -346,27 +306,19 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     if set(plan.assignment) != set(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
     nodes = graph.nodes
-    sum_a = dict.fromkeys(plan.district_ids, 0)
-    sum_b = dict.fromkeys(plan.district_ids, 0)
+    pops = dict.fromkeys(plan.district_ids, 0)
     assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
     for key, d in plan.assignment.items():
-        if d not in sum_a:
+        if d not in pops:
             return PlanReport(False, f"node assigned to unknown district {d}")
-        votes = nodes[key].votes
-        sum_a[d] += votes.party_a
-        sum_b[d] += votes.party_b
+        pops[d] += nodes[key].votes.population()
         assigned[d].add(key)
-    for d in plan.district_ids:
-        members = plan.members.get(d, set())
+    for d, members in assigned.items():
         if not members:
             return PlanReport(False, f"district {d} empty")
-        if assigned[d] != members:
-            return PlanReport(False, f"district {d} member cache inconsistent")
-        if VoteCounts(sum_a[d], sum_b[d]) != plan.district_votes[d]:
-            return PlanReport(False, f"district {d} vote cache inconsistent")
         if not graph.connected(members):
             return PlanReport(False, f"district {d} disconnected")
-        pop = sum_a[d] + sum_b[d]
+        pop = pops[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:
             return PlanReport(
                 False,
@@ -375,12 +327,27 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     return PlanReport(True)
 
 
+def district_votes(graph: CountyGraph, plan: DistrictPlan) -> dict[int, VoteCounts]:
+    """Each district's vote sums, districts in id order.
+
+    Every node must be assigned to one of the plan's districts.
+    """
+    sum_a = dict.fromkeys(plan.district_ids, 0)
+    sum_b = dict.fromkeys(plan.district_ids, 0)
+    nodes = graph.nodes
+    for key, d in plan.assignment.items():
+        votes = nodes[key].votes
+        sum_a[d] += votes.party_a
+        sum_b[d] += votes.party_b
+    return {d: VoteCounts(sum_a[d], sum_b[d]) for d in plan.district_ids}
+
+
 def plan_stats(graph: CountyGraph, plan: DistrictPlan) -> PlanStats:
     """Efficiency-gap statistics of the plan, districts in id order."""
     report = validate_plan(graph, plan)
     if not report.ok:
         raise ValueError(f"invalid plan: {report.reason}")
-    return total_effgap([plan.district_votes[d] for d in plan.district_ids])
+    return total_effgap(list(district_votes(graph, plan).values()))
 
 
 def write_plan_csv(plan: DistrictPlan) -> str:
@@ -395,13 +362,13 @@ def write_plan_csv(plan: DistrictPlan) -> str:
 def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
     """A plan file applied to a graph; bounds stay those of the initial plan.
 
-    The plan is the initial plan with every node the file reassigns moved,
-    so it keeps the initial plan's districts: an assigned district outside
-    them is rejected, and one left without nodes stays in the plan, empty,
-    for ``validate_plan`` to report.
+    The plan is the initial plan with the file's assignment, so it keeps
+    the initial plan's districts: an assigned district outside them is
+    rejected, and one left without nodes stays in the plan, empty, for
+    ``validate_plan`` to report.
     """
-    base = initial_plan(graph)
-    known = set(base.district_ids)
+    plan = initial_plan(graph)
+    known = set(plan.district_ids)
     header_error = f"plan header must be {','.join(PLAN_COLUMNS)}"
     assignment: dict[NodeKey, int] = {}
     for row_no, (district, county_id, assigned) in _csv_rows(text, PLAN_COLUMNS, header_error):
@@ -419,7 +386,5 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
         assignment[key] = assigned
     if set(assignment) != set(graph.nodes):
         raise IngestError("plan does not cover every node")
-    for key, d in assignment.items():
-        if d != base.assignment[key]:
-            base.move(graph, key, d)
-    return base
+    plan.assignment.update(assignment)
+    return plan

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .county import CountyGraph, DistrictPlan, NodeKey, _reaches, validate_plan
-from .core import VoteCounts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,15 +184,7 @@ class ReplicaState:
             self.gap[d] = gap
 
     def to_plan(self) -> DistrictPlan:
-        keys, ids = self.keys, self.district_ids
-        return DistrictPlan(
-            dict(zip(keys, self.dist)),
-            ids,
-            {d: VoteCounts(self.party_a[d], self.pop[d] - self.party_a[d]) for d in ids},
-            {d: set(map(keys.__getitem__, self.members[d])) for d in ids},
-            self.pop_lo,
-            self.pop_hi,
-        )
+        return DistrictPlan(dict(zip(self.keys, self.dist)), self.district_ids, self.pop_lo, self.pop_hi)
 
 
 def move_is_legal(

@@ -48,7 +48,7 @@ def county_connected(graph: CountyGraph, members) -> bool:
     seen = {start}
     stack = [start]
     while stack:
-        for nb in graph.nodes[stack.pop()].neighbors:
+        for nb in graph.neighbors(stack.pop()):
             if nb in members and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
@@ -188,18 +188,39 @@ def county_grid_csv(seed: int, side: int = 12, bands: int = 4) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _PlanSums:
+    """A plan with its districts' members and VoteCounts sums, kept current by ``move``."""
+
+    def __init__(self, graph: CountyGraph, plan: DistrictPlan):
+        self.graph, self.plan = graph, plan
+        self.members: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
+        self.votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
+        for key, d in plan.assignment.items():
+            self.members[d].add(key)
+            self.votes[d] = self.votes[d] + graph.nodes[key].votes
+
+    def signed_scaled_effgap(self) -> int:
+        return sum(district_effgap(v) for v in self.votes.values())
+
+    def move(self, node: NodeKey, target: int) -> None:
+        source = self.plan.assignment[node]
+        votes = self.graph.nodes[node].votes
+        self.plan.assignment[node] = target
+        self.members[source].discard(node)
+        self.members[target].add(node)
+        self.votes[source] = self.votes[source] - votes
+        self.votes[target] = self.votes[target] + votes
+
+
 def _initial_plan_reference(graph: CountyGraph) -> DistrictPlan:
     """initial_plan summing one VoteCounts per node."""
     assignment = {key: key[0] for key in graph.nodes}
     district_ids = tuple(sorted(set(assignment.values())))
-    members: dict[int, set[NodeKey]] = {d: set() for d in district_ids}
     votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
     for key, node in graph.nodes.items():
-        d = assignment[key]
-        members[d].add(key)
-        votes[d] = votes[d] + node.votes
+        votes[key[0]] = votes[key[0]] + node.votes
     pops = [votes[d].population() for d in district_ids]
-    return DistrictPlan(assignment, district_ids, votes, members, min(pops), max(pops))
+    return DistrictPlan(assignment, district_ids, min(pops), max(pops))
 
 
 def ingest_reference(text: str) -> IngestResult:
@@ -271,19 +292,16 @@ def ingest_reference(text: str) -> IngestResult:
 
     nodes: dict[NodeKey, CountyNode] = {}
     for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
-        nodes[key] = CountyNode(
-            key[0], key[1], name, VoteCounts(democrats, republicans),
-            tuple(sorted(neighbor_sets[key])),
-        )
+        nodes[key] = CountyNode(name, VoteCounts(democrats, republicans))
     number = {key: i for i, key in enumerate(nodes)}
-    adj = tuple(tuple(number[nb] for nb in node.neighbors) for node in nodes.values())
+    adj = tuple(tuple(number[nb] for nb in sorted(neighbor_sets[key])) for key in nodes)
     graph = CountyGraph(nodes, adj)
 
     if not county_connected(graph, nodes):
         raise IngestError("graph disconnected")
     plan = _initial_plan_reference(graph)
     for d in plan.district_ids:
-        members = plan.members[d]
+        members = {key for key in nodes if key[0] == d}
         if not county_connected(graph, members):
             member_rows = sorted(row_of[k] for k in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
@@ -302,13 +320,9 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
         recomputed[d] = recomputed[d] + graph.nodes[key].votes
         assigned[d].add(key)
     for d in plan.district_ids:
-        members = plan.members.get(d, set())
+        members = assigned[d]
         if not members:
             return PlanReport(False, f"district {d} empty")
-        if assigned[d] != members:
-            return PlanReport(False, f"district {d} member cache inconsistent")
-        if recomputed[d] != plan.district_votes[d]:
-            return PlanReport(False, f"district {d} vote cache inconsistent")
         if not county_connected(graph, members):
             return PlanReport(False, f"district {d} disconnected")
         pop = recomputed[d].population()
@@ -320,27 +334,26 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
     return PlanReport(True)
 
 
-def _source_rejection_reference(graph: CountyGraph, plan: DistrictPlan, node: NodeKey) -> str | None:
+def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
     """The dict-based source-side check: emptied, source bound, connectivity."""
+    plan = sums.plan
     source = plan.assignment[node]
-    members = plan.members[source]
+    members = sums.members[source]
     if len(members) == 1:
         return "district emptied"
-    pop = graph.nodes[node].votes.population()
-    if plan.district_votes[source].population() - pop < plan.pop_lo:
+    pop = sums.graph.nodes[node].votes.population()
+    if sums.votes[source].population() - pop < plan.pop_lo:
         return "source below population bound"
-    if not county_connected(graph, members - {node}):
+    if not county_connected(sums.graph, members - {node}):
         return "source disconnected"
     return None
 
 
-def _trial_value_reference(
-    graph: CountyGraph, plan: DistrictPlan, node: NodeKey, target: int, signed: int
-) -> int:
+def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: int) -> int:
     """Signed scaled gap after a hypothetical move, from VoteCounts."""
-    votes = graph.nodes[node].votes
-    src = plan.district_votes[plan.assignment[node]]
-    tgt = plan.district_votes[target]
+    votes = sums.graph.nodes[node].votes
+    src = sums.votes[sums.plan.assignment[node]]
+    tgt = sums.votes[target]
     return (
         signed
         - district_effgap(src)
@@ -351,32 +364,32 @@ def _trial_value_reference(
 
 
 def run_iteration_reference(
-    graph: CountyGraph, plan: DistrictPlan, rng, iteration: int, k: int,
-    best_improvement: bool = False,
+    sums: _PlanSums, rng, iteration: int, k: int, best_improvement: bool = False,
 ) -> list[MoveRecord]:
     """Dict-based search iteration on a DistrictPlan: same draws, same rule."""
+    graph, plan = sums.graph, sums.plan
     keys = graph.keys
     r = int(rng.integers(0, k + 1))
     if r == 0:
         return []
     picked = [keys[i] for i in rng.choice(len(keys), size=min(r, len(keys)), replace=False)]
     records = []
-    signed = plan.signed_scaled_effgap()
+    signed = sums.signed_scaled_effgap()
     for node in picked:
         source = plan.assignment[node]
-        neighbors = graph.nodes[node].neighbors
+        neighbors = graph.neighbors(node)
         if all(plan.assignment[nb] == source for nb in neighbors):
             continue
-        if _source_rejection_reference(graph, plan, node) is not None:
+        if _source_rejection_reference(sums, node) is not None:
             continue
         room = plan.pop_hi - graph.nodes[node].votes.population()
         before_abs = abs(signed)
         best_choice: tuple[int, int] | None = None
         for nb in neighbors:
             target = plan.assignment[nb]
-            if target == source or plan.district_votes[target].population() > room:
+            if target == source or sums.votes[target].population() > room:
                 continue
-            new_signed = _trial_value_reference(graph, plan, node, target, signed)
+            new_signed = _trial_value_reference(sums, node, target, signed)
             if abs(new_signed) >= before_abs:
                 continue
             if not best_improvement:
@@ -387,7 +400,7 @@ def run_iteration_reference(
         if best_choice is not None:
             new_signed, target = best_choice
             records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
-            plan.move(graph, node, target)
+            sums.move(node, target)
             signed = new_signed
     return records
 
@@ -400,12 +413,13 @@ def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) ->
     for replica in range(cfg.replicas):
         seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
         rng = np.random.Generator(np.random.PCG64(seed_seq))
-        plan = plan0.copy()
-        initial = plan.scaled_effgap()
+        sums = _PlanSums(graph, plan0.copy())
+        initial = abs(sums.signed_scaled_effgap())
         moves = []
         for iteration in range(cfg.mu):
-            moves.extend(run_iteration_reference(graph, plan, rng, iteration, cfg.k, cfg.best_improvement))
-        traces.append(SearchTrace(replica, cfg.seed, initial, plan.scaled_effgap(), tuple(moves), plan))
+            moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k, cfg.best_improvement))
+        final = abs(sums.signed_scaled_effgap())
+        traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), sums.plan))
     return traces
 
 

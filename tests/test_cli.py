@@ -263,6 +263,42 @@ def test_solve_rejects_invalid_polygon(tmp_path, capsys, solver, text, message):
     assert captured.err == message
 
 
+MALFORMED_GRIDS = {
+    "empty": "",
+    "two-field header": "2 2\n0 0 1 1\n",
+    "non-integer header": "2 x 2\n0 0 1 1\n",
+    "three-field cell": "1 2 2\n0 0 1\n0 1 1 1\n",
+    "duplicate cell": "1 2 2\n0 0 1 1\n0 0 1 1\n",
+    "negative votes": "1 2 2\n0 0 -1 1\n0 1 1 1\n",
+    "cell outside": "1 2 2\n0 0 1 1\n0 5 1 1\n",
+    "zero dimension": "0 2 2\n",
+    "disconnected": "1 3 2\n0 0 1 0\n0 2 0 1\n",
+    "hole": "3 3 2\n" + "".join(f"{r} {c} 1 1\n" for r in range(3) for c in range(3) if (r, c) != (1, 1)),
+}
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex", "canonical"])
+@pytest.mark.parametrize("text", MALFORMED_GRIDS.values(), ids=MALFORMED_GRIDS)
+def test_malformed_grid_is_a_one_line_error(tmp_path, capsys, solver, text):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert main(["solve", str(grid), "--solver", solver]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("option", ["--epsilon", "--delta-near"])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_fraction_option_is_a_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "grid.txt", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"effgap solve: error: argument {option}: invalid Fraction value: '{value}'"
+    assert "Traceback" not in err
+
+
 def test_solve_infeasible_exit(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("1 2 2\n0 0 1 0\n0 1 0 2\n")
@@ -287,6 +323,18 @@ def test_gen_hardness_then_solve(tmp_path, capsys):
 def test_gen_hardness_divisibility_hint(capsys):
     assert main(["gen-hardness", "10", "30"]) == 1
     assert "--scale 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["-o", "stdout"])
+def test_gen_hardness_failure_writes_nothing(tmp_path, capsys, to_file):
+    """Past the subset-sum oracle's 30 values the command fails before any output."""
+    out = tmp_path / "gadget.txt"
+    argv = ["gen-hardness", *["4"] * 31] + (["-o", str(out)] if to_file else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset-sum oracle limited to 30 values\n"
+    assert not out.exists()
 
 
 def test_solve_canonical_subcommand(tmp_path, capsys):

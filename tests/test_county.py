@@ -8,6 +8,7 @@ import pytest
 from effgap.core import VoteCounts
 from effgap.county import (
     IngestError,
+    district_votes,
     ingest,
     initial_plan,
     plan_stats,
@@ -27,8 +28,7 @@ def test_toy_ingest_shapes():
     assert plan.kappa == 2 and plan.district_ids == (1, 2)
     # Democrats are party A.
     assert g.nodes[(1, "A1")].votes == VoteCounts(60, 40)
-    assert plan.district_votes[1] == VoteCounts(80, 70)
-    assert plan.district_votes[2] == VoteCounts(50, 110)
+    assert district_votes(g, plan) == {1: VoteCounts(80, 70), 2: VoteCounts(50, 110)}
     assert (plan.pop_lo, plan.pop_hi) == (150, 160)
     assert res.warnings == ()
     assert validate_plan(g, plan).ok
@@ -45,7 +45,7 @@ def test_plan_stats_matches_direct_totals():
     from effgap.core import total_effgap
 
     res = ingest(TOY_COUNTY_CSV)
-    direct = total_effgap([res.plan.district_votes[1], res.plan.district_votes[2]])
+    direct = total_effgap([VoteCounts(80, 70), VoteCounts(50, 110)])
     assert plan_stats(res.graph, res.plan) == direct
 
 
@@ -130,15 +130,15 @@ def test_aggregation_consistency():
     res = ingest(TOY_COUNTY_CSV)
     total = res.graph.total_votes()
     summed = VoteCounts(0, 0)
-    for d in res.plan.district_ids:
-        summed = summed + res.plan.district_votes[d]
+    for votes in district_votes(res.graph, res.plan).values():
+        summed = summed + votes
     assert summed == total
 
 
 def test_plan_csv_round_trip():
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.move(res.graph, (1, "A2"), 2)  # legal shape change for serialization only
+    plan.assignment[(1, "A2")] = 2  # legal shape change for serialization only
     text = write_plan_csv(plan)
     plan2 = read_plan_csv(res.graph, text)
     assert plan2.assignment == plan.assignment
@@ -175,19 +175,18 @@ def test_plan_csv_keeps_emptied_district():
 def test_validate_plan_catches_violations():
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.move(res.graph, (1, "A1"), 2)
-    plan.move(res.graph, (1, "A2"), 2)
+    plan.assignment[(1, "A1")] = 2
+    plan.assignment[(1, "A2")] = 2
     report = validate_plan(res.graph, plan)
     assert not report.ok and "empty" in report.reason
 
 
 def test_validate_plan_reporting_order():
-    """Unknown district first, then per district: empty before a stale member cache."""
+    """Unknown district first, then districts in id order (district 2 is over its bound here)."""
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.assignment[(1, "A1")] = 2  # caches left as they were
-    assert validate_plan(res.graph, plan).reason == "district 1 member cache inconsistent"
-    plan.members[1] = set()
+    plan.assignment[(1, "A1")] = 2
+    plan.assignment[(1, "A2")] = 2
     assert validate_plan(res.graph, plan).reason == "district 1 empty"
     plan.assignment[(2, "B1")] = 9
     assert validate_plan(res.graph, plan).reason == "node assigned to unknown district 9"
@@ -223,7 +222,7 @@ def test_plan_row_the_csv_module_cannot_read_rejected():
 @pytest.mark.parametrize("token", ["1: A2", "1 :A2", " 1 : A2 ", "01:A2"])
 def test_neighbor_token_spacing_names_the_same_node(token):
     res = ingest(TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', f'"{token}, 2:B1"'))
-    assert res.graph.nodes[(1, "A1")].neighbors == ((1, "A2"), (2, "B1"))
+    assert res.graph.neighbors((1, "A1")) == ((1, "A2"), (2, "B1"))
     assert res.warnings == ()
 
 
@@ -243,12 +242,8 @@ def _outcome(parse, text):
     except Exception as exc:  # the error type is part of the comparison
         return type(exc), str(exc)
     g, p = res.graph, res.plan
-    nodes = [(k, n.county_name, n.votes, n.neighbors) for k, n in g.nodes.items()]
-    graph = (nodes, g.adj)
-    plan = (
-        list(p.assignment.items()), p.district_ids, list(p.district_votes.items()),
-        [(d, list(m)) for d, m in p.members.items()], p.pop_lo, p.pop_hi,
-    )
+    graph = ([(k, n.county_name, n.votes) for k, n in g.nodes.items()], g.adj)
+    plan = (list(p.assignment.items()), p.district_ids, p.pop_lo, p.pop_hi)
     return graph, plan, res.warnings
 
 
@@ -343,32 +338,31 @@ def _break_plan(rng: random.Random, graph, plan):
     plan = plan.copy()
     key = rng.choice(graph.keys)
     d = plan.assignment[key]
-    kind = rng.randrange(7)
+    kind = rng.randrange(6)
     if kind == 0:
         del plan.assignment[key]
     elif kind == 1:
         plan.assignment[key] = max(plan.district_ids) + 1
     elif kind == 2:  # merge a whole district into another
         other = rng.choice([x for x in plan.district_ids if x != d])
-        for k in list(plan.members[d]):
-            plan.move(graph, k, other)
-    elif kind == 3:  # reassigned without updating the caches
+        for k, x in plan.assignment.items():
+            if x == d:
+                plan.assignment[k] = other
+    elif kind == 3:  # a node moved to any other district
         plan.assignment[key] = rng.choice([x for x in plan.district_ids if x != d])
-    elif kind == 4:
-        plan.district_votes[d] = plan.district_votes[d] + VoteCounts(rng.randint(0, 1), 1)
-    elif kind == 5:  # a node moved to a district it does not touch
+    elif kind == 4:  # a node moved to a district it does not touch
         far = [x for x in plan.district_ids
                if x != d and all(plan.assignment[nb] != x for nb in graph.neighbors(key))]
-        plan.move(graph, key, rng.choice(far))
+        plan.assignment[key] = rng.choice(far)
     else:
         for _ in range(rng.randint(1, 3)):  # boundary moves, then maybe tighter bounds
             k = rng.choice(graph.keys)
             targets = sorted({plan.assignment[nb] for nb in graph.neighbors(k)}
                              - {plan.assignment[k]})
             if targets:
-                plan.move(graph, k, rng.choice(targets))
+                plan.assignment[k] = rng.choice(targets)
         if rng.random() < 0.5:
-            pops = sorted(v.population() for v in plan.district_votes.values())
+            pops = sorted(v.population() for v in district_votes(graph, plan).values())
             plan.pop_lo, plan.pop_hi = rng.choice([(pops[1], pops[-1]), (pops[0], pops[-2])])
     return plan
 
@@ -388,8 +382,6 @@ def test_validate_plan_matches_reference_on_broken_plans():
         "assignment does not cover the graph",
         "node assigned to unknown district N",
         "district N empty",
-        "district N member cache inconsistent",
-        "district N vote cache inconsistent",
         "district N disconnected",
         "district N population N outside [N, N]",
     }, reasons

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from effgap.core import VoteCounts, district_effgap
-from effgap.county import ingest, read_plan_csv, validate_plan, write_plan_csv
+from effgap.county import ingest, plan_stats, read_plan_csv, validate_plan, write_plan_csv
 from effgap.localsearch import (
     MoveRecord,
     ReplicaState,
@@ -59,7 +59,7 @@ class FakeRng:
 def all_single_moves(graph, plan):
     """Every (node, target) with the legality verdict and gap delta."""
     out = []
-    before = plan.scaled_effgap()
+    before = plan_stats(graph, plan).total_scaled_abs
     for node in graph.keys:
         for target in sorted({plan.assignment[nb] for nb in graph.neighbors(node)}):
             if target == plan.assignment[node]:
@@ -68,8 +68,8 @@ def all_single_moves(graph, plan):
             after = None
             if legal:
                 trial = plan.copy()
-                trial.move(graph, node, target)
-                after = trial.scaled_effgap()
+                trial.assignment[node] = target
+                after = plan_stats(graph, trial).total_scaled_abs
             out.append((node, target, legal, before, after))
     return out
 
@@ -141,7 +141,7 @@ def test_run_monotone_and_valid():
         for mv in trace.moves:
             assert mv.after_scaled < mv.before_scaled
             assert mv.before_scaled == last
-            replay.move(res.graph, mv.node, mv.to_district)
+            replay.assignment[mv.node] = mv.to_district
             assert validate_plan(res.graph, replay).ok
             last = mv.after_scaled
         assert last == trace.final_scaled
@@ -183,8 +183,8 @@ def test_permutation_soundness():
 def test_invalid_start_plan_rejected():
     res = ingest(TOY_COUNTY_CSV)
     broken = res.plan.copy()
-    broken.move(res.graph, (1, "A1"), 2)
-    broken.move(res.graph, (1, "A2"), 2)
+    broken.assignment[(1, "A1")] = 2
+    broken.assignment[(1, "A2")] = 2
     with pytest.raises(ValueError, match="invalid starting plan"):
         run(res.graph, broken, SearchConfig(mu=1, k=1))
 
@@ -318,14 +318,15 @@ def test_move_is_legal_matches_full_validation(text, seed):
             source = plan.assignment[node]
             for target in sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source}):
                 verdict = move_is_legal(graph, plan, node, target).ok
-                plan.move(graph, node, target)
+                plan.assignment[node] = target
                 assert verdict == validate_plan(graph, plan).ok, (node, target)
-                plan.move(graph, node, source)
+                plan.assignment[node] = source
                 if verdict:
                     legal.append((node, target))
         if not legal:
             break
-        plan.move(graph, *rng.choice(legal))
+        node, target = rng.choice(legal)
+        plan.assignment[node] = target
     assert validate_plan(graph, plan).ok
 
 
@@ -357,12 +358,12 @@ def _drained_plan(graph, plan, rng, steps):
     for _ in range(len(plan.district_ids)):
         source = rng.choice(plan.district_ids)
         for _ in range(steps):
-            node = rng.choice(sorted(plan.members[source]))
+            node = rng.choice(sorted(k for k, d in plan.assignment.items() if d == source))
             targets = sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source})
             if targets:
                 target = rng.choice(targets)
                 if move_is_legal(graph, plan, node, target).ok:
-                    plan.move(graph, node, target)
+                    plan.assignment[node] = target
     assert validate_plan(graph, plan).ok
     return plan
 
