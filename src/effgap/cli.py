@@ -196,9 +196,9 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         where = f" at {report.witness}" if report.witness is not None else ""
         raise ValueError(f"polygon {report.reason}{where}")
     if args.kappa is not None:
-        if not 2 <= args.kappa <= polygon.size:
-            raise ValueError(f"--kappa must satisfy 2 <= kappa <= {polygon.size}, got {args.kappa}")
         kappa = args.kappa
+    if not 1 <= kappa <= polygon.size:
+        raise ValueError(f"kappa must satisfy 1 <= kappa <= {polygon.size}, got {kappa}")
     partition = None
     summary: dict = {"solver": args.solver, "kappa": kappa}
     if args.solver == "brute":
@@ -260,7 +260,6 @@ def cmd_gen_hardness(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         if "divisible by 4" in str(exc):
             raise ValueError(f"{exc} (hint: pass --scale 4)") from exc
         raise
-    # The summary can fail (the oracle's value limit), so it comes before any output.
     summary = {
         "cells": instance.polygon.size,
         "kappa": instance.kappa,

@@ -10,6 +10,12 @@ up to sign, but reports follow this convention throughout.
 The Neighbors cell holds comma-separated ``district:county_id`` tokens.
 One-sided neighbor listings are symmetrized with a warning, since hand
 curated files commonly have them.
+
+Ingest numbers the nodes in key order and stores the adjacency on those
+numbers.  Every connectivity check (whole graph, initial districts,
+``validate_plan`` and the local search's source check) is one search,
+``_reaches``, over a label list: a node is inside district d when its
+label is d.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import csv
 import functools
 import io
 import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import Collection, Container, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import PlanStats, VoteCounts, total_effgap
 
@@ -60,11 +65,6 @@ class CountyGraph:
     @functools.cached_property
     def index(self) -> dict[NodeKey, int]:
         return dict(zip(self.keys, range(len(self.keys))))
-
-    def connected(self, members: Collection[NodeKey]) -> bool:
-        """Whether the non-empty node set `members` induces a connected subgraph."""
-        within = set(map(self.index.__getitem__, members))
-        return _reaches(self.adj, next(iter(within)), within, (), within)
 
     def neighbors(self, key: NodeKey) -> tuple[NodeKey, ...]:
         """The node's neighbours' keys, in key order."""
@@ -152,18 +152,19 @@ def _parse_neighbor_token(token: str) -> NodeKey:
 
 def _reaches(
     adj: Sequence[Sequence[int]],
+    label: Sequence[int],
+    d: int,
     start: int,
-    within: Container[int],
     excluded: Iterable[int],
     targets: Collection[int],
 ) -> bool:
-    """Whether paths from `start` through `within` reach every node of `targets`.
+    """Whether paths from `start` through the nodes labelled `d` reach every node of `targets`.
 
-    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``.  The
-    search never enters `excluded`.  It runs breadth first and stops as
-    soon as the last target is reached, so a caller whose targets lie a
-    few steps from the start pays for a few levels, not for the whole of
-    `within`.
+    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``, and
+    node i is inside when ``label[i] == d``.  The search never enters
+    `excluded`.  It runs breadth first and stops as soon as the last
+    target is reached, so a caller whose targets lie a few steps from the
+    start pays for a few levels, not for the whole district.
     """
     left = len(targets) - (start in targets)
     seen = {start, *excluded}
@@ -172,7 +173,7 @@ def _reaches(
         next_level = []
         for i in level:
             for nb in adj[i]:
-                if nb in within and nb not in seen:
+                if label[nb] == d and nb not in seen:
                     seen.add(nb)
                     next_level.append(nb)
                     if nb in targets:
@@ -277,13 +278,14 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     }
     graph = CountyGraph(nodes, tuple(tuple(sorted(nbs)) for nbs in neighbor_sets))
 
-    if not graph.connected(keys):
+    if not _reaches(graph.adj, [0] * len(keys), 0, 0, (), range(len(keys))):
         raise IngestError("graph disconnected")
     # Keys are sorted, so each initial district's nodes are one run of them.
-    for d, group in itertools.groupby(keys, operator.itemgetter(0)):
+    label = [d for d, _ in keys]
+    for d, group in itertools.groupby(range(len(keys)), label.__getitem__):
         members = list(group)
-        if not graph.connected(members):
-            member_rows = sorted(row_of[k] for k in members)
+        if not _reaches(graph.adj, label, d, members[0], (), range(members[0], members[-1] + 1)):
+            member_rows = sorted(row_of[keys[i]] for i in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, initial_plan(graph), tuple(warnings))
 
@@ -305,18 +307,21 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     """Full check: cover, non-empty connected districts, population bounds."""
     if set(plan.assignment) != set(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    nodes = graph.nodes
+    nodes, index = graph.nodes, graph.index
     pops = dict.fromkeys(plan.district_ids, 0)
-    assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
+    assigned: dict[int, set[int]] = {d: set() for d in plan.district_ids}
+    label = [0] * len(index)
     for key, d in plan.assignment.items():
         if d not in pops:
             return PlanReport(False, f"node assigned to unknown district {d}")
         pops[d] += nodes[key].votes.population()
-        assigned[d].add(key)
+        i = index[key]
+        label[i] = d
+        assigned[d].add(i)
     for d, members in assigned.items():
         if not members:
             return PlanReport(False, f"district {d} empty")
-        if not graph.connected(members):
+        if not _reaches(graph.adj, label, d, next(iter(members)), (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = pops[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:

@@ -14,12 +14,14 @@ scanned in key order.
 The search works on the graph's node numbers: node i is ``graph.keys[i]``
 and ``graph.adj[i]`` its neighbours, both built by ``ingest``.  A replica
 searches on a ReplicaState, which reads those two tables as they are,
-holds each node's votes as ints, and keeps each district's members, vote
-sums and gap and the plan's signed gap.  A drawn node's source gap is
-computed once and each target's in one step, and an accepted move
-updates the two districts it touches.  Pool workers send back only the
-moves and the final district of each node; the DistrictPlan is built
-once, at the end.
+holds each node's votes as ints, and keeps each node's district, each
+district's vote sums and W, the population of the districts party A
+wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
+node's effect on W in its own district is computed once and each
+target's in one step, and an accepted move updates the two districts it
+touches and W.  Every replica, in process or in a pool worker, gives
+back its moves and final district list; its final gap is that of its
+last move, and its DistrictPlan is built once, at the end.
 
 No worst-case approximation guarantee exists for this kind of strictly
 improving single-node search: adversarial instances stall it arbitrarily
@@ -103,9 +105,9 @@ class RunResult:
     traces: tuple[SearchTrace, ...]
 
 
-def _gap(party_a: int, pop: int) -> int:
-    """``district_effgap`` of a district with these party-A votes and population."""
-    return 4 * party_a - 3 * pop if 2 * party_a >= pop else 4 * party_a - pop
+def _won(party_a: int, pop: int) -> int:
+    """A district's part of W: its population if party A wins it (a tie goes to A), else 0."""
+    return pop if 2 * party_a >= pop else 0
 
 
 class ReplicaState:
@@ -113,13 +115,14 @@ class ReplicaState:
 
     ``keys`` and ``adj`` are the graph's, ``node_a[i]`` and ``node_pop[i]``
     node i's votes, and ``dist[i]`` its district.  Each district keeps its
-    member set, party-A votes, population and ``district_effgap``, and
-    ``signed`` is the sum of those gaps, so a move updates two districts
-    and the sum in O(1).
+    party-A votes and population, and ``won`` is W, the population of the
+    districts party A wins.  By the margin identity the signed gap is
+    ``base - 2 * won`` with ``base = 4A - P``, so a move updates two
+    districts and W in O(1).
     """
 
     __slots__ = ("keys", "adj", "node_a", "node_pop", "district_ids", "pop_lo", "pop_hi",
-                 "dist", "members", "party_a", "pop", "gap", "signed")
+                 "base", "dist", "party_a", "pop", "won")
 
     def __init__(self, graph: CountyGraph, plan: DistrictPlan) -> None:
         votes = [node.votes for node in graph.nodes.values()]
@@ -127,45 +130,39 @@ class ReplicaState:
         self.node_a = tuple(v.party_a for v in votes)
         self.node_pop = tuple(v.population() for v in votes)
         self.district_ids = plan.district_ids
-        self.pop_lo = plan.pop_lo
-        self.pop_hi = plan.pop_hi
-        self._set_dist(list(map(plan.assignment.__getitem__, self.keys)))
+        self.pop_lo, self.pop_hi = plan.pop_lo, plan.pop_hi
+        self.base = 4 * sum(self.node_a) - sum(self.node_pop)
+        self.dist = list(map(plan.assignment.__getitem__, self.keys))
+        self.party_a = dict.fromkeys(self.district_ids, 0)
+        self.pop = dict.fromkeys(self.district_ids, 0)
+        for d, a, p in zip(self.dist, self.node_a, self.node_pop):
+            self.party_a[d] += a
+            self.pop[d] += p
+        self.won = sum(_won(self.party_a[d], self.pop[d]) for d in self.district_ids)
 
-    def _set_dist(self, dist: list[int]) -> None:
-        """Make ``dist`` the districts and recompute every district's sums."""
-        self.dist = dist
-        self.members = members = {d: set() for d in self.district_ids}
-        for i, d in enumerate(dist):
-            members[d].add(i)
-        self.party_a = {d: sum(map(self.node_a.__getitem__, m)) for d, m in members.items()}
-        self.pop = {d: sum(map(self.node_pop.__getitem__, m)) for d, m in members.items()}
-        self.gap = {d: _gap(self.party_a[d], self.pop[d]) for d in self.district_ids}
-        self.signed = sum(self.gap.values())
-
-    def with_dist(self, dist: list[int]) -> "ReplicaState":
-        """The state of the same graph and bounds with ``dist`` as its districts."""
-        state = copy.copy(self)
-        state._set_dist(dist)
-        return state
+    @property
+    def signed(self) -> int:
+        """The plan's signed total gap, scaled by 2: the sum of every ``district_effgap``."""
+        return self.base - 2 * self.won
 
     def source_rejection(self, i: int) -> str | None:
         """Why moving node i out of its district is illegal whatever the target.
 
-        Cheapest first: emptied, then the source population bound, then
-        connectivity.  None when the source side allows the move.
+        Emptied, then the source population bound, then connectivity.
+        None when the source side allows the move.  The district is
+        connected, so i is alone in it exactly when no neighbour is in it.
         """
         dist, adj = self.dist, self.adj
         source = dist[i]
-        members = self.members[source]
-        if len(members) == 1:
+        linked = [j for j in adj[i] if dist[j] == source]
+        if not linked:
             return "district emptied"
         if self.pop[source] - self.node_pop[i] < self.pop_lo:
             return "source below population bound"
-        # The district is connected with i in it, so it stays connected
-        # exactly when one of i's neighbours in it reaches all the others,
-        # which are usually a couple of steps apart.
-        linked = [j for j in adj[i] if dist[j] == source]
-        if not linked or not _reaches(adj, linked[0], members, (i,), linked[1:]):
+        # The district stays connected exactly when one of i's neighbours
+        # in it reaches all the others, which are usually a couple of
+        # steps apart.
+        if not _reaches(adj, dist, source, linked[0], (i,), linked[1:]):
             return "source disconnected"
         return None
 
@@ -174,17 +171,16 @@ class ReplicaState:
         source = self.dist[i]
         a, p = self.node_a[i], self.node_pop[i]
         self.dist[i] = target
-        self.members[source].remove(i)
-        self.members[target].add(i)
         for d, da, dp in ((source, -a, -p), (target, a, p)):
+            self.won -= _won(self.party_a[d], self.pop[d])
             self.party_a[d] += da
             self.pop[d] += dp
-            gap = _gap(self.party_a[d], self.pop[d])
-            self.signed += gap - self.gap[d]
-            self.gap[d] = gap
+            self.won += _won(self.party_a[d], self.pop[d])
 
-    def to_plan(self) -> DistrictPlan:
-        return DistrictPlan(dict(zip(self.keys, self.dist)), self.district_ids, self.pop_lo, self.pop_hi)
+    def to_plan(self, dist: list[int] | None = None) -> DistrictPlan:
+        """The plan with ``dist`` (by default this state's) as its districts."""
+        assignment = dict(zip(self.keys, self.dist if dist is None else dist))
+        return DistrictPlan(assignment, self.district_ids, self.pop_lo, self.pop_hi)
 
 
 def move_is_legal(
@@ -235,7 +231,7 @@ def run_iteration(
     if r == 0:
         return []
     dist, adj, node_a, node_pop = state.dist, state.adj, state.node_a, state.node_pop
-    party_a, pop, gap = state.party_a, state.pop, state.gap
+    party_a, pop, base = state.party_a, state.pop, state.base
     n = len(dist)
     records = []
     for i in rng.choice(n, size=min(r, n), replace=False).tolist():
@@ -251,14 +247,15 @@ def run_iteration(
         a, p = node_a[i], node_pop[i]
         room = state.pop_hi - p
         before_abs = abs(state.signed)
-        # The signed gap with i taken out of its district; each target adds its own change.
-        without = state.signed - gap[source] + _gap(party_a[source] - a, pop[source] - p)
+        # W with i taken out of its district; each target adds its own change.
+        without = state.won - _won(party_a[source], pop[source]) + _won(party_a[source] - a, pop[source] - p)
         best_signed = best_target = None
         for j in neighbors:  # key order
             target = dist[j]
             if target == source or pop[target] > room:
                 continue
-            new_signed = without - gap[target] + _gap(party_a[target] + a, pop[target] + p)
+            ta, tp = party_a[target], pop[target]
+            new_signed = base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p))
             if abs(new_signed) >= before_abs:
                 continue
             if best_target is None or abs(new_signed) < abs(best_signed):
@@ -275,18 +272,19 @@ def run_iteration(
 
 def _run_replica(
     state0: ReplicaState, cfg: SearchConfig, replica: int
-) -> tuple[tuple[MoveRecord, ...], ReplicaState, float]:
-    """(accepted moves, final state, wall time) of one replica."""
+) -> tuple[tuple[MoveRecord, ...], list[int], float]:
+    """(accepted moves, final district of each node, wall time) of one replica."""
     import numpy as np  # deferred: only local search needs it, and it dominates import time
 
     started = time.perf_counter()
     seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = state0.with_dist(list(state0.dist))
+    state = copy.copy(state0)
+    state.dist, state.party_a, state.pop = list(state0.dist), dict(state0.party_a), dict(state0.pop)
     moves: list[MoveRecord] = []
     for iteration in range(cfg.mu):
         moves.extend(run_iteration(state, rng, iteration, cfg.k, cfg.best_improvement))
-    return tuple(moves), state, time.perf_counter() - started
+    return tuple(moves), state.dist, time.perf_counter() - started
 
 
 # A pool worker's search inputs, set once per worker process by
@@ -300,9 +298,7 @@ def _init_worker(state0: ReplicaState, cfg: SearchConfig) -> None:
 
 
 def _run_worker_replica(replica: int) -> tuple[tuple[MoveRecord, ...], list[int], float]:
-    """A replica run in a pool worker; only the final ``dist`` list goes back."""
-    moves, state, wall_time = _run_replica(*_worker_inputs, replica)
-    return moves, state.dist, wall_time
+    return _run_replica(*_worker_inputs, replica)
 
 
 def run(
@@ -313,10 +309,10 @@ def run(
     Replica streams are spawned from the root seed, so results are
     reproducible and independent of scheduling; ties between replicas go
     to the lower index.  The starting state is built once, on the graph's
-    node numbers, and each replica copies only its ``dist`` list.  Pool
-    workers receive the state and config once each, when they start; each
-    task carries only a replica index and returns the moves and the final
-    ``dist`` list, from which the plan is built here.
+    node numbers, and each replica copies its district list and sums.
+    Pool workers receive the state and config once each, when they start.
+    Either way a replica gives back its moves and final district list;
+    its final gap is that of its last move, and its plan is built here.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -332,16 +328,14 @@ def run(
             initializer=_init_worker,
             initargs=(state0, cfg),
         ) as pool:
-            results = [
-                (moves, state0.with_dist(dist), wall_time)
-                for moves, dist, wall_time in pool.map(_run_worker_replica, range(cfg.replicas))
-            ]
+            results = list(pool.map(_run_worker_replica, range(cfg.replicas)))
     else:
         results = [_run_replica(state0, cfg, i) for i in range(cfg.replicas)]
     initial = abs(state0.signed)
     traces = tuple(
-        SearchTrace(i, cfg.seed, initial, abs(state.signed), moves, state.to_plan(), wall_time)
-        for i, (moves, state, wall_time) in enumerate(results)
+        SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves,
+                    state0.to_plan(dist), wall_time)
+        for i, (moves, dist, wall_time) in enumerate(results)
     )
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))
     return RunResult(traces[best].final_plan, best, traces)

@@ -227,7 +227,7 @@ def test_solve_kappa_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["brute", "yconvex"])
-@pytest.mark.parametrize("kappa", [0, 1, 5])
+@pytest.mark.parametrize("kappa", [0, 5])
 def test_solve_kappa_override_out_of_range(tmp_path, capsys, solver, kappa):
     grid = tmp_path / "grid.txt"
     grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
@@ -236,8 +236,32 @@ def test_solve_kappa_override_out_of_range(tmp_path, capsys, solver, kappa):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --kappa must satisfy 2 <= kappa <= 4, got {kappa}\n"
+    assert captured.err == f"error: kappa must satisfy 1 <= kappa <= 4, got {kappa}\n"
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+@pytest.mark.parametrize("kappa", [0, 5])
+def test_solve_header_kappa_out_of_range(tmp_path, capsys, solver, kappa):
+    """A header kappa outside 1..|P| fails as --kappa does, not as an infeasible instance."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"2 2 {kappa}\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+    manifest = tmp_path / "run.json"
+    assert main(["--manifest", str(manifest), "solve", str(grid), "--solver", solver]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: kappa must satisfy 1 <= kappa <= 4, got {kappa}\n"
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+def test_solve_kappa_override_one(tmp_path, capsys, solver):
+    """--kappa 1 solves, as a header kappa of 1 does."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+    assert main(["solve", str(grid), "--solver", solver, "--kappa", "1"]) == 0
+    # One district holding everything: A=2, B=2, a tie, gap = |4*2 - 3*4| = 4.
+    assert "value (scaled by 2): 4" in capsys.readouterr().out
 
 
 def test_solve_kappa_override_replaces_header(tmp_path, capsys):
@@ -327,14 +351,26 @@ def test_gen_hardness_divisibility_hint(capsys):
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["-o", "stdout"])
 def test_gen_hardness_failure_writes_nothing(tmp_path, capsys, to_file):
-    """Past the subset-sum oracle's 30 values the command fails before any output."""
+    """Values the gadget cannot take fail before any output."""
     out = tmp_path / "gadget.txt"
-    argv = ["gen-hardness", *["4"] * 31] + (["-o", str(out)] if to_file else [])
+    argv = ["gen-hardness", "10", "30"] + (["-o", str(out)] if to_file else [])
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: subset-sum oracle limited to 30 values\n"
+    assert captured.err == "error: value 10 not divisible by 4; scale inputs by 4 (hint: pass --scale 4)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count, split", [(31, False), (32, True)])
+def test_gen_hardness_equal_split_past_30_values(tmp_path, capsys, count, split):
+    """The subset-sum oracle takes any number of values: 31 fours total 124,
+    whose half 62 no set of fours makes; 32 fours split 16 and 16."""
+    out, manifest = tmp_path / "gadget.txt", tmp_path / "run.json"
+    assert main(["--manifest", str(manifest), "gen-hardness", *["4"] * count, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    result = json.loads(manifest.read_text())["result"]
+    assert result["has_equal_split"] is split and result["values_total"] == 4 * count
+    assert read_instance(out.read_text())[1] == 2
 
 
 def test_solve_canonical_subcommand(tmp_path, capsys):

@@ -6,13 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from effgap.core import VoteCounts, district_effgap
-from effgap.county import ingest, plan_stats, read_plan_csv, validate_plan, write_plan_csv
+from effgap.core import district_effgap
+from effgap.county import district_votes, ingest, plan_stats, read_plan_csv, validate_plan, write_plan_csv
 from effgap.localsearch import (
     MoveRecord,
     ReplicaState,
     SearchConfig,
-    _gap,
     move_is_legal,
     run,
     run_iteration,
@@ -195,6 +194,13 @@ def test_k_must_be_below_node_count():
         run(res.graph, res.plan, SearchConfig(mu=1, k=4))
 
 
+def assert_final_gaps_match_plans(graph, *results):
+    """Every replica's final gap is its final plan's, moves or no moves."""
+    for result in results:
+        for trace in result.traces:
+            assert trace.final_scaled == plan_stats(graph, trace.final_plan).total_scaled_abs
+
+
 def test_parallel_replicas_match_sequential():
     res = ingest(SIX_NODE_CSV)
     cfg = SearchConfig(mu=8, k=4, seed=11, replicas=3)
@@ -204,6 +210,7 @@ def test_parallel_replicas_match_sequential():
     assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
     assert seq.best_plan == par.best_plan
+    assert_final_gaps_match_plans(res.graph, seq, par)
 
 
 def test_best_improvement_mode_runs():
@@ -339,12 +346,7 @@ def test_parallel_replicas_match_sequential_on_state():
     assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
     assert seq.best_plan == par.best_plan
-
-
-def test_gap_matches_district_effgap():
-    for a in range(12):
-        for b in range(12):
-            assert _gap(a, a + b) == district_effgap(VoteCounts(a, b)), (a, b)
+    assert_final_gaps_match_plans(res.graph, seq, par)
 
 
 def _drained_plan(graph, plan, rng, steps):
@@ -419,3 +421,36 @@ def test_search_matches_dict_based_reference():
                     runs += 1
                     accepted += sum(len(t.moves) for t in want)
     assert runs >= 200 and accepted >= 500, (runs, accepted)
+
+
+def test_state_gap_is_sum_of_district_effgaps():
+    """The signed gap the state carries, 4A - P - 2W, equals the sum of
+    ``district_effgap`` over the plan's districts, at the start and after
+    every legal move, on ingested and drained plans, tie districts included."""
+    plans = ties = moves = 0
+    for name, make in DIFFERENTIAL_GRAPHS.items():
+        res = ingest(make())
+        graph = res.graph
+        rng = random.Random(name)
+        for plan in [res.plan] + [_drained_plan(graph, res.plan, rng, 12) for _ in range(2)]:
+            state = ReplicaState(graph, plan)
+            votes = district_votes(graph, plan).values()
+            assert state.signed == sum(map(district_effgap, votes)), name
+            ties += sum(2 * v.party_a == v.population() for v in votes)
+            plans += 1
+            for _ in range(60):
+                i = rng.randrange(len(graph.keys))
+                targets = sorted({state.dist[j] for j in graph.adj[i]} - {state.dist[i]})
+                if not targets or state.source_rejection(i) is not None:
+                    continue
+                target = rng.choice(targets)
+                if state.pop[target] + state.node_pop[i] > state.pop_hi:
+                    continue
+                state.move(i, target)
+                moved = state.to_plan()
+                assert validate_plan(graph, moved).ok
+                votes = district_votes(graph, moved).values()
+                assert state.signed == sum(map(district_effgap, votes)), (name, i, target)
+                ties += sum(2 * v.party_a == v.population() for v in votes)
+                moves += 1
+    assert plans == 3 * len(DIFFERENTIAL_GRAPHS) and ties and moves >= 200, (plans, ties, moves)
