@@ -4,8 +4,10 @@ Every invocation emits one run manifest (JSON) describing the command,
 input digests, configuration, tool version and result summary; a
 manifest plus the inputs reproduces the run.  Manifests go to stderr by
 default so stdout stays byte-stable for diffing; ``--manifest`` redirects
-them to a file.  Percentages print with two decimals; ``--exact`` adds
-the underlying rationals.
+them to a file.  A command writes its output files and the manifest
+file before it prints anything, so a failed command leaves stdout empty.
+Percentages print with two decimals; ``--exact`` adds the underlying
+rationals.
 """
 
 from __future__ import annotations
@@ -70,14 +72,6 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _emit_manifest(args: argparse.Namespace, manifest: dict) -> None:
-    text = json.dumps(manifest, sort_keys=True)
-    if getattr(args, "manifest", None):
-        Path(args.manifest).write_text(text + "\n")
-    else:
-        print(text, file=sys.stderr)
-
-
 def _ingest_path(path: Path):
     result = ingest(path.read_text())
     for warning in result.warnings:
@@ -85,7 +79,7 @@ def _ingest_path(path: Path):
     return result
 
 
-def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     data_path = _resolve(args.data)
     result = _ingest_path(data_path)
     graph, plan = result.graph, result.plan
@@ -131,14 +125,13 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     if args.exact:
         out.append(f"exact normalized gap: {stats.normalized}")
         out.append(f"total gap (scaled by 2): {stats.total_scaled_abs}")
-    print("\n".join(out))
     summary = {
         "normalized_bp": str(round(stats.normalized * 10000)),
         "seats_a": stats.seats_a,
         "seats_b": stats.seats_b,
         "total_scaled_abs": stats.total_scaled_abs,
     }
-    return 0, summary, inputs
+    return 0, {"result": summary}, inputs, "\n".join(out) + "\n"
 
 
 def _usable_cpus() -> int:
@@ -148,7 +141,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     if args.jobs < 0:
         raise ValueError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
     data_path = _resolve(args.data)
@@ -174,7 +167,6 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     )
     if args.exact:
         out.append(f"exact normalized gap: original {before.normalized}, new {after.normalized}")
-    print("\n".join(out))
     if args.plan_out:
         Path(args.plan_out).write_text(write_plan_csv(run_result.best_plan))
     if args.trace_out:
@@ -185,10 +177,11 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         "best_replica": run_result.best_replica,
         "rng": RNG_ALGORITHM,
     }
-    return 0, summary, [data_path]
+    fields = {"result": summary, "replica_wall_s": [round(t.wall_time, 6) for t in run_result.traces]}
+    return 0, fields, [data_path], "\n".join(out) + "\n"
 
 
-def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     grid_path = _resolve(args.grid)
     polygon, kappa = read_instance(grid_path.read_text())
     report = validate_polygon(polygon)
@@ -201,6 +194,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         raise ValueError(f"kappa must satisfy 1 <= kappa <= {polygon.size}, got {kappa}")
     partition = None
     summary: dict = {"solver": args.solver, "kappa": kappa}
+    out = []
     if args.solver == "brute":
         mode = "near" if args.delta_near is not None else "exact"
         try:
@@ -209,20 +203,18 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
             )
         except OracleLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1, summary, [grid_path]
+            return 1, {"result": summary}, [grid_path], ""
         if not res.feasible:
-            print("status: infeasible")
             summary["status"] = "infeasible"
-            return 2, summary, [grid_path]
+            return 2, {"result": summary}, [grid_path], "status: infeasible\n"
         value = res.value
         partition = res.partitions[0]
         summary["optima"] = len(res.partitions)
     elif args.solver == "yconvex":
         res = solve_yconvex(polygon, kappa)
         if not res.feasible:
-            print("status: infeasible")
             summary["status"] = "infeasible"
-            return 2, summary, [grid_path]
+            return 2, {"result": summary}, [grid_path], "status: infeasible\n"
         value = res.value
         partition = res.partition
     elif args.solver == "canonical":
@@ -235,24 +227,22 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
         summary["delta_bound"] = str(res.delta_bound)
         summary["source"] = res.plan.source
         summary["canonical"] = {name: asdict(c) for name, c in res.passes.items()}
-        print(f"nearness achieved: {res.delta_achieved} (bound {res.delta_bound})")
+        out.append(f"nearness achieved: {res.delta_achieved} (bound {res.delta_bound})")
         if res.stability is not None:
-            print(f"stability ratio: {res.stability}")
+            out.append(f"stability ratio: {res.stability}")
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown solver {args.solver}")
-    print("status: optimal")
-    print(f"value (scaled by 2): {value}")
-    print(f"value: {format_half(value)}")
+    out += ["status: optimal", f"value (scaled by 2): {value}", f"value: {format_half(value)}"]
     if args.exact:
-        print(f"exact value: {Fraction(value, 2)}")
+        out.append(f"exact value: {Fraction(value, 2)}")
     if args.plan_out and partition is not None:
         Path(args.plan_out).write_text(write_partition(partition))
     summary["status"] = "optimal"
     summary["value_scaled"] = value
-    return 0, summary, [grid_path]
+    return 0, {"result": summary}, [grid_path], "\n".join(out) + "\n"
 
 
-def cmd_gen_hardness(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+def cmd_gen_hardness(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     values = [v * args.scale for v in args.values]
     try:
         instance = gen_hardness_instance(values, args.decoys, args.seed)
@@ -269,18 +259,15 @@ def cmd_gen_hardness(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
     text = write_instance(instance.polygon, instance.kappa)
     if args.output:
         Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0, summary, []
+    return 0, {"result": summary}, [], "" if args.output else text
 
 
-def cmd_synth_data(args: argparse.Namespace) -> tuple[int, dict, list[Path]]:
+def cmd_synth_data(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     text = synth_state_csv(args.state, args.seed)
     if args.output:
         Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0, {"state": args.state, "rows": text.count("\n") - 1}, []
+    summary = {"state": args.state, "rows": text.count("\n") - 1}
+    return 0, {"result": summary}, [], "" if args.output else text
 
 
 def _fraction(text: str) -> Fraction:
@@ -313,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20, help="per-iteration node budget (default 20)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
-                   help="replica worker processes (default 1, in-process); "
+                   help="processes running the replicas, this one included: N starts "
+                        "N - 1 workers (default 1, in-process); "
                         "0 = one per CPU this process may use")
     p.add_argument("--best-improvement", action="store_true")
     p.add_argument("--plan-out")
@@ -353,27 +341,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.perf_counter()
-    try:
-        code, summary, inputs = args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     config = {
         k: (str(v) if isinstance(v, Fraction) else v)
         for k, v in vars(args).items()
         if k not in {"func", "manifest"} and not callable(v)
     }
-    manifest = {
-        "command": args.command,
-        "config": config,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        "result": summary,
-        "rng": RNG_ALGORITHM,
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    _emit_manifest(args, manifest)
+    started = time.perf_counter()
+    try:
+        # A command returns its exit code, its manifest fields ("result"
+        # and any of its own), its input paths and its stdout text.
+        code, fields, inputs, stdout = args.func(args)
+        manifest = json.dumps({
+            "command": args.command,
+            "config": config,
+            "inputs": {str(p): _digest(p) for p in inputs},
+            **fields,
+            "rng": RNG_ALGORITHM,
+            "version": __version__,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        }, sort_keys=True)
+        if args.manifest:
+            Path(args.manifest).write_text(manifest + "\n")
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(stdout)
+    if not args.manifest:
+        print(manifest, file=sys.stderr)
     return code
 
 

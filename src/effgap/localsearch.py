@@ -19,9 +19,16 @@ district's vote sums and W, the population of the districts party A
 wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
 node's effect on W in its own district is computed once and each
 target's in one step, and an accepted move updates the two districts it
-touches and W.  Every replica, in process or in a pool worker, gives
-back its moves and final district list; its final gap is that of its
-last move, and its DistrictPlan is built once, at the end.
+touches and W.  Every replica gives back its moves and final district
+list; its final gap is that of its last move, and its DistrictPlan is
+built once, at the end.
+
+With ``jobs`` = N > 1 processes, the calling process is one of them: it
+runs replicas 0, N, 2N, ...  Each of N - 1 worker processes, started
+without a pool, runs replicas w, w + N, ... and sends their results
+back once through its own one-way pipe.  A replica's result depends
+only on the starting state, the settings and its index, so the split
+never changes the output.
 
 No worst-case approximation guarantee exists for this kind of strictly
 improving single-node search: adversarial instances stall it arbitrarily
@@ -287,32 +294,80 @@ def _run_replica(
     return tuple(moves), state.dist, time.perf_counter() - started
 
 
-# A pool worker's search inputs, set once per worker process by
-# _init_worker so that each task carries only its replica index.
-_worker_inputs: tuple[ReplicaState, SearchConfig] | None = None
+def _run_share(
+    state0: ReplicaState, cfg: SearchConfig, first: int, step: int
+) -> list[tuple[tuple[MoveRecord, ...], list[int], float]]:
+    """``_run_replica`` of replicas first, first + step, first + 2 * step, ..."""
+    return [_run_replica(state0, cfg, i) for i in range(first, cfg.replicas, step)]
 
 
-def _init_worker(state0: ReplicaState, cfg: SearchConfig) -> None:
-    global _worker_inputs
-    _worker_inputs = (state0, cfg)
+def _worker(state0: ReplicaState, cfg: SearchConfig, first: int, step: int, conn) -> None:
+    """A worker process's whole life: run its share, then send it, or its exception, once."""
+    try:
+        share = _run_share(state0, cfg, first, step)
+    except Exception as exc:
+        share = exc
+    conn.send(share)
+    conn.close()
 
 
-def _run_worker_replica(replica: int) -> tuple[tuple[MoveRecord, ...], list[int], float]:
-    return _run_replica(*_worker_inputs, replica)
+def _run_replicas(
+    state0: ReplicaState, cfg: SearchConfig, jobs: int
+) -> list[tuple[tuple[MoveRecord, ...], list[int], float]]:
+    """Every replica's ``_run_replica`` result, in replica order, from ``jobs`` processes.
+
+    The calling process runs its share while the workers run theirs.  A
+    worker's exception is re-raised here, a worker that dies without
+    sending is a RuntimeError, and no worker outlives this call.
+    """
+    jobs = max(1, min(jobs, cfg.replicas))
+    if jobs > 1:
+        import multiprocessing  # deferred like numpy: a one-process run never needs it
+    results: list = [None] * cfg.replicas
+    workers = []
+    try:
+        for w in range(1, jobs):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_worker, args=(state0, cfg, w, jobs, send))
+            try:
+                proc.start()
+            finally:
+                send.close()  # the worker's is then the only copy, so its death reads as EOF
+            workers.append((proc, recv))
+        results[::jobs] = _run_share(state0, cfg, 0, jobs)
+        for w, (proc, recv) in enumerate(workers, 1):
+            try:
+                share = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"replica worker {w} exited with code {proc.exitcode} without sending its replicas"
+                ) from None
+            if isinstance(share, BaseException):
+                raise share
+            results[w::jobs] = share
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    return results
 
 
 def run(
     graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig, jobs: int = 1
 ) -> RunResult:
-    """Best plan over seeded replicas.
+    """Best plan over seeded replicas, run on ``jobs`` processes (the caller counts).
 
     Replica streams are spawned from the root seed, so results are
     reproducible and independent of scheduling; ties between replicas go
     to the lower index.  The starting state is built once, on the graph's
     node numbers, and each replica copies its district list and sums.
-    Pool workers receive the state and config once each, when they start.
-    Either way a replica gives back its moves and final district list;
-    its final gap is that of its last move, and its plan is built here.
+    Worker processes receive the state and config once, when they start.
+    Wherever it runs, a replica gives back its moves and final district
+    list; its final gap is that of its last move, and its plan is built
+    here.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -320,17 +375,7 @@ def run(
     if not cfg.k < len(graph.nodes):
         raise ValueError("k must be smaller than the number of nodes")
     state0 = ReplicaState(graph, plan0)
-    if jobs > 1 and cfg.replicas > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, cfg.replicas),
-            initializer=_init_worker,
-            initargs=(state0, cfg),
-        ) as pool:
-            results = list(pool.map(_run_worker_replica, range(cfg.replicas)))
-    else:
-        results = [_run_replica(state0, cfg, i) for i in range(cfg.replicas)]
+    results = _run_replicas(state0, cfg, jobs)
     initial = abs(state0.signed)
     traces = tuple(
         SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves,

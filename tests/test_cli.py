@@ -65,13 +65,15 @@ def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, 
     assert cli._usable_cpus() == 64
 
 
-def test_importing_the_cli_does_not_import_numpy():
-    """Only local search needs numpy, so every other command starts without it."""
-    code = "import sys, effgap.cli; print('numpy' in sys.modules)"
+def test_importing_the_cli_loads_no_search_only_module():
+    """Only local search needs numpy, and only its worker processes need
+    multiprocessing, so every other command starts without them."""
+    search_only = ("numpy", "multiprocessing", "concurrent.futures")
+    code = f"import sys, effgap.cli; print([m for m in {search_only!r} if m in sys.modules])"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_stats_command(toy_file, capsys):
@@ -194,6 +196,60 @@ def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):
     assert first == second
     assert trace1 == trace2
     assert "original" in first and "new" in first
+
+
+def test_localsearch_manifest_lists_replica_wall_times(tmp_path, capsys):
+    """The manifest gains one wall time per replica; stdout does not change."""
+    data, manifest = tmp_path / "grid.csv", tmp_path / "run.json"
+    data.write_text(county_grid_csv(1, 8, 2))
+    argv = ["localsearch", str(data), "--k", "5", "--mu", "30", "--seed", "4", "--replicas", "3"]
+    for jobs in ("1", "2"):
+        assert main(["--manifest", str(manifest), *argv, "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == (
+            "            seats-D  seats-R   normalized gap\n"
+            "original          3        1          23.56 %\n"
+            "new               3        1           9.69 %\n"
+            "best replica: 1 of 3; accepted moves: 9\n"
+        )
+        fields = json.loads(manifest.read_text())
+        assert len(fields["replica_wall_s"]) == 3
+        assert all(t > 0 for t in fields["replica_wall_s"])
+        assert "replica_wall_s" not in fields["result"]
+
+
+def _command_argv(command, tmp_path, toy_file):
+    if command == "solve":
+        grid = tmp_path / "grid.txt"
+        grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+        return ["solve", str(grid)]
+    if command == "localsearch":
+        return ["localsearch", str(toy_file), "--k", "3", "--mu", "5"]
+    return ["stats", str(toy_file)]
+
+
+@pytest.mark.parametrize("command", ["stats", "localsearch", "solve"])
+def test_unwritable_manifest_is_a_one_line_error(tmp_path, toy_file, capsys, command):
+    manifest = tmp_path / "missing" / "run.json"
+    assert main(["--manifest", str(manifest), *_command_argv(command, tmp_path, toy_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(manifest) in captured.err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("localsearch", "--plan-out"), ("localsearch", "--trace-out"), ("solve", "--plan-out"),
+])
+def test_failed_output_write_prints_no_report(tmp_path, toy_file, capsys, command, option):
+    """The output files are written before the report, so a failed write leaves stdout empty."""
+    target = tmp_path / "missing" / "out.txt"
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), *_command_argv(command, tmp_path, toy_file), option, str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not manifest.exists()
 
 
 def test_localsearch_negative_jobs_rejected(toy_file, tmp_path, capsys):

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import io
+import multiprocessing
+import os
 import random
+import time
 
 import numpy as np
 import pytest
 
+from effgap import localsearch
 from effgap.core import district_effgap
 from effgap.county import district_votes, ingest, plan_stats, read_plan_csv, validate_plan, write_plan_csv
 from effgap.localsearch import (
@@ -38,6 +42,12 @@ District,County_id,County,Republicans,Democrats,Neighbors
 1,z,Z,1,1,"1:y"
 2,w,W,1,1,"1:y"
 """
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class FakeRng:
@@ -347,6 +357,81 @@ def test_parallel_replicas_match_sequential_on_state():
     assert seq.best_replica == par.best_replica
     assert seq.best_plan == par.best_plan
     assert_final_gaps_match_plans(res.graph, seq, par)
+
+
+@pytest.mark.parametrize("replicas, jobs", [(5, 2), (5, 3), (2, 4)])
+def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
+    """Each process runs every jobs-th replica, and the results come back in replica order."""
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfg = SearchConfig(mu=30, k=5, seed=4, replicas=replicas)
+    seq = run(res.graph, res.plan, cfg, jobs=1)
+    assert len({t.moves for t in seq.traces}) == replicas  # a misplaced share shows
+    started = []
+    real_start = multiprocessing.Process.start
+
+    def counting_start(proc):
+        started.append(proc)
+        real_start(proc)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    par = run(res.graph, res.plan, cfg, jobs=jobs)
+    assert len(started) == min(jobs, replicas) - 1  # the caller is one of the jobs
+    assert multiprocessing.active_children() == []
+    assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
+    assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
+    assert seq.best_replica == par.best_replica
+    assert seq.best_plan == par.best_plan
+
+
+# A patch of the module reaches worker processes only when they are forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the start method is not fork"
+)
+
+
+@needs_fork
+def test_worker_exception_is_raised_in_the_caller(monkeypatch):
+    real_replica = localsearch._run_replica
+
+    def failing(state0, cfg, replica):
+        if replica == 1:  # worker 1's share at jobs=2
+            raise ValueError("replica 1 failed")
+        return real_replica(state0, cfg, replica)
+
+    monkeypatch.setattr(localsearch, "_run_replica", failing)
+    res = ingest(SIX_NODE_CSV)
+    with pytest.raises(ValueError, match="replica 1 failed"):
+        run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=4), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_that_dies_without_sending_is_an_error(monkeypatch):
+    """The caller holds no copy of a worker's send end, so its death reads as end of file."""
+    monkeypatch.setattr(localsearch, "_worker", lambda *args: os._exit(3))
+    res = ingest(SIX_NODE_CSV)
+    with pytest.raises(RuntimeError, match="replica worker 1 exited with code 3 without sending"):
+        run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=2), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_caller_failure_terminates_the_workers(monkeypatch):
+    real_replica = localsearch._run_replica
+
+    def slow_or_failing(state0, cfg, replica):
+        if replica == 0:  # the caller's share
+            raise ValueError("replica 0 failed")
+        time.sleep(60)
+        return real_replica(state0, cfg, replica)
+
+    monkeypatch.setattr(localsearch, "_run_replica", slow_or_failing)
+    res = ingest(SIX_NODE_CSV)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="replica 0 failed"):
+        run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=3), jobs=3)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - started < 30  # terminated, not waited for
 
 
 def _drained_plan(graph, plan, rng, steps):
