@@ -20,6 +20,7 @@ from .grid import (
     brute_force_opt,
     enumerate_equipartitions,
     gen_hardness_instance,
+    population_window,
     read_instance,
     subset_sum_oracle,
     validate_partition,
@@ -54,6 +55,7 @@ __all__ = [
     "ingest",
     "margin_identity",
     "plan_stats",
+    "population_window",
     "read_instance",
     "run",
     "solve_canonical",

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .core import VoteCounts, district_effgap
 from .grid import (
-    Cell, GridPartition, GridPolygon, _MaskIndex, _masks_to_partition, _population_bounds,
+    Cell, GridPartition, GridPolygon, _MaskIndex, _masks_to_partition, population_window,
 )
 
 MAX_BLOCK_SIDE = 5  # interior subset enumeration is exponential in t*t
@@ -408,7 +408,7 @@ def solve_two_near_stable(
         max_cell_pop = max(v.population() for v in p.votes.values())
     pop = p.total_votes().population()
     delta_bound = epsilon * max_cell_pop
-    window = _population_bounds(pop, 2, "near", delta_bound)
+    window = population_window(pop, 2, delta_bound)
 
     decomp = build_decomposition(p, t)
     idx = _MaskIndex(p)

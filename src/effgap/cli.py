@@ -29,6 +29,7 @@ from .grid import (
     OracleLimitError,
     brute_force_opt,
     gen_hardness_instance,
+    population_window,
     read_instance,
     subset_sum_oracle,
     validate_polygon,
@@ -182,6 +183,8 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
+    if args.delta_near is not None and args.solver != "brute":
+        raise ValueError("--delta-near applies to the brute solver only")
     grid_path = _resolve(args.grid)
     polygon, kappa = read_instance(grid_path.read_text())
     report = validate_polygon(polygon)
@@ -196,11 +199,11 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     summary: dict = {"solver": args.solver, "kappa": kappa}
     out = []
     if args.solver == "brute":
-        mode = "near" if args.delta_near is not None else "exact"
+        window = None
+        if args.delta_near is not None:
+            window = population_window(polygon.total_votes().population(), kappa, args.delta_near)
         try:
-            res = brute_force_opt(
-                polygon, kappa, mode=mode, delta=args.delta_near, cell_limit=args.oracle_limit
-            )
+            res = brute_force_opt(polygon, kappa, window, cell_limit=args.oracle_limit)
         except OracleLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1, {"result": summary}, [grid_path], ""
@@ -313,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--solver", choices=["brute", "yconvex", "canonical"], default="brute")
     p.add_argument("--kappa", type=int, help="override the file header's district count")
-    p.add_argument("--delta-near", type=_fraction, help="population slack for near mode")
+    p.add_argument("--delta-near", type=_fraction,
+                   help="brute solver only: each district may hold between 1/kappa - delta "
+                        "and 1/kappa + delta of the population, not exactly 1/kappa")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 3),
                    help="canonical accuracy parameter; the block side is ceil(1/epsilon) "
                         "(default 1/3)")

@@ -2,10 +2,12 @@
 and the adversarial hardness-instance generator.
 
 Cells are (row, col) pairs on an m x n unit grid.  Polygons must be
-4-connected and hole-free.  The oracle enumerates every connected
-kappa-partition meeting a population mode, so it is the ground truth the
-other solvers are checked against; it is only meant for desk-scale
-instances (the default cap is 14 cells).
+4-connected and hole-free.  A population constraint is one integer window
+[lo, hi] on every district's population, from ``population_window``:
+exact (total / kappa) unless a slack delta is given.  The oracle
+enumerates every connected kappa-partition inside a window, so it is the
+ground truth the other solvers are checked against; it is only meant for
+desk-scale instances (the default cap is 14 cells).
 
 The oracle, the polygon and partition checks and the canonical solver work
 on bitmasks laid out like the grid: cell (r, c) is bit r * width + c of the
@@ -17,6 +19,7 @@ by the width.  ``_MaskIndex.flood`` is the one connectivity routine.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -174,41 +177,36 @@ def validate_polygon(p: GridPolygon) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _population_bounds(
-    total_pop: int, kappa: int, mode: str, delta: Fraction | None
-) -> tuple[int, int]:
-    """Integer [lo, hi] a district population must satisfy under the mode."""
-    if mode == "exact":
-        if total_pop % kappa != 0:
-            # No integer district population can satisfy exact equality.
+def population_window(total_pop: int, kappa: int, delta: Fraction | None = None) -> tuple[int, int]:
+    """Integer [lo, hi] every district population must lie in.
+
+    With no delta the split is exact: the window is total_pop / kappa
+    alone, or the empty (1, 0) when kappa does not divide the total.  A
+    delta gives the near window from (1/kappa - delta) * total_pop to
+    (1/kappa + delta) * total_pop, rounded inward and clipped to
+    [0, total_pop].
+    """
+    if delta is None:
+        if total_pop % kappa:
             return 1, 0
-        target = total_pop // kappa
-        return target, target
-    if mode == "near":
-        if delta is None or delta < 0:
-            raise ValueError("near mode needs a non-negative delta")
-        lo = Fraction(1, kappa) - delta
-        hi = Fraction(1, kappa) + delta
-        lo_int = max(0, -(-(lo.numerator * total_pop) // lo.denominator)) if lo > 0 else 0
-        hi_frac = hi * total_pop
-        hi_int = hi_frac.numerator // hi_frac.denominator
-        return lo_int, min(hi_int, total_pop)
-    raise ValueError(f"unknown population mode {mode!r}")
+        return total_pop // kappa, total_pop // kappa
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    lo = (Fraction(1, kappa) - delta) * total_pop
+    hi = (Fraction(1, kappa) + delta) * total_pop
+    return max(0, math.ceil(lo)), min(total_pop, math.floor(hi))
 
 
 def validate_partition(
-    p: GridPolygon,
-    q: GridPartition,
-    kappa: int,
-    mode: str = "exact",
-    delta: Fraction | None = None,
+    p: GridPolygon, q: GridPartition, kappa: int, window: tuple[int, int] | None = None
 ) -> ValidationReport:
     """Check cover, disjointness, connectivity, label count and populations.
 
-    kappa must satisfy 1 < kappa <= |P|.
+    kappa must satisfy 1 <= kappa <= |P|; the population window defaults
+    to the exact one.
     """
-    if not 1 < kappa <= p.size:
-        raise ValueError(f"kappa must satisfy 1 < kappa <= {p.size}")
+    if not 1 <= kappa <= p.size:
+        raise ValueError(f"kappa must satisfy 1 <= kappa <= {p.size}")
     cells = p.cells
     labelled = set(q.labels)
     if labelled != cells:
@@ -219,7 +217,7 @@ def validate_partition(
     for cell, lab in q.labels.items():
         if not 1 <= lab <= kappa:
             return ValidationReport(False, f"label {lab} outside 1..{kappa}", cell)
-    lo, hi = _population_bounds(p.total_votes().population(), kappa, mode, delta)
+    lo, hi = window or population_window(p.total_votes().population(), kappa)
     idx = _MaskIndex(p)
     masks = [0] * (kappa + 1)
     for cell, lab in q.labels.items():
@@ -363,16 +361,14 @@ def _masks_to_partition(idx: _MaskIndex, masks: Sequence[int]) -> GridPartition:
 
 
 def enumerate_equipartitions(
-    p: GridPolygon,
-    kappa: int,
-    mode: str = "exact",
-    delta: Fraction | None = None,
+    p: GridPolygon, kappa: int, window: tuple[int, int] | None = None
 ) -> Iterator[GridPartition]:
-    """Every connected kappa-partition of `p` meeting the population mode."""
+    """Every connected kappa-partition of `p` with populations in the window
+    (by default the exact one)."""
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     idx = _MaskIndex(p)
-    lo, hi = _population_bounds(p.total_votes().population(), kappa, mode, delta)
+    lo, hi = window or population_window(p.total_votes().population(), kappa)
     for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
         yield _masks_to_partition(idx, masks)
 
@@ -385,18 +381,13 @@ class OracleResult:
 
 
 def brute_force_opt(
-    p: GridPolygon,
-    kappa: int,
-    mode: str = "exact",
-    delta: Fraction | None = None,
-    cell_limit: int = 14,
-    window: tuple[int, int] | None = None,
+    p: GridPolygon, kappa: int, window: tuple[int, int] | None = None, cell_limit: int = 14
 ) -> OracleResult:
     """Exhaustive minimum of the total absolute gap over valid partitions.
 
     Returns the scaled optimum together with every optimal partition, or
-    an infeasible result when no valid partition exists.  An explicit
-    integer population window overrides the mode.
+    an infeasible result when no partition has every population inside
+    the window (by default the exact one).
     """
     if p.size > cell_limit:
         raise OracleLimitError(
@@ -405,10 +396,7 @@ def brute_force_opt(
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     idx = _MaskIndex(p)
-    if window is not None:
-        lo, hi = window
-    else:
-        lo, hi = _population_bounds(p.total_votes().population(), kappa, mode, delta)
+    lo, hi = window or population_window(p.total_votes().population(), kappa)
     best: int | None = None
     best_masks: list[tuple[int, ...]] = []
     gaps: dict[int, int] = {}  # class mask -> its scaled signed gap

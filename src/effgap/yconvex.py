@@ -1,19 +1,22 @@
 """Exact minimum-gap y-convex equipartitions via a column dynamic program.
 
 A region is y-convex when its intersection with every grid column is a
-single vertical segment.  The DP sweeps columns left to right; a state
-records, per district label, the accumulated vote totals, a lifecycle
-flag and the label's segment in the current column.  Two contiguity
-rules beyond the vote recurrence keep every district connected: a label
-active in consecutive columns must overlap by at least one row, and a
-label that has gone inactive never reappears.
+single vertical segment.  The DP sweeps columns left to right.  A state
+key holds one ``(party_a, party_b, status, interval)`` tuple per
+district label: the label's accumulated vote totals, its lifecycle
+status and its segment in the current column.  A step cuts the next
+column's cells into labelled segments, listed top to bottom as
+``((label, interval), ...)``.  Two contiguity rules beyond the vote
+recurrence keep every district connected: a label active in consecutive
+columns must overlap by at least one row, and a label that has gone
+inactive never reappears.
 
-``transition_feasible`` states the single-step rule on ``DPState``
-values.  ``solve_yconvex`` applies the same rule on plain tuples: each
-column's cuts into segments, with every segment's vote totals from
-prefix sums, are tabulated once per solve, and a segment joins a label
-only while that label stays within the district population, so
-over-full candidates are never built.
+``transition_feasible`` states that single-step rule on a key and its
+segments, independently of the solver.  ``solve_yconvex`` applies it to
+the same tuples: each column's cuts into segments, with every segment's
+vote totals from prefix sums, are tabulated once per solve, and a
+segment joins a label only while that label stays within the district
+population, so over-full candidates are never built.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import VoteCounts, district_effgap
-from .grid import GridPartition, GridPolygon
+from .grid import GridPartition, GridPolygon, population_window
 
 UNSTARTED = 0
 ACTIVE = 1
@@ -33,45 +36,9 @@ Interval = tuple[int, int]  # inclusive (top_row, bottom_row)
 
 
 @dataclass(frozen=True)
-class ColumnSegmentation:
-    """Labelled cut of one column's cell run into disjoint segments.
-
-    ``segments`` lists (label, (top_row, bottom_row)) top to bottom;
-    labels are distinct, labels without a segment are empty in this
-    column.
-    """
-
-    column: int
-    segments: tuple[tuple[int, Interval], ...]
-
-    def label_interval(self, label: int) -> Interval | None:
-        for lab, interval in self.segments:
-            if lab == label:
-                return interval
-        return None
-
-
-@dataclass(frozen=True)
-class LabelState:
-    party_a: int
-    party_b: int
-    status: int
-    interval: Interval | None
-
-    def population(self) -> int:
-        return self.party_a + self.party_b
-
-
-@dataclass(frozen=True)
-class DPState:
-    column: int
-    labels: tuple[LabelState, ...]  # indexed by label-1
-
-
-@dataclass(frozen=True)
 class TransitionResult:
     ok: bool
-    state: DPState | None = None
+    state: tuple | None = None  # the next state key
     reason: str | None = None
 
 
@@ -97,63 +64,44 @@ def _compositions(lo: int, hi: int, parts: int) -> Iterator[tuple[Interval, ...]
         yield tuple((lo + bounds[i], lo + bounds[i + 1] - 1) for i in range(parts))
 
 
-def enumerate_segmentations(p: GridPolygon, column: int, kappa: int) -> list[ColumnSegmentation]:
-    """All ways to cut the column into distinctly-labelled segments.
+def transition_feasible(
+    p: GridPolygon, column: int, key: tuple, segments: tuple[tuple[int, Interval], ...]
+) -> TransitionResult:
+    """Apply one column's labelled segments to the state key of the column before.
 
-    Empty labels are allowed; an empty column has exactly one (empty)
-    segmentation.
+    The segments must cut the column's cells top to bottom into
+    non-empty runs, each label at most once.  Accumulators advance by
+    the segment's vote totals; a label active in both columns must
+    overlap its previous segment by at least one row, a previously
+    active label with no segment becomes finished, and a finished label
+    may never reactivate.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
     run = _column_run(p, column)
-    if run is None:
-        return [ColumnSegmentation(column, ())]
-    lo, hi = run
-    out = []
-    for parts in range(1, min(kappa, hi - lo + 1) + 1):
-        for intervals in _compositions(lo, hi, parts):
-            for labels in itertools.permutations(range(1, kappa + 1), parts):
-                out.append(ColumnSegmentation(column, tuple(zip(labels, intervals))))
-    return out
-
-
-def _overlaps(a: Interval, b: Interval) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
-
-
-def transition_feasible(p: GridPolygon, prev: DPState, seg: ColumnSegmentation) -> TransitionResult:
-    """Apply a column segmentation to a DP state.
-
-    Accumulators advance by the segment's vote totals; a label active in
-    both columns must overlap its previous segment by at least one row,
-    a previously active label with no segment becomes finished, and a
-    finished label may never reactivate.
-    """
-    if seg.column != prev.column + 1:
-        return TransitionResult(False, reason="segmentation not for the next column")
-    new_labels = []
-    for idx, st in enumerate(prev.labels):
-        label = idx + 1
-        interval = seg.label_interval(label)
+    want = list(range(run[0], run[1] + 1)) if run else []
+    rows = [r for _, (top, bottom) in segments for r in range(top, bottom + 1)]
+    if rows != want or any(top > bottom for _, (top, bottom) in segments):
+        return TransitionResult(False, reason=f"segments do not cut column {column}")
+    intervals = dict(segments)
+    if len(intervals) != len(segments) or not all(1 <= lab <= len(key) for lab in intervals):
+        return TransitionResult(False, reason=f"labels not distinct in 1..{len(key)}")
+    nxt = []
+    for label, (a, b, status, prev) in enumerate(key, start=1):
+        interval = intervals.get(label)
         if interval is None:
-            if st.status == ACTIVE:
-                new_labels.append(LabelState(st.party_a, st.party_b, FINISHED, None))
-            else:
-                new_labels.append(LabelState(st.party_a, st.party_b, st.status, None))
+            nxt.append((a, b, FINISHED if status == ACTIVE else status, None))
             continue
-        if st.status == FINISHED:
+        if status == FINISHED:
             return TransitionResult(False, reason=f"label {label} reactivated")
-        if st.status == ACTIVE and not _overlaps(st.interval, interval):
+        if status == ACTIVE and (prev[0] > interval[1] or interval[0] > prev[1]):
             return TransitionResult(
                 False, reason=f"label {label} no overlap, district disconnected"
             )
-        a, b = st.party_a, st.party_b
         for r in range(interval[0], interval[1] + 1):
-            v = p.votes[(r, seg.column)]
+            v = p.votes[(r, column)]
             a += v.party_a
             b += v.party_b
-        new_labels.append(LabelState(a, b, ACTIVE, interval))
-    return TransitionResult(True, DPState(seg.column, tuple(new_labels)))
+        nxt.append((a, b, ACTIVE, interval))
+    return TransitionResult(True, tuple(nxt))
 
 
 def is_yconvex_partition(q: GridPartition) -> bool:
@@ -260,31 +208,24 @@ def _successors(key: tuple, table: list[tuple], kappa: int, target: int) -> list
 def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     """Minimum total absolute gap over y-convex kappa-equipartitions.
 
-    Requires every polygon column to be a single run.  Returns the
-    scaled optimum and a witness partition found by backtracking, or an
-    infeasible result when no y-convex equipartition exists.
-
-    A state key holds one ``(party_a, party_b, status, interval)`` tuple
-    per label, the fields of ``LabelState``.  Frontier keys are expanded
-    in sorted order and the first path to reach a key is kept, so the
-    witness is deterministic.
+    Requires every polygon column to be a single run, for every kappa.
+    Returns the scaled optimum and a witness partition found by
+    backtracking, or an infeasible result when no y-convex equipartition
+    exists.  Frontier keys are expanded in sorted order and the first
+    path to reach a key is kept, so the witness is deterministic.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     total = p.total_votes()
+    lo, target = population_window(total.population(), kappa)
+    columns = sorted({c for (_, c) in p.votes})
+    # Raises on multi-run columns before any shortcut or state expansion.
+    tables = {col: _column_table(p, col, kappa, target) for col in columns}
     if kappa == 1:
         labels = {cell: 1 for cell in p.votes}
         return YConvexResult(True, abs(district_effgap(total)), GridPartition(labels), 1)
-    if kappa > p.size:
+    if kappa > p.size or lo > target:
         return YConvexResult(False, None, None, 0)
-    pop = total.population()
-    if pop % kappa != 0:
-        return YConvexResult(False, None, None, 0)
-    target = pop // kappa
-
-    columns = sorted({c for (_, c) in p.votes})
-    # Raises on multi-run columns before any state is expanded.
-    tables = {col: _column_table(p, col, kappa, target) for col in columns}
 
     frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
     # Backpointers keyed by (column, state key): identical states can recur

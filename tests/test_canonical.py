@@ -16,7 +16,7 @@ from effgap.canonical import (
     solve_two_near_stable,
 )
 from effgap.core import VoteCounts, district_effgap
-from effgap.grid import GridPolygon, _MaskIndex, validate_partition
+from effgap.grid import GridPolygon, _MaskIndex, population_window, validate_partition
 from conftest import cells_connected, polygon, uniform_rect
 
 
@@ -119,7 +119,8 @@ def test_case1_matches_interior_subset_enumeration():
     want = case1_reference(p, 5, window)
     assert got is not None and got.value == want
     q = got.partition
-    assert validate_partition(p, q, 2, mode="near", delta=Fraction(1, 2)).ok
+    wide = population_window(p.total_votes().population(), 2, Fraction(1, 2))
+    assert validate_partition(p, q, 2, wide).ok
 
 
 def test_case1_respects_connectivity():
@@ -172,7 +173,7 @@ def test_canonical_plan_valid_and_deterministic():
     second = canonical(p, 5, (pop // 4, 3 * pop // 4))
     assert first.value == second.value
     assert dict(first.partition.labels) == dict(second.partition.labels)
-    assert validate_partition(p, first.partition, 2, mode="near", delta=Fraction(1, 2)).ok
+    assert validate_partition(p, first.partition, 2, population_window(pop, 2, Fraction(1, 2))).ok
     # Side 1 contains the spine and has no holes (complement connected).
     d = build_decomposition(p, 5)
     side1 = {c for c, lab in first.partition.labels.items() if lab == 1}
@@ -216,7 +217,7 @@ def test_two_near_stable_reports_delta_and_stability():
 
 
 def window_reference(pop, epsilon, max_cell_pop):
-    """The inline window formula that grid._population_bounds replaced."""
+    """The inline window formula that grid.population_window replaced."""
     half_width = min(epsilon * max_cell_pop, Fraction(1, 2))
     lo_frac = (Fraction(1, 2) - half_width) * pop
     hi_frac = (Fraction(1, 2) + half_width) * pop

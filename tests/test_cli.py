@@ -9,7 +9,7 @@ import pytest
 
 from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
-from effgap.grid import read_instance, read_partition
+from effgap.grid import read_instance, read_partition, validate_partition
 from fractions import Fraction
 from conftest import TOY_COUNTY_CSV, county_grid_csv
 
@@ -341,6 +341,68 @@ def test_solve_rejects_invalid_polygon(tmp_path, capsys, solver, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+NEAR_GRID = "1 3 2\n0 0 2 0\n0 1 1 1\n0 2 0 2\n"
+
+
+def test_solve_brute_near_window(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(NEAR_GRID)
+    assert main(["solve", str(grid), "--delta-near", "1/6"]) == 0
+    assert capsys.readouterr().out == "status: optimal\nvalue (scaled by 2): 2\nvalue: 1\n"
+
+
+@pytest.mark.parametrize("solver", ["yconvex", "canonical"])
+def test_delta_near_is_brute_only(tmp_path, capsys, solver):
+    """The other solvers solve the exact problem, so a slack they would ignore is an error."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text(NEAR_GRID)
+    manifest = tmp_path / "run.json"
+    argv = ["--manifest", str(manifest), "solve", str(grid), "--solver", solver, "--delta-near", "1/6"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --delta-near applies to the brute solver only\n"
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("votes", ["1 0", "1 1"])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_yconvex_multi_run_column_is_a_one_line_error(tmp_path, capsys, kappa, votes):
+    grid = tmp_path / "grid.txt"
+    cells = ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1))  # column 0 holds two runs
+    grid.write_text(f"3 2 {kappa}\n" + "".join(f"{r} {c} {votes}\n" for r, c in cells))
+    assert main(["solve", str(grid), "--solver", "yconvex"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: column 0 not y-convex-compatible\n"
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+def test_kappa_one_plan_out_validates(tmp_path, capsys, solver):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
+    plan = tmp_path / "plan.txt"
+    assert main(["solve", str(grid), "--solver", solver, "--kappa", "1", "--plan-out", str(plan)]) == 0
+    polygon, _ = read_instance(grid.read_text())
+    assert validate_partition(polygon, read_partition(plan.read_text()), 1).ok
+
+
+def test_readme_examples_parse():
+    """Every ``effgap ...`` command in the README's shell block is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    commands = [
+        line.split()[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("effgap ")
+    ]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 MALFORMED_GRIDS = {

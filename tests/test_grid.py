@@ -14,6 +14,7 @@ from effgap.grid import (
     enumerate_equipartitions,
     gen_hardness_instance,
     partition_vote_totals,
+    population_window,
     read_instance,
     read_partition,
     subset_sum_oracle,
@@ -24,7 +25,6 @@ from effgap.grid import (
     _connected_submasks,
     _enumerate_mask_partitions,
     _MaskIndex,
-    _population_bounds,
 )
 from conftest import cells_connected, polygon, random_polygon, uniform_rect, validate_polygon_reference
 
@@ -111,8 +111,9 @@ def test_population_mode_split_direction_matters():
 def test_kappa_range_enforced():
     p = square2x2()
     q = GridPartition({cell: 1 for cell in p.votes})
+    assert validate_partition(p, q, 1).ok
     with pytest.raises(ValueError):
-        validate_partition(p, q, 1)
+        validate_partition(p, q, 0)
     with pytest.raises(ValueError):
         validate_partition(p, q, 5)
 
@@ -123,7 +124,29 @@ def test_near_mode_window():
     assert validate_partition(p, rows, 2).ok  # 4 vs 4 exactly
     cols = GridPartition({(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2})
     assert not validate_partition(p, cols, 2).ok  # 6 vs 2
-    assert validate_partition(p, cols, 2, mode="near", delta=Fraction(1, 4)).ok
+    assert validate_partition(p, cols, 2, population_window(8, 2, Fraction(1, 4))).ok
+
+
+def test_population_window_matches_inline_formula():
+    rng = random.Random(5)
+    empty = 0
+    for _ in range(400):
+        total, kappa = rng.randint(0, 200), rng.randint(1, 6)
+        lo, hi = population_window(total, kappa)
+        if total % kappa:
+            assert (lo, hi) == (1, 0)
+            empty += 1
+        else:
+            assert lo == hi == Fraction(total, kappa)
+        delta = Fraction(rng.randint(0, 12), rng.randint(1, 24))
+        lo_frac = (Fraction(1, kappa) - delta) * total
+        hi_frac = (Fraction(1, kappa) + delta) * total
+        lo = max(0, -(-lo_frac.numerator // lo_frac.denominator))
+        hi = min(total, hi_frac.numerator // hi_frac.denominator)
+        assert population_window(total, kappa, delta) == (lo, hi)
+    assert empty >= 50
+    with pytest.raises(ValueError, match="non-negative"):
+        population_window(10, 2, Fraction(-1, 4))
 
 
 # --- the oracle -------------------------------------------------------------
@@ -249,7 +272,7 @@ def test_enumeration_matches_naive_filter():
         kappa = rng.choice([2, 2, 3, 4])
         total = p.total_votes().population()
         if trial % 2:
-            lo, hi = _population_bounds(total, kappa, "near", Fraction(1, 5))
+            lo, hi = population_window(total, kappa, Fraction(1, 5))
         else:
             lo, hi = max(0, total // kappa - 1), total // kappa + 2
         expected = list(_naive_partitions(p, kappa, lo, hi))
@@ -339,10 +362,14 @@ def pin_instance(name):
                                      seed=0 if name == "gadget-yes-d1" else 1)
         return inst.polygon, inst.kappa, {}
     if name == "near-k3":
-        return random_polygon(random.Random(11), 13), 3, {"mode": "near", "delta": Fraction(1, 6)}
+        p = random_polygon(random.Random(11), 13)
+        return p, 3, {"window": population_window(p.total_votes().population(), 3, Fraction(1, 6))}
+    # A slack of 3 people on a total of 31: the window total // 3 - 2 .. total // 3 + 3.
     p = random_polygon(random.Random(24), 14)
     total = p.total_votes().population()
-    return p, 3, {"window": (total // 3 - 2, total // 3 + 3)}
+    window = population_window(total, 3, Fraction(3, total))
+    assert window == (total // 3 - 2, total // 3 + 3) == (8, 13)
+    return p, 3, {"window": window}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PINS))

@@ -10,67 +10,42 @@ from effgap.grid import (
     partition_vote_totals,
     validate_partition,
 )
+from effgap import yconvex
 from effgap.yconvex import (
-    ColumnSegmentation,
-    DPState,
-    LabelState,
     ACTIVE,
     FINISHED,
     UNSTARTED,
-    enumerate_segmentations,
     is_yconvex_partition,
     solve_yconvex,
     transition_feasible,
 )
 from conftest import cells_connected, polygon, random_column_polygon, uniform_rect
 
-
-def test_segmentations_two_cells_two_labels():
-    p = uniform_rect(2, 1)
-    segs = enumerate_segmentations(p, 0, 2)
-    assert len(segs) == 4
-    shapes = {tuple(s.segments) for s in segs}
-    assert ((1, (0, 1)),) in shapes and ((2, (0, 1)),) in shapes
-    assert ((1, (0, 0)), (2, (1, 1))) in shapes and ((2, (0, 0)), (1, (1, 1))) in shapes
+# Column 0 holds two runs, rows 0 and 2: outside the solver's scope.
+C_SHAPE = ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1))
 
 
-def test_segmentations_one_cell_three_labels():
-    p = uniform_rect(1, 1)
-    assert len(enumerate_segmentations(p, 0, 3)) == 3
-
-
-def test_segmentations_empty_column():
-    p = polygon({(0, 0): (1, 0)}, rows=1, cols=2)
-    segs = enumerate_segmentations(p, 1, 2)
-    assert segs == [ColumnSegmentation(1, ())]
-
-
-def test_segmentations_reject_multi_run_column():
-    p = polygon({(0, 0): (1, 0), (2, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0), (2, 1): (1, 0)})
-    with pytest.raises(ValueError, match="not y-convex-compatible"):
-        enumerate_segmentations(p, 0, 2)
-
-
-def _state(column, entries):
-    return DPState(column, tuple(LabelState(*e) for e in entries))
+def test_multi_run_column_rejected_for_every_kappa():
+    for votes in ((1, 0), (1, 1)):
+        p = polygon({cell: votes for cell in C_SHAPE})
+        for kappa in (1, 2, 3):
+            with pytest.raises(ValueError, match="column 0 not y-convex-compatible"):
+                solve_yconvex(p, kappa)
 
 
 def test_transition_overlap_ok():
     p = uniform_rect(3, 2)
-    prev = _state(0, [(1, 1, ACTIVE, (0, 1)), (1, 0, ACTIVE, (2, 2))])
-    seg = ColumnSegmentation(1, ((1, (1, 2)),))
-    res = transition_feasible(p, prev, seg)
+    key = ((1, 1, ACTIVE, (0, 1)), (1, 0, ACTIVE, (2, 2)), (0, 0, UNSTARTED, None))
+    res = transition_feasible(p, 1, key, ((3, (0, 0)), (1, (1, 2))))
     # Label 1 overlaps at row 1; label 2 goes inactive and is finished.
     assert res.ok
-    assert res.state.labels[0].status == ACTIVE
-    assert res.state.labels[1].status == FINISHED
+    assert res.state == ((1, 3, ACTIVE, (1, 2)), (1, 0, FINISHED, None), (0, 1, ACTIVE, (0, 0)))
 
 
 def test_transition_no_overlap_rejected_and_truly_disconnected():
     p = uniform_rect(3, 2)
-    prev = _state(0, [(1, 0, ACTIVE, (0, 0)), (0, 0, UNSTARTED, None)])
-    seg = ColumnSegmentation(1, ((1, (2, 2)),))
-    res = transition_feasible(p, prev, seg)
+    key = ((1, 0, ACTIVE, (0, 0)), (0, 0, UNSTARTED, None))
+    res = transition_feasible(p, 1, key, ((2, (0, 1)), (1, (2, 2))))
     assert not res.ok and "no overlap" in res.reason
     # Independent connectivity check: those two cells really are disconnected.
     assert not cells_connected({(0, 0), (2, 1)})
@@ -78,20 +53,32 @@ def test_transition_no_overlap_rejected_and_truly_disconnected():
 
 def test_transition_reactivation_rejected():
     p = uniform_rect(3, 3)
-    prev = _state(1, [(2, 0, FINISHED, None), (1, 0, ACTIVE, (0, 2))])
-    seg = ColumnSegmentation(2, ((1, (0, 0)), (2, (1, 2))))
-    res = transition_feasible(p, prev, seg)
+    key = ((2, 0, FINISHED, None), (1, 0, ACTIVE, (0, 2)))
+    res = transition_feasible(p, 2, key, ((1, (0, 0)), (2, (1, 2))))
     assert not res.ok and "reactivated" in res.reason
 
 
 def test_transition_accumulates_votes():
     p = polygon({(0, 0): (1, 0), (0, 1): (2, 1), (1, 1): (0, 3)})
-    prev = _state(0, [(1, 0, ACTIVE, (0, 0)), (0, 0, UNSTARTED, None)])
-    seg = ColumnSegmentation(1, ((1, (0, 0)), (2, (1, 1))))
-    res = transition_feasible(p, prev, seg)
+    key = ((1, 0, ACTIVE, (0, 0)), (0, 0, UNSTARTED, None))
+    res = transition_feasible(p, 1, key, ((1, (0, 0)), (2, (1, 1))))
     assert res.ok
-    assert res.state.labels[0] == LabelState(3, 1, ACTIVE, (0, 0))
-    assert res.state.labels[1] == LabelState(0, 3, ACTIVE, (1, 1))
+    assert res.state == ((3, 1, ACTIVE, (0, 0)), (0, 3, ACTIVE, (1, 1)))
+
+
+@pytest.mark.parametrize("segments, reason", [
+    (((1, (0, 1)),), "do not cut column 1"),  # row 2 left out
+    (((2, (1, 2)), (1, (0, 0))), "do not cut column 1"),  # not top to bottom
+    (((1, (0, 1)), (1, (1, 2))), "do not cut column 1"),  # row 1 twice
+    (((1, (0, 2)), (2, (3, 2))), "do not cut column 1"),  # an empty segment
+    (((2, (0, 0)), (2, (1, 2))), "labels not distinct in 1..2"),
+    (((1, (0, 0)), (3, (1, 2))), "labels not distinct in 1..2"),
+], ids=["gap", "order", "overlap", "empty", "repeated-label", "label-out-of-range"])
+def test_transition_rejects_segments_that_do_not_cut_the_column(segments, reason):
+    p = uniform_rect(3, 2)
+    key = ((1, 1, ACTIVE, (0, 1)), (0, 0, UNSTARTED, None))
+    res = transition_feasible(p, 1, key, segments)
+    assert not res.ok and res.reason.endswith(reason)
 
 
 def test_solve_2x2_row_split():
@@ -210,10 +197,10 @@ def test_pinned_optimum_witness_and_counters(build, kappa, value, states, vector
     assert _witness_digest(res.partition) == digest
 
 
-def _witness_segmentations(p, partition):
-    """One ColumnSegmentation per polygon column, segments top to bottom."""
+def _witness_segments(p, partition):
+    """Per polygon column, the witness's ``((label, interval), ...)``, top to bottom."""
     columns = sorted({c for _, c in p.votes})
-    segs = []
+    steps = []
     for col in columns:
         rows_of: dict[int, list[int]] = {}
         for (r, c), lab in partition.labels.items():
@@ -221,8 +208,8 @@ def _witness_segmentations(p, partition):
                 rows_of.setdefault(lab, []).append(r)
         segments = sorted(((lab, (min(rows), max(rows))) for lab, rows in rows_of.items()),
                           key=lambda s: s[1])
-        segs.append(ColumnSegmentation(col, tuple(segments)))
-    return columns, segs
+        steps.append((col, tuple(segments)))
+    return columns, steps
 
 
 def test_witness_replays_through_transition_rule():
@@ -236,13 +223,49 @@ def test_witness_replays_through_transition_rule():
             continue
         replayed += 1
         target = p.total_votes().population() // kappa
-        columns, segs = _witness_segmentations(p, res.partition)
-        state = DPState(columns[0] - 1, tuple(LabelState(0, 0, UNSTARTED, None) for _ in range(kappa)))
-        for seg in segs:
-            step = transition_feasible(p, state, seg)
+        columns, steps = _witness_segments(p, res.partition)
+        # Each step goes from one column to the next, so the columns must be consecutive.
+        assert columns == list(range(columns[0], columns[-1] + 1))
+        key = ((0, 0, UNSTARTED, None),) * kappa
+        for col, segments in steps:
+            step = transition_feasible(p, col, key, segments)
             assert step.ok, step.reason
-            state = step.state
-        assert all(st.population() == target for st in state.labels)
-        signed = sum(district_effgap(VoteCounts(st.party_a, st.party_b)) for st in state.labels)
+            key = step.state
+        assert all(a + b == target for a, b, _, _ in key)
+        signed = sum(district_effgap(VoteCounts(a, b)) for a, b, _, _ in key)
         assert abs(signed) == res.value
     assert replayed >= 10
+
+
+def test_solver_steps_agree_with_transition_rule(monkeypatch):
+    """Every successor the solver builds is the reference rule's next key."""
+    column_of = {}
+    steps = []
+    column_table, successors = yconvex._column_table, yconvex._successors
+
+    def recording_column_table(p, column, kappa, target):
+        table = column_table(p, column, kappa, target)
+        column_of[id(table)] = column
+        return table
+
+    def recording_successors(key, table, kappa, target):
+        out = successors(key, table, kappa, target)
+        steps.append((column_of[id(table)], key, out))
+        return out
+
+    monkeypatch.setattr(yconvex, "_column_table", recording_column_table)
+    monkeypatch.setattr(yconvex, "_successors", recording_successors)
+    instances = [(build(), kappa) for build, kappa, *_ in PINNED[:3]]
+    rng = random.Random(41)
+    instances += [(random_column_polygon(rng, max_cells=12), rng.choice([2, 3])) for _ in range(20)]
+    checked = 0
+    for p, kappa in instances:
+        steps.clear()
+        column_of.clear()
+        solve_yconvex(p, kappa)
+        for col, key, out in steps:
+            for nkey, segments in out:
+                step = transition_feasible(p, col, key, segments)
+                assert step.ok and step.state == nkey, (col, key, segments, step.reason)
+                checked += 1
+    assert checked >= 1000
