@@ -9,7 +9,8 @@ drawn node.  The connectivity check assumes the district is connected
 before the move: the starting plan is validated and every accepted move
 keeps it so.  Runs are reproducible: replica streams derive from one
 root seed, nodes are drawn from a named generator, and neighbors are
-scanned in key order.
+scanned in key order.  The generator is ``pcg64``'s plain-Python copy of
+numpy's PCG64 stream, so every trace is the one numpy's draws give.
 
 The search works on the graph's node numbers: node i is ``graph.keys[i]``
 and ``graph.adj[i]`` its neighbours, both built by ``ingest``.  A replica
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 import copy
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .county import CountyGraph, DistrictPlan, NodeKey, _reaches, validate_plan
 
-if TYPE_CHECKING:
-    import numpy as np
-
+# numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
 
 
@@ -65,6 +64,8 @@ class SearchConfig:
             raise ValueError("k must be positive")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -220,28 +221,25 @@ def move_is_legal(
 
 def run_iteration(
     state: ReplicaState,
-    rng: np.random.Generator,
+    draw: Callable[[int, int], list[int]],
     iteration: int,
     k: int,
     best_improvement: bool = False,
 ) -> list[MoveRecord]:
     """One outer iteration; mutates the state and returns accepted moves.
 
-    Draws r uniform in 0..k, then r distinct nodes.  A drawn boundary
-    node is processed once per iteration: the target-independent checks
-    of ``move_is_legal`` run once, then its neighbors are scanned in key
+    ``draw(k, n)`` gives the iteration's nodes: r uniform in 0..k, then
+    r distinct node numbers below n.  A drawn boundary node is processed
+    once per iteration: the target-independent checks of
+    ``move_is_legal`` run once, then its neighbors are scanned in key
     order, each needing only the target population bound, and the first
     (or, optionally, best) legal strictly improving reassignment is
     applied.
     """
-    r = int(rng.integers(0, k + 1))
-    if r == 0:
-        return []
     dist, adj, node_a, node_pop = state.dist, state.adj, state.node_a, state.node_pop
     party_a, pop, base = state.party_a, state.pop, state.base
-    n = len(dist)
     records = []
-    for i in rng.choice(n, size=min(r, n), replace=False).tolist():
+    for i in draw(k, len(dist)):
         source = dist[i]
         neighbors = adj[i]
         for j in neighbors:
@@ -281,16 +279,15 @@ def _run_replica(
     state0: ReplicaState, cfg: SearchConfig, replica: int
 ) -> tuple[tuple[MoveRecord, ...], list[int], float]:
     """(accepted moves, final district of each node, wall time) of one replica."""
-    import numpy as np  # deferred: only local search needs it, and it dominates import time
+    from .pcg64 import replica_draw  # deferred: no other command needs it
 
     started = time.perf_counter()
-    seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    draw = replica_draw(cfg.seed, replica)
     state = copy.copy(state0)
     state.dist, state.party_a, state.pop = list(state0.dist), dict(state0.party_a), dict(state0.pop)
     moves: list[MoveRecord] = []
     for iteration in range(cfg.mu):
-        moves.extend(run_iteration(state, rng, iteration, cfg.k, cfg.best_improvement))
+        moves.extend(run_iteration(state, draw, iteration, cfg.k, cfg.best_improvement))
     return tuple(moves), state.dist, time.perf_counter() - started
 
 
@@ -322,7 +319,7 @@ def _run_replicas(
     """
     jobs = max(1, min(jobs, cfg.replicas))
     if jobs > 1:
-        import multiprocessing  # deferred like numpy: a one-process run never needs it
+        import multiprocessing  # deferred: a one-process run never needs it
     results: list = [None] * cfg.replicas
     workers = []
     try:

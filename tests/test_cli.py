@@ -65,15 +65,20 @@ def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, 
     assert cli._usable_cpus() == 64
 
 
-def test_importing_the_cli_loads_no_search_only_module():
-    """Only local search needs numpy, and only its worker processes need
-    multiprocessing, so every other command starts without them."""
+def test_importing_the_cli_loads_no_search_only_module(toy_file):
+    """Only the worker processes of local search need multiprocessing, so
+    every other command starts without it; and no command, a one-process
+    local search included, loads numpy."""
     search_only = ("numpy", "multiprocessing", "concurrent.futures")
-    code = f"import sys, effgap.cli; print([m for m in {search_only!r} if m in sys.modules])"
+    loaded = f"[m for m in {search_only!r} if m in sys.modules]"
+    code = (f"import contextlib, io, sys, effgap.cli; print({loaded})\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = effgap.cli.main(['localsearch', {str(toy_file)!r}, '--k', '3', '--mu', '10', '--jobs', '1'])\n"
+            f"print(code, {loaded})")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n0 []\n"
 
 
 def test_stats_command(toy_file, capsys):
@@ -260,6 +265,11 @@ def test_localsearch_negative_jobs_rejected(toy_file, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: --jobs must be 0 (all cores) or positive, got -3\n"
     assert not manifest.exists()
+
+
+def test_localsearch_negative_seed_rejected(toy_file, capsys):
+    assert main(["localsearch", str(toy_file), "--k", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
 
 
 def test_solve_brute_and_yconvex_agree(tmp_path, capsys):

@@ -6,7 +6,6 @@ import os
 import random
 import time
 
-import numpy as np
 import pytest
 
 from effgap import localsearch
@@ -50,19 +49,16 @@ def no_worker_outlives_a_test():
     assert multiprocessing.active_children() == []
 
 
-class FakeRng:
-    """Deterministic stand-in driving run_iteration directly."""
+class FixedDraw:
+    """A ``draw(k, n)`` that gives fixed node numbers and records its arguments."""
 
-    def __init__(self, r: int, picks: list[int]):
-        self.r = r
+    def __init__(self, picks: list[int]):
         self.picks = picks
+        self.calls = []
 
-    def integers(self, lo, hi):
-        return self.r
-
-    def choice(self, n, size, replace):
-        assert not replace
-        return np.array(self.picks[:size], dtype=int)
+    def __call__(self, k, n):
+        self.calls.append((k, n))
+        return list(self.picks)
 
 
 def all_single_moves(graph, plan):
@@ -117,22 +113,24 @@ def test_unknown_node_is_a_clear_error():
 def test_iteration_r_zero_is_noop():
     res = ingest(SIX_NODE_CSV)
     state = ReplicaState(res.graph, res.plan)
-    records = run_iteration(state, FakeRng(0, []), 0, k=5)
+    draw = FixedDraw([])
+    records = run_iteration(state, draw, 0, k=5)
     assert records == [] and state.to_plan().assignment == res.plan.assignment
+    assert draw.calls == [(5, 6)]
 
 
 def test_interior_node_skipped():
     res = ingest(SIX_NODE_CSV)
     state = ReplicaState(res.graph, res.plan)
     # Index 0 is (1, 'a'), whose neighbors are all in district 1.
-    records = run_iteration(state, FakeRng(1, [0]), 0, k=5)
+    records = run_iteration(state, FixedDraw([0]), 0, k=5)
     assert records == [] and state.to_plan().assignment == res.plan.assignment
 
 
 def test_unique_improving_move_accepted():
     res = ingest(SIX_NODE_CSV)
     state = ReplicaState(res.graph, res.plan)
-    records = run_iteration(state, FakeRng(5, [0, 1, 2, 3, 4]), 3, k=5)
+    records = run_iteration(state, FixedDraw([0, 1, 2, 3, 4]), 3, k=5)
     assert len(records) == 1
     rec = records[0]
     assert rec == MoveRecord(3, (1, "b"), 1, 2, 40, 20)
