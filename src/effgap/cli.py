@@ -148,10 +148,7 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
     data_path = _resolve(args.data)
     result = _ingest_path(data_path)
     graph, plan0 = result.graph, result.plan
-    cfg = SearchConfig(
-        mu=args.mu, k=args.k, seed=args.seed, replicas=args.replicas,
-        best_improvement=args.best_improvement,
-    )
+    cfg = SearchConfig(mu=args.mu, k=args.k, seed=args.seed, replicas=args.replicas)
     jobs = args.jobs if args.jobs > 0 else _usable_cpus()
     run_result = run(graph, plan0, cfg, jobs=jobs)  # validates plan0
     before = total_effgap(list(district_votes(graph, plan0).values()))
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes running the replicas, this one included: N starts "
                         "N - 1 workers (default 1, in-process); "
                         "0 = one per CPU this process may use")
-    p.add_argument("--best-improvement", action="store_true")
     p.add_argument("--plan-out")
     p.add_argument("--trace-out")
     p.add_argument("--exact", action="store_true")

@@ -66,10 +66,6 @@ class CountyGraph:
     def index(self) -> dict[NodeKey, int]:
         return dict(zip(self.keys, range(len(self.keys))))
 
-    def neighbors(self, key: NodeKey) -> tuple[NodeKey, ...]:
-        """The node's neighbours' keys, in key order."""
-        return tuple(map(self.keys.__getitem__, self.adj[self.index[key]]))
-
     def total_votes(self) -> VoteCounts:
         party_a = party_b = 0
         for node in self.nodes.values():
@@ -288,19 +284,6 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
             member_rows = sorted(row_of[keys[i]] for i in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, initial_plan(graph), tuple(warnings))
-
-
-def serialize_graph(graph: CountyGraph) -> str:
-    """Canonical CSV for the graph; ingest(serialize(g)) reproduces g."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for (district, county_id), node in graph.nodes.items():
-        neighbors = ", ".join(f"{d}:{cid}" for d, cid in graph.neighbors((district, county_id)))
-        writer.writerow(
-            [district, county_id, node.county_name, node.votes.party_b, node.votes.party_a, neighbors]
-        )
-    return buf.getvalue()
 
 
 def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:

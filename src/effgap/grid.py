@@ -10,11 +10,15 @@ ground truth the other solvers are checked against; it is only meant for
 desk-scale instances (the default cap is 14 cells).
 
 The oracle, the polygon and partition checks and the canonical solver work
-on bitmasks laid out like the grid: cell (r, c) is bit r * width + c of the
-polygon's bounding box (rows and columns counted from its top-left corner),
-so bit order is sorted cell order, a full rectangle numbers its cells
-0..m*n-1, and the four neighbours of a set are shifts of its mask by 1 and
-by the width.  ``_MaskIndex.flood`` is the one connectivity routine.
+on the bitmasks of ``_MaskIndex``, which pairs each bit with a node and
+its neighbours' mask, ``adj``.  ``_MaskIndex.flood`` reads only ``adj``,
+and it is the one connectivity routine.  A polygon's bits are the cells
+of its bounding box: cell (r, c) is bit r * width + c (rows and columns
+counted from the box's top-left corner), so bit order is sorted cell
+order and a full rectangle numbers its cells 0..m*n-1.  That layout fixes
+only the bit order and the hole check, which floods the box's empty
+cells.  The oracle's enumeration and scoring, ``_optimum``, run as well
+on an index built from a county graph.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import VoteCounts, ZERO_VOTES, district_effgap
 
@@ -79,60 +83,74 @@ class ValidationReport:
     witness: Cell | None = None
 
 
-class _MaskIndex:
-    """Bitmask view of a polygon for fast subset enumeration.
+_BIT = (1).__lshift__  # _BIT(i) is the mask of bit i
 
-    Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the polygon's
-    bounding box, so bits run in sorted cell order and a lowest-bit-first
-    loop visits cells in that order.  The per-bit tables read 0 (or None)
-    at cells of the box outside the polygon; ``full`` holds the polygon's
-    cells, ``box`` the whole box and ``border`` the box's outer ring.
+
+class _MaskIndex:
+    """Bitmask view of a node set with an adjacency, for fast subset enumeration.
+
+    Bit i stands for ``cell_at[i]``, a node key, or None for a bit that is
+    no node; ``index`` maps each key to its bit, ``cells`` lists the keys
+    in bit order and ``full`` holds their bits.  ``adj[i]`` is the mask of
+    bit i's neighbours, and ``pop`` and ``party_a`` read 0 at bits that
+    are no node.  A county graph's index is built from ``graph.keys``, the
+    node votes and ``graph.adj``; a polygon's comes from ``of_polygon``.
     """
 
-    def __init__(self, p: GridPolygon):
-        self.cells = sorted(p.votes)
-        self.top = top = min((r for r, _ in self.cells), default=0)
-        self.left = left = min((c for _, c in self.cells), default=0)
-        self.width = width = max((c for _, c in self.cells), default=left) - left + 1
-        height = max((r for r, _ in self.cells), default=top) - top + 1
-        self.index = {(r, c): (r - top) * width + c - left for (r, c) in self.cells}
-        nbits = height * width
-        self.cell_at: list[Cell | None] = [None] * nbits
-        self.pop = [0] * nbits
-        self.party_a = [0] * nbits
-        self.adj = [0] * nbits
-        self.full = 0
-        for cell, i in self.index.items():
-            self.cell_at[i] = cell
-            self.pop[i] = p.votes[cell].population()
-            self.party_a[i] = p.votes[cell].party_a
-            self.full |= 1 << i
-            for nb in neighbors4(cell):
-                j = self.index.get(nb)
-                if j is not None:
-                    self.adj[i] |= 1 << j
-        first_col = sum(1 << k for k in range(0, nbits, width))
-        last_col = first_col << (width - 1)
-        first_row = (1 << width) - 1
-        self.box = (1 << nbits) - 1
-        self.border = first_row | first_row << (nbits - width) | first_col | last_col
-        # A shift by one bit moves a cell along its row; these masks drop the
-        # cells that would land in the next or previous row instead.
-        self.not_first_col = self.box & ~first_col
-        self.not_last_col = self.box & ~last_col
+    def __init__(
+        self,
+        keys: Sequence[Hashable | None],
+        votes: Mapping[Hashable, VoteCounts],
+        adj: Sequence[Iterable[int]],
+    ):
+        self.cell_at = list(keys)
+        self.index = {key: i for i, key in enumerate(keys) if key is not None}
+        self.cells = list(self.index)
+        self.full = sum(1 << i for i in self.index.values())
+        self.pop = [0 if key is None else votes[key].population() for key in keys]
+        self.party_a = [0 if key is None else votes[key].party_a for key in keys]
+        self.adj = [sum(map(_BIT, nbs)) for nbs in adj]
+
+    @classmethod
+    def of_polygon(cls, p: GridPolygon) -> "_MaskIndex":
+        """The polygon's index over its bounding box.
+
+        Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the box,
+        so bits run in sorted cell order and a lowest-bit-first loop visits
+        cells in that order.  Each box bit's ``adj`` holds its 4-neighbours
+        in the box, empty cells included, which lets the hole check flood
+        the empty cells.  ``box`` holds every bit and ``border`` the box's
+        outer ring, the bits with fewer than four neighbours.
+        """
+        top = min((r for r, _ in p.votes), default=0)
+        left = min((c for _, c in p.votes), default=0)
+        width = max((c for _, c in p.votes), default=left) - left + 1
+        height = max((r for r, _ in p.votes), default=top) - top + 1
+        keys: list[Cell | None] = [None] * (height * width)
+        for r, c in p.votes:
+            keys[(r - top) * width + c - left] = (r, c)
+        adj = []
+        for i in range(height * width):
+            r, c = divmod(i, width)
+            sides = ((i - width, r > 0), (i - 1, c > 0), (i + 1, c < width - 1), (i + width, r < height - 1))
+            adj.append([j for j, inside in sides if inside])
+        idx = cls(keys, p.votes, adj)
+        idx.top, idx.left, idx.width = top, left, width
+        idx.box = (1 << len(keys)) - 1
+        idx.border = sum(1 << i for i, nbs in enumerate(adj) if len(nbs) < 4)
+        return idx
 
     def flood(self, seed: int, within: int) -> int:
-        """The cells of `within` 4-connected to a cell of `seed`, a submask of `within`."""
-        w = self.width
-        into_right = within & self.not_first_col
-        into_left = within & self.not_last_col
+        """`seed` and the bits of `within` it reaches through bits of `within`."""
+        adj = self.adj
         comp = frontier = seed
         while frontier:
-            frontier = (
-                (frontier << 1) & into_right
-                | (frontier >> 1) & into_left
-                | ((frontier << w) | (frontier >> w)) & within
-            ) & ~comp
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & within & ~comp
             comp |= frontier
         return comp
 
@@ -161,7 +179,7 @@ def validate_polygon(p: GridPolygon) -> ValidationReport:
     """
     if not p.votes:
         return ValidationReport(False, "empty", None)
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     full = idx.full
     lost = full & ~idx.flood(full & -full, full)
     if lost:
@@ -186,6 +204,8 @@ def population_window(total_pop: int, kappa: int, delta: Fraction | None = None)
     (1/kappa + delta) * total_pop, rounded inward and clipped to
     [0, total_pop].
     """
+    if kappa < 1:
+        raise ValueError(f"kappa must be at least 1, got {kappa}")
     if delta is None:
         if total_pop % kappa:
             return 1, 0
@@ -218,7 +238,7 @@ def validate_partition(
         if not 1 <= lab <= kappa:
             return ValidationReport(False, f"label {lab} outside 1..{kappa}", cell)
     lo, hi = window or population_window(p.total_votes().population(), kappa)
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     masks = [0] * (kappa + 1)
     for cell, lab in q.labels.items():
         masks[lab] |= 1 << idx.index[cell]
@@ -235,14 +255,6 @@ def validate_partition(
                 False, f"label {lab} population {pop} outside [{lo}, {hi}]", first
             )
     return ValidationReport(True)
-
-
-def partition_vote_totals(p: GridPolygon, q: GridPartition, kappa: int) -> list[VoteCounts]:
-    """Per-label vote totals, for feeding the plan-level statistics."""
-    totals = [ZERO_VOTES] * kappa
-    for cell, lab in q.labels.items():
-        totals[lab - 1] = totals[lab - 1] + p.votes[cell]
-    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +330,9 @@ def _connected_submasks(
 def _enumerate_mask_partitions(
     idx: _MaskIndex, kappa: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
-    """All partitions of the polygon into kappa connected classes whose
+    """All partitions of the index's nodes into kappa connected classes whose
     populations lie in [lo, hi].  Classes are canonically ordered by their
-    smallest cell, so each partition appears exactly once."""
+    lowest bit, so each partition appears exactly once."""
     if lo > hi or idx.full == 0 or kappa > len(idx.cells):
         return
 
@@ -367,10 +379,35 @@ def enumerate_equipartitions(
     (by default the exact one)."""
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     lo, hi = window or population_window(p.total_votes().population(), kappa)
     for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
         yield _masks_to_partition(idx, masks)
+
+
+def _optimum(
+    idx: _MaskIndex, kappa: int, lo: int, hi: int
+) -> tuple[int | None, list[tuple[int, ...]]]:
+    """The scaled minimum total absolute gap over the index's kappa-partitions
+    with populations in [lo, hi], and every partition (as class masks) that
+    attains it; (None, []) when there is none."""
+    best: int | None = None
+    argmin: list[tuple[int, ...]] = []
+    gaps: dict[int, int] = {}  # class mask -> its scaled signed gap
+    for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
+        signed = 0
+        for mask in masks:
+            gap = gaps.get(mask)
+            if gap is None:
+                gap = gaps[mask] = district_effgap(idx.votes(mask))
+            signed += gap
+        value = abs(signed)
+        if best is None or value < best:
+            best = value
+            argmin = [masks]
+        elif value == best:
+            argmin.append(masks)
+    return best, argmin
 
 
 @dataclass(frozen=True)
@@ -395,27 +432,12 @@ def brute_force_opt(
         )
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     lo, hi = window or population_window(p.total_votes().population(), kappa)
-    best: int | None = None
-    best_masks: list[tuple[int, ...]] = []
-    gaps: dict[int, int] = {}  # class mask -> its scaled signed gap
-    for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
-        signed = 0
-        for mask in masks:
-            gap = gaps.get(mask)
-            if gap is None:
-                gap = gaps[mask] = district_effgap(idx.votes(mask))
-            signed += gap
-        value = abs(signed)
-        if best is None or value < best:
-            best = value
-            best_masks = [masks]
-        elif value == best:
-            best_masks.append(masks)
+    best, argmin = _optimum(idx, kappa, lo, hi)
     if best is None:
         return OracleResult(False, None, ())
-    return OracleResult(True, best, tuple(_masks_to_partition(idx, m) for m in best_masks))
+    return OracleResult(True, best, tuple(_masks_to_partition(idx, m) for m in argmin))
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +478,6 @@ def write_partition(q: GridPartition) -> str:
     """Partitions are emitted as ``row col label`` lines."""
     lines = [f"{r} {c} {lab}" for (r, c), lab in sorted(q.labels.items())]
     return "\n".join(lines) + "\n"
-
-
-def read_partition(text: str) -> GridPartition:
-    labels: dict[Cell, int] = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        r, c, lab = (int(x) for x in ln.split())
-        labels[(r, c)] = lab
-    return GridPartition(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class SearchConfig:
     k: int = 20  # per-iteration node budget; the draw is uniform on 0..k
     seed: int = 0
     replicas: int = 1
-    best_improvement: bool = False  # default is first improvement in key order
 
     def __post_init__(self) -> None:
         if self.mu < 1:
@@ -220,11 +219,7 @@ def move_is_legal(
 
 
 def run_iteration(
-    state: ReplicaState,
-    draw: Callable[[int, int], list[int]],
-    iteration: int,
-    k: int,
-    best_improvement: bool = False,
+    state: ReplicaState, draw: Callable[[int, int], list[int]], iteration: int, k: int
 ) -> list[MoveRecord]:
     """One outer iteration; mutates the state and returns accepted moves.
 
@@ -233,8 +228,7 @@ def run_iteration(
     once per iteration: the target-independent checks of
     ``move_is_legal`` run once, then its neighbors are scanned in key
     order, each needing only the target population bound, and the first
-    (or, optionally, best) legal strictly improving reassignment is
-    applied.
+    legal strictly improving reassignment is applied.
     """
     dist, adj, node_a, node_pop = state.dist, state.adj, state.node_a, state.node_pop
     party_a, pop, base = state.party_a, state.pop, state.base
@@ -254,24 +248,16 @@ def run_iteration(
         before_abs = abs(state.signed)
         # W with i taken out of its district; each target adds its own change.
         without = state.won - _won(party_a[source], pop[source]) + _won(party_a[source] - a, pop[source] - p)
-        best_signed = best_target = None
         for j in neighbors:  # key order
             target = dist[j]
             if target == source or pop[target] > room:
                 continue
             ta, tp = party_a[target], pop[target]
-            new_signed = base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p))
-            if abs(new_signed) >= before_abs:
-                continue
-            if best_target is None or abs(new_signed) < abs(best_signed):
-                best_signed, best_target = new_signed, target
-            if not best_improvement:
+            after_abs = abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p)))
+            if after_abs < before_abs:
+                records.append(MoveRecord(iteration, state.keys[i], source, target, before_abs, after_abs))
+                state.move(i, target)
                 break
-        if best_target is not None:
-            records.append(
-                MoveRecord(iteration, state.keys[i], source, best_target, before_abs, abs(best_signed))
-            )
-            state.move(i, best_target)
     return records
 
 
@@ -287,7 +273,7 @@ def _run_replica(
     state.dist, state.party_a, state.pop = list(state0.dist), dict(state0.party_a), dict(state0.pop)
     moves: list[MoveRecord] = []
     for iteration in range(cfg.mu):
-        moves.extend(run_iteration(state, draw, iteration, cfg.k, cfg.best_improvement))
+        moves.extend(run_iteration(state, draw, iteration, cfg.k))
     return tuple(moves), state.dist, time.perf_counter() - started
 
 

@@ -19,8 +19,42 @@ from effgap.county import (
     NodeKey,
     PlanReport,
 )
-from effgap.grid import GridPolygon, neighbors4, validate_polygon
+from effgap.grid import GridPartition, GridPolygon, _MaskIndex, neighbors4, validate_polygon
 from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
+
+
+def neighbors(graph: CountyGraph, key: NodeKey) -> tuple[NodeKey, ...]:
+    """The node's neighbours' keys, in key order."""
+    return tuple(map(graph.keys.__getitem__, graph.adj[graph.index[key]]))
+
+
+def serialize_graph(graph: CountyGraph) -> str:
+    """Canonical CSV for the graph; ingest(serialize_graph(g)) reproduces g."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for key, node in graph.nodes.items():
+        nbs = ", ".join(f"{d}:{cid}" for d, cid in neighbors(graph, key))
+        writer.writerow([*key, node.county_name, node.votes.party_b, node.votes.party_a, nbs])
+    return buf.getvalue()
+
+
+def read_partition(text: str) -> GridPartition:
+    """A partition from the ``row col label`` lines of ``grid.write_partition``."""
+    labels = {}
+    for ln in text.splitlines():
+        if ln.strip():
+            r, c, lab = (int(x) for x in ln.split())
+            labels[(r, c)] = lab
+    return GridPartition(labels)
+
+
+def partition_vote_totals(p: GridPolygon, q: GridPartition, kappa: int) -> list[VoteCounts]:
+    """Per-label vote totals, labels 1..kappa, for feeding the plan-level statistics."""
+    totals = [ZERO_VOTES] * kappa
+    for cell, lab in q.labels.items():
+        totals[lab - 1] = totals[lab - 1] + p.votes[cell]
+    return totals
 
 
 def cells_connected(cells) -> bool:
@@ -48,7 +82,7 @@ def county_connected(graph: CountyGraph, members) -> bool:
     seen = {start}
     stack = [start]
     while stack:
-        for nb in graph.neighbors(stack.pop()):
+        for nb in neighbors(graph, stack.pop()):
             if nb in members and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
@@ -186,6 +220,40 @@ def county_grid_csv(seed: int, side: int = 12, bands: int = 4) -> str:
             )
             lines.append(f'{district(r, c)},g{r}_{c},G,{pop - dem},{dem},"{nbs}"')
     return "\n".join(lines) + "\n"
+
+
+def random_county_csv(seed: int, nodes: int, kappa: int) -> str:
+    """County CSV of a random connected graph cut into kappa connected districts.
+
+    The graph is a random tree plus nodes // 2 random edges.  Districts
+    grow from kappa random nodes, one neighbour at a time, so each stays
+    connected; each party gets 0 to 20 votes per node.
+    """
+    rng = random.Random(seed)
+    adj: list[set[int]] = [set() for _ in range(nodes)]
+    edges = [(rng.randrange(i), i) for i in range(1, nodes)]
+    edges += [tuple(rng.sample(range(nodes), 2)) for _ in range(nodes // 2)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    district = [0] * nodes
+    for d, i in enumerate(rng.sample(range(nodes), kappa), start=1):
+        district[i] = d
+    while not all(district):
+        i = rng.choice([i for i in range(nodes) if district[i]])
+        free = [j for j in sorted(adj[i]) if not district[j]]
+        if free:
+            district[rng.choice(free)] = district[i]
+    lines = ["District,County_id,County,Republicans,Democrats,Neighbors"]
+    for i in range(nodes):
+        nbs = ", ".join(f"{district[j]}:n{j}" for j in sorted(adj[i]))
+        lines.append(f'{district[i]},n{i},N,{rng.randint(0, 20)},{rng.randint(0, 20)},"{nbs}"')
+    return "\n".join(lines) + "\n"
+
+
+def county_index(graph: CountyGraph) -> _MaskIndex:
+    """The oracle's mask index of a county graph: bit i is node i, ``graph.keys[i]``."""
+    return _MaskIndex(graph.keys, {key: node.votes for key, node in graph.nodes.items()}, graph.adj)
 
 
 class _PlanSums:
@@ -363,9 +431,7 @@ def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: 
     )
 
 
-def run_iteration_reference(
-    sums: _PlanSums, rng, iteration: int, k: int, best_improvement: bool = False,
-) -> list[MoveRecord]:
+def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> list[MoveRecord]:
     """Dict-based search iteration on a DistrictPlan: same draws, same rule."""
     graph, plan = sums.graph, sums.plan
     keys = graph.keys
@@ -377,31 +443,23 @@ def run_iteration_reference(
     signed = sums.signed_scaled_effgap()
     for node in picked:
         source = plan.assignment[node]
-        neighbors = graph.neighbors(node)
-        if all(plan.assignment[nb] == source for nb in neighbors):
+        nbs = neighbors(graph, node)
+        if all(plan.assignment[nb] == source for nb in nbs):
             continue
         if _source_rejection_reference(sums, node) is not None:
             continue
         room = plan.pop_hi - graph.nodes[node].votes.population()
         before_abs = abs(signed)
-        best_choice: tuple[int, int] | None = None
-        for nb in neighbors:
+        for nb in nbs:
             target = plan.assignment[nb]
             if target == source or sums.votes[target].population() > room:
                 continue
             new_signed = _trial_value_reference(sums, node, target, signed)
-            if abs(new_signed) >= before_abs:
-                continue
-            if not best_improvement:
-                best_choice = (new_signed, target)
+            if abs(new_signed) < before_abs:
+                records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
+                sums.move(node, target)
+                signed = new_signed
                 break
-            if best_choice is None or abs(new_signed) < abs(best_choice[0]):
-                best_choice = (new_signed, target)
-        if best_choice is not None:
-            new_signed, target = best_choice
-            records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
-            sums.move(node, target)
-            signed = new_signed
     return records
 
 
@@ -418,7 +476,7 @@ def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) ->
         initial = abs(sums.signed_scaled_effgap())
         moves = []
         for iteration in range(cfg.mu):
-            moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k, cfg.best_improvement))
+            moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k))
         final = abs(sums.signed_scaled_effgap())
         traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), sums.plan))
     return traces

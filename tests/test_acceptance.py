@@ -23,14 +23,13 @@ from effgap.grid import (
     brute_force_opt,
     enumerate_equipartitions,
     gen_hardness_instance,
-    partition_vote_totals,
     subset_sum_oracle,
     validate_partition,
 )
 from effgap.localsearch import SearchConfig, run
 from effgap.synthdata import STATE_PROFILES, synth_state_csv
 from effgap.yconvex import is_yconvex_partition, solve_yconvex
-from conftest import cells_connected, random_column_polygon, random_polygon, uniform_rect
+from conftest import cells_connected, partition_vote_totals, random_column_polygon, random_polygon, uniform_rect
 
 STATES = ("WI", "TX", "VA", "PA")
 
@@ -147,9 +146,51 @@ def test_criterion_4_hardness_soundness_completeness():
         else:
             assert res.value == 2 * inst.values_total, values
         agreements += 1
-    elapsed = time.perf_counter() - started
-    ok = agreements == 50 and elapsed < 120
-    report(4, ok, f"50 gadgets (n <= 5), optimum 0 iff an equal split exists ({yes} yes), {elapsed:.1f}s")
+    brute_elapsed = time.perf_counter() - started
+
+    # The y-convex DP on 210 larger gadgets, values up to 256: every column
+    # of a gadget is one run, so the DP applies, and its optimum must still
+    # decide the split.
+    started = time.perf_counter()
+    dp_yes = decoys_seen = 0
+    for i in range(210):
+        n = rng.randint(1, 16) if i < 200 else 17 + (i - 200) % 8
+        if i % 3 == 0 and n >= 2:
+            # Planted split: the last value closes a random signed sum.
+            last = 0
+            while not last:
+                values = [rng.randint(1, 64) for _ in range(n - 1)]
+                last = abs(sum(rng.choice((1, -1)) * v for v in values))
+            values.append(last)
+            rng.shuffle(values)
+        else:
+            values = [rng.randint(1, 64) for _ in range(n)]
+        values = [4 * v for v in values]
+        inst = gen_hardness_instance(values, decoy_count=rng.randint(0, 3), seed=i)
+        res = solve_yconvex(inst.polygon, inst.kappa)
+        assert res.feasible, values
+        if subset_sum_oracle(values):
+            assert res.value == 0, values
+            dp_yes += 1
+        else:
+            assert res.value == 2 * inst.values_total, values
+        total = inst.polygon.total_votes()
+        attainable = {v.value for v in attainable_values(total.party_a, total.population(), inst.kappa)}
+        assert Fraction(res.value, 2) in attainable, values
+        assert validate_partition(inst.polygon, res.partition, inst.kappa).ok, values
+        assert is_yconvex_partition(res.partition), values
+        labels = res.partition.labels
+        for cell in inst.decoy_cells:
+            assert [c for c, lab in labels.items() if lab == labels[cell]] == [cell], values
+        decoys_seen += inst.decoy_count
+    dp_elapsed = time.perf_counter() - started
+    ok = agreements == 50 and brute_elapsed < 120 and dp_elapsed < 120
+    report(
+        4, ok,
+        f"50 gadgets (n <= 5), optimum 0 iff an equal split exists ({yes} yes), {brute_elapsed:.1f}s; "
+        f"y-convex DP on 210 gadgets (n <= 24, {decoys_seen} decoys), the same ({dp_yes} yes), "
+        f"{dp_elapsed:.1f}s",
+    )
 
 
 def test_criterion_5_decoy_isolation():

@@ -21,15 +21,15 @@ from conftest import cells_connected, polygon, uniform_rect
 
 
 def case1(p, t, window, **kwargs):
-    return solve_case1(build_decomposition(p, t), _MaskIndex(p), window, **kwargs)
+    return solve_case1(build_decomposition(p, t), _MaskIndex.of_polygon(p), window, **kwargs)
 
 
 def canonical(p, t, window, **kwargs):
-    return solve_canonical(build_decomposition(p, t), _MaskIndex(p), window, **kwargs)
+    return solve_canonical(build_decomposition(p, t), _MaskIndex.of_polygon(p), window, **kwargs)
 
 
 def reach_table(p, decomp):
-    return build_reach_table(decomp, _MaskIndex(p))
+    return build_reach_table(decomp, _MaskIndex.of_polygon(p))
 
 
 def mask_cells(idx, mask):
@@ -334,7 +334,7 @@ def test_two_near_stable_output_pins_and_pass_counters(name):
 def canonical_loop_reference(p, t, window):
     """The per-pair loop: rebuild and flood-fill both sides of every pair."""
     d = build_decomposition(p, t)
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     table = build_reach_table(d, idx)
     lo, hi = window
     total = p.total_votes()
@@ -430,7 +430,7 @@ def test_oversized_interior_rejected_before_enumeration(solver):
     # One 9x9 block at t=5: its interior is the 5x5 middle, 2**25 subsets.
     p = uniform_rect(9, 9)
     with pytest.raises(ValueError, match=r"block 0 \(rows 0-8, cols 0-8\) has 25 interior cells"):
-        solver(build_decomposition(p, 5), _MaskIndex(p), (0, 81))
+        solver(build_decomposition(p, 5), _MaskIndex.of_polygon(p), (0, 81))
     with pytest.raises(ValueError, match="at most 16"):
         reach_table(p, build_decomposition(p, 5))
 
@@ -470,7 +470,7 @@ REACH_PINS = [
 @pytest.mark.parametrize("args, t, marked, digest", REACH_PINS)
 def test_reach_table_pins(args, t, marked, digest):
     p = random_rect(*args)
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     table = build_reach_table(build_decomposition(p, t), idx)
     firsts = [ri for ri, _, _ in table.first_marked.values()]
     layer_sizes = [1 + sum(ri <= b for ri in firsts) for b in range(len(table.choices))]

@@ -9,9 +9,9 @@ import pytest
 
 from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
-from effgap.grid import read_instance, read_partition, validate_partition
+from effgap.grid import read_instance, validate_partition
 from fractions import Fraction
-from conftest import TOY_COUNTY_CSV, county_grid_csv
+from conftest import TOY_COUNTY_CSV, county_grid_csv, read_partition
 
 
 @pytest.fixture

@@ -13,10 +13,8 @@ from effgap.grid import (
     brute_force_opt,
     enumerate_equipartitions,
     gen_hardness_instance,
-    partition_vote_totals,
     population_window,
     read_instance,
-    read_partition,
     subset_sum_oracle,
     validate_partition,
     validate_polygon,
@@ -25,8 +23,19 @@ from effgap.grid import (
     _connected_submasks,
     _enumerate_mask_partitions,
     _MaskIndex,
+    _masks_to_partition,
+    _optimum,
+    neighbors4,
 )
-from conftest import cells_connected, polygon, random_polygon, uniform_rect, validate_polygon_reference
+from conftest import (
+    cells_connected,
+    partition_vote_totals,
+    polygon,
+    random_polygon,
+    read_partition,
+    uniform_rect,
+    validate_polygon_reference,
+)
 
 
 # --- polygon validation -----------------------------------------------------
@@ -147,6 +156,9 @@ def test_population_window_matches_inline_formula():
     assert empty >= 50
     with pytest.raises(ValueError, match="non-negative"):
         population_window(10, 2, Fraction(-1, 4))
+    for kappa, delta in ((0, None), (-2, None), (0, Fraction(1, 4)), (-2, Fraction(1, 4))):
+        with pytest.raises(ValueError, match=f"kappa must be at least 1, got {kappa}"):
+            population_window(10, kappa, delta)
 
 
 # --- the oracle -------------------------------------------------------------
@@ -166,7 +178,7 @@ def column_runs(rows, runs, seed=0, cell_pop=2):
 
 def test_connected_submask_enumeration_matches_powerset():
     p = uniform_rect(3, 3)
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     seed = 0
     allowed = (1 << 9) - 1
     mine = {mask for mask, _ in _connected_submasks(idx, seed, allowed, 10**9)}
@@ -183,7 +195,7 @@ def test_connected_submask_enumeration_matches_powerset():
     # A diamond leaves grid bits unused and puts row ends next to the
     # starts of the following rows in bit order.
     p = column_runs(4, ((1, 2), (0, 3), (0, 3), (1, 2)))
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     seed_cell = min(p.votes)
     walk = [mask for mask, _ in _connected_submasks(idx, idx.index[seed_cell], idx.full, 10**9)]
     assert len(walk) == len(set(walk))
@@ -203,7 +215,7 @@ def test_mask_connectivity_matches_cell_search():
              (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
     p = polygon({cell: (0, 1) for cell in cells}, rows=4, cols=4)
     assert validate_polygon(p).ok
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
     assert idx.index[(1, 0)] == 4 and idx.index[(0, 3)] == 3
     bit = {cell: 1 << idx.index[cell] for cell in cells}
     for wrap in (((0, 3), (1, 0)), ((1, 3), (2, 0))):
@@ -217,7 +229,7 @@ def test_mask_connectivity_matches_cell_search():
 def _naive_partitions(p, kappa, lo, hi):
     """The oracle's partitions, found by filtering the unpruned submask walk
     with cell-set checks."""
-    idx = _MaskIndex(p)
+    idx = _MaskIndex.of_polygon(p)
 
     def cells_of(mask):
         return {cell for cell, i in idx.index.items() if mask >> i & 1}
@@ -245,7 +257,7 @@ def test_pruned_walk_keeps_every_valid_submask_in_order():
     rng = random.Random(41)
     for trial in range(30):
         p = random_polygon(rng, rng.randint(6, 12), max_pop=3)
-        idx = _MaskIndex(p)
+        idx = _MaskIndex.of_polygon(p)
         total = p.total_votes().population()
         cap = rng.randint(total // 3, total)
         allowed = idx.full
@@ -276,9 +288,37 @@ def test_enumeration_matches_naive_filter():
         else:
             lo, hi = max(0, total // kappa - 1), total // kappa + 2
         expected = list(_naive_partitions(p, kappa, lo, hi))
-        assert list(_enumerate_mask_partitions(_MaskIndex(p), kappa, lo, hi)) == expected
+        assert list(_enumerate_mask_partitions(_MaskIndex.of_polygon(p), kappa, lo, hi)) == expected
         checked += len(expected)
     assert checked > 100
+
+
+def test_oracle_on_a_polygon_as_a_county_index():
+    """A polygon's optimum and optima do not depend on its bounding-box bit
+    layout: numbered densely, as a county graph's nodes are, the same
+    scoring gives the same partitions."""
+    shapes = [
+        (column_runs(3, [(0, 2)] * 4, seed=1), (2, 3, 4)),
+        (column_runs(2, [(0, 1)] * 6, seed=2), (2, 3)),
+        (column_runs(4, [(0, 3)] * 3, seed=3), (2, 4)),
+        (column_runs(4, ((1, 2), (0, 3), (0, 3), (1, 2)), seed=4), (2, 3, 4)),
+    ]
+    optima = 0
+    for p, kappas in shapes:
+        cells = sorted(p.votes)
+        number = {cell: i for i, cell in enumerate(cells)}
+        adj = [[number[nb] for nb in neighbors4(cell) if nb in number] for cell in cells]
+        dense = _MaskIndex(cells, p.votes, adj)
+        total = p.total_votes().population()
+        for kappa in kappas:
+            for window in (population_window(total, kappa), population_window(total, kappa, Fraction(1, 8))):
+                res = brute_force_opt(p, kappa, window)
+                value, argmin = _optimum(dense, kappa, *window)
+                assert value == res.value, (kappa, window)
+                assert len(argmin) == len(res.partitions)
+                assert [_masks_to_partition(dense, m) for m in argmin] == list(res.partitions)
+                optima += len(argmin)
+    assert optima >= 20, optima
 
 
 def test_oracle_2x2_top_vs_bottom():

@@ -10,7 +10,16 @@ import pytest
 
 from effgap import localsearch
 from effgap.core import district_effgap
-from effgap.county import district_votes, ingest, plan_stats, read_plan_csv, validate_plan, write_plan_csv
+from effgap.grid import _masks_to_partition, _optimum
+from effgap.county import (
+    DistrictPlan,
+    district_votes,
+    ingest,
+    plan_stats,
+    read_plan_csv,
+    validate_plan,
+    write_plan_csv,
+)
 from effgap.localsearch import (
     MoveRecord,
     ReplicaState,
@@ -20,7 +29,7 @@ from effgap.localsearch import (
     run_iteration,
 )
 from effgap.synthdata import synth_state_csv
-from conftest import TOY_COUNTY_CSV, county_grid_csv, run_reference
+from conftest import TOY_COUNTY_CSV, county_grid_csv, county_index, neighbors, random_county_csv, run_reference
 
 # 2x3 node grid; district 1 = {a, b, d, e}, district 2 = {c, f}.  Exactly
 # one single-node move strictly improves the total gap: b -> district 2.
@@ -66,7 +75,7 @@ def all_single_moves(graph, plan):
     out = []
     before = plan_stats(graph, plan).total_scaled_abs
     for node in graph.keys:
-        for target in sorted({plan.assignment[nb] for nb in graph.neighbors(node)}):
+        for target in sorted({plan.assignment[nb] for nb in neighbors(graph, node)}):
             if target == plan.assignment[node]:
                 continue
             legal = move_is_legal(graph, plan, node, target).ok
@@ -221,14 +230,6 @@ def test_parallel_replicas_match_sequential():
     assert_final_gaps_match_plans(res.graph, seq, par)
 
 
-def test_best_improvement_mode_runs():
-    res = ingest(SIX_NODE_CSV)
-    cfg = SearchConfig(mu=10, k=4, seed=5, replicas=2, best_improvement=True)
-    result = run(res.graph, res.plan, cfg)
-    for trace in result.traces:
-        assert trace.final_scaled <= trace.initial_scaled
-
-
 def ring_csv(side: int = 5) -> str:
     """District 1 is the border ring of a side x side grid, district 2 the rest.
 
@@ -257,63 +258,43 @@ def pin_graph(name: str) -> str:
 # sha256 of the joined traces and of the best plan's CSV for
 # SearchConfig(mu=100, k=20, seed=11, replicas=2), recorded from the
 # search that ran move_is_legal for every (node, target) pair, so that
-# a faster legality check cannot change a single move.  On the synthetic
-# states first and best improvement make the same moves; on the grid
-# they differ.
+# a faster legality check cannot change a single move.
 TRACE_PINS = {
-    ("WI", False): (
+    "WI": (
         "72f2ec98b046e718884b4f7e5ec3afee0a110cbc81e739f0669d800072353623",
         "73e683e3df56122ed47daa7260cc1885429dbd27d4e6a345b6da14ed90199522",
     ),
-    ("WI", True): (
-        "72f2ec98b046e718884b4f7e5ec3afee0a110cbc81e739f0669d800072353623",
-        "73e683e3df56122ed47daa7260cc1885429dbd27d4e6a345b6da14ed90199522",
-    ),
-    ("TX", False): (
+    "TX": (
         "d239a0ea6cf2de3222ee322a5ba9c7b6309176bc0d4a9a5ceab570dc152cc89e",
         "0f0945b652f65573e1d49ccab5bd7656c7065dde7dc77575dce1e2d9401cafda",
     ),
-    ("TX", True): (
-        "d239a0ea6cf2de3222ee322a5ba9c7b6309176bc0d4a9a5ceab570dc152cc89e",
-        "0f0945b652f65573e1d49ccab5bd7656c7065dde7dc77575dce1e2d9401cafda",
-    ),
-    ("VA", False): (
+    "VA": (
         "6f7af461bfc483f743d35f54ac654bf5551d3c8f13cd469a8b2dcf5f747a38a8",
         "f419c5299e1b6f93f34e7b33415d2aae07104c70c34d13898ab907ae77ae65a0",
     ),
-    ("VA", True): (
-        "6f7af461bfc483f743d35f54ac654bf5551d3c8f13cd469a8b2dcf5f747a38a8",
-        "f419c5299e1b6f93f34e7b33415d2aae07104c70c34d13898ab907ae77ae65a0",
-    ),
-    ("PA", False): (
+    "PA": (
         "f1b3c02a188a43b2afd70ee6be1911051639e3606bdd8642d48e55608d509f81",
         "359b6edf07ef2f8440b07d443ee2d41bf2bffdb0f983d5cb8fdeee412f0a964b",
     ),
-    ("PA", True): (
-        "f1b3c02a188a43b2afd70ee6be1911051639e3606bdd8642d48e55608d509f81",
-        "359b6edf07ef2f8440b07d443ee2d41bf2bffdb0f983d5cb8fdeee412f0a964b",
-    ),
-    ("grid", False): (
+    "grid": (
         "b10a41a8cc7959dbd19291d5e2d3ebe8ea9f4364152a1ccda6fddd114e44a232",
-        "b0bf52832d8e6b591b1842be7c75035ceb1d653f75a732181f6371025a7f3335",
-    ),
-    ("grid", True): (
-        "72043f73f3f1d9323bb5465679aa81409ca42ed4cf7a16bd5b3203e39f518c85",
         "b0bf52832d8e6b591b1842be7c75035ceb1d653f75a732181f6371025a7f3335",
     ),
 }
 
 
-@pytest.mark.parametrize("name,best", sorted(TRACE_PINS))
-def test_traces_match_pins(name, best):
+# The ids keep the "-False" of the retired best-improvement parameter, so
+# each pin's test keeps its name.
+@pytest.mark.parametrize("name", sorted(TRACE_PINS), ids=lambda name: f"{name}-False")
+def test_traces_match_pins(name):
     res = ingest(pin_graph(name))
-    cfg = SearchConfig(mu=100, k=20, seed=11, replicas=2, best_improvement=best)
+    cfg = SearchConfig(mu=100, k=20, seed=11, replicas=2)
     result = run(res.graph, res.plan, cfg)
     traces = "".join(t.to_lines() for t in result.traces)
     assert (
         hashlib.sha256(traces.encode()).hexdigest(),
         hashlib.sha256(write_plan_csv(result.best_plan).encode()).hexdigest(),
-    ) == TRACE_PINS[(name, best)]
+    ) == TRACE_PINS[name]
 
 
 @pytest.mark.parametrize(
@@ -331,7 +312,7 @@ def test_move_is_legal_matches_full_validation(text, seed):
         legal = []
         for node in graph.keys:
             source = plan.assignment[node]
-            for target in sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source}):
+            for target in sorted({plan.assignment[nb] for nb in neighbors(graph, node)} - {source}):
                 verdict = move_is_legal(graph, plan, node, target).ok
                 plan.assignment[node] = target
                 assert verdict == validate_plan(graph, plan).ok, (node, target)
@@ -444,7 +425,7 @@ def _drained_plan(graph, plan, rng, steps):
         source = rng.choice(plan.district_ids)
         for _ in range(steps):
             node = rng.choice(sorted(k for k, d in plan.assignment.items() if d == source))
-            targets = sorted({plan.assignment[nb] for nb in graph.neighbors(node)} - {source})
+            targets = sorted({plan.assignment[nb] for nb in neighbors(graph, node)} - {source})
             if targets:
                 target = rng.choice(targets)
                 if move_is_legal(graph, plan, node, target).ok:
@@ -484,8 +465,7 @@ DIFFERENTIAL_GRAPHS = {
 
 def test_search_matches_dict_based_reference():
     """Every trace and final plan equals the dict-based search's, from the
-    ingested plan and from plans with districts drained to their bounds, in
-    both modes."""
+    ingested plan and from plans with districts drained to their bounds."""
     runs = accepted = 0
     for name, make in DIFFERENTIAL_GRAPHS.items():
         res = ingest(make())
@@ -493,16 +473,15 @@ def test_search_matches_dict_based_reference():
         rng = random.Random(name)
         starts = [res.plan] + [_drained_plan(graph, res.plan, rng, 12) for _ in range(2)]
         for start_no, plan0 in enumerate(starts):
-            for seed in range(4):
-                for best in (False, True):
-                    cfg = SearchConfig(mu=25, k=min(12, len(graph.keys) - 1), seed=1000 * start_no + seed,
-                                       replicas=1 + seed % 3, best_improvement=best)
-                    got = run(graph, plan0, cfg)
-                    want = run_reference(graph, plan0, cfg)
-                    assert [t.to_lines() for t in got.traces] == [t.to_lines() for t in want], (name, cfg)
-                    assert [t.final_plan for t in got.traces] == [t.final_plan for t in want], (name, cfg)
-                    runs += 1
-                    accepted += sum(len(t.moves) for t in want)
+            for seed in range(8):
+                cfg = SearchConfig(mu=25, k=min(12, len(graph.keys) - 1), seed=1000 * start_no + seed,
+                                   replicas=1 + seed % 3)
+                got = run(graph, plan0, cfg)
+                want = run_reference(graph, plan0, cfg)
+                assert [t.to_lines() for t in got.traces] == [t.to_lines() for t in want], (name, cfg)
+                assert [t.final_plan for t in got.traces] == [t.final_plan for t in want], (name, cfg)
+                runs += 1
+                accepted += sum(len(t.moves) for t in want)
     assert runs >= 200 and accepted >= 500, (runs, accepted)
 
 
@@ -537,3 +516,35 @@ def test_state_gap_is_sum_of_district_effgaps():
                 ties += sum(2 * v.party_a == v.population() for v in votes)
                 moves += 1
     assert plans == 3 * len(DIFFERENTIAL_GRAPHS) and ties and moves >= 200, (plans, ties, moves)
+
+
+def test_search_never_beats_the_exact_optimum():
+    """The exhaustive oracle, run on a county graph's own mask index in the
+    plan's frozen window, is a lower bound on every replica's final gap (its
+    plan in that window), and each of its optima is a valid plan whose gap
+    is that optimum."""
+    graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
+    graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
+    hits = still = optima = 0
+    for seed, text in enumerate(graphs):
+        res = ingest(text)
+        graph, plan = res.graph, res.plan
+        idx = county_index(graph)
+        best, argmin = _optimum(idx, plan.kappa, plan.pop_lo, plan.pop_hi)
+        assert best is not None  # the ingested plan is in its own window
+        cfg = SearchConfig(mu=100, k=min(8, len(graph.keys) - 1), seed=seed, replicas=2)
+        result = run(graph, plan, cfg)
+        for trace in result.traces:
+            assert validate_plan(graph, trace.final_plan).ok, seed
+            assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
+        for masks in argmin:
+            labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
+            assignment = {key: plan.district_ids[lab - 1] for key, lab in labels.items()}
+            opt = DistrictPlan(assignment, plan.district_ids, plan.pop_lo, plan.pop_hi)
+            assert validate_plan(graph, opt).ok, (seed, masks)
+            assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
+        optima += len(argmin)
+        hits += result.traces[result.best_replica].final_scaled == best
+        still += not any(trace.moves for trace in result.traces)
+    print(f"search reached the optimum on {hits} of {len(graphs)} graphs "
+          f"and made no move on {still}; {optima} optima checked")

@@ -7,7 +7,6 @@ from effgap.core import VoteCounts, district_effgap, total_effgap
 from effgap.grid import (
     GridPolygon,
     enumerate_equipartitions,
-    partition_vote_totals,
     validate_partition,
 )
 from effgap import yconvex
@@ -19,7 +18,7 @@ from effgap.yconvex import (
     solve_yconvex,
     transition_feasible,
 )
-from conftest import cells_connected, polygon, random_column_polygon, uniform_rect
+from conftest import cells_connected, partition_vote_totals, polygon, random_column_polygon, uniform_rect
 
 # Column 0 holds two runs, rows 0 and 2: outside the solver's scope.
 C_SHAPE = ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1))
