@@ -411,7 +411,7 @@ def solve_two_near_stable(
     window = population_window(pop, 2, delta_bound)
 
     decomp = build_decomposition(p, t)
-    idx = _MaskIndex.of_polygon(p)
+    idx = p.mask_index
     passes = {"case1": PassCounts(), "canonical": PassCounts()}
     plans = [
         plan

@@ -166,7 +166,7 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
     if args.exact:
         out.append(f"exact normalized gap: original {before.normalized}, new {after.normalized}")
     if args.plan_out:
-        Path(args.plan_out).write_text(write_plan_csv(run_result.best_plan))
+        Path(args.plan_out).write_text(write_plan_csv(graph, run_result.best_plan))
     if args.trace_out:
         Path(args.trace_out).write_text("".join(t.to_lines() for t in run_result.traces))
     summary = {

@@ -12,10 +12,12 @@ One-sided neighbor listings are symmetrized with a warning, since hand
 curated files commonly have them.
 
 Ingest numbers the nodes in key order and stores the adjacency on those
-numbers.  Every connectivity check (whole graph, initial districts,
-``validate_plan`` and the local search's source check) is one search,
-``_reaches``, over a label list: a node is inside district d when its
-label is d.
+numbers, and a plan is the district of each node number.  Keys and
+numbers are translated only at the file edges: ``ingest``,
+``read_plan_csv`` and ``write_plan_csv``.  Every connectivity check
+(whole graph, initial districts, ``validate_plan`` and the local search's
+source check) is one search, ``_reaches``, over a label list such as a
+plan's: a node is inside district d when its label is d.
 """
 
 from __future__ import annotations
@@ -76,15 +78,16 @@ class CountyGraph:
 
 @dataclass
 class DistrictPlan:
-    """Assignment of nodes to districts, with frozen population bounds.
+    """Each node's district, with frozen population bounds.
 
-    The bounds are taken from the plan the graph was ingested with and
-    are never recomputed: a reassignment is valid only while every
-    district stays within them.  Members and vote sums are derived from
-    the assignment when needed (``district_votes``, ``validate_plan``).
+    ``dist[i]`` is the district of node i, ``graph.keys[i]``.  The bounds
+    are taken from the plan the graph was ingested with and are never
+    recomputed: a reassignment is valid only while every district stays
+    within them.  Members and vote sums are derived from ``dist`` when
+    needed (``district_votes``, ``validate_plan``).
     """
 
-    assignment: dict[NodeKey, int]
+    dist: list[int]
     district_ids: tuple[int, ...]
     pop_lo: int
     pop_hi: int
@@ -94,7 +97,7 @@ class DistrictPlan:
         return len(self.district_ids)
 
     def copy(self) -> "DistrictPlan":
-        return DistrictPlan(dict(self.assignment), self.district_ids, self.pop_lo, self.pop_hi)
+        return DistrictPlan(list(self.dist), self.district_ids, self.pop_lo, self.pop_hi)
 
 
 @dataclass(frozen=True)
@@ -182,12 +185,12 @@ def _reaches(
 
 def initial_plan(graph: CountyGraph) -> DistrictPlan:
     """The plan encoded by the District column, with its frozen bounds."""
-    assignment = {key: key[0] for key in graph.nodes}
-    district_ids = tuple(sorted(set(assignment.values())))
+    dist = [d for d, _ in graph.keys]
+    district_ids = tuple(sorted(set(dist)))
     pops = dict.fromkeys(district_ids, 0)
-    for (d, _), node in graph.nodes.items():
+    for d, node in zip(dist, graph.nodes.values()):
         pops[d] += node.votes.population()
-    return DistrictPlan(assignment, district_ids, min(pops.values()), max(pops.values()))
+    return DistrictPlan(dist, district_ids, min(pops.values()), max(pops.values()))
 
 
 def ingest(source: str | io.TextIOBase) -> IngestResult:
@@ -288,23 +291,20 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
 
 def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
     """Full check: cover, non-empty connected districts, population bounds."""
-    if set(plan.assignment) != set(graph.nodes):
+    dist = plan.dist
+    if len(dist) != len(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    nodes, index = graph.nodes, graph.index
     pops = dict.fromkeys(plan.district_ids, 0)
     assigned: dict[int, set[int]] = {d: set() for d in plan.district_ids}
-    label = [0] * len(index)
-    for key, d in plan.assignment.items():
+    for i, (d, node) in enumerate(zip(dist, graph.nodes.values())):
         if d not in pops:
             return PlanReport(False, f"node assigned to unknown district {d}")
-        pops[d] += nodes[key].votes.population()
-        i = index[key]
-        label[i] = d
+        pops[d] += node.votes.population()
         assigned[d].add(i)
     for d, members in assigned.items():
         if not members:
             return PlanReport(False, f"district {d} empty")
-        if not _reaches(graph.adj, label, d, next(iter(members)), (), members):
+        if not _reaches(graph.adj, dist, d, next(iter(members)), (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = pops[d]
         if not plan.pop_lo <= pop <= plan.pop_hi:
@@ -322,9 +322,8 @@ def district_votes(graph: CountyGraph, plan: DistrictPlan) -> dict[int, VoteCoun
     """
     sum_a = dict.fromkeys(plan.district_ids, 0)
     sum_b = dict.fromkeys(plan.district_ids, 0)
-    nodes = graph.nodes
-    for key, d in plan.assignment.items():
-        votes = nodes[key].votes
+    for d, node in zip(plan.dist, graph.nodes.values()):
+        votes = node.votes
         sum_a[d] += votes.party_a
         sum_b[d] += votes.party_b
     return {d: VoteCounts(sum_a[d], sum_b[d]) for d in plan.district_ids}
@@ -338,19 +337,19 @@ def plan_stats(graph: CountyGraph, plan: DistrictPlan) -> PlanStats:
     return total_effgap(list(district_votes(graph, plan).values()))
 
 
-def write_plan_csv(plan: DistrictPlan) -> str:
+def write_plan_csv(graph: CountyGraph, plan: DistrictPlan) -> str:
+    """The plan file: one row per node, in key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PLAN_COLUMNS)
-    for (district, county_id) in sorted(plan.assignment):
-        writer.writerow([district, county_id, plan.assignment[(district, county_id)]])
+    writer.writerows([*key, d] for key, d in zip(graph.keys, plan.dist))
     return buf.getvalue()
 
 
 def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
     """A plan file applied to a graph; bounds stay those of the initial plan.
 
-    The plan is the initial plan with the file's assignment, so it keeps
+    The plan is the initial plan with the file's districts, so it keeps
     the initial plan's districts: an assigned district outside them is
     rejected, and one left without nodes stays in the plan, empty, for
     ``validate_plan`` to report.
@@ -358,21 +357,23 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
     plan = initial_plan(graph)
     known = set(plan.district_ids)
     header_error = f"plan header must be {','.join(PLAN_COLUMNS)}"
-    assignment: dict[NodeKey, int] = {}
+    index = graph.index
+    dist: list[int | None] = [None] * len(index)
     for row_no, (district, county_id, assigned) in _csv_rows(text, PLAN_COLUMNS, header_error):
         try:
             key = (int(district), county_id.strip())
             assigned = int(assigned)
         except ValueError as exc:
             raise IngestError(f"row {row_no}: {exc}") from exc
-        if key not in graph.nodes:
+        i = index.get(key)
+        if i is None:
             raise IngestError(f"row {row_no}: unknown node {key[0]}:{key[1]}")
-        if key in assignment:
+        if dist[i] is not None:
             raise IngestError(f"row {row_no}: duplicate node {key[0]}:{key[1]}")
         if assigned not in known:
             raise IngestError(f"row {row_no}: unknown district {assigned}")
-        assignment[key] = assigned
-    if set(assignment) != set(graph.nodes):
+        dist[i] = assigned
+    if None in dist:
         raise IngestError("plan does not cover every node")
-    plan.assignment.update(assignment)
+    plan.dist = dist
     return plan

@@ -23,6 +23,7 @@ on an index built from a county graph.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,11 +33,6 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 from .core import VoteCounts, ZERO_VOTES, district_effgap
 
 Cell = tuple[int, int]
-
-
-def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
-    r, c = cell
-    return ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,11 @@ class GridPolygon:
             total = total + v
         return total
 
+    @functools.cached_property
+    def mask_index(self) -> "_MaskIndex":
+        """``_MaskIndex.of_polygon(self)``, built once per polygon."""
+        return _MaskIndex.of_polygon(self)
+
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -94,7 +95,8 @@ class _MaskIndex:
     in bit order and ``full`` holds their bits.  ``adj[i]`` is the mask of
     bit i's neighbours, and ``pop`` and ``party_a`` read 0 at bits that
     are no node.  A county graph's index is built from ``graph.keys``, the
-    node votes and ``graph.adj``; a polygon's comes from ``of_polygon``.
+    node votes and ``graph.adj``; a polygon's comes from ``of_polygon`` and
+    is cached as ``GridPolygon.mask_index``.
     """
 
     def __init__(
@@ -179,7 +181,7 @@ def validate_polygon(p: GridPolygon) -> ValidationReport:
     """
     if not p.votes:
         return ValidationReport(False, "empty", None)
-    idx = _MaskIndex.of_polygon(p)
+    idx = p.mask_index
     full = idx.full
     lost = full & ~idx.flood(full & -full, full)
     if lost:
@@ -238,7 +240,7 @@ def validate_partition(
         if not 1 <= lab <= kappa:
             return ValidationReport(False, f"label {lab} outside 1..{kappa}", cell)
     lo, hi = window or population_window(p.total_votes().population(), kappa)
-    idx = _MaskIndex.of_polygon(p)
+    idx = p.mask_index
     masks = [0] * (kappa + 1)
     for cell, lab in q.labels.items():
         masks[lab] |= 1 << idx.index[cell]
@@ -377,10 +379,9 @@ def enumerate_equipartitions(
 ) -> Iterator[GridPartition]:
     """Every connected kappa-partition of `p` with populations in the window
     (by default the exact one)."""
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    idx = _MaskIndex.of_polygon(p)
-    lo, hi = window or population_window(p.total_votes().population(), kappa)
+    exact = population_window(p.total_votes().population(), kappa)  # checks kappa
+    lo, hi = window or exact
+    idx = p.mask_index
     for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
         yield _masks_to_partition(idx, masks)
 
@@ -430,10 +431,9 @@ def brute_force_opt(
         raise OracleLimitError(
             f"instance too large for oracle ({p.size} cells > limit {cell_limit})"
         )
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    idx = _MaskIndex.of_polygon(p)
-    lo, hi = window or population_window(p.total_votes().population(), kappa)
+    exact = population_window(p.total_votes().population(), kappa)  # checks kappa
+    lo, hi = window or exact
+    idx = p.mask_index
     best, argmin = _optimum(idx, kappa, lo, hi)
     if best is None:
         return OracleResult(False, None, ())
@@ -455,22 +455,33 @@ def write_instance(p: GridPolygon, kappa: int) -> str:
 
 
 def read_instance(text: str) -> tuple[GridPolygon, int]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The polygon and kappa of ``write_instance``'s text form.
+
+    Blank lines are skipped.  An error in a line names it as ``line N``,
+    N counting every line from 1, blank ones included.
+    """
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty instance file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("header must be 'm n kappa'")
-    rows, cols, kappa = (int(x) for x in head)
+    (no, head), *cell_lines = lines
     votes: dict[Cell, VoteCounts] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad cell line: {ln!r}")
-        r, c, a, b = (int(x) for x in parts)
-        if (r, c) in votes:
-            raise ValueError(f"duplicate cell {(r, c)}")
-        votes[(r, c)] = VoteCounts(a, b)
+    try:
+        if len(head) != 3:
+            raise ValueError("header must be 'm n kappa'")
+        rows, cols, kappa = map(int, head)
+        if rows < 1 or cols < 1:
+            raise ValueError("grid dimensions must be positive")
+        for no, fields in cell_lines:
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 fields 'row col a b', got {len(fields)}")
+            r, c, a, b = map(int, fields)
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"cell {(r, c)} outside the {rows}x{cols} grid")
+            if (r, c) in votes:
+                raise ValueError(f"duplicate cell {(r, c)}")
+            votes[(r, c)] = VoteCounts(a, b)
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from exc
     return GridPolygon(rows, cols, votes), kappa
 
 

@@ -13,16 +13,16 @@ scanned in key order.  The generator is ``pcg64``'s plain-Python copy of
 numpy's PCG64 stream, so every trace is the one numpy's draws give.
 
 The search works on the graph's node numbers: node i is ``graph.keys[i]``
-and ``graph.adj[i]`` its neighbours, both built by ``ingest``.  A replica
-searches on a ReplicaState, which reads those two tables as they are,
-holds each node's votes as ints, and keeps each node's district, each
-district's vote sums and W, the population of the districts party A
-wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
-node's effect on W in its own district is computed once and each
-target's in one step, and an accepted move updates the two districts it
-touches and W.  Every replica gives back its moves and final district
-list; its final gap is that of its last move, and its DistrictPlan is
-built once, at the end.
+and ``graph.adj[i]`` its neighbours, both built by ``ingest``, and a
+plan's ``dist[i]`` is its district.  A replica searches on a
+ReplicaState, which reads those tables as they are, holds each node's
+votes as ints, and keeps a copy of ``dist``, each district's vote sums
+and W, the population of the districts party A wins.  The signed gap
+is 4A - P - 2W (the margin identity), so a drawn node's effect on W in
+its own district is computed once and each target's in one step, and
+an accepted move updates the two districts it touches and W.  Every
+replica gives back its moves and final district list, which becomes
+its final plan's ``dist``; its final gap is that of its last move.
 
 With ``jobs`` = N > 1 processes, the calling process is one of them: it
 runs replicas 0, N, 2N, ...  Each of N - 1 worker processes, started
@@ -139,7 +139,7 @@ class ReplicaState:
         self.district_ids = plan.district_ids
         self.pop_lo, self.pop_hi = plan.pop_lo, plan.pop_hi
         self.base = 4 * sum(self.node_a) - sum(self.node_pop)
-        self.dist = list(map(plan.assignment.__getitem__, self.keys))
+        self.dist = list(plan.dist)
         self.party_a = dict.fromkeys(self.district_ids, 0)
         self.pop = dict.fromkeys(self.district_ids, 0)
         for d, a, p in zip(self.dist, self.node_a, self.node_pop):
@@ -183,11 +183,6 @@ class ReplicaState:
             self.party_a[d] += da
             self.pop[d] += dp
             self.won += _won(self.party_a[d], self.pop[d])
-
-    def to_plan(self, dist: list[int] | None = None) -> DistrictPlan:
-        """The plan with ``dist`` (by default this state's) as its districts."""
-        assignment = dict(zip(self.keys, self.dist if dist is None else dist))
-        return DistrictPlan(assignment, self.district_ids, self.pop_lo, self.pop_hi)
 
 
 def move_is_legal(
@@ -349,8 +344,8 @@ def run(
     node numbers, and each replica copies its district list and sums.
     Worker processes receive the state and config once, when they start.
     Wherever it runs, a replica gives back its moves and final district
-    list; its final gap is that of its last move, and its plan is built
-    here.
+    list; its final gap is that of its last move, and its plan holds the
+    list as it is.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -362,7 +357,7 @@ def run(
     initial = abs(state0.signed)
     traces = tuple(
         SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves,
-                    state0.to_plan(dist), wall_time)
+                    DistrictPlan(dist, plan0.district_ids, plan0.pop_lo, plan0.pop_hi), wall_time)
         for i, (moves, dist, wall_time) in enumerate(results)
     )
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))

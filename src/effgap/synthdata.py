@@ -77,21 +77,16 @@ def _distribute(total: int, weights: list[int], floors: list[int], caps: list[in
     return x
 
 
+def _neighbors(r: int, c: int, rows: int, cols: int) -> list[tuple[int, int]]:
+    """The neighbours of (r, c) inside a rows x cols grid: up, down, left, right."""
+    return [(rr, cc) for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+            if 0 <= rr < rows and 0 <= cc < cols]
+
+
 def _block_of(r: int, c: int, profile: StateProfile) -> int:
     br, bc = profile.block_shape
     _, gcols = profile.block_grid
     return (r // br) * gcols + (c // bc)
-
-
-def _block_neighbors(index: int, profile: StateProfile) -> list[int]:
-    grows, gcols = profile.block_grid
-    r, c = divmod(index, gcols)
-    out = []
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < grows and 0 <= cc < gcols:
-            out.append(rr * gcols + cc)
-    return out
 
 
 def _district_populations(profile: StateProfile, pop_w: int, rng: random.Random) -> list[int]:
@@ -193,9 +188,12 @@ def _seed_nodes(profile: StateProfile) -> dict[int, int]:
     of the low-population anchor.
     """
     winners = set(profile.winner_blocks)
+    grows, gcols = profile.block_grid
     out = {}
     for b in sorted(profile.narrow_blocks):
-        hosts = [nb for nb in _block_neighbors(b, profile) if nb in winners]
+        r, c = divmod(b, gcols)
+        adjacent = (rr * gcols + cc for rr, cc in _neighbors(r, c, grows, gcols))
+        hosts = [nb for nb in adjacent if nb in winners]
         if not hosts:
             raise AssertionError(f"narrow block {b} not adjacent to any winner block")
         out[b] = max(hosts)
@@ -235,14 +233,11 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
     # taken by another seed.
     seed_cells: dict[tuple[int, int], tuple[int, int]] = {}  # cell -> (pop, a)
     for narrow_b, host in sorted(seeds.items()):
-        candidates = []
-        for (r, c) in cells_of[host]:
-            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= rr < nrows and 0 <= cc < ncols:
-                    if _block_of(rr, cc, profile) == narrow_b:
-                        candidates.append((r, c))
-                        break
-        candidates = [cell for cell in sorted(candidates) if cell not in seed_cells]
+        candidates = [
+            (r, c) for r, c in sorted(cells_of[host])
+            if (r, c) not in seed_cells
+            and any(_block_of(*nb, profile) == narrow_b for nb in _neighbors(r, c, nrows, ncols))
+        ]
         if not candidates:
             raise AssertionError(f"no free seed cell between blocks {host} and {narrow_b}")
         seed_cells[candidates[0]] = (seed_pop, seed_a)
@@ -275,19 +270,10 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
             r, c = cell
             w_cell = 900 + rng.randrange(300)
             if b in profile.narrow_blocks:
-                on_w_border = any(
-                    0 <= rr < nrows and 0 <= cc < ncols
-                    and _block_of(rr, cc, profile) in winners
-                    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
-                )
-                interior = all(
-                    not (0 <= rr < nrows and 0 <= cc < ncols)
-                    or _block_of(rr, cc, profile) == b
-                    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
-                )
-                if on_w_border:
+                blocks = [_block_of(*nb, profile) for nb in _neighbors(r, c, nrows, ncols)]
+                if any(nb in winners for nb in blocks):
                     w_cell = 250
-                elif interior:
+                elif all(nb == b for nb in blocks):
                     w_cell = 1800
             weights.append(w_cell * node_pop[cell])
         a_split = _distribute(
@@ -319,10 +305,8 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
         for c in range(ncols):
             cell = (r, c)
             b = _block_of(r, c, profile)
-            nbs = []
-            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= rr < nrows and 0 <= cc < ncols:
-                    nbs.append(f"{_block_of(rr, cc, profile) + 1}:{county_id((rr, cc))}")
+            nbs = [f"{_block_of(*nb, profile) + 1}:{county_id(nb)}"
+                   for nb in _neighbors(r, c, nrows, ncols)]
             pop, a = node_pop[cell], node_a[cell]
             lines.append(
                 f'{b + 1},{county_id(cell)},{profile.name} Cell {r}-{c},'

@@ -214,10 +214,8 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     exists.  Frontier keys are expanded in sorted order and the first
     path to reach a key is kept, so the witness is deterministic.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
     total = p.total_votes()
-    lo, target = population_window(total.population(), kappa)
+    lo, target = population_window(total.population(), kappa)  # checks kappa
     columns = sorted({c for (_, c) in p.votes})
     # Raises on multi-run columns before any shortcut or state expansion.
     tables = {col: _column_table(p, col, kappa, target) for col in columns}

@@ -19,8 +19,14 @@ from effgap.county import (
     NodeKey,
     PlanReport,
 )
-from effgap.grid import GridPartition, GridPolygon, _MaskIndex, neighbors4, validate_polygon
+from effgap.grid import Cell, GridPartition, GridPolygon, _MaskIndex, validate_polygon
 from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
+
+
+def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
+    """The cell's four grid neighbours, inside the grid or not."""
+    r, c = cell
+    return ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
 
 
 def neighbors(graph: CountyGraph, key: NodeKey) -> tuple[NodeKey, ...]:
@@ -256,14 +262,21 @@ def county_index(graph: CountyGraph) -> _MaskIndex:
     return _MaskIndex(graph.keys, {key: node.votes for key, node in graph.nodes.items()}, graph.adj)
 
 
+def assignment(graph: CountyGraph, plan: DistrictPlan) -> dict[NodeKey, int]:
+    """The plan as a node key -> district dict, in key order."""
+    return dict(zip(graph.keys, plan.dist))
+
+
 class _PlanSums:
-    """A plan with its districts' members and VoteCounts sums, kept current by ``move``."""
+    """A key -> district dict with its districts' members and VoteCounts
+    sums, kept current by ``move``; ``plan`` gives the ids and bounds."""
 
     def __init__(self, graph: CountyGraph, plan: DistrictPlan):
         self.graph, self.plan = graph, plan
+        self.assignment = assignment(graph, plan)
         self.members: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
         self.votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
-        for key, d in plan.assignment.items():
+        for key, d in self.assignment.items():
             self.members[d].add(key)
             self.votes[d] = self.votes[d] + graph.nodes[key].votes
 
@@ -271,9 +284,9 @@ class _PlanSums:
         return sum(district_effgap(v) for v in self.votes.values())
 
     def move(self, node: NodeKey, target: int) -> None:
-        source = self.plan.assignment[node]
+        source = self.assignment[node]
         votes = self.graph.nodes[node].votes
-        self.plan.assignment[node] = target
+        self.assignment[node] = target
         self.members[source].discard(node)
         self.members[target].add(node)
         self.votes[source] = self.votes[source] - votes
@@ -282,13 +295,13 @@ class _PlanSums:
 
 def _initial_plan_reference(graph: CountyGraph) -> DistrictPlan:
     """initial_plan summing one VoteCounts per node."""
-    assignment = {key: key[0] for key in graph.nodes}
-    district_ids = tuple(sorted(set(assignment.values())))
+    dist = [key[0] for key in graph.nodes]
+    district_ids = tuple(sorted(set(dist)))
     votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
     for key, node in graph.nodes.items():
         votes[key[0]] = votes[key[0]] + node.votes
     pops = [votes[d].population() for d in district_ids]
-    return DistrictPlan(assignment, district_ids, min(pops), max(pops))
+    return DistrictPlan(dist, district_ids, min(pops), max(pops))
 
 
 def ingest_reference(text: str) -> IngestResult:
@@ -377,12 +390,12 @@ def ingest_reference(text: str) -> IngestResult:
 
 
 def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
-    """Reference plan check summing one VoteCounts per node."""
-    if set(plan.assignment) != set(graph.nodes):
+    """Reference plan check on a key -> district dict, summing one VoteCounts per node."""
+    if len(plan.dist) != len(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
     recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
     assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
-    for key, d in plan.assignment.items():
+    for key, d in assignment(graph, plan).items():
         if d not in recomputed:
             return PlanReport(False, f"node assigned to unknown district {d}")
         recomputed[d] = recomputed[d] + graph.nodes[key].votes
@@ -405,7 +418,7 @@ def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanRepor
 def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
     """The dict-based source-side check: emptied, source bound, connectivity."""
     plan = sums.plan
-    source = plan.assignment[node]
+    source = sums.assignment[node]
     members = sums.members[source]
     if len(members) == 1:
         return "district emptied"
@@ -420,7 +433,7 @@ def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
 def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: int) -> int:
     """Signed scaled gap after a hypothetical move, from VoteCounts."""
     votes = sums.graph.nodes[node].votes
-    src = sums.votes[sums.plan.assignment[node]]
+    src = sums.votes[sums.assignment[node]]
     tgt = sums.votes[target]
     return (
         signed
@@ -433,7 +446,7 @@ def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: 
 
 def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> list[MoveRecord]:
     """Dict-based search iteration on a DistrictPlan: same draws, same rule."""
-    graph, plan = sums.graph, sums.plan
+    graph, plan, assigned = sums.graph, sums.plan, sums.assignment
     keys = graph.keys
     r = int(rng.integers(0, k + 1))
     if r == 0:
@@ -442,16 +455,16 @@ def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> lis
     records = []
     signed = sums.signed_scaled_effgap()
     for node in picked:
-        source = plan.assignment[node]
+        source = assigned[node]
         nbs = neighbors(graph, node)
-        if all(plan.assignment[nb] == source for nb in nbs):
+        if all(assigned[nb] == source for nb in nbs):
             continue
         if _source_rejection_reference(sums, node) is not None:
             continue
         room = plan.pop_hi - graph.nodes[node].votes.population()
         before_abs = abs(signed)
         for nb in nbs:
-            target = plan.assignment[nb]
+            target = assigned[nb]
             if target == source or sums.votes[target].population() > room:
                 continue
             new_signed = _trial_value_reference(sums, node, target, signed)
@@ -472,13 +485,15 @@ def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) ->
     for replica in range(cfg.replicas):
         seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)[replica]
         rng = np.random.Generator(np.random.PCG64(seed_seq))
-        sums = _PlanSums(graph, plan0.copy())
+        sums = _PlanSums(graph, plan0)
         initial = abs(sums.signed_scaled_effgap())
         moves = []
         for iteration in range(cfg.mu):
             moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k))
         final = abs(sums.signed_scaled_effgap())
-        traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), sums.plan))
+        dist = [sums.assignment[key] for key in graph.keys]
+        final_plan = DistrictPlan(dist, plan0.district_ids, plan0.pop_lo, plan0.pop_hi)
+        traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), final_plan))
     return traces
 
 

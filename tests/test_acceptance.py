@@ -302,7 +302,7 @@ def test_criterion_8_monotone_deterministic():
             last = trace.initial_scaled
             for mv in trace.moves:
                 assert mv.before_scaled == last and mv.after_scaled < mv.before_scaled
-                replay.assignment[mv.node] = mv.to_district
+                replay.dist[res.graph.index[mv.node]] = mv.to_district
                 assert validate_plan(res.graph, replay).ok
                 last = mv.after_scaled
             assert last == trace.final_scaled

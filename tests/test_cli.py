@@ -9,7 +9,7 @@ import pytest
 
 from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
-from effgap.grid import read_instance, validate_partition
+from effgap.grid import _MaskIndex, read_instance, validate_partition
 from fractions import Fraction
 from conftest import TOY_COUNTY_CSV, county_grid_csv, read_partition
 
@@ -512,6 +512,24 @@ def test_solve_canonical_subcommand(tmp_path, capsys):
     assert main(["solve", str(grid), "--solver", "canonical", "--epsilon", "1/5"]) == 0
     out = capsys.readouterr().out
     assert "nearness achieved" in out and "status: optimal" in out
+
+
+@pytest.mark.parametrize("solver", ["brute", "canonical"])
+def test_solve_builds_the_mask_index_once(tmp_path, capsys, monkeypatch, solver):
+    """validate_polygon and the solver share the polygon's one mask index."""
+    built = []
+    of_polygon = _MaskIndex.of_polygon.__func__
+
+    def counting(cls, p):
+        built.append(p)
+        return of_polygon(cls, p)
+
+    monkeypatch.setattr(_MaskIndex, "of_polygon", classmethod(counting))
+    grid = tmp_path / "grid.txt"
+    grid.write_text("3 4 2\n" + "".join(f"{r} {c} {(r + c) % 3} 2\n" for r in range(3) for c in range(4)))
+    assert main(["solve", str(grid), "--solver", solver]) == 0
+    assert "status: optimal" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_solve_canonical_manifest_counters(tmp_path, capsys):

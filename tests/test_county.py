@@ -127,7 +127,7 @@ def test_round_trip_graph_and_plan():
     text = serialize_graph(res.graph)
     res2 = ingest(text)
     assert res2.graph == res.graph
-    assert res2.plan.assignment == res.plan.assignment
+    assert res2.plan.dist == res.plan.dist
     assert (res2.plan.pop_lo, res2.plan.pop_hi) == (res.plan.pop_lo, res.plan.pop_hi)
     assert serialize_graph(res2.graph) == text  # byte-stable
 
@@ -144,10 +144,11 @@ def test_aggregation_consistency():
 def test_plan_csv_round_trip():
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.assignment[(1, "A2")] = 2  # legal shape change for serialization only
-    text = write_plan_csv(plan)
+    plan.dist[res.graph.index[(1, "A2")]] = 2  # legal shape change for serialization only
+    text = write_plan_csv(res.graph, plan)
+    assert "1,A2,2\n" in text
     plan2 = read_plan_csv(res.graph, text)
-    assert plan2.assignment == plan.assignment
+    assert plan2.dist == plan.dist
     base = initial_plan(res.graph)
     assert (plan2.pop_lo, plan2.pop_hi) == (base.pop_lo, base.pop_hi)
 
@@ -160,7 +161,7 @@ def test_plan_csv_unknown_node():
 
 def test_plan_csv_unknown_district():
     res = ingest(TOY_COUNTY_CSV)
-    text = write_plan_csv(res.plan).replace("2,B2,2", "2,B2,7")
+    text = write_plan_csv(res.graph, res.plan).replace("2,B2,2", "2,B2,7")
     with pytest.raises(IngestError, match=r"^row 5: unknown district 7$"):
         read_plan_csv(res.graph, text)
 
@@ -172,7 +173,7 @@ def test_plan_csv_keeps_emptied_district():
     )
     res = ingest(three)
     # Merging district 1 into 2 stays inside the frozen bounds [10, 100].
-    plan = read_plan_csv(res.graph, write_plan_csv(res.plan).replace("1,a,1", "1,a,2"))
+    plan = read_plan_csv(res.graph, write_plan_csv(res.graph, res.plan).replace("1,a,1", "1,a,2"))
     assert plan.district_ids == (1, 2, 3)
     report = validate_plan(res.graph, plan)
     assert not report.ok and report.reason == "district 1 empty"
@@ -181,8 +182,8 @@ def test_plan_csv_keeps_emptied_district():
 def test_validate_plan_catches_violations():
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.assignment[(1, "A1")] = 2
-    plan.assignment[(1, "A2")] = 2
+    plan.dist[res.graph.index[(1, "A1")]] = 2
+    plan.dist[res.graph.index[(1, "A2")]] = 2
     report = validate_plan(res.graph, plan)
     assert not report.ok and "empty" in report.reason
 
@@ -191,10 +192,11 @@ def test_validate_plan_reporting_order():
     """Unknown district first, then districts in id order (district 2 is over its bound here)."""
     res = ingest(TOY_COUNTY_CSV)
     plan = res.plan.copy()
-    plan.assignment[(1, "A1")] = 2
-    plan.assignment[(1, "A2")] = 2
+    index = res.graph.index
+    plan.dist[index[(1, "A1")]] = 2
+    plan.dist[index[(1, "A2")]] = 2
     assert validate_plan(res.graph, plan).reason == "district 1 empty"
-    plan.assignment[(2, "B1")] = 9
+    plan.dist[index[(2, "B1")]] = 9
     assert validate_plan(res.graph, plan).reason == "node assigned to unknown district 9"
 
 
@@ -220,7 +222,7 @@ def test_county_row_the_csv_module_cannot_read_rejected():
 
 def test_plan_row_the_csv_module_cannot_read_rejected():
     res = ingest(TOY_COUNTY_CSV)
-    text = write_plan_csv(res.plan).replace("1,A2,1", "1,A2\r,1")
+    text = write_plan_csv(res.graph, res.plan).replace("1,A2,1", "1,A2\r,1")
     with pytest.raises(IngestError, match=r"^row 3: new-line character seen in unquoted field"):
         read_plan_csv(res.graph, text)
 
@@ -235,7 +237,7 @@ def test_neighbor_token_spacing_names_the_same_node(token):
 @pytest.mark.parametrize("row, got", [("1", 1), ("1,A1,1,2", 4)])
 def test_plan_row_with_wrong_field_count_rejected(row, got):
     res = ingest(TOY_COUNTY_CSV)
-    text = write_plan_csv(res.plan).replace("1,A2,1", row)
+    text = write_plan_csv(res.graph, res.plan).replace("1,A2,1", row)
     with pytest.raises(IngestError, match=rf"^row 3: expected 3 fields, got {got}$"):
         read_plan_csv(res.graph, text)
 
@@ -249,7 +251,7 @@ def _outcome(parse, text):
         return type(exc), str(exc)
     g, p = res.graph, res.plan
     graph = ([(k, n.county_name, n.votes) for k, n in g.nodes.items()], g.adj)
-    plan = (list(p.assignment.items()), p.district_ids, p.pop_lo, p.pop_hi)
+    plan = (p.dist, p.district_ids, p.pop_lo, p.pop_hi)
     return graph, plan, res.warnings
 
 
@@ -342,31 +344,32 @@ def _break_plan(rng: random.Random, graph, plan):
     population bounds; the other kinds each give a defect the check reports.
     """
     plan = plan.copy()
-    key = rng.choice(graph.keys)
-    d = plan.assignment[key]
+    dist = plan.dist
+    i = rng.randrange(len(dist))
+    d = dist[i]
     kind = rng.randrange(6)
-    if kind == 0:
-        del plan.assignment[key]
+    if kind == 0:  # a node dropped from the list, or one too many
+        if rng.random() < 0.5:
+            del dist[i]
+        else:
+            dist.append(d)
     elif kind == 1:
-        plan.assignment[key] = max(plan.district_ids) + 1
+        dist[i] = max(plan.district_ids) + 1
     elif kind == 2:  # merge a whole district into another
         other = rng.choice([x for x in plan.district_ids if x != d])
-        for k, x in plan.assignment.items():
-            if x == d:
-                plan.assignment[k] = other
+        dist[:] = [other if x == d else x for x in dist]
     elif kind == 3:  # a node moved to any other district
-        plan.assignment[key] = rng.choice([x for x in plan.district_ids if x != d])
+        dist[i] = rng.choice([x for x in plan.district_ids if x != d])
     elif kind == 4:  # a node moved to a district it does not touch
         far = [x for x in plan.district_ids
-               if x != d and all(plan.assignment[nb] != x for nb in neighbors(graph, key))]
-        plan.assignment[key] = rng.choice(far)
+               if x != d and all(dist[j] != x for j in graph.adj[i])]
+        dist[i] = rng.choice(far)
     else:
         for _ in range(rng.randint(1, 3)):  # boundary moves, then maybe tighter bounds
-            k = rng.choice(graph.keys)
-            targets = sorted({plan.assignment[nb] for nb in neighbors(graph, k)}
-                             - {plan.assignment[k]})
+            j = rng.randrange(len(dist))
+            targets = sorted({dist[nb] for nb in graph.adj[j]} - {dist[j]})
             if targets:
-                plan.assignment[k] = rng.choice(targets)
+                dist[j] = rng.choice(targets)
         if rng.random() < 0.5:
             pops = sorted(v.population() for v in district_votes(graph, plan).values())
             plan.pop_lo, plan.pop_hi = rng.choice([(pops[1], pops[-1]), (pops[0], pops[-2])])

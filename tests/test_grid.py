@@ -25,10 +25,11 @@ from effgap.grid import (
     _MaskIndex,
     _masks_to_partition,
     _optimum,
-    neighbors4,
 )
+from effgap.yconvex import solve_yconvex
 from conftest import (
     cells_connected,
+    neighbors4,
     partition_vote_totals,
     polygon,
     random_polygon,
@@ -159,6 +160,21 @@ def test_population_window_matches_inline_formula():
     for kappa, delta in ((0, None), (-2, None), (0, Fraction(1, 4)), (-2, Fraction(1, 4))):
         with pytest.raises(ValueError, match=f"kappa must be at least 1, got {kappa}"):
             population_window(10, kappa, delta)
+
+
+@pytest.mark.parametrize("kappa", [0, -2])
+@pytest.mark.parametrize("window", [None, (0, 4)])
+def test_solvers_reject_kappa_below_one_with_one_message(kappa, window):
+    """The oracle, the enumeration and the DP all take population_window's rule."""
+    p = uniform_rect(2, 2)
+    message = f"^kappa must be at least 1, got {kappa}$"
+    with pytest.raises(ValueError, match=message):
+        brute_force_opt(p, kappa, window)
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_equipartitions(p, kappa, window))
+    if window is None:
+        with pytest.raises(ValueError, match=message):
+            solve_yconvex(p, kappa)
 
 
 # --- the oracle -------------------------------------------------------------
@@ -449,12 +465,28 @@ def test_partition_round_trip():
 
 
 def test_instance_rejects_garbage():
-    with pytest.raises(ValueError):
-        read_instance("")
-    with pytest.raises(ValueError):
-        read_instance("2 2\n")
-    with pytest.raises(ValueError):
-        read_instance("2 2 2\n0 0 1\n")
+    with pytest.raises(ValueError, match="^empty instance file$"):
+        read_instance("\n \n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n", "line 1: header must be 'm n kappa'"),
+    ("\n2 x 2\n0 0 1 1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("0 2 2\n", "line 1: grid dimensions must be positive"),
+    ("2 2 2\n0 0 1\n", "line 2: expected 4 fields 'row col a b', got 3"),
+    ("2 2 2\n0 0 1 1\n\n\n0 1 1 1 5\n", "line 5: expected 4 fields 'row col a b', got 5"),
+    ("2 2 2\n0 0 1 1\n\n0 1 1.5 1\n", "line 4: invalid literal for int() with base 10: '1.5'"),
+    ("2 2 2\n0 0 1 1\n0 1 1 1\n\n0 0 2 2\n", "line 5: duplicate cell (0, 0)"),
+    ("2 2 2\n\n0 0 1 1\n0 1 -1 1\n", "line 4: vote counts must be non-negative"),
+    ("2 2 2\n0 0 1 1\n \n2 0 1 1\n", "line 4: cell (2, 0) outside the 2x2 grid"),
+    ("2 2 2\n0 0 1 1\n0 -1 1 1\n", "line 3: cell (0, -1) outside the 2x2 grid"),
+], ids=["header fields", "header integer", "dimensions", "short cell", "long cell",
+        "cell integer", "duplicate", "negative votes", "outside below", "outside left"])
+def test_instance_errors_name_their_line(text, message):
+    """Blank lines count: N is the line's place in the file."""
+    with pytest.raises(ValueError) as exc:
+        read_instance(text)
+    assert str(exc.value) == message
 
 
 # --- hardness instances -----------------------------------------------------

@@ -29,7 +29,7 @@ from effgap.localsearch import (
     run_iteration,
 )
 from effgap.synthdata import synth_state_csv
-from conftest import TOY_COUNTY_CSV, county_grid_csv, county_index, neighbors, random_county_csv, run_reference
+from conftest import TOY_COUNTY_CSV, county_grid_csv, county_index, random_county_csv, run_reference
 
 # 2x3 node grid; district 1 = {a, b, d, e}, district 2 = {c, f}.  Exactly
 # one single-node move strictly improves the total gap: b -> district 2.
@@ -74,15 +74,15 @@ def all_single_moves(graph, plan):
     """Every (node, target) with the legality verdict and gap delta."""
     out = []
     before = plan_stats(graph, plan).total_scaled_abs
-    for node in graph.keys:
-        for target in sorted({plan.assignment[nb] for nb in neighbors(graph, node)}):
-            if target == plan.assignment[node]:
+    for i, node in enumerate(graph.keys):
+        for target in sorted({plan.dist[j] for j in graph.adj[i]}):
+            if target == plan.dist[i]:
                 continue
             legal = move_is_legal(graph, plan, node, target).ok
             after = None
             if legal:
                 trial = plan.copy()
-                trial.assignment[node] = target
+                trial.dist[i] = target
                 after = plan_stats(graph, trial).total_scaled_abs
             out.append((node, target, legal, before, after))
     return out
@@ -124,7 +124,7 @@ def test_iteration_r_zero_is_noop():
     state = ReplicaState(res.graph, res.plan)
     draw = FixedDraw([])
     records = run_iteration(state, draw, 0, k=5)
-    assert records == [] and state.to_plan().assignment == res.plan.assignment
+    assert records == [] and state.dist == res.plan.dist
     assert draw.calls == [(5, 6)]
 
 
@@ -133,7 +133,7 @@ def test_interior_node_skipped():
     state = ReplicaState(res.graph, res.plan)
     # Index 0 is (1, 'a'), whose neighbors are all in district 1.
     records = run_iteration(state, FixedDraw([0]), 0, k=5)
-    assert records == [] and state.to_plan().assignment == res.plan.assignment
+    assert records == [] and state.dist == res.plan.dist
 
 
 def test_unique_improving_move_accepted():
@@ -143,8 +143,8 @@ def test_unique_improving_move_accepted():
     assert len(records) == 1
     rec = records[0]
     assert rec == MoveRecord(3, (1, "b"), 1, 2, 40, 20)
-    plan = state.to_plan()
-    assert plan.assignment[(1, "b")] == 2
+    plan = DistrictPlan(state.dist, res.plan.district_ids, res.plan.pop_lo, res.plan.pop_hi)
+    assert plan.dist[res.graph.index[(1, "b")]] == 2
     assert validate_plan(res.graph, plan).ok
 
 
@@ -157,11 +157,11 @@ def test_run_monotone_and_valid():
         for mv in trace.moves:
             assert mv.after_scaled < mv.before_scaled
             assert mv.before_scaled == last
-            replay.assignment[mv.node] = mv.to_district
+            replay.dist[res.graph.index[mv.node]] = mv.to_district
             assert validate_plan(res.graph, replay).ok
             last = mv.after_scaled
         assert last == trace.final_scaled
-        assert replay.assignment == trace.final_plan.assignment
+        assert replay == trace.final_plan
 
 
 def test_run_determinism_byte_identical():
@@ -171,7 +171,7 @@ def test_run_determinism_byte_identical():
     b = run(res.graph, res.plan, cfg)
     assert [t.to_lines() for t in a.traces] == [t.to_lines() for t in b.traces]
     assert a.best_replica == b.best_replica
-    assert write_plan_csv(a.best_plan) == write_plan_csv(b.best_plan)
+    assert write_plan_csv(res.graph, a.best_plan) == write_plan_csv(res.graph, b.best_plan)
 
 
 def test_final_never_worse_than_initial():
@@ -184,7 +184,7 @@ def test_final_never_worse_than_initial():
 def test_permutation_soundness():
     res = ingest(SIX_NODE_CSV)
     swapped_rows = ["district,county_id,assigned_district"]
-    for (d, cid), assigned in sorted(res.plan.assignment.items()):
+    for (d, cid), assigned in zip(res.graph.keys, res.plan.dist):
         swapped_rows.append(f"{d},{cid},{3 - assigned}")  # swap labels 1 <-> 2
     swapped = read_plan_csv(res.graph, "\n".join(swapped_rows) + "\n")
     cfg = SearchConfig(mu=12, k=4, seed=77, replicas=2)
@@ -199,8 +199,8 @@ def test_permutation_soundness():
 def test_invalid_start_plan_rejected():
     res = ingest(TOY_COUNTY_CSV)
     broken = res.plan.copy()
-    broken.assignment[(1, "A1")] = 2
-    broken.assignment[(1, "A2")] = 2
+    broken.dist[res.graph.index[(1, "A1")]] = 2
+    broken.dist[res.graph.index[(1, "A2")]] = 2
     with pytest.raises(ValueError, match="invalid starting plan"):
         run(res.graph, broken, SearchConfig(mu=1, k=1))
 
@@ -293,7 +293,7 @@ def test_traces_match_pins(name):
     traces = "".join(t.to_lines() for t in result.traces)
     assert (
         hashlib.sha256(traces.encode()).hexdigest(),
-        hashlib.sha256(write_plan_csv(result.best_plan).encode()).hexdigest(),
+        hashlib.sha256(write_plan_csv(res.graph, result.best_plan).encode()).hexdigest(),
     ) == TRACE_PINS[name]
 
 
@@ -310,19 +310,19 @@ def test_move_is_legal_matches_full_validation(text, seed):
     rng = random.Random(seed)
     for _ in range(30):
         legal = []
-        for node in graph.keys:
-            source = plan.assignment[node]
-            for target in sorted({plan.assignment[nb] for nb in neighbors(graph, node)} - {source}):
+        for i, node in enumerate(graph.keys):
+            source = plan.dist[i]
+            for target in sorted({plan.dist[j] for j in graph.adj[i]} - {source}):
                 verdict = move_is_legal(graph, plan, node, target).ok
-                plan.assignment[node] = target
+                plan.dist[i] = target
                 assert verdict == validate_plan(graph, plan).ok, (node, target)
-                plan.assignment[node] = source
+                plan.dist[i] = source
                 if verdict:
-                    legal.append((node, target))
+                    legal.append((i, target))
         if not legal:
             break
-        node, target = rng.choice(legal)
-        plan.assignment[node] = target
+        i, target = rng.choice(legal)
+        plan.dist[i] = target
     assert validate_plan(graph, plan).ok
 
 
@@ -424,12 +424,12 @@ def _drained_plan(graph, plan, rng, steps):
     for _ in range(len(plan.district_ids)):
         source = rng.choice(plan.district_ids)
         for _ in range(steps):
-            node = rng.choice(sorted(k for k, d in plan.assignment.items() if d == source))
-            targets = sorted({plan.assignment[nb] for nb in neighbors(graph, node)} - {source})
+            i = rng.choice([i for i, d in enumerate(plan.dist) if d == source])
+            targets = sorted({plan.dist[j] for j in graph.adj[i]} - {source})
             if targets:
                 target = rng.choice(targets)
-                if move_is_legal(graph, plan, node, target).ok:
-                    plan.assignment[node] = target
+                if move_is_legal(graph, plan, graph.keys[i], target).ok:
+                    plan.dist[i] = target
     assert validate_plan(graph, plan).ok
     return plan
 
@@ -509,7 +509,7 @@ def test_state_gap_is_sum_of_district_effgaps():
                 if state.pop[target] + state.node_pop[i] > state.pop_hi:
                     continue
                 state.move(i, target)
-                moved = state.to_plan()
+                moved = DistrictPlan(state.dist, plan.district_ids, plan.pop_lo, plan.pop_hi)
                 assert validate_plan(graph, moved).ok
                 votes = district_votes(graph, moved).values()
                 assert state.signed == sum(map(district_effgap, votes)), (name, i, target)
@@ -539,8 +539,8 @@ def test_search_never_beats_the_exact_optimum():
             assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
         for masks in argmin:
             labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
-            assignment = {key: plan.district_ids[lab - 1] for key, lab in labels.items()}
-            opt = DistrictPlan(assignment, plan.district_ids, plan.pop_lo, plan.pop_hi)
+            dist = [plan.district_ids[labels[key] - 1] for key in graph.keys]
+            opt = DistrictPlan(dist, plan.district_ids, plan.pop_lo, plan.pop_hi)
             assert validate_plan(graph, opt).ok, (seed, masks)
             assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
         optima += len(argmin)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -33,3 +34,21 @@ def test_population_bounds_leave_room_to_move():
     assert res.plan.pop_hi - res.plan.pop_lo > TOTAL_POP // res.plan.kappa // 20
     assert pops.count(res.plan.pop_lo) == 1
     assert pops.count(res.plan.pop_hi) == 1
+
+
+# sha256 over synth_state_csv(code, seed) for seeds 0..29 in order,
+# recorded before the neighbour loops were folded into one helper.
+SYNTH_DIGESTS = {
+    "PA": "f3e63cf25028bf7e910ef999ff4aafe2e23bd6ac479629f13c4e00840db2b085",
+    "TX": "64c4c1f42dd3d5ccd3b9fb2575161e0574daef374b170a1f980ba54da1ff4a76",
+    "VA": "abe824e860e5e014107248d5fc9af45f4546569aff50ac7ab48d977405857133",
+    "WI": "2eb4229d599542145ba4ea1d8d1669ba731655f81b5436998f757f816777c6ef",
+}
+
+
+@pytest.mark.parametrize("code", sorted(SYNTH_DIGESTS))
+def test_fixtures_match_digests(code):
+    digest = hashlib.sha256()
+    for seed in range(30):
+        digest.update(synth_state_csv(code, seed).encode())
+    assert digest.hexdigest() == SYNTH_DIGESTS[code]
