@@ -29,7 +29,7 @@ from .grid import (
 )
 from .yconvex import solve_yconvex
 from .canonical import build_decomposition, solve_canonical, solve_case1, solve_two_near_stable
-from .county import CountyGraph, DistrictPlan, ingest, plan_stats
+from .county import CountyGraph, ingest, plan_stats
 from .localsearch import SearchConfig, run
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "PARTY_B",
     "AttainableValue",
     "CountyGraph",
-    "DistrictPlan",
     "GridPartition",
     "GridPolygon",
     "HardnessInstance",

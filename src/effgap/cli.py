@@ -91,31 +91,31 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
         inputs.append(plan_path)
     stats = plan_stats(graph, plan)
     out = []
-    if args.json:
-        for d, stat in zip(plan.district_ids, stats.per_district):
-            wa, wb = wasted_votes(stat.votes)
-            out.append(json.dumps({
-                "district": d,
-                "democrats": stat.votes.party_a,
-                "gop": stat.votes.party_b,
-                "population": stat.votes.population(),
-                "winner": "D" if stat.winner == PARTY_A else "R",
-                "wasted_d": str(wa),
-                "wasted_r": str(wb),
-                "scaled_gap": stat.scaled_effgap,
-            }, sort_keys=True))
-    else:
+    if not args.json:
         out.append(
             f"{'district':>8}  {'democrats':>10}  {'gop':>10}  {'population':>11}  "
             f"{'winner':>6}  {'wasted-d':>12}  {'wasted-r':>12}  {'gap':>12}"
         )
-        for d, stat in zip(plan.district_ids, stats.per_district):
-            wa, wb = wasted_votes(stat.votes)
+    for d, stat in zip(graph.district_ids, stats.per_district):
+        votes = stat.votes
+        wasted_d, wasted_r = wasted_votes(votes)
+        winner = "D" if stat.winner == PARTY_A else "R"
+        if args.json:
+            out.append(json.dumps({
+                "district": d,
+                "democrats": votes.party_a,
+                "gop": votes.party_b,
+                "population": votes.population(),
+                "winner": winner,
+                "wasted_d": str(wasted_d),
+                "wasted_r": str(wasted_r),
+                "scaled_gap": stat.scaled_effgap,
+            }, sort_keys=True))
+        else:
             out.append(
-                f"{d:>8}  {stat.votes.party_a:>10}  {stat.votes.party_b:>10}  "
-                f"{stat.votes.population():>11}  {'D' if stat.winner == PARTY_A else 'R':>6}  "
-                f"{format_half(int(2 * wa)):>12}  {format_half(int(2 * wb)):>12}  "
-                f"{format_half(stat.scaled_effgap):>12}"
+                f"{d:>8}  {votes.party_a:>10}  {votes.party_b:>10}  {votes.population():>11}  "
+                f"{winner:>6}  {format_half(int(2 * wasted_d)):>12}  "
+                f"{format_half(int(2 * wasted_r)):>12}  {format_half(stat.scaled_effgap):>12}"
             )
     total = graph.total_votes()
     pop = total.population()

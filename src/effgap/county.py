@@ -12,7 +12,9 @@ One-sided neighbor listings are symmetrized with a warning, since hand
 curated files commonly have them.
 
 Ingest numbers the nodes in key order and stores the adjacency on those
-numbers, and a plan is the district of each node number.  Keys and
+numbers.  A plan is a list, ``plan[i]`` the district of node i; the
+district ids and the population bounds every plan must keep are the
+graph's, frozen by ``ingest`` from the District column.  Keys and
 numbers are translated only at the file edges: ``ingest``,
 ``read_plan_csv`` and ``write_plan_csv``.  Every connectivity check
 (whole graph, initial districts, ``validate_plan`` and the local search's
@@ -49,16 +51,25 @@ class CountyNode:
 
 @dataclass(frozen=True)
 class CountyGraph:
-    """Nodes by key, and their adjacency on node numbers.
+    """Nodes by key, their adjacency on node numbers, and the plans' constraints.
 
     Node i is the i-th key in sorted order: ``keys[i]``, with
     ``index[keys[i]] == i``.  ``adj[i]`` holds node i's neighbours as
     ascending numbers, which is their key order.  ``nodes`` iterates in
     key order.
+
+    ``district_ids`` are the districts of the ingested plan, ascending,
+    and every district of a valid plan has a population within
+    [``pop_lo``, ``pop_hi``], the smallest and largest of the ingested
+    plan's.  The bounds are never recomputed from a later plan;
+    ``dataclasses.replace`` gives the same graph with another window.
     """
 
     nodes: dict[NodeKey, CountyNode]
     adj: tuple[tuple[int, ...], ...]
+    district_ids: tuple[int, ...]
+    pop_lo: int
+    pop_hi: int
 
     @functools.cached_property
     def keys(self) -> tuple[NodeKey, ...]:
@@ -76,30 +87,6 @@ class CountyGraph:
         return VoteCounts(party_a, party_b)
 
 
-@dataclass
-class DistrictPlan:
-    """Each node's district, with frozen population bounds.
-
-    ``dist[i]`` is the district of node i, ``graph.keys[i]``.  The bounds
-    are taken from the plan the graph was ingested with and are never
-    recomputed: a reassignment is valid only while every district stays
-    within them.  Members and vote sums are derived from ``dist`` when
-    needed (``district_votes``, ``validate_plan``).
-    """
-
-    dist: list[int]
-    district_ids: tuple[int, ...]
-    pop_lo: int
-    pop_hi: int
-
-    @property
-    def kappa(self) -> int:
-        return len(self.district_ids)
-
-    def copy(self) -> "DistrictPlan":
-        return DistrictPlan(list(self.dist), self.district_ids, self.pop_lo, self.pop_hi)
-
-
 @dataclass(frozen=True)
 class PlanReport:
     ok: bool
@@ -109,7 +96,7 @@ class PlanReport:
 @dataclass(frozen=True)
 class IngestResult:
     graph: CountyGraph
-    plan: DistrictPlan
+    plan: list[int]  # the District column: plan[i] is the district of graph.keys[i]
     warnings: tuple[str, ...] = field(default=())
 
 
@@ -183,18 +170,11 @@ def _reaches(
     return not left
 
 
-def initial_plan(graph: CountyGraph) -> DistrictPlan:
-    """The plan encoded by the District column, with its frozen bounds."""
-    dist = [d for d, _ in graph.keys]
-    district_ids = tuple(sorted(set(dist)))
-    pops = dict.fromkeys(district_ids, 0)
-    for d, node in zip(dist, graph.nodes.values()):
-        pops[d] += node.votes.population()
-    return DistrictPlan(dist, district_ids, min(pops.values()), max(pops.values()))
-
-
 def ingest(source: str | io.TextIOBase) -> IngestResult:
     """Parse a county CSV into a graph and its initial district plan.
+
+    The graph's district ids and population bounds are those of the
+    District column's plan.
 
     Raises IngestError (naming the offending rows) for a wrong header, a
     row the csv module cannot read or without exactly six fields,
@@ -275,27 +255,31 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         key: CountyNode(name, VoteCounts(democrats, republicans))
         for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1])
     }
-    graph = CountyGraph(nodes, tuple(tuple(sorted(nbs)) for nbs in neighbor_sets))
+    # Keys are sorted, so the ids come in ascending order and each initial
+    # district's nodes are one run of them.
+    label = [d for d, _ in keys]
+    pops = dict.fromkeys(label, 0)
+    for d, node in zip(label, nodes.values()):
+        pops[d] += node.votes.population()
+    adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
+    graph = CountyGraph(nodes, adj, tuple(pops), min(pops.values()), max(pops.values()))
 
     if not _reaches(graph.adj, [0] * len(keys), 0, 0, (), range(len(keys))):
         raise IngestError("graph disconnected")
-    # Keys are sorted, so each initial district's nodes are one run of them.
-    label = [d for d, _ in keys]
     for d, group in itertools.groupby(range(len(keys)), label.__getitem__):
         members = list(group)
         if not _reaches(graph.adj, label, d, members[0], (), range(members[0], members[-1] + 1)):
             member_rows = sorted(row_of[keys[i]] for i in members)
             raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
-    return IngestResult(graph, initial_plan(graph), tuple(warnings))
+    return IngestResult(graph, label, tuple(warnings))
 
 
-def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
-    """Full check: cover, non-empty connected districts, population bounds."""
-    dist = plan.dist
+def validate_plan(graph: CountyGraph, dist: list[int]) -> PlanReport:
+    """Full check: cover, non-empty connected districts, the graph's population bounds."""
     if len(dist) != len(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    pops = dict.fromkeys(plan.district_ids, 0)
-    assigned: dict[int, set[int]] = {d: set() for d in plan.district_ids}
+    pops = dict.fromkeys(graph.district_ids, 0)
+    assigned: dict[int, set[int]] = {d: set() for d in graph.district_ids}
     for i, (d, node) in enumerate(zip(dist, graph.nodes.values())):
         if d not in pops:
             return PlanReport(False, f"node assigned to unknown district {d}")
@@ -307,55 +291,52 @@ def validate_plan(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
         if not _reaches(graph.adj, dist, d, next(iter(members)), (), members):
             return PlanReport(False, f"district {d} disconnected")
         pop = pops[d]
-        if not plan.pop_lo <= pop <= plan.pop_hi:
+        if not graph.pop_lo <= pop <= graph.pop_hi:
             return PlanReport(
                 False,
-                f"district {d} population {pop} outside [{plan.pop_lo}, {plan.pop_hi}]",
+                f"district {d} population {pop} outside [{graph.pop_lo}, {graph.pop_hi}]",
             )
     return PlanReport(True)
 
 
-def district_votes(graph: CountyGraph, plan: DistrictPlan) -> dict[int, VoteCounts]:
+def district_votes(graph: CountyGraph, dist: list[int]) -> dict[int, VoteCounts]:
     """Each district's vote sums, districts in id order.
 
-    Every node must be assigned to one of the plan's districts.
+    Every node must be assigned to one of the graph's districts.
     """
-    sum_a = dict.fromkeys(plan.district_ids, 0)
-    sum_b = dict.fromkeys(plan.district_ids, 0)
-    for d, node in zip(plan.dist, graph.nodes.values()):
+    sum_a = dict.fromkeys(graph.district_ids, 0)
+    sum_b = dict.fromkeys(graph.district_ids, 0)
+    for d, node in zip(dist, graph.nodes.values()):
         votes = node.votes
         sum_a[d] += votes.party_a
         sum_b[d] += votes.party_b
-    return {d: VoteCounts(sum_a[d], sum_b[d]) for d in plan.district_ids}
+    return {d: VoteCounts(sum_a[d], sum_b[d]) for d in graph.district_ids}
 
 
-def plan_stats(graph: CountyGraph, plan: DistrictPlan) -> PlanStats:
+def plan_stats(graph: CountyGraph, dist: list[int]) -> PlanStats:
     """Efficiency-gap statistics of the plan, districts in id order."""
-    report = validate_plan(graph, plan)
+    report = validate_plan(graph, dist)
     if not report.ok:
         raise ValueError(f"invalid plan: {report.reason}")
-    return total_effgap(list(district_votes(graph, plan).values()))
+    return total_effgap(list(district_votes(graph, dist).values()))
 
 
-def write_plan_csv(graph: CountyGraph, plan: DistrictPlan) -> str:
+def write_plan_csv(graph: CountyGraph, dist: list[int]) -> str:
     """The plan file: one row per node, in key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PLAN_COLUMNS)
-    writer.writerows([*key, d] for key, d in zip(graph.keys, plan.dist))
+    writer.writerows([*key, d] for key, d in zip(graph.keys, dist))
     return buf.getvalue()
 
 
-def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
-    """A plan file applied to a graph; bounds stay those of the initial plan.
+def read_plan_csv(graph: CountyGraph, text: str) -> list[int]:
+    """A plan file applied to a graph: the district of each node number.
 
-    The plan is the initial plan with the file's districts, so it keeps
-    the initial plan's districts: an assigned district outside them is
-    rejected, and one left without nodes stays in the plan, empty, for
-    ``validate_plan`` to report.
+    Every assigned district must be one of the graph's; one left without
+    nodes is for ``validate_plan`` to report.
     """
-    plan = initial_plan(graph)
-    known = set(plan.district_ids)
+    known = set(graph.district_ids)
     header_error = f"plan header must be {','.join(PLAN_COLUMNS)}"
     index = graph.index
     dist: list[int | None] = [None] * len(index)
@@ -375,5 +356,4 @@ def read_plan_csv(graph: CountyGraph, text: str) -> DistrictPlan:
         dist[i] = assigned
     if None in dist:
         raise IngestError("plan does not cover every node")
-    plan.dist = dist
-    return plan
+    return dist

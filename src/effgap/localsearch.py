@@ -2,8 +2,8 @@
 
 Each outer iteration draws a random handful of nodes; a drawn boundary
 node is reassigned to a neighboring district when the move keeps every
-district connected and within the frozen population bounds and strictly
-lowers the plan's total absolute gap.  The checks on the node's own
+district connected and within the graph's frozen population bounds and
+strictly lowers the plan's total absolute gap.  The checks on the node's own
 district do not depend on the target, so they run first and once per
 drawn node.  The connectivity check assumes the district is connected
 before the move: the starting plan is validated and every accepted move
@@ -15,14 +15,15 @@ numpy's PCG64 stream, so every trace is the one numpy's draws give.
 The search works on the graph's node numbers: node i is ``graph.keys[i]``
 and ``graph.adj[i]`` its neighbours, both built by ``ingest``, and a
 plan's ``dist[i]`` is its district.  A replica searches on a
-ReplicaState, which reads those tables as they are, holds each node's
-votes as ints, and keeps a copy of ``dist``, each district's vote sums
-and W, the population of the districts party A wins.  The signed gap
-is 4A - P - 2W (the margin identity), so a drawn node's effect on W in
-its own district is computed once and each target's in one step, and
-an accepted move updates the two districts it touches and W.  Every
-replica gives back its moves and final district list, which becomes
-its final plan's ``dist``; its final gap is that of its last move.
+ReplicaState, which reads those tables and the bounds as they are,
+holds each node's votes as ints, and keeps a copy of ``dist``, each
+district's vote sums and W, the population of the districts party A
+wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
+node's effect on W in its own district is computed once and each
+target's in one step, and an accepted move updates the two districts
+it touches and W.  Every replica gives back its moves and final
+district list, which is its final plan; its final gap is that of its
+last move.
 
 With ``jobs`` = N > 1 processes, the calling process is one of them: it
 runs replicas 0, N, 2N, ...  Each of N - 1 worker processes, started
@@ -43,7 +44,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .county import CountyGraph, DistrictPlan, NodeKey, _reaches, validate_plan
+from .county import CountyGraph, NodeKey, _reaches, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
@@ -90,7 +91,7 @@ class SearchTrace:
     initial_scaled: int
     final_scaled: int
     moves: tuple[MoveRecord, ...]
-    final_plan: DistrictPlan
+    final_plan: list[int]
     wall_time: float = 0.0  # informational; excluded from the byte-stable text
 
     def to_lines(self) -> str:
@@ -107,7 +108,7 @@ class SearchTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    best_plan: DistrictPlan
+    best_plan: list[int]
     best_replica: int
     traces: tuple[SearchTrace, ...]
 
@@ -120,32 +121,31 @@ def _won(party_a: int, pop: int) -> int:
 class ReplicaState:
     """One replica's plan on the graph's node numbers, with per-district sums kept current.
 
-    ``keys`` and ``adj`` are the graph's, ``node_a[i]`` and ``node_pop[i]``
-    node i's votes, and ``dist[i]`` its district.  Each district keeps its
-    party-A votes and population, and ``won`` is W, the population of the
-    districts party A wins.  By the margin identity the signed gap is
+    ``keys``, ``adj`` and the bounds are the graph's, ``node_a[i]`` and
+    ``node_pop[i]`` node i's votes, and ``dist[i]`` its district.  Each
+    district keeps its party-A votes and population, and ``won`` is W,
+    the population of the districts party A wins.  By the margin identity the signed gap is
     ``base - 2 * won`` with ``base = 4A - P``, so a move updates two
     districts and W in O(1).
     """
 
-    __slots__ = ("keys", "adj", "node_a", "node_pop", "district_ids", "pop_lo", "pop_hi",
+    __slots__ = ("keys", "adj", "node_a", "node_pop", "pop_lo", "pop_hi",
                  "base", "dist", "party_a", "pop", "won")
 
-    def __init__(self, graph: CountyGraph, plan: DistrictPlan) -> None:
+    def __init__(self, graph: CountyGraph, dist: list[int]) -> None:
         votes = [node.votes for node in graph.nodes.values()]
         self.keys, self.adj = graph.keys, graph.adj
         self.node_a = tuple(v.party_a for v in votes)
         self.node_pop = tuple(v.population() for v in votes)
-        self.district_ids = plan.district_ids
-        self.pop_lo, self.pop_hi = plan.pop_lo, plan.pop_hi
+        self.pop_lo, self.pop_hi = graph.pop_lo, graph.pop_hi
         self.base = 4 * sum(self.node_a) - sum(self.node_pop)
-        self.dist = list(plan.dist)
-        self.party_a = dict.fromkeys(self.district_ids, 0)
-        self.pop = dict.fromkeys(self.district_ids, 0)
+        self.dist = list(dist)
+        self.party_a = dict.fromkeys(graph.district_ids, 0)
+        self.pop = dict.fromkeys(graph.district_ids, 0)
         for d, a, p in zip(self.dist, self.node_a, self.node_pop):
             self.party_a[d] += a
             self.pop[d] += p
-        self.won = sum(_won(self.party_a[d], self.pop[d]) for d in self.district_ids)
+        self.won = sum(_won(self.party_a[d], self.pop[d]) for d in graph.district_ids)
 
     @property
     def signed(self) -> int:
@@ -185,22 +185,19 @@ class ReplicaState:
             self.won += _won(self.party_a[d], self.pop[d])
 
 
-def move_is_legal(
-    graph: CountyGraph, plan: DistrictPlan, node: NodeKey, target: int
-) -> MoveReport:
+def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> MoveReport:
     """Check a single-node reassignment.
 
     Legal when the target is a neighbor's district, the source district
     stays non-empty and connected, and both touched districts stay
-    within the plan's population bounds.  Source-side reasons are
+    within the graph's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
     A node not in the graph is a ValueError.
     """
     i = graph.index.get(node)
     if i is None:
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
-    state = ReplicaState(graph, plan)
-    dist = state.dist
+    state = ReplicaState(graph, dist)
     if target == dist[i]:
         return MoveReport(False, "target equals current district")
     if target not in {dist[j] for j in state.adj[i]}:
@@ -333,9 +330,7 @@ def _run_replicas(
     return results
 
 
-def run(
-    graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig, jobs: int = 1
-) -> RunResult:
+def run(graph: CountyGraph, plan0: list[int], cfg: SearchConfig, jobs: int = 1) -> RunResult:
     """Best plan over seeded replicas, run on ``jobs`` processes (the caller counts).
 
     Replica streams are spawned from the root seed, so results are
@@ -344,8 +339,8 @@ def run(
     node numbers, and each replica copies its district list and sums.
     Worker processes receive the state and config once, when they start.
     Wherever it runs, a replica gives back its moves and final district
-    list; its final gap is that of its last move, and its plan holds the
-    list as it is.
+    list; its final gap is that of its last move, and its final plan is
+    the list as it is.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -356,8 +351,8 @@ def run(
     results = _run_replicas(state0, cfg, jobs)
     initial = abs(state0.signed)
     traces = tuple(
-        SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves,
-                    DistrictPlan(dist, plan0.district_ids, plan0.pop_lo, plan0.pop_hi), wall_time)
+        SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves, dist,
+                    wall_time)
         for i, (moves, dist, wall_time) in enumerate(results)
     )
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))

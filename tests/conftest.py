@@ -13,7 +13,6 @@ from effgap.county import (
     CSV_COLUMNS,
     CountyGraph,
     CountyNode,
-    DistrictPlan,
     IngestError,
     IngestResult,
     NodeKey,
@@ -257,25 +256,39 @@ def random_county_csv(seed: int, nodes: int, kappa: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def partition_county_csv(p: GridPolygon, q: GridPartition) -> str:
+    """County CSV of a polygon cut by a partition, one node per cell.
+
+    A cell's District is its label and its County_id ``r{r}c{c}``; its
+    neighbours are its 4-neighbours inside the polygon.
+    """
+    lines = [",".join(CSV_COLUMNS)]
+    for cell in sorted(p.votes):
+        votes = p.votes[cell]
+        nbs = ", ".join(f"{q.labels[nb]}:r{nb[0]}c{nb[1]}" for nb in neighbors4(cell) if nb in p.votes)
+        lines.append(f'{q.labels[cell]},r{cell[0]}c{cell[1]},G,{votes.party_b},{votes.party_a},"{nbs}"')
+    return "\n".join(lines) + "\n"
+
+
 def county_index(graph: CountyGraph) -> _MaskIndex:
     """The oracle's mask index of a county graph: bit i is node i, ``graph.keys[i]``."""
     return _MaskIndex(graph.keys, {key: node.votes for key, node in graph.nodes.items()}, graph.adj)
 
 
-def assignment(graph: CountyGraph, plan: DistrictPlan) -> dict[NodeKey, int]:
+def assignment(graph: CountyGraph, dist: list[int]) -> dict[NodeKey, int]:
     """The plan as a node key -> district dict, in key order."""
-    return dict(zip(graph.keys, plan.dist))
+    return dict(zip(graph.keys, dist))
 
 
 class _PlanSums:
     """A key -> district dict with its districts' members and VoteCounts
-    sums, kept current by ``move``; ``plan`` gives the ids and bounds."""
+    sums, kept current by ``move``; ``graph`` gives the ids and bounds."""
 
-    def __init__(self, graph: CountyGraph, plan: DistrictPlan):
-        self.graph, self.plan = graph, plan
-        self.assignment = assignment(graph, plan)
-        self.members: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
-        self.votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
+    def __init__(self, graph: CountyGraph, dist: list[int]):
+        self.graph = graph
+        self.assignment = assignment(graph, dist)
+        self.members: dict[int, set[NodeKey]] = {d: set() for d in graph.district_ids}
+        self.votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in graph.district_ids}
         for key, d in self.assignment.items():
             self.members[d].add(key)
             self.votes[d] = self.votes[d] + graph.nodes[key].votes
@@ -293,15 +306,18 @@ class _PlanSums:
         self.votes[target] = self.votes[target] + votes
 
 
-def _initial_plan_reference(graph: CountyGraph) -> DistrictPlan:
-    """initial_plan summing one VoteCounts per node."""
-    dist = [key[0] for key in graph.nodes]
+def _initial_plan_reference(
+    nodes: dict[NodeKey, CountyNode],
+) -> tuple[list[int], tuple[int, ...], int, int]:
+    """The District column's plan, its district ids and its population
+    bounds, summing one VoteCounts per node."""
+    dist = [key[0] for key in nodes]
     district_ids = tuple(sorted(set(dist)))
     votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
-    for key, node in graph.nodes.items():
+    for key, node in nodes.items():
         votes[key[0]] = votes[key[0]] + node.votes
     pops = [votes[d].population() for d in district_ids]
-    return DistrictPlan(dist, district_ids, min(pops), max(pops))
+    return dist, district_ids, min(pops), max(pops)
 
 
 def ingest_reference(text: str) -> IngestResult:
@@ -376,12 +392,12 @@ def ingest_reference(text: str) -> IngestResult:
         nodes[key] = CountyNode(name, VoteCounts(democrats, republicans))
     number = {key: i for i, key in enumerate(nodes)}
     adj = tuple(tuple(number[nb] for nb in sorted(neighbor_sets[key])) for key in nodes)
-    graph = CountyGraph(nodes, adj)
+    plan, district_ids, pop_lo, pop_hi = _initial_plan_reference(nodes)
+    graph = CountyGraph(nodes, adj, district_ids, pop_lo, pop_hi)
 
     if not county_connected(graph, nodes):
         raise IngestError("graph disconnected")
-    plan = _initial_plan_reference(graph)
-    for d in plan.district_ids:
+    for d in district_ids:
         members = {key for key in nodes if key[0] == d}
         if not county_connected(graph, members):
             member_rows = sorted(row_of[k] for k in members)
@@ -389,41 +405,40 @@ def ingest_reference(text: str) -> IngestResult:
     return IngestResult(graph, plan, tuple(warnings))
 
 
-def validate_plan_reference(graph: CountyGraph, plan: DistrictPlan) -> PlanReport:
+def validate_plan_reference(graph: CountyGraph, dist: list[int]) -> PlanReport:
     """Reference plan check on a key -> district dict, summing one VoteCounts per node."""
-    if len(plan.dist) != len(graph.nodes):
+    if len(dist) != len(graph.nodes):
         return PlanReport(False, "assignment does not cover the graph")
-    recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in plan.district_ids}
-    assigned: dict[int, set[NodeKey]] = {d: set() for d in plan.district_ids}
-    for key, d in assignment(graph, plan).items():
+    recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in graph.district_ids}
+    assigned: dict[int, set[NodeKey]] = {d: set() for d in graph.district_ids}
+    for key, d in assignment(graph, dist).items():
         if d not in recomputed:
             return PlanReport(False, f"node assigned to unknown district {d}")
         recomputed[d] = recomputed[d] + graph.nodes[key].votes
         assigned[d].add(key)
-    for d in plan.district_ids:
+    for d in graph.district_ids:
         members = assigned[d]
         if not members:
             return PlanReport(False, f"district {d} empty")
         if not county_connected(graph, members):
             return PlanReport(False, f"district {d} disconnected")
         pop = recomputed[d].population()
-        if not plan.pop_lo <= pop <= plan.pop_hi:
+        if not graph.pop_lo <= pop <= graph.pop_hi:
             return PlanReport(
                 False,
-                f"district {d} population {pop} outside [{plan.pop_lo}, {plan.pop_hi}]",
+                f"district {d} population {pop} outside [{graph.pop_lo}, {graph.pop_hi}]",
             )
     return PlanReport(True)
 
 
 def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
     """The dict-based source-side check: emptied, source bound, connectivity."""
-    plan = sums.plan
     source = sums.assignment[node]
     members = sums.members[source]
     if len(members) == 1:
         return "district emptied"
     pop = sums.graph.nodes[node].votes.population()
-    if sums.votes[source].population() - pop < plan.pop_lo:
+    if sums.votes[source].population() - pop < sums.graph.pop_lo:
         return "source below population bound"
     if not county_connected(sums.graph, members - {node}):
         return "source disconnected"
@@ -445,8 +460,8 @@ def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: 
 
 
 def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> list[MoveRecord]:
-    """Dict-based search iteration on a DistrictPlan: same draws, same rule."""
-    graph, plan, assigned = sums.graph, sums.plan, sums.assignment
+    """Dict-based search iteration on a key -> district dict: same draws, same rule."""
+    graph, assigned = sums.graph, sums.assignment
     keys = graph.keys
     r = int(rng.integers(0, k + 1))
     if r == 0:
@@ -461,7 +476,7 @@ def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> lis
             continue
         if _source_rejection_reference(sums, node) is not None:
             continue
-        room = plan.pop_hi - graph.nodes[node].votes.population()
+        room = graph.pop_hi - graph.nodes[node].votes.population()
         before_abs = abs(signed)
         for nb in nbs:
             target = assigned[nb]
@@ -476,7 +491,7 @@ def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> lis
     return records
 
 
-def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) -> list[SearchTrace]:
+def run_reference(graph: CountyGraph, plan0: list[int], cfg: SearchConfig) -> list[SearchTrace]:
     """Every replica's trace from the dict-based search, run in-process, with
     numpy's own generator drawing the nodes."""
     np = pytest.importorskip("numpy")
@@ -491,8 +506,7 @@ def run_reference(graph: CountyGraph, plan0: DistrictPlan, cfg: SearchConfig) ->
         for iteration in range(cfg.mu):
             moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k))
         final = abs(sums.signed_scaled_effgap())
-        dist = [sums.assignment[key] for key in graph.keys]
-        final_plan = DistrictPlan(dist, plan0.district_ids, plan0.pop_lo, plan0.pop_hi)
+        final_plan = [sums.assignment[key] for key in graph.keys]
         traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), final_plan))
     return traces
 

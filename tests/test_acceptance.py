@@ -298,11 +298,11 @@ def test_criterion_8_monotone_deterministic():
         second = run(res.graph, res.plan, cfg)
         assert [t.to_lines() for t in first.traces] == [t.to_lines() for t in second.traces]
         for trace in first.traces:
-            replay = res.plan.copy()
+            replay = list(res.plan)
             last = trace.initial_scaled
             for mv in trace.moves:
                 assert mv.before_scaled == last and mv.after_scaled < mv.before_scaled
-                replay.dist[res.graph.index[mv.node]] = mv.to_district
+                replay[res.graph.index[mv.node]] = mv.to_district
                 assert validate_plan(res.graph, replay).ok
                 last = mv.after_scaled
             assert last == trace.final_scaled

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import random
 import re
@@ -10,7 +11,6 @@ from effgap.county import (
     IngestError,
     district_votes,
     ingest,
-    initial_plan,
     plan_stats,
     read_plan_csv,
     validate_plan,
@@ -31,11 +31,11 @@ def test_toy_ingest_shapes():
     res = ingest(TOY_COUNTY_CSV)
     g, plan = res.graph, res.plan
     assert len(g.nodes) == 4
-    assert plan.kappa == 2 and plan.district_ids == (1, 2)
+    assert g.district_ids == (1, 2) and plan == [1, 1, 2, 2]
     # Democrats are party A.
     assert g.nodes[(1, "A1")].votes == VoteCounts(60, 40)
     assert district_votes(g, plan) == {1: VoteCounts(80, 70), 2: VoteCounts(50, 110)}
-    assert (plan.pop_lo, plan.pop_hi) == (150, 160)
+    assert (g.pop_lo, g.pop_hi) == (150, 160)
     assert res.warnings == ()
     assert validate_plan(g, plan).ok
 
@@ -126,9 +126,9 @@ def test_round_trip_graph_and_plan():
     res = ingest(TOY_COUNTY_CSV)
     text = serialize_graph(res.graph)
     res2 = ingest(text)
-    assert res2.graph == res.graph
-    assert res2.plan.dist == res.plan.dist
-    assert (res2.plan.pop_lo, res2.plan.pop_hi) == (res.plan.pop_lo, res.plan.pop_hi)
+    assert res2.graph == res.graph  # ids and bounds included
+    assert res2.plan == res.plan
+    assert (res2.graph.pop_lo, res2.graph.pop_hi) == (res.graph.pop_lo, res.graph.pop_hi)
     assert serialize_graph(res2.graph) == text  # byte-stable
 
 
@@ -143,14 +143,13 @@ def test_aggregation_consistency():
 
 def test_plan_csv_round_trip():
     res = ingest(TOY_COUNTY_CSV)
-    plan = res.plan.copy()
-    plan.dist[res.graph.index[(1, "A2")]] = 2  # legal shape change for serialization only
+    plan = list(res.plan)
+    plan[res.graph.index[(1, "A2")]] = 2  # legal shape change for serialization only
     text = write_plan_csv(res.graph, plan)
     assert "1,A2,2\n" in text
     plan2 = read_plan_csv(res.graph, text)
-    assert plan2.dist == plan.dist
-    base = initial_plan(res.graph)
-    assert (plan2.pop_lo, plan2.pop_hi) == (base.pop_lo, base.pop_hi)
+    assert plan2 == plan
+    assert res.plan == [1, 1, 2, 2]  # the ingested plan is not touched
 
 
 def test_plan_csv_unknown_node():
@@ -174,16 +173,16 @@ def test_plan_csv_keeps_emptied_district():
     res = ingest(three)
     # Merging district 1 into 2 stays inside the frozen bounds [10, 100].
     plan = read_plan_csv(res.graph, write_plan_csv(res.graph, res.plan).replace("1,a,1", "1,a,2"))
-    assert plan.district_ids == (1, 2, 3)
+    assert plan == [2, 2, 3] and res.graph.district_ids == (1, 2, 3)
     report = validate_plan(res.graph, plan)
     assert not report.ok and report.reason == "district 1 empty"
 
 
 def test_validate_plan_catches_violations():
     res = ingest(TOY_COUNTY_CSV)
-    plan = res.plan.copy()
-    plan.dist[res.graph.index[(1, "A1")]] = 2
-    plan.dist[res.graph.index[(1, "A2")]] = 2
+    plan = list(res.plan)
+    plan[res.graph.index[(1, "A1")]] = 2
+    plan[res.graph.index[(1, "A2")]] = 2
     report = validate_plan(res.graph, plan)
     assert not report.ok and "empty" in report.reason
 
@@ -191,12 +190,12 @@ def test_validate_plan_catches_violations():
 def test_validate_plan_reporting_order():
     """Unknown district first, then districts in id order (district 2 is over its bound here)."""
     res = ingest(TOY_COUNTY_CSV)
-    plan = res.plan.copy()
+    plan = list(res.plan)
     index = res.graph.index
-    plan.dist[index[(1, "A1")]] = 2
-    plan.dist[index[(1, "A2")]] = 2
+    plan[index[(1, "A1")]] = 2
+    plan[index[(1, "A2")]] = 2
     assert validate_plan(res.graph, plan).reason == "district 1 empty"
-    plan.dist[index[(2, "B1")]] = 9
+    plan[index[(2, "B1")]] = 9
     assert validate_plan(res.graph, plan).reason == "node assigned to unknown district 9"
 
 
@@ -249,10 +248,10 @@ def _outcome(parse, text):
         res = parse(text)
     except Exception as exc:  # the error type is part of the comparison
         return type(exc), str(exc)
-    g, p = res.graph, res.plan
-    graph = ([(k, n.county_name, n.votes) for k, n in g.nodes.items()], g.adj)
-    plan = (p.dist, p.district_ids, p.pop_lo, p.pop_hi)
-    return graph, plan, res.warnings
+    g = res.graph
+    graph = ([(k, n.county_name, n.votes) for k, n in g.nodes.items()], g.adj,
+             g.district_ids, g.pop_lo, g.pop_hi)
+    return graph, res.plan, res.warnings
 
 
 def _mutated_county_csv(rng: random.Random, base: str) -> str:
@@ -338,13 +337,13 @@ def test_ingest_matches_reference_on_mutated_inputs():
 
 
 def _break_plan(rng: random.Random, graph, plan):
-    """A copy of `plan` with one random kind of damage.
+    """(graph, plan): a copy of `plan` with one random kind of damage.
 
     Boundary moves (the last kind) may leave the plan valid or break the
-    population bounds; the other kinds each give a defect the check reports.
+    population bounds, which the returned graph may tighten; the other
+    kinds each give a defect the check reports, on `graph` as it is.
     """
-    plan = plan.copy()
-    dist = plan.dist
+    dist = list(plan)
     i = rng.randrange(len(dist))
     d = dist[i]
     kind = rng.randrange(6)
@@ -354,14 +353,14 @@ def _break_plan(rng: random.Random, graph, plan):
         else:
             dist.append(d)
     elif kind == 1:
-        dist[i] = max(plan.district_ids) + 1
+        dist[i] = max(graph.district_ids) + 1
     elif kind == 2:  # merge a whole district into another
-        other = rng.choice([x for x in plan.district_ids if x != d])
+        other = rng.choice([x for x in graph.district_ids if x != d])
         dist[:] = [other if x == d else x for x in dist]
     elif kind == 3:  # a node moved to any other district
-        dist[i] = rng.choice([x for x in plan.district_ids if x != d])
+        dist[i] = rng.choice([x for x in graph.district_ids if x != d])
     elif kind == 4:  # a node moved to a district it does not touch
-        far = [x for x in plan.district_ids
+        far = [x for x in graph.district_ids
                if x != d and all(dist[j] != x for j in graph.adj[i])]
         dist[i] = rng.choice(far)
     else:
@@ -371,9 +370,10 @@ def _break_plan(rng: random.Random, graph, plan):
             if targets:
                 dist[j] = rng.choice(targets)
         if rng.random() < 0.5:
-            pops = sorted(v.population() for v in district_votes(graph, plan).values())
-            plan.pop_lo, plan.pop_hi = rng.choice([(pops[1], pops[-1]), (pops[0], pops[-2])])
-    return plan
+            pops = sorted(v.population() for v in district_votes(graph, dist).values())
+            lo, hi = rng.choice([(pops[1], pops[-1]), (pops[0], pops[-2])])
+            graph = dataclasses.replace(graph, pop_lo=lo, pop_hi=hi)
+    return graph, dist
 
 
 def test_validate_plan_matches_reference_on_broken_plans():
@@ -382,9 +382,9 @@ def test_validate_plan_matches_reference_on_broken_plans():
     for text in (synth_state_csv("WI", 0), county_grid_csv(3)):
         res = ingest(text)
         for _ in range(300):
-            plan = _break_plan(rng, res.graph, res.plan)
-            report = validate_plan(res.graph, plan)
-            assert report == validate_plan_reference(res.graph, plan)
+            graph, plan = _break_plan(rng, res.graph, res.plan)
+            report = validate_plan(graph, plan)
+            assert report == validate_plan_reference(graph, plan)
             kind = "ok" if report.ok else re.sub(r"-?\d+", "N", report.reason)
             reasons[kind] = reasons.get(kind, 0) + 1
     assert set(reasons) >= {

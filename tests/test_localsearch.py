@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import multiprocessing
@@ -10,9 +11,8 @@ import pytest
 
 from effgap import localsearch
 from effgap.core import district_effgap
-from effgap.grid import _masks_to_partition, _optimum
+from effgap.grid import _masks_to_partition, _optimum, gen_hardness_instance, subset_sum_oracle
 from effgap.county import (
-    DistrictPlan,
     district_votes,
     ingest,
     plan_stats,
@@ -29,7 +29,15 @@ from effgap.localsearch import (
     run_iteration,
 )
 from effgap.synthdata import synth_state_csv
-from conftest import TOY_COUNTY_CSV, county_grid_csv, county_index, random_county_csv, run_reference
+from effgap.yconvex import solve_yconvex
+from conftest import (
+    TOY_COUNTY_CSV,
+    county_grid_csv,
+    county_index,
+    partition_county_csv,
+    random_county_csv,
+    run_reference,
+)
 
 # 2x3 node grid; district 1 = {a, b, d, e}, district 2 = {c, f}.  Exactly
 # one single-node move strictly improves the total gap: b -> district 2.
@@ -75,14 +83,14 @@ def all_single_moves(graph, plan):
     out = []
     before = plan_stats(graph, plan).total_scaled_abs
     for i, node in enumerate(graph.keys):
-        for target in sorted({plan.dist[j] for j in graph.adj[i]}):
-            if target == plan.dist[i]:
+        for target in sorted({plan[j] for j in graph.adj[i]}):
+            if target == plan[i]:
                 continue
             legal = move_is_legal(graph, plan, node, target).ok
             after = None
             if legal:
-                trial = plan.copy()
-                trial.dist[i] = target
+                trial = list(plan)
+                trial[i] = target
                 after = plan_stats(graph, trial).total_scaled_abs
             out.append((node, target, legal, before, after))
     return out
@@ -124,7 +132,7 @@ def test_iteration_r_zero_is_noop():
     state = ReplicaState(res.graph, res.plan)
     draw = FixedDraw([])
     records = run_iteration(state, draw, 0, k=5)
-    assert records == [] and state.dist == res.plan.dist
+    assert records == [] and state.dist == res.plan
     assert draw.calls == [(5, 6)]
 
 
@@ -133,7 +141,7 @@ def test_interior_node_skipped():
     state = ReplicaState(res.graph, res.plan)
     # Index 0 is (1, 'a'), whose neighbors are all in district 1.
     records = run_iteration(state, FixedDraw([0]), 0, k=5)
-    assert records == [] and state.dist == res.plan.dist
+    assert records == [] and state.dist == res.plan
 
 
 def test_unique_improving_move_accepted():
@@ -143,9 +151,8 @@ def test_unique_improving_move_accepted():
     assert len(records) == 1
     rec = records[0]
     assert rec == MoveRecord(3, (1, "b"), 1, 2, 40, 20)
-    plan = DistrictPlan(state.dist, res.plan.district_ids, res.plan.pop_lo, res.plan.pop_hi)
-    assert plan.dist[res.graph.index[(1, "b")]] == 2
-    assert validate_plan(res.graph, plan).ok
+    assert state.dist[res.graph.index[(1, "b")]] == 2
+    assert validate_plan(res.graph, state.dist).ok
 
 
 def test_run_monotone_and_valid():
@@ -153,11 +160,11 @@ def test_run_monotone_and_valid():
     result = run(res.graph, res.plan, SearchConfig(mu=20, k=3, seed=9, replicas=2))
     for trace in result.traces:
         last = trace.initial_scaled
-        replay = res.plan.copy()
+        replay = list(res.plan)
         for mv in trace.moves:
             assert mv.after_scaled < mv.before_scaled
             assert mv.before_scaled == last
-            replay.dist[res.graph.index[mv.node]] = mv.to_district
+            replay[res.graph.index[mv.node]] = mv.to_district
             assert validate_plan(res.graph, replay).ok
             last = mv.after_scaled
         assert last == trace.final_scaled
@@ -184,7 +191,7 @@ def test_final_never_worse_than_initial():
 def test_permutation_soundness():
     res = ingest(SIX_NODE_CSV)
     swapped_rows = ["district,county_id,assigned_district"]
-    for (d, cid), assigned in zip(res.graph.keys, res.plan.dist):
+    for (d, cid), assigned in zip(res.graph.keys, res.plan):
         swapped_rows.append(f"{d},{cid},{3 - assigned}")  # swap labels 1 <-> 2
     swapped = read_plan_csv(res.graph, "\n".join(swapped_rows) + "\n")
     cfg = SearchConfig(mu=12, k=4, seed=77, replicas=2)
@@ -198,9 +205,9 @@ def test_permutation_soundness():
 
 def test_invalid_start_plan_rejected():
     res = ingest(TOY_COUNTY_CSV)
-    broken = res.plan.copy()
-    broken.dist[res.graph.index[(1, "A1")]] = 2
-    broken.dist[res.graph.index[(1, "A2")]] = 2
+    broken = list(res.plan)
+    broken[res.graph.index[(1, "A1")]] = 2
+    broken[res.graph.index[(1, "A2")]] = 2
     with pytest.raises(ValueError, match="invalid starting plan"):
         run(res.graph, broken, SearchConfig(mu=1, k=1))
 
@@ -306,23 +313,23 @@ def test_traces_match_pins(name):
 def test_move_is_legal_matches_full_validation(text, seed):
     """Along a random walk of legal moves, every verdict agrees with validate_plan."""
     res = ingest(text)
-    graph, plan = res.graph, res.plan.copy()
+    graph, plan = res.graph, list(res.plan)
     rng = random.Random(seed)
     for _ in range(30):
         legal = []
         for i, node in enumerate(graph.keys):
-            source = plan.dist[i]
-            for target in sorted({plan.dist[j] for j in graph.adj[i]} - {source}):
+            source = plan[i]
+            for target in sorted({plan[j] for j in graph.adj[i]} - {source}):
                 verdict = move_is_legal(graph, plan, node, target).ok
-                plan.dist[i] = target
+                plan[i] = target
                 assert verdict == validate_plan(graph, plan).ok, (node, target)
-                plan.dist[i] = source
+                plan[i] = source
                 if verdict:
                     legal.append((i, target))
         if not legal:
             break
         i, target = rng.choice(legal)
-        plan.dist[i] = target
+        plan[i] = target
     assert validate_plan(graph, plan).ok
 
 
@@ -420,16 +427,16 @@ def _drained_plan(graph, plan, rng, steps):
     to neighbouring districts, so it ends close to the lower population
     bound and its neighbours fill towards the upper one.
     """
-    plan = plan.copy()
-    for _ in range(len(plan.district_ids)):
-        source = rng.choice(plan.district_ids)
+    plan = list(plan)
+    for _ in range(len(graph.district_ids)):
+        source = rng.choice(graph.district_ids)
         for _ in range(steps):
-            i = rng.choice([i for i, d in enumerate(plan.dist) if d == source])
-            targets = sorted({plan.dist[j] for j in graph.adj[i]} - {source})
+            i = rng.choice([i for i, d in enumerate(plan) if d == source])
+            targets = sorted({plan[j] for j in graph.adj[i]} - {source})
             if targets:
                 target = rng.choice(targets)
                 if move_is_legal(graph, plan, graph.keys[i], target).ok:
-                    plan.dist[i] = target
+                    plan[i] = target
     assert validate_plan(graph, plan).ok
     return plan
 
@@ -509,9 +516,8 @@ def test_state_gap_is_sum_of_district_effgaps():
                 if state.pop[target] + state.node_pop[i] > state.pop_hi:
                     continue
                 state.move(i, target)
-                moved = DistrictPlan(state.dist, plan.district_ids, plan.pop_lo, plan.pop_hi)
-                assert validate_plan(graph, moved).ok
-                votes = district_votes(graph, moved).values()
+                assert validate_plan(graph, state.dist).ok
+                votes = district_votes(graph, state.dist).values()
                 assert state.signed == sum(map(district_effgap, votes)), (name, i, target)
                 ties += sum(2 * v.party_a == v.population() for v in votes)
                 moves += 1
@@ -530,7 +536,7 @@ def test_search_never_beats_the_exact_optimum():
         res = ingest(text)
         graph, plan = res.graph, res.plan
         idx = county_index(graph)
-        best, argmin = _optimum(idx, plan.kappa, plan.pop_lo, plan.pop_hi)
+        best, argmin = _optimum(idx, len(graph.district_ids), graph.pop_lo, graph.pop_hi)
         assert best is not None  # the ingested plan is in its own window
         cfg = SearchConfig(mu=100, k=min(8, len(graph.keys) - 1), seed=seed, replicas=2)
         result = run(graph, plan, cfg)
@@ -539,8 +545,7 @@ def test_search_never_beats_the_exact_optimum():
             assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
         for masks in argmin:
             labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
-            dist = [plan.district_ids[labels[key] - 1] for key in graph.keys]
-            opt = DistrictPlan(dist, plan.district_ids, plan.pop_lo, plan.pop_hi)
+            opt = [graph.district_ids[labels[key] - 1] for key in graph.keys]
             assert validate_plan(graph, opt).ok, (seed, masks)
             assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
         optima += len(argmin)
@@ -548,3 +553,61 @@ def test_search_never_beats_the_exact_optimum():
         still += not any(trace.moves for trace in result.traces)
     print(f"search reached the optimum on {hits} of {len(graphs)} graphs "
           f"and made no move on {still}; {optima} optima checked")
+
+
+def test_hardness_gadget_as_a_county_graph_is_frozen():
+    """A gadget's y-convex witness, ingested as a county graph, is an exact
+    equipartition: its window is one population, its plan's gap is the DP's
+    optimum, only empty cells can move, and the search accepts no move."""
+    rng = random.Random(1903)
+    yes = legal_moves = 0
+    for g in range(60):
+        n = rng.randint(2, 8)
+        if g % 3:
+            values = [rng.randint(1, 16) for _ in range(n)]
+        else:
+            # Planted split: the last value closes a random signed sum.
+            last = 0
+            while not 1 <= last <= 16:
+                values = [rng.randint(1, 16) for _ in range(n - 1)]
+                last = abs(sum(rng.choice((1, -1)) * v for v in values))
+            values.append(last)
+        values = [4 * v for v in values]
+        inst = gen_hardness_instance(values, decoy_count=rng.randint(0, 2), seed=g)
+        dp = solve_yconvex(inst.polygon, inst.kappa)
+        assert dp.feasible and (dp.value == 0) == subset_sum_oracle(values), values
+        yes += dp.value == 0
+        res = ingest(partition_county_csv(inst.polygon, dp.partition))
+        graph, plan = res.graph, res.plan
+        assert graph.pop_lo == graph.pop_hi, values
+        assert plan_stats(graph, plan).total_scaled_abs == dp.value, values
+        for i, node in enumerate(graph.keys):
+            for target in sorted({plan[j] for j in graph.adj[i]} - {plan[i]}):
+                if move_is_legal(graph, plan, node, target).ok:
+                    assert graph.nodes[node].votes.population() == 0, (values, node, target)
+                    legal_moves += 1
+        cfg = SearchConfig(mu=30, k=min(8, len(graph.keys) - 1), seed=g, replicas=2)
+        assert not any(trace.moves for trace in run(graph, plan, cfg).traces), values
+    assert 0 < yes < 60 and legal_moves, (yes, legal_moves)
+    print(f"60 gadgets ({yes} with an equal split): {legal_moves} legal moves, all of empty cells")
+
+
+def test_search_reads_the_graphs_window():
+    """The search's bounds are the graph's: a copy of the graph gives the same
+    traces, and on a graph whose window is widened by 15% of the ideal district
+    population on each side, every final plan is valid and some leave the
+    ingested window."""
+    outside = 0
+    for name in ("WI", "PA"):
+        res = ingest(synth_state_csv(name, seed=0))
+        graph, plan = res.graph, res.plan
+        cfg = SearchConfig(mu=100, k=20, seed=11, replicas=2)
+        same = run(dataclasses.replace(graph), plan, cfg)
+        assert [t.to_lines() for t in same.traces] == [t.to_lines() for t in run(graph, plan, cfg).traces]
+        slack = 15 * graph.total_votes().population() // (100 * len(graph.district_ids))
+        wide = dataclasses.replace(graph, pop_lo=graph.pop_lo - slack, pop_hi=graph.pop_hi + slack)
+        for trace in run(wide, plan, cfg).traces:
+            assert validate_plan(wide, trace.final_plan).ok, name
+            outside += not validate_plan(graph, trace.final_plan).ok
+    assert outside, "no replica used the widened window"
+    print(f"{outside} of 4 replicas ended outside the ingested window")
