@@ -5,15 +5,17 @@ Republicans, Democrats, Neighbors.  A county split across districts
 appears once per district, so (District, County_id) is the node key.
 Party A is the Democrats and party B the Republicans, matching the
 column order of the published summary tables; the measure is symmetric
-up to sign, but reports follow this convention throughout.
+up to sign, but reports follow this convention throughout.  The County
+column must be present, but nothing reads its values.
 
 The Neighbors cell holds comma-separated ``district:county_id`` tokens.
 One-sided neighbor listings are symmetrized with a warning, since hand
 curated files commonly have them.
 
-Ingest numbers the nodes in key order and stores the adjacency on those
-numbers.  A plan is a list, ``plan[i]`` the district of node i; the
-district ids and the population bounds every plan must keep are the
+Ingest numbers the nodes in key order and keeps each node's key, its
+party-A votes, its population and its neighbours in tables indexed by
+those numbers.  A plan is a list, ``plan[i]`` the district of node i;
+the district ids and the population bounds every plan must keep are the
 graph's, frozen by ``ingest`` from the District column.  Keys and
 numbers are translated only at the file edges: ``ingest``,
 ``read_plan_csv`` and ``write_plan_csv``.  Every connectivity check
@@ -44,19 +46,14 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class CountyNode:
-    county_name: str
-    votes: VoteCounts  # party_a = Democrats, party_b = Republicans
-
-
-@dataclass(frozen=True)
 class CountyGraph:
-    """Nodes by key, their adjacency on node numbers, and the plans' constraints.
+    """Node tables in node order, the adjacency, and the plans' constraints.
 
-    Node i is the i-th key in sorted order: ``keys[i]``, with
-    ``index[keys[i]] == i``.  ``adj[i]`` holds node i's neighbours as
-    ascending numbers, which is their key order.  ``nodes`` iterates in
-    key order.
+    Node i is the i-th (district, county_id) key in sorted order:
+    ``nodes[i]``, with ``index[nodes[i]] == i``.  ``node_a[i]`` is its
+    party-A (Democratic) vote count and ``node_pop[i]`` its two-party
+    population.  ``adj[i]`` holds its neighbours as ascending numbers,
+    which is their key order.
 
     ``district_ids`` are the districts of the ingested plan, ascending,
     and every district of a valid plan has a population within
@@ -65,26 +62,21 @@ class CountyGraph:
     ``dataclasses.replace`` gives the same graph with another window.
     """
 
-    nodes: dict[NodeKey, CountyNode]
+    nodes: tuple[NodeKey, ...]
+    node_a: tuple[int, ...]
+    node_pop: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
     district_ids: tuple[int, ...]
     pop_lo: int
     pop_hi: int
 
     @functools.cached_property
-    def keys(self) -> tuple[NodeKey, ...]:
-        return tuple(self.nodes)
-
-    @functools.cached_property
     def index(self) -> dict[NodeKey, int]:
-        return dict(zip(self.keys, range(len(self.keys))))
+        return dict(zip(self.nodes, range(len(self.nodes))))
 
     def total_votes(self) -> VoteCounts:
-        party_a = party_b = 0
-        for node in self.nodes.values():
-            party_a += node.votes.party_a
-            party_b += node.votes.party_b
-        return VoteCounts(party_a, party_b)
+        party_a = sum(self.node_a)
+        return VoteCounts(party_a, sum(self.node_pop) - party_a)
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ class PlanReport:
 @dataclass(frozen=True)
 class IngestResult:
     graph: CountyGraph
-    plan: list[int]  # the District column: plan[i] is the district of graph.keys[i]
+    plan: list[int]  # the District column: plan[i] is the district of graph.nodes[i]
     warnings: tuple[str, ...] = field(default=())
 
 
@@ -186,7 +178,7 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     header_error = f"header must be exactly {','.join(CSV_COLUMNS)}; got {{got}}"
     rows = []
     row_of: dict[NodeKey, int] = {}
-    for row_no, (district, county_id, name, republicans, democrats, neighbors) in _csv_rows(
+    for row_no, (district, county_id, _, republicans, democrats, neighbors) in _csv_rows(
         text, CSV_COLUMNS, header_error
     ):
         try:
@@ -207,10 +199,10 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
                 f"(first seen at row {row_of[key]})"
             )
         row_of[key] = row_no
-        rows.append((row_no, key, name, democrats, republicans, neighbors))
+        rows.append((row_no, key, democrats, democrats + republicans, neighbors))
     if not rows:
         raise IngestError("no data rows")
-    if not sum(democrats + republicans for _, _, _, democrats, republicans, _ in rows):
+    if not sum(pop for _, _, _, pop, _ in rows):
         raise IngestError("total vote count is 0")
 
     # Node i is the i-th key in sorted order.  A token spelled exactly as a
@@ -219,9 +211,12 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     keys = sorted(row_of)
     index = dict(zip(keys, range(len(keys))))
     number_of_token = {f"{d}:{cid}": i for i, (d, cid) in enumerate(keys)}
+    node_a = [0] * len(keys)
+    node_pop = [0] * len(keys)
     neighbor_sets: list[set[int]] = [set() for _ in keys]
-    for row_no, key, _, _, _, raw in rows:
+    for row_no, key, a, pop, raw in rows:
         i = index[key]
+        node_a[i], node_pop[i] = a, pop
         nbs = neighbor_sets[i]
         for token in raw.split(","):
             token = token.strip()
@@ -251,18 +246,15 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
         (d, cid), (nb_d, nb_cid) = keys[i], keys[j]
         warnings.append(f"one-sided neighbor listing {d}:{cid} -> {nb_d}:{nb_cid}; symmetrized")
 
-    nodes = {
-        key: CountyNode(name, VoteCounts(democrats, republicans))
-        for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1])
-    }
     # Keys are sorted, so the ids come in ascending order and each initial
     # district's nodes are one run of them.
     label = [d for d, _ in keys]
     pops = dict.fromkeys(label, 0)
-    for d, node in zip(label, nodes.values()):
-        pops[d] += node.votes.population()
+    for d, pop in zip(label, node_pop):
+        pops[d] += pop
     adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
-    graph = CountyGraph(nodes, adj, tuple(pops), min(pops.values()), max(pops.values()))
+    graph = CountyGraph(tuple(keys), tuple(node_a), tuple(node_pop), adj, tuple(pops),
+                        min(pops.values()), max(pops.values()))
 
     if not _reaches(graph.adj, [0] * len(keys), 0, 0, (), range(len(keys))):
         raise IngestError("graph disconnected")
@@ -280,10 +272,10 @@ def validate_plan(graph: CountyGraph, dist: list[int]) -> PlanReport:
         return PlanReport(False, "assignment does not cover the graph")
     pops = dict.fromkeys(graph.district_ids, 0)
     assigned: dict[int, set[int]] = {d: set() for d in graph.district_ids}
-    for i, (d, node) in enumerate(zip(dist, graph.nodes.values())):
+    for i, (d, pop) in enumerate(zip(dist, graph.node_pop)):
         if d not in pops:
             return PlanReport(False, f"node assigned to unknown district {d}")
-        pops[d] += node.votes.population()
+        pops[d] += pop
         assigned[d].add(i)
     for d, members in assigned.items():
         if not members:
@@ -305,12 +297,11 @@ def district_votes(graph: CountyGraph, dist: list[int]) -> dict[int, VoteCounts]
     Every node must be assigned to one of the graph's districts.
     """
     sum_a = dict.fromkeys(graph.district_ids, 0)
-    sum_b = dict.fromkeys(graph.district_ids, 0)
-    for d, node in zip(dist, graph.nodes.values()):
-        votes = node.votes
-        sum_a[d] += votes.party_a
-        sum_b[d] += votes.party_b
-    return {d: VoteCounts(sum_a[d], sum_b[d]) for d in graph.district_ids}
+    pops = dict.fromkeys(graph.district_ids, 0)
+    for d, a, pop in zip(dist, graph.node_a, graph.node_pop):
+        sum_a[d] += a
+        pops[d] += pop
+    return {d: VoteCounts(sum_a[d], pops[d] - sum_a[d]) for d in graph.district_ids}
 
 
 def plan_stats(graph: CountyGraph, dist: list[int]) -> PlanStats:
@@ -326,7 +317,7 @@ def write_plan_csv(graph: CountyGraph, dist: list[int]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PLAN_COLUMNS)
-    writer.writerows([*key, d] for key, d in zip(graph.keys, dist))
+    writer.writerows([*key, d] for key, d in zip(graph.nodes, dist))
     return buf.getvalue()
 
 

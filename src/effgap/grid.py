@@ -94,9 +94,9 @@ class _MaskIndex:
     no node; ``index`` maps each key to its bit, ``cells`` lists the keys
     in bit order and ``full`` holds their bits.  ``adj[i]`` is the mask of
     bit i's neighbours, and ``pop`` and ``party_a`` read 0 at bits that
-    are no node.  A county graph's index is built from ``graph.keys``, the
-    node votes and ``graph.adj``; a polygon's comes from ``of_polygon`` and
-    is cached as ``GridPolygon.mask_index``.
+    are no node.  A county graph's index is built from ``graph.nodes``,
+    each node's votes and ``graph.adj``; a polygon's comes from
+    ``of_polygon`` and is cached as ``GridPolygon.mask_index``.
     """
 
     def __init__(

@@ -12,11 +12,12 @@ root seed, nodes are drawn from a named generator, and neighbors are
 scanned in key order.  The generator is ``pcg64``'s plain-Python copy of
 numpy's PCG64 stream, so every trace is the one numpy's draws give.
 
-The search works on the graph's node numbers: node i is ``graph.keys[i]``
-and ``graph.adj[i]`` its neighbours, both built by ``ingest``, and a
-plan's ``dist[i]`` is its district.  A replica searches on a
-ReplicaState, which reads those tables and the bounds as they are,
-holds each node's votes as ints, and keeps a copy of ``dist``, each
+The search works on the graph's node numbers: node i is
+``graph.nodes[i]``, with votes ``graph.node_a[i]`` and
+``graph.node_pop[i]`` and neighbours ``graph.adj[i]``, all built by
+``ingest``, and a plan's ``dist[i]`` is its district.  A replica
+searches on a ReplicaState, which reads those tables and the bounds
+from the graph as they are and keeps a copy of ``dist``, each
 district's vote sums and W, the population of the districts party A
 wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
 node's effect on W in its own district is computed once and each
@@ -44,7 +45,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .county import CountyGraph, NodeKey, _reaches, validate_plan
+from .county import CountyGraph, NodeKey, PlanReport, _reaches, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
@@ -66,12 +67,6 @@ class SearchConfig:
             raise ValueError("replicas must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-@dataclass(frozen=True)
-class MoveReport:
-    ok: bool
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -121,28 +116,23 @@ def _won(party_a: int, pop: int) -> int:
 class ReplicaState:
     """One replica's plan on the graph's node numbers, with per-district sums kept current.
 
-    ``keys``, ``adj`` and the bounds are the graph's, ``node_a[i]`` and
-    ``node_pop[i]`` node i's votes, and ``dist[i]`` its district.  Each
+    The node tables, adjacency and bounds are read from ``graph``, which
+    is never copied, and ``dist[i]`` is node i's district.  Each
     district keeps its party-A votes and population, and ``won`` is W,
     the population of the districts party A wins.  By the margin identity the signed gap is
     ``base - 2 * won`` with ``base = 4A - P``, so a move updates two
     districts and W in O(1).
     """
 
-    __slots__ = ("keys", "adj", "node_a", "node_pop", "pop_lo", "pop_hi",
-                 "base", "dist", "party_a", "pop", "won")
+    __slots__ = ("graph", "base", "dist", "party_a", "pop", "won")
 
     def __init__(self, graph: CountyGraph, dist: list[int]) -> None:
-        votes = [node.votes for node in graph.nodes.values()]
-        self.keys, self.adj = graph.keys, graph.adj
-        self.node_a = tuple(v.party_a for v in votes)
-        self.node_pop = tuple(v.population() for v in votes)
-        self.pop_lo, self.pop_hi = graph.pop_lo, graph.pop_hi
-        self.base = 4 * sum(self.node_a) - sum(self.node_pop)
+        self.graph = graph
+        self.base = 4 * sum(graph.node_a) - sum(graph.node_pop)
         self.dist = list(dist)
         self.party_a = dict.fromkeys(graph.district_ids, 0)
         self.pop = dict.fromkeys(graph.district_ids, 0)
-        for d, a, p in zip(self.dist, self.node_a, self.node_pop):
+        for d, a, p in zip(self.dist, graph.node_a, graph.node_pop):
             self.party_a[d] += a
             self.pop[d] += p
         self.won = sum(_won(self.party_a[d], self.pop[d]) for d in graph.district_ids)
@@ -159,12 +149,12 @@ class ReplicaState:
         None when the source side allows the move.  The district is
         connected, so i is alone in it exactly when no neighbour is in it.
         """
-        dist, adj = self.dist, self.adj
+        dist, graph, adj = self.dist, self.graph, self.graph.adj
         source = dist[i]
         linked = [j for j in adj[i] if dist[j] == source]
         if not linked:
             return "district emptied"
-        if self.pop[source] - self.node_pop[i] < self.pop_lo:
+        if self.pop[source] - graph.node_pop[i] < graph.pop_lo:
             return "source below population bound"
         # The district stays connected exactly when one of i's neighbours
         # in it reaches all the others, which are usually a couple of
@@ -176,7 +166,7 @@ class ReplicaState:
     def move(self, i: int, target: int) -> None:
         """Reassign node i; the caller is responsible for legality."""
         source = self.dist[i]
-        a, p = self.node_a[i], self.node_pop[i]
+        a, p = self.graph.node_a[i], self.graph.node_pop[i]
         self.dist[i] = target
         for d, da, dp in ((source, -a, -p), (target, a, p)):
             self.won -= _won(self.party_a[d], self.pop[d])
@@ -185,7 +175,7 @@ class ReplicaState:
             self.won += _won(self.party_a[d], self.pop[d])
 
 
-def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> MoveReport:
+def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> PlanReport:
     """Check a single-node reassignment.
 
     Legal when the target is a neighbor's district, the source district
@@ -199,15 +189,15 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
     state = ReplicaState(graph, dist)
     if target == dist[i]:
-        return MoveReport(False, "target equals current district")
-    if target not in {dist[j] for j in state.adj[i]}:
-        return MoveReport(False, "target district not adjacent to node")
+        return PlanReport(False, "target equals current district")
+    if target not in {dist[j] for j in graph.adj[i]}:
+        return PlanReport(False, "target district not adjacent to node")
     reason = state.source_rejection(i)
     if reason is not None:
-        return MoveReport(False, reason)
-    if state.pop[target] > state.pop_hi - state.node_pop[i]:
-        return MoveReport(False, "target above population bound")
-    return MoveReport(True)
+        return PlanReport(False, reason)
+    if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
+        return PlanReport(False, "target above population bound")
+    return PlanReport(True)
 
 
 def run_iteration(
@@ -222,8 +212,9 @@ def run_iteration(
     order, each needing only the target population bound, and the first
     legal strictly improving reassignment is applied.
     """
-    dist, adj, node_a, node_pop = state.dist, state.adj, state.node_a, state.node_pop
-    party_a, pop, base = state.party_a, state.pop, state.base
+    graph = state.graph
+    adj, node_a, node_pop, pop_hi = graph.adj, graph.node_a, graph.node_pop, graph.pop_hi
+    dist, party_a, pop, base = state.dist, state.party_a, state.pop, state.base
     records = []
     for i in draw(k, len(dist)):
         source = dist[i]
@@ -236,7 +227,7 @@ def run_iteration(
         if state.source_rejection(i) is not None:
             continue  # no target can take it
         a, p = node_a[i], node_pop[i]
-        room = state.pop_hi - p
+        room = pop_hi - p
         before_abs = abs(state.signed)
         # W with i taken out of its district; each target adds its own change.
         without = state.won - _won(party_a[source], pop[source]) + _won(party_a[source] - a, pop[source] - p)
@@ -247,7 +238,7 @@ def run_iteration(
             ta, tp = party_a[target], pop[target]
             after_abs = abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p)))
             if after_abs < before_abs:
-                records.append(MoveRecord(iteration, state.keys[i], source, target, before_abs, after_abs))
+                records.append(MoveRecord(iteration, graph.nodes[i], source, target, before_abs, after_abs))
                 state.move(i, target)
                 break
     return records

@@ -12,7 +12,6 @@ from effgap.core import ZERO_VOTES, VoteCounts, district_effgap
 from effgap.county import (
     CSV_COLUMNS,
     CountyGraph,
-    CountyNode,
     IngestError,
     IngestResult,
     NodeKey,
@@ -30,17 +29,26 @@ def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
 
 def neighbors(graph: CountyGraph, key: NodeKey) -> tuple[NodeKey, ...]:
     """The node's neighbours' keys, in key order."""
-    return tuple(map(graph.keys.__getitem__, graph.adj[graph.index[key]]))
+    return tuple(map(graph.nodes.__getitem__, graph.adj[graph.index[key]]))
+
+
+def node_votes(graph: CountyGraph) -> dict[NodeKey, VoteCounts]:
+    """Each node's VoteCounts by key, in key order, from the graph's two vote tables."""
+    return {key: VoteCounts(a, pop - a) for key, a, pop in zip(graph.nodes, graph.node_a, graph.node_pop)}
 
 
 def serialize_graph(graph: CountyGraph) -> str:
-    """Canonical CSV for the graph; ingest(serialize_graph(g)) reproduces g."""
+    """Canonical CSV for the graph; ingest(serialize_graph(g)) reproduces g.
+
+    The graph keeps no County names, so each row's County cell repeats its
+    county id.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for key, node in graph.nodes.items():
-        nbs = ", ".join(f"{d}:{cid}" for d, cid in neighbors(graph, key))
-        writer.writerow([*key, node.county_name, node.votes.party_b, node.votes.party_a, nbs])
+    for (d, cid), votes in node_votes(graph).items():
+        nbs = ", ".join(f"{nb_d}:{nb_cid}" for nb_d, nb_cid in neighbors(graph, (d, cid)))
+        writer.writerow([d, cid, cid, votes.party_b, votes.party_a, nbs])
     return buf.getvalue()
 
 
@@ -271,34 +279,36 @@ def partition_county_csv(p: GridPolygon, q: GridPartition) -> str:
 
 
 def county_index(graph: CountyGraph) -> _MaskIndex:
-    """The oracle's mask index of a county graph: bit i is node i, ``graph.keys[i]``."""
-    return _MaskIndex(graph.keys, {key: node.votes for key, node in graph.nodes.items()}, graph.adj)
+    """The oracle's mask index of a county graph: bit i is node i, ``graph.nodes[i]``."""
+    return _MaskIndex(graph.nodes, node_votes(graph), graph.adj)
 
 
 def assignment(graph: CountyGraph, dist: list[int]) -> dict[NodeKey, int]:
     """The plan as a node key -> district dict, in key order."""
-    return dict(zip(graph.keys, dist))
+    return dict(zip(graph.nodes, dist))
 
 
 class _PlanSums:
     """A key -> district dict with its districts' members and VoteCounts
-    sums, kept current by ``move``; ``graph`` gives the ids and bounds."""
+    sums, kept current by ``move``; ``graph`` gives the ids and bounds, and
+    ``node_votes`` each node's VoteCounts by key."""
 
     def __init__(self, graph: CountyGraph, dist: list[int]):
         self.graph = graph
+        self.node_votes = node_votes(graph)
         self.assignment = assignment(graph, dist)
         self.members: dict[int, set[NodeKey]] = {d: set() for d in graph.district_ids}
         self.votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in graph.district_ids}
         for key, d in self.assignment.items():
             self.members[d].add(key)
-            self.votes[d] = self.votes[d] + graph.nodes[key].votes
+            self.votes[d] = self.votes[d] + self.node_votes[key]
 
     def signed_scaled_effgap(self) -> int:
         return sum(district_effgap(v) for v in self.votes.values())
 
     def move(self, node: NodeKey, target: int) -> None:
         source = self.assignment[node]
-        votes = self.graph.nodes[node].votes
+        votes = self.node_votes[node]
         self.assignment[node] = target
         self.members[source].discard(node)
         self.members[target].add(node)
@@ -307,16 +317,16 @@ class _PlanSums:
 
 
 def _initial_plan_reference(
-    nodes: dict[NodeKey, CountyNode],
+    nodes: dict[NodeKey, VoteCounts],
 ) -> tuple[list[int], tuple[int, ...], int, int]:
     """The District column's plan, its district ids and its population
-    bounds, summing one VoteCounts per node."""
+    bounds, summing one VoteCounts per node; `nodes` is in key order."""
     dist = [key[0] for key in nodes]
     district_ids = tuple(sorted(set(dist)))
-    votes: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
-    for key, node in nodes.items():
-        votes[key[0]] = votes[key[0]] + node.votes
-    pops = [votes[d].population() for d in district_ids]
+    totals: dict[int, VoteCounts] = {d: ZERO_VOTES for d in district_ids}
+    for key, votes in nodes.items():
+        totals[key[0]] = totals[key[0]] + votes
+    pops = [totals[d].population() for d in district_ids]
     return dist, district_ids, min(pops), max(pops)
 
 
@@ -353,14 +363,14 @@ def ingest_reference(text: str) -> IngestResult:
                 f"(first seen at row {row_of[key]})"
             )
         row_of[key] = row_no
-        rows.append((row_no, key, row["County"], democrats, republicans, row["Neighbors"]))
+        rows.append((row_no, key, democrats, republicans, row["Neighbors"]))
     if not rows:
         raise IngestError("no data rows")
-    if sum(democrats + republicans for _, _, _, democrats, republicans, _ in rows) == 0:
+    if sum(democrats + republicans for _, _, democrats, republicans, _ in rows) == 0:
         raise IngestError("total vote count is 0")
 
     neighbor_sets: dict[NodeKey, set[NodeKey]] = {key: set() for _, key, *_ in rows}
-    for row_no, key, _, _, _, raw in rows:
+    for row_no, key, _, _, raw in rows:
         for token in raw.split(","):
             token = token.strip()
             if not token:
@@ -387,13 +397,18 @@ def ingest_reference(text: str) -> IngestResult:
                     f"one-sided neighbor listing {key[0]}:{key[1]} -> {nb[0]}:{nb[1]}; symmetrized"
                 )
 
-    nodes: dict[NodeKey, CountyNode] = {}
-    for _, key, name, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
-        nodes[key] = CountyNode(name, VoteCounts(democrats, republicans))
+    nodes: dict[NodeKey, VoteCounts] = {}
+    for _, key, democrats, republicans, _ in sorted(rows, key=lambda r: r[1]):
+        nodes[key] = VoteCounts(democrats, republicans)
     number = {key: i for i, key in enumerate(nodes)}
     adj = tuple(tuple(number[nb] for nb in sorted(neighbor_sets[key])) for key in nodes)
     plan, district_ids, pop_lo, pop_hi = _initial_plan_reference(nodes)
-    graph = CountyGraph(nodes, adj, district_ids, pop_lo, pop_hi)
+    graph = CountyGraph(
+        tuple(nodes),
+        tuple(votes.party_a for votes in nodes.values()),
+        tuple(votes.population() for votes in nodes.values()),
+        adj, district_ids, pop_lo, pop_hi,
+    )
 
     if not county_connected(graph, nodes):
         raise IngestError("graph disconnected")
@@ -411,10 +426,11 @@ def validate_plan_reference(graph: CountyGraph, dist: list[int]) -> PlanReport:
         return PlanReport(False, "assignment does not cover the graph")
     recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in graph.district_ids}
     assigned: dict[int, set[NodeKey]] = {d: set() for d in graph.district_ids}
+    votes = node_votes(graph)
     for key, d in assignment(graph, dist).items():
         if d not in recomputed:
             return PlanReport(False, f"node assigned to unknown district {d}")
-        recomputed[d] = recomputed[d] + graph.nodes[key].votes
+        recomputed[d] = recomputed[d] + votes[key]
         assigned[d].add(key)
     for d in graph.district_ids:
         members = assigned[d]
@@ -437,7 +453,7 @@ def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
     members = sums.members[source]
     if len(members) == 1:
         return "district emptied"
-    pop = sums.graph.nodes[node].votes.population()
+    pop = sums.node_votes[node].population()
     if sums.votes[source].population() - pop < sums.graph.pop_lo:
         return "source below population bound"
     if not county_connected(sums.graph, members - {node}):
@@ -447,7 +463,7 @@ def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
 
 def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: int) -> int:
     """Signed scaled gap after a hypothetical move, from VoteCounts."""
-    votes = sums.graph.nodes[node].votes
+    votes = sums.node_votes[node]
     src = sums.votes[sums.assignment[node]]
     tgt = sums.votes[target]
     return (
@@ -462,7 +478,7 @@ def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: 
 def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> list[MoveRecord]:
     """Dict-based search iteration on a key -> district dict: same draws, same rule."""
     graph, assigned = sums.graph, sums.assignment
-    keys = graph.keys
+    keys = graph.nodes
     r = int(rng.integers(0, k + 1))
     if r == 0:
         return []
@@ -476,7 +492,7 @@ def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> lis
             continue
         if _source_rejection_reference(sums, node) is not None:
             continue
-        room = graph.pop_hi - graph.nodes[node].votes.population()
+        room = graph.pop_hi - sums.node_votes[node].population()
         before_abs = abs(signed)
         for nb in nbs:
             target = assigned[nb]
@@ -506,7 +522,7 @@ def run_reference(graph: CountyGraph, plan0: list[int], cfg: SearchConfig) -> li
         for iteration in range(cfg.mu):
             moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k))
         final = abs(sums.signed_scaled_effgap())
-        final_plan = [sums.assignment[key] for key in graph.keys]
+        final_plan = [sums.assignment[key] for key in graph.nodes]
         traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), final_plan))
     return traces
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 
 from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
-from effgap.grid import _MaskIndex, read_instance, validate_partition
+from effgap.grid import _MaskIndex, gen_hardness_instance, read_instance, validate_partition, write_instance
 from fractions import Fraction
-from conftest import TOY_COUNTY_CSV, county_grid_csv, read_partition
+from conftest import TOY_COUNTY_CSV, county_grid_csv, polygon, read_partition
 
 
 @pytest.fixture
@@ -438,6 +439,70 @@ def test_malformed_grid_is_a_one_line_error(tmp_path, capsys, solver, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def _mutated_instance(rng: random.Random, base: str) -> str:
+    """`base` with one to three random edits: a field replaced, added or
+    dropped, a line duplicated or deleted, or blank lines added."""
+    lines = base.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        at = rng.randrange(len(lines))
+        fields = lines[at].split()
+        kind = rng.randrange(6)
+        if kind == 0 and fields:
+            fields[rng.randrange(len(fields))] = rng.choice(["0", "1", "2", "3", "7", "-1", "+2", "1.5", "x"])
+        elif kind == 1:
+            fields.insert(rng.randint(0, len(fields)), rng.choice(["0", "1", "2", "-1", "x"]))
+        elif kind == 2 and fields:
+            del fields[rng.randrange(len(fields))]
+        elif kind == 3:
+            lines.insert(at, lines[at])
+            continue
+        elif kind == 4:
+            del lines[at]
+            continue
+        elif kind == 5:
+            lines[at:at] = rng.choices(["", " ", "\t"], k=rng.randint(1, 2))
+            continue
+        lines[at] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_instances_parse_or_name_their_line(tmp_path, capsys):
+    """``read_instance`` parses a mutated instance file or raises a
+    ValueError naming a non-blank line of it, and every solver ends each
+    file that parses with exit code 0, 1 or 2."""
+    rng = random.Random(20)
+    bases = [write_instance(gen_hardness_instance(values, decoys, seed=3).polygon, 2 + decoys)
+             for values in ([4, 4], [4, 8, 4], [8, 4, 12]) for decoys in (0, 1)]
+    for m, n in ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4)):
+        votes = {(r, c): (rng.randint(0, 3), rng.randint(0, 3)) for r in range(m) for c in range(n)}
+        bases.append(write_instance(polygon(votes), 2 + (m * n) % 2))
+    grid = tmp_path / "grid.txt"
+    codes = {0: 0, 1: 0, 2: 0}
+    errors = 0
+    for trial in range(1000):
+        text = _mutated_instance(rng, bases[trial % len(bases)])
+        try:
+            read_instance(text)
+        except ValueError as exc:
+            message = str(exc)
+            if message != "empty instance file":
+                match = re.match(r"line (\d+): ", message)
+                assert match, (text, message)
+                assert text.splitlines()[int(match[1]) - 1].strip(), (text, message)
+            errors += 1
+            continue
+        grid.write_text(text)
+        for solver in ("brute", "yconvex", "canonical"):
+            code = main(["solve", str(grid), "--solver", solver])
+            assert code in codes, (text, solver, code)
+            codes[code] += 1
+        capsys.readouterr()
+    assert errors and all(codes.values()), (errors, codes)
+    print(f"1000 mutated instances: {errors} rejected by read_instance; solve exit codes {codes}")
 
 
 @pytest.mark.parametrize("option", ["--epsilon", "--delta-near"])

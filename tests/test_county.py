@@ -30,10 +30,11 @@ from conftest import (
 def test_toy_ingest_shapes():
     res = ingest(TOY_COUNTY_CSV)
     g, plan = res.graph, res.plan
-    assert len(g.nodes) == 4
+    assert g.nodes == ((1, "A1"), (1, "A2"), (2, "B1"), (2, "B2"))
     assert g.district_ids == (1, 2) and plan == [1, 1, 2, 2]
     # Democrats are party A.
-    assert g.nodes[(1, "A1")].votes == VoteCounts(60, 40)
+    assert g.node_a == (60, 20, 10, 40) and g.node_pop == (100, 50, 60, 100)
+    assert g.index[(1, "A1")] == 0
     assert district_votes(g, plan) == {1: VoteCounts(80, 70), 2: VoteCounts(50, 110)}
     assert (g.pop_lo, g.pop_hi) == (150, 160)
     assert res.warnings == ()
@@ -130,6 +131,22 @@ def test_round_trip_graph_and_plan():
     assert res2.plan == res.plan
     assert (res2.graph.pop_lo, res2.graph.pop_hi) == (res.graph.pop_lo, res.graph.pop_hi)
     assert serialize_graph(res2.graph) == text  # byte-stable
+
+
+def test_county_column_is_not_read():
+    """Two CSVs that differ only in the County column ingest to equal graphs."""
+    base = county_grid_csv(0, side=5, bands=2)
+    header, *rows = list(csv.reader(io.StringIO(base)))
+    names = ["", "x", "Ünïcode", "a, b", '"quoted"', "1:g0_0", "   "]
+    for row_no, row in enumerate(rows):
+        row[2] = names[row_no % len(names)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    renamed = buf.getvalue()
+    assert renamed != base
+    res, res2 = ingest(base), ingest(renamed)
+    assert res2.graph == res.graph
+    assert (res2.plan, res2.warnings) == (res.plan, res.warnings)
 
 
 def test_aggregation_consistency():
@@ -242,15 +259,14 @@ def test_plan_row_with_wrong_field_count_rejected(row, got):
 
 
 def _outcome(parse, text):
-    """Everything ingest reports: nodes in order, their numbered adjacency, the
-    plan, warnings, or the error."""
+    """Everything ingest reports: the node tables in order, their numbered
+    adjacency, the plan, warnings, or the error."""
     try:
         res = parse(text)
     except Exception as exc:  # the error type is part of the comparison
         return type(exc), str(exc)
     g = res.graph
-    graph = ([(k, n.county_name, n.votes) for k, n in g.nodes.items()], g.adj,
-             g.district_ids, g.pop_lo, g.pop_hi)
+    graph = (g.nodes, g.node_a, g.node_pop, g.adj, g.district_ids, g.pop_lo, g.pop_hi)
     return graph, res.plan, res.warnings
 
 

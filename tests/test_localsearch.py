@@ -82,7 +82,7 @@ def all_single_moves(graph, plan):
     """Every (node, target) with the legality verdict and gap delta."""
     out = []
     before = plan_stats(graph, plan).total_scaled_abs
-    for i, node in enumerate(graph.keys):
+    for i, node in enumerate(graph.nodes):
         for target in sorted({plan[j] for j in graph.adj[i]}):
             if target == plan[i]:
                 continue
@@ -191,7 +191,7 @@ def test_final_never_worse_than_initial():
 def test_permutation_soundness():
     res = ingest(SIX_NODE_CSV)
     swapped_rows = ["district,county_id,assigned_district"]
-    for (d, cid), assigned in zip(res.graph.keys, res.plan):
+    for (d, cid), assigned in zip(res.graph.nodes, res.plan):
         swapped_rows.append(f"{d},{cid},{3 - assigned}")  # swap labels 1 <-> 2
     swapped = read_plan_csv(res.graph, "\n".join(swapped_rows) + "\n")
     cfg = SearchConfig(mu=12, k=4, seed=77, replicas=2)
@@ -317,7 +317,7 @@ def test_move_is_legal_matches_full_validation(text, seed):
     rng = random.Random(seed)
     for _ in range(30):
         legal = []
-        for i, node in enumerate(graph.keys):
+        for i, node in enumerate(graph.nodes):
             source = plan[i]
             for target in sorted({plan[j] for j in graph.adj[i]} - {source}):
                 verdict = move_is_legal(graph, plan, node, target).ok
@@ -435,7 +435,7 @@ def _drained_plan(graph, plan, rng, steps):
             targets = sorted({plan[j] for j in graph.adj[i]} - {source})
             if targets:
                 target = rng.choice(targets)
-                if move_is_legal(graph, plan, graph.keys[i], target).ok:
+                if move_is_legal(graph, plan, graph.nodes[i], target).ok:
                     plan[i] = target
     assert validate_plan(graph, plan).ok
     return plan
@@ -481,7 +481,7 @@ def test_search_matches_dict_based_reference():
         starts = [res.plan] + [_drained_plan(graph, res.plan, rng, 12) for _ in range(2)]
         for start_no, plan0 in enumerate(starts):
             for seed in range(8):
-                cfg = SearchConfig(mu=25, k=min(12, len(graph.keys) - 1), seed=1000 * start_no + seed,
+                cfg = SearchConfig(mu=25, k=min(12, len(graph.nodes) - 1), seed=1000 * start_no + seed,
                                    replicas=1 + seed % 3)
                 got = run(graph, plan0, cfg)
                 want = run_reference(graph, plan0, cfg)
@@ -508,12 +508,12 @@ def test_state_gap_is_sum_of_district_effgaps():
             ties += sum(2 * v.party_a == v.population() for v in votes)
             plans += 1
             for _ in range(60):
-                i = rng.randrange(len(graph.keys))
+                i = rng.randrange(len(graph.nodes))
                 targets = sorted({state.dist[j] for j in graph.adj[i]} - {state.dist[i]})
                 if not targets or state.source_rejection(i) is not None:
                     continue
                 target = rng.choice(targets)
-                if state.pop[target] + state.node_pop[i] > state.pop_hi:
+                if state.pop[target] + graph.node_pop[i] > graph.pop_hi:
                     continue
                 state.move(i, target)
                 assert validate_plan(graph, state.dist).ok
@@ -531,6 +531,7 @@ def test_search_never_beats_the_exact_optimum():
     is that optimum."""
     graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
     graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
+    graphs += [random_county_csv(100 + s, 13 + s % 6, 2 + s % 3) for s in range(10)]
     hits = still = optima = 0
     for seed, text in enumerate(graphs):
         res = ingest(text)
@@ -538,14 +539,14 @@ def test_search_never_beats_the_exact_optimum():
         idx = county_index(graph)
         best, argmin = _optimum(idx, len(graph.district_ids), graph.pop_lo, graph.pop_hi)
         assert best is not None  # the ingested plan is in its own window
-        cfg = SearchConfig(mu=100, k=min(8, len(graph.keys) - 1), seed=seed, replicas=2)
+        cfg = SearchConfig(mu=100, k=min(8, len(graph.nodes) - 1), seed=seed, replicas=2)
         result = run(graph, plan, cfg)
         for trace in result.traces:
             assert validate_plan(graph, trace.final_plan).ok, seed
             assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
         for masks in argmin:
             labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
-            opt = [graph.district_ids[labels[key] - 1] for key in graph.keys]
+            opt = [graph.district_ids[labels[key] - 1] for key in graph.nodes]
             assert validate_plan(graph, opt).ok, (seed, masks)
             assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
         optima += len(argmin)
@@ -581,12 +582,12 @@ def test_hardness_gadget_as_a_county_graph_is_frozen():
         graph, plan = res.graph, res.plan
         assert graph.pop_lo == graph.pop_hi, values
         assert plan_stats(graph, plan).total_scaled_abs == dp.value, values
-        for i, node in enumerate(graph.keys):
+        for i, node in enumerate(graph.nodes):
             for target in sorted({plan[j] for j in graph.adj[i]} - {plan[i]}):
                 if move_is_legal(graph, plan, node, target).ok:
-                    assert graph.nodes[node].votes.population() == 0, (values, node, target)
+                    assert graph.node_pop[i] == 0, (values, node, target)
                     legal_moves += 1
-        cfg = SearchConfig(mu=30, k=min(8, len(graph.keys) - 1), seed=g, replicas=2)
+        cfg = SearchConfig(mu=30, k=min(8, len(graph.nodes) - 1), seed=g, replicas=2)
         assert not any(trace.moves for trace in run(graph, plan, cfg).traces), values
     assert 0 < yes < 60 and legal_moves, (yes, legal_moves)
     print(f"60 gadgets ({yes} with an equal split): {legal_moves} legal moves, all of empty cells")
