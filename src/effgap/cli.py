@@ -27,6 +27,7 @@ from .core import PARTY_A, total_effgap, wasted_votes
 from .county import district_votes, ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
     OracleLimitError,
+    _masks_to_partition,
     brute_force_opt,
     gen_hardness_instance,
     population_window,
@@ -208,8 +209,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
             summary["status"] = "infeasible"
             return 2, {"result": summary}, [grid_path], "status: infeasible\n"
         value = res.value
-        partition = res.partitions[0]
-        summary["optima"] = len(res.partitions)
+        partition = _masks_to_partition(res.index, res.optima[0])  # the others are never read
+        summary["optima"] = len(res.optima)
     elif args.solver == "yconvex":
         res = solve_yconvex(polygon, kappa)
         if not res.feasible:

@@ -18,7 +18,10 @@ counted from the box's top-left corner), so bit order is sorted cell
 order and a full rectangle numbers its cells 0..m*n-1.  That layout fixes
 only the bit order and the hole check, which floods the box's empty
 cells.  The oracle's enumeration and scoring, ``_optimum``, run as well
-on an index built from a county graph.
+on an index built from a county graph.  The enumeration walks each
+distinct two-class remainder once per call and replays its splits when
+the earlier classes leave it again, and the oracle keeps its argmins as
+class masks, converting them to partitions only when they are read.
 """
 
 from __future__ import annotations
@@ -334,30 +337,54 @@ def _enumerate_mask_partitions(
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of the index's nodes into kappa connected classes whose
     populations lie in [lo, hi].  Classes are canonically ordered by their
-    lowest bit, so each partition appears exactly once."""
+    lowest bit, so each partition appears exactly once.
+
+    The last two classes split a remainder that depends only on the classes
+    before them, and different choices of those classes often leave the
+    same remainder: on a 5x5 grid at kappa 5, 4,775 two-class levels see
+    1,945 distinct remainders.  The valid splits of each remainder, a list
+    of (class, rest) pairs in walk order, are found once per call and
+    replayed.  Below kappa 4 one class comes before the split, so every
+    remainder is new and nothing is kept.
+    """
     if lo > hi or idx.full == 0 or kappa > len(idx.cells):
         return
+    splits: dict[int, list[tuple[int, int]]] = {}  # remainder -> its valid two-class splits
+
+    def two_classes(remaining: int, pop_left: int) -> Iterator[tuple[int, int]]:
+        seed = (remaining & -remaining).bit_length() - 1
+        for sub, pop in _connected_submasks(idx, seed, remaining, hi, True):
+            if lo <= pop and lo <= pop_left - pop <= hi:
+                rest = remaining & ~sub
+                if rest and idx.connected(rest):
+                    yield sub, rest
 
     def rec(remaining: int, pop_left: int, parts_left: int, acc: tuple[int, ...]):
         if parts_left == 1:
             if lo <= pop_left <= hi and idx.connected(remaining):
                 yield acc + (remaining,)
             return
-        last = parts_left == 2  # the rest must then be one connected class
+        if parts_left == 2:
+            # pop_left is the remainder's population, so the splits depend
+            # on the remainder alone.
+            if len(acc) < 2:  # at most one class before it: this remainder cannot recur
+                pairs = two_classes(remaining, pop_left)
+            else:
+                pairs = splits.get(remaining)
+                if pairs is None:
+                    pairs = splits[remaining] = list(two_classes(remaining, pop_left))
+            for sub, rest in pairs:
+                yield acc + (sub, rest)
+            return
         seed = (remaining & -remaining).bit_length() - 1
-        for sub, pop in _connected_submasks(idx, seed, remaining, hi, last):
+        for sub, pop in _connected_submasks(idx, seed, remaining, hi):
             if pop < lo:
                 continue
             rest_pop = pop_left - pop
             if not (parts_left - 1) * lo <= rest_pop <= (parts_left - 1) * hi:
                 continue
             rest = remaining & ~sub
-            if rest == 0:
-                continue
-            if last:
-                if idx.connected(rest):
-                    yield acc + (sub, rest)
-            else:
+            if rest:
                 yield from rec(rest, rest_pop, parts_left - 1, acc + (sub,))
 
     yield from rec(idx.full, sum(idx.pop), kappa, ())
@@ -413,9 +440,18 @@ def _optimum(
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The oracle's optimum; ``optima`` holds every argmin as class masks
+    of ``index``, in enumeration order.  ``partitions``, the same argmins as
+    ``GridPartition`` objects, is built on first access."""
+
     feasible: bool
     value: int | None  # scaled: twice the minimum total absolute gap
-    partitions: tuple[GridPartition, ...]  # every argmin
+    optima: tuple[tuple[int, ...], ...] = ()
+    index: _MaskIndex | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def partitions(self) -> tuple[GridPartition, ...]:  # every argmin
+        return tuple(_masks_to_partition(self.index, masks) for masks in self.optima)
 
 
 def brute_force_opt(
@@ -425,7 +461,9 @@ def brute_force_opt(
 
     Returns the scaled optimum together with every optimal partition, or
     an infeasible result when no partition has every population inside
-    the window (by default the exact one).
+    the window (by default the exact one).  The optimal partitions are
+    kept as class masks; ``OracleResult.partitions`` converts them when
+    first read.
     """
     if p.size > cell_limit:
         raise OracleLimitError(
@@ -436,8 +474,8 @@ def brute_force_opt(
     idx = p.mask_index
     best, argmin = _optimum(idx, kappa, lo, hi)
     if best is None:
-        return OracleResult(False, None, ())
-    return OracleResult(True, best, tuple(_masks_to_partition(idx, m) for m in argmin))
+        return OracleResult(False, None)
+    return OracleResult(True, best, tuple(argmin), idx)
 
 
 # ---------------------------------------------------------------------------

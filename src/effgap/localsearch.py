@@ -142,27 +142,6 @@ class ReplicaState:
         """The plan's signed total gap, scaled by 2: the sum of every ``district_effgap``."""
         return self.base - 2 * self.won
 
-    def source_rejection(self, i: int) -> str | None:
-        """Why moving node i out of its district is illegal whatever the target.
-
-        Emptied, then the source population bound, then connectivity.
-        None when the source side allows the move.  The district is
-        connected, so i is alone in it exactly when no neighbour is in it.
-        """
-        dist, graph, adj = self.dist, self.graph, self.graph.adj
-        source = dist[i]
-        linked = [j for j in adj[i] if dist[j] == source]
-        if not linked:
-            return "district emptied"
-        if self.pop[source] - graph.node_pop[i] < graph.pop_lo:
-            return "source below population bound"
-        # The district stays connected exactly when one of i's neighbours
-        # in it reaches all the others, which are usually a couple of
-        # steps apart.
-        if not _reaches(adj, dist, source, linked[0], (i,), linked[1:]):
-            return "source disconnected"
-        return None
-
     def move(self, i: int, target: int) -> None:
         """Reassign node i; the caller is responsible for legality."""
         source = self.dist[i]
@@ -175,6 +154,28 @@ class ReplicaState:
             self.won += _won(self.party_a[d], self.pop[d])
 
 
+def source_rejection(graph: CountyGraph, dist: list[int], i: int, source_pop: int) -> str | None:
+    """Why moving node i out of its district, of population `source_pop`,
+    is illegal whatever the target.
+
+    Emptied, then the source population bound, then connectivity.  None
+    when the source side allows the move.  The district is connected, so
+    i is alone in it exactly when no neighbour is in it.
+    """
+    adj = graph.adj
+    source = dist[i]
+    linked = [j for j in adj[i] if dist[j] == source]
+    if not linked:
+        return "district emptied"
+    if source_pop - graph.node_pop[i] < graph.pop_lo:
+        return "source below population bound"
+    # The district stays connected exactly when one of i's neighbours in
+    # it reaches all the others, which are usually a couple of steps apart.
+    if not _reaches(adj, dist, source, linked[0], (i,), linked[1:]):
+        return "source disconnected"
+    return None
+
+
 def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> PlanReport:
     """Check a single-node reassignment.
 
@@ -182,20 +183,27 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
     stays non-empty and connected, and both touched districts stay
     within the graph's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
-    A node not in the graph is a ValueError.
+    Only the source and target populations are summed.  A node not in
+    the graph is a ValueError.
     """
     i = graph.index.get(node)
     if i is None:
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
-    state = ReplicaState(graph, dist)
-    if target == dist[i]:
+    source = dist[i]
+    if target == source:
         return PlanReport(False, "target equals current district")
     if target not in {dist[j] for j in graph.adj[i]}:
         return PlanReport(False, "target district not adjacent to node")
-    reason = state.source_rejection(i)
+    source_pop = target_pop = 0
+    for d, p in zip(dist, graph.node_pop):
+        if d == source:
+            source_pop += p
+        elif d == target:
+            target_pop += p
+    reason = source_rejection(graph, dist, i, source_pop)
     if reason is not None:
         return PlanReport(False, reason)
-    if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
+    if target_pop > graph.pop_hi - graph.node_pop[i]:
         return PlanReport(False, "target above population bound")
     return PlanReport(True)
 
@@ -224,7 +232,7 @@ def run_iteration(
                 break
         else:
             continue  # interior node; nothing to try
-        if state.source_rejection(i) is not None:
+        if source_rejection(graph, dist, i, pop[source]) is not None:
             continue  # no target can take it
         a, p = node_a[i], node_pop[i]
         room = pop_hi - p

@@ -13,17 +13,20 @@ inactive never reappears.
 
 ``transition_feasible`` states that single-step rule on a key and its
 segments, independently of the solver.  ``solve_yconvex`` applies it to
-the same tuples: each column's cuts into segments, with every segment's
-vote totals from prefix sums, are tabulated once per solve, and a
-segment joins a label only while that label stays within the district
-population, so over-full candidates are never built.
+the same tuples: each column's segments, grouped by top row and with
+vote totals from prefix sums, are tabulated once per solve.  A step
+builds the column's segments from the top row down and gives each to a
+continuing label or a new one.  Continuing labels can only be taken in
+the order of their previous intervals (``_successors`` has the proof),
+so the walk never tries a label it has passed, and it stops as soon as
+it passes one still short of the district population.  A segment joins
+a label only while that label stays within the district population, so
+over-full candidates are never built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import VoteCounts, district_effgap
 from .grid import GridPartition, GridPolygon, population_window
@@ -54,14 +57,6 @@ def _column_run(p: GridPolygon, column: int) -> Interval | None:
     if rows[-1] - rows[0] + 1 != len(rows):
         raise ValueError(f"column {column} not y-convex-compatible")
     return rows[0], rows[-1]
-
-
-def _compositions(lo: int, hi: int, parts: int) -> Iterator[tuple[Interval, ...]]:
-    """Cuts of the inclusive row range [lo, hi] into `parts` intervals."""
-    length = hi - lo + 1
-    for cuts in itertools.combinations(range(1, length), parts - 1):
-        bounds = (0,) + cuts + (length,)
-        yield tuple((lo + bounds[i], lo + bounds[i + 1] - 1) for i in range(parts))
 
 
 def transition_feasible(
@@ -125,13 +120,18 @@ class YConvexResult:
     max_vote_vectors: int = 0  # distinct per-label accumulator vectors in any column
 
 
-def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[tuple]:
-    """Every cut of the column's run, in enumeration order.
+def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[list[tuple]]:
+    """The column's segments, grouped by top row.
 
-    Cuts come by ascending segment count, then in ``_compositions``
-    order; each is a tuple of ``(interval, party_a, party_b)`` per
-    segment, top to bottom, with totals from prefix sums.  A cut with a
-    segment above the target population fits no label and is left out.
+    Entry j lists the segments whose top is the run's j-th row, by
+    ascending bottom; each is ``(interval, party_a, party_b, after)``,
+    with totals from prefix sums and ``after`` the entry of the row below
+    its bottom (the run's length past the last row).  A segment above the
+    target population fits no label, and neither does any longer one from
+    the same top, so the list stops there.  Every interval tuple is made
+    once per column and shared by all the state keys that hold it.
+    ``kappa`` is not read: each segment takes its own label, so
+    ``_successors`` never cuts a column into more than kappa segments.
     """
     lo, hi = _column_run(p, column)
     pre_a = [0]
@@ -141,67 +141,105 @@ def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[
         pre_a.append(pre_a[-1] + v.party_a)
         pre_b.append(pre_b[-1] + v.party_b)
     table = []
-    for parts in range(1, min(kappa, hi - lo + 1) + 1):
-        for intervals in _compositions(lo, hi, parts):
-            cut = []
-            for top, bottom in intervals:
-                a = pre_a[bottom - lo + 1] - pre_a[top - lo]
-                b = pre_b[bottom - lo + 1] - pre_b[top - lo]
-                if a + b > target:
-                    break
-                cut.append(((top, bottom), a, b))
-            else:
-                table.append(tuple(cut))
+    for top in range(lo, hi + 1):
+        segments = []
+        for bottom in range(top, hi + 1):
+            a = pre_a[bottom - lo + 1] - pre_a[top - lo]
+            b = pre_b[bottom - lo + 1] - pre_b[top - lo]
+            if a + b > target:
+                break
+            segments.append(((top, bottom), a, b, bottom - lo + 1))
+        table.append(segments)
     return table
 
 
-def _successors(key: tuple, table: list[tuple], kappa: int, target: int) -> list[tuple]:
+def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -> list[tuple]:
     """Successor keys of one state key, with the segments that produce them.
 
-    Each segment continues an overlapping active label or starts the
-    next unused one, so interchangeable labelings are explored once.
-    Labels are tried in index order with the fresh label last, and a
-    label may take a segment only while its population stays within
-    the target; an active label left without a segment finishes, so it
-    must already hold the target.  Returns ``(successor key,
-    ((label, interval), ...))`` pairs in enumeration order.
+    Segments are built from the top row down.  Each continues an
+    overlapping active label or starts the next unused one, so
+    interchangeable labelings are explored once, and a label may take a
+    segment only while its population stays within the target.  An
+    active label left without a segment finishes, so it must already
+    hold the target.
+
+    Continuing labels are taken in the order of their previous intervals.
+    Suppose segment s1 lies above s2, s1 continues label I, s2 continues
+    label J, and J's interval lies above I's.  The overlaps would need
+    J.bottom >= s2.top > s1.bottom >= I.top > J.bottom, which is
+    impossible.  So the walk keeps a position in that order: a segment
+    may take any later label it overlaps, and a label passed over is
+    never taken.  A branch stops as soon as it passes over a label below
+    the target, which would be left short.  Returns ``(successor key,
+    ((label, interval), ...))`` pairs.
     """
-    active = [(idx, st[3], st[0] + st[1]) for idx, st in enumerate(key) if st[2] == ACTIVE]
-    must_continue = 0  # active labels below target, as a bitmask
-    for idx, _, pop in active:
-        if pop != target:
-            must_continue |= 1 << idx
-    used = sum(1 for st in key if st[2] != UNSTARTED)
-    base = tuple((st[0], st[1], FINISHED, None) if st[2] == ACTIVE else st for st in key)
+    active = []  # (previous interval, index, room below the target), sorted top to bottom
+    base = list(key)  # every active label finished
+    used = 0
+    for idx, st in enumerate(key):
+        if st[2] == ACTIVE:
+            active.append((st[3], idx, target - st[0] - st[1]))
+            base[idx] = (st[0], st[1], FINISHED, None)
+        if st[2] != UNSTARTED:
+            used += 1
+    active.sort()
+    n = len(active)
+    end = len(table)
+    if not table[0]:
+        return []  # the top cell alone is above the target
+    hi = table[0][0][0][0] + end - 1  # the run's bottom row
+    # short[q]: the row by which the first label at or after position q
+    # that is still below the target must be taken, its previous bottom
+    # row or the run's bottom row, whichever is higher up; past the run
+    # when every such label holds the target.
+    short = [hi + 1] * (n + 1)
+    for q in range(n - 1, -1, -1):
+        short[q] = min(active[q][0][1], hi) if active[q][2] else short[q + 1]
     out: list[tuple] = []
-    chosen: list[int] = []
+    chosen: list[tuple[int, tuple]] = []  # (label index, segment), top to bottom
 
-    def assign(cut: tuple, i: int, taken: int, next_new: int) -> None:
-        if i == len(cut):
-            if must_continue & ~taken:
-                return
-            new = list(base)
-            for idx, (interval, a, b) in zip(chosen, cut):
-                st = key[idx]
-                new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
-            out.append((tuple(new), tuple((idx + 1, seg[0]) for idx, seg in zip(chosen, cut))))
+    def emit() -> None:
+        new = base[:]
+        for idx, (interval, a, b, _) in chosen:
+            st = key[idx]
+            new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
+        out.append((tuple(new), tuple([(idx + 1, seg[0]) for idx, seg in chosen])))
+
+    def take(label: int, seg: tuple, q: int, next_new: int) -> None:
+        chosen.append((label, seg))
+        if seg[3] == end:
+            emit()
+        else:
+            walk(seg[3], q, next_new)
+        chosen.pop()
+
+    def walk(j: int, q: int, next_new: int) -> None:
+        segments = table[j]
+        if not segments:
             return
-        (top, bottom), a, b = cut[i]
-        for idx, interval, pop in active:
-            bit = 1 << idx
-            if taken & bit or interval[0] > bottom or top > interval[1]:
-                continue
-            if pop + a + b <= target:
-                chosen.append(idx)
-                assign(cut, i + 1, taken | bit, next_new)
-                chosen.pop()
-        if next_new < kappa:
-            chosen.append(next_new)
-            assign(cut, i + 1, taken, next_new + 1)
-            chosen.pop()
+        top = segments[0][0][0]
+        while q < n and active[q][0][1] < top:  # above every segment to come
+            if active[q][2]:
+                return
+            q += 1
+        if kappa - next_new + n - q == 1:
+            # One label is left to take, so one segment must reach the bottom.
+            segments = segments[-1:] if segments[-1][3] == end else ()
+        for seg in segments:
+            interval, a, b, _ = seg
+            bottom = interval[1]
+            for r in range(q, n):
+                prev, idx, room = active[r]
+                if prev[0] > bottom:
+                    break
+                if a + b <= room and short[r + 1] > bottom:
+                    take(idx, seg, r + 1, next_new)
+                if room:
+                    break  # a later label would pass over this one
+            if next_new < kappa and short[q] > bottom:
+                take(next_new, seg, q, next_new + 1)
 
-    for cut in table:
-        assign(cut, 0, 0, used)
+    walk(0, 0, used)
     return out
 
 
@@ -234,9 +272,11 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     prev_col = columns[0] - 1
 
     for col in columns:
-        # Segments only extend into the adjacent column; a gap column
-        # admits no transition.
-        table = tables[col] if col == prev_col + 1 else []
+        if col != prev_col + 1:
+            # Segments only extend into the adjacent column; a gap column
+            # admits no transition.
+            return YConvexResult(False, None, None, max_states, max_vectors)
+        table = tables[col]
         prev_col = col
         nxt: dict[tuple, None] = {}
         for key in sorted(frontier):

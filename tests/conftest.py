@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 
 import pytest
 
+from effgap import grid
 from effgap.core import ZERO_VOTES, VoteCounts, district_effgap
 from effgap.county import (
     CSV_COLUMNS,
@@ -16,9 +18,11 @@ from effgap.county import (
     IngestResult,
     NodeKey,
     PlanReport,
+    _reaches,
 )
 from effgap.grid import Cell, GridPartition, GridPolygon, _MaskIndex, validate_polygon
-from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
+from effgap.localsearch import MoveRecord, ReplicaState, SearchConfig, SearchTrace
+from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
 
 
 def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
@@ -539,3 +543,119 @@ District,County_id,County,Republicans,Democrats,Neighbors
 @pytest.fixture
 def toy_county_csv() -> str:
     return TOY_COUNTY_CSV
+
+
+# ---------------------------------------------------------------------------
+# References for the exact solvers' and the search's shortcuts
+# ---------------------------------------------------------------------------
+
+
+def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> PlanReport:
+    """``move_is_legal`` as a whole-plan check: it builds a ``ReplicaState``,
+    summing every district and W, and reads the two populations from it."""
+    i = graph.index.get(node)
+    if i is None:
+        raise ValueError(f"unknown node {node[0]}:{node[1]}")
+    state = ReplicaState(graph, dist)
+    if target == dist[i]:
+        return PlanReport(False, "target equals current district")
+    if target not in {dist[j] for j in graph.adj[i]}:
+        return PlanReport(False, "target district not adjacent to node")
+    source = dist[i]
+    linked = [j for j in graph.adj[i] if dist[j] == source]
+    if not linked:
+        return PlanReport(False, "district emptied")
+    if state.pop[source] - graph.node_pop[i] < graph.pop_lo:
+        return PlanReport(False, "source below population bound")
+    if not _reaches(graph.adj, dist, source, linked[0], (i,), linked[1:]):
+        return PlanReport(False, "source disconnected")
+    if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
+        return PlanReport(False, "target above population bound")
+    return PlanReport(True)
+
+
+def enumerate_mask_partitions_reference(idx: _MaskIndex, kappa: int, lo: int, hi: int):
+    """The oracle's enumeration with every two-class remainder walked anew.
+
+    ``grid._connected_submasks`` is looked up at each call, so a test can
+    count the walks of this reference and of the oracle alike.
+    """
+    if lo > hi or idx.full == 0 or kappa > len(idx.cells):
+        return
+
+    def rec(remaining: int, pop_left: int, parts_left: int, acc: tuple[int, ...]):
+        if parts_left == 1:
+            if lo <= pop_left <= hi and idx.connected(remaining):
+                yield acc + (remaining,)
+            return
+        last = parts_left == 2
+        seed = (remaining & -remaining).bit_length() - 1
+        for sub, pop in grid._connected_submasks(idx, seed, remaining, hi, last):
+            if pop < lo:
+                continue
+            rest_pop = pop_left - pop
+            if not (parts_left - 1) * lo <= rest_pop <= (parts_left - 1) * hi:
+                continue
+            rest = remaining & ~sub
+            if rest == 0:
+                continue
+            if last:
+                if idx.connected(rest):
+                    yield acc + (sub, rest)
+            else:
+                yield from rec(rest, rest_pop, parts_left - 1, acc + (sub,))
+
+    yield from rec(idx.full, sum(idx.pop), kappa, ())
+
+
+def column_table_reference(p: GridPolygon, column: int, kappa: int, target: int) -> list[tuple]:
+    """Every whole cut of the column's run into at most kappa segments, by
+    ascending segment count and then lexicographic cut rows; each cut is a
+    tuple of ``(interval, party_a, party_b)``.  Cuts with a segment above the
+    target are left out."""
+    rows = sorted(r for r, c in p.votes if c == column)
+    lo, hi = rows[0], rows[-1]
+    table = []
+    for parts in range(1, min(kappa, hi - lo + 1) + 1):
+        for cuts in itertools.combinations(range(lo + 1, hi + 1), parts - 1):
+            bounds = (lo,) + cuts + (hi + 1,)
+            cut = []
+            for top, end in zip(bounds, bounds[1:]):
+                votes = sum((p.votes[(r, column)] for r in range(top, end)), ZERO_VOTES)
+                if votes.population() > target:
+                    break
+                cut.append(((top, end - 1), votes.party_a, votes.party_b))
+            else:
+                table.append(tuple(cut))
+    return table
+
+
+def successors_reference(key: tuple, table: list[tuple], kappa: int, target: int) -> list[tuple]:
+    """The column DP's step tried cut by cut: each segment of each cut goes to
+    any overlapping active label with room, in index order, or to the next
+    unused label; an active label left out must hold the target."""
+    active = [(idx, st[3], st[0] + st[1]) for idx, st in enumerate(key) if st[2] == ACTIVE]
+    must_continue = {idx for idx, _, pop in active if pop != target}
+    used = sum(1 for st in key if st[2] != UNSTARTED)
+    base = tuple((st[0], st[1], FINISHED, None) if st[2] == ACTIVE else st for st in key)
+    out = []
+
+    def assign(cut, i, taken, next_new, chosen):
+        if i == len(cut):
+            if must_continue - taken:
+                return
+            new = list(base)
+            for idx, (interval, a, b) in zip(chosen, cut):
+                new[idx] = (key[idx][0] + a, key[idx][1] + b, ACTIVE, interval)
+            out.append((tuple(new), tuple((idx + 1, seg[0]) for idx, seg in zip(chosen, cut))))
+            return
+        (top, bottom), a, b = cut[i]
+        for idx, interval, pop in active:
+            if idx not in taken and interval[0] <= bottom and top <= interval[1] and pop + a + b <= target:
+                assign(cut, i + 1, taken | {idx}, next_new, chosen + [idx])
+        if next_new < kappa:
+            assign(cut, i + 1, taken, next_new + 1, chosen + [next_new])
+
+    for cut in table:
+        assign(cut, 0, frozenset(), used, [])
+    return out

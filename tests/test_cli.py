@@ -10,7 +10,15 @@ import pytest
 
 from effgap import cli, county, localsearch
 from effgap.cli import build_parser, format_half, format_percent, main
-from effgap.grid import _MaskIndex, gen_hardness_instance, read_instance, validate_partition, write_instance
+from effgap.grid import (
+    _MaskIndex,
+    brute_force_opt,
+    gen_hardness_instance,
+    read_instance,
+    validate_partition,
+    write_instance,
+    write_partition,
+)
 from fractions import Fraction
 from conftest import TOY_COUNTY_CSV, county_grid_csv, polygon, read_partition
 
@@ -595,6 +603,34 @@ def test_solve_builds_the_mask_index_once(tmp_path, capsys, monkeypatch, solver)
     assert main(["solve", str(grid), "--solver", solver]) == 0
     assert "status: optimal" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def test_solve_brute_converts_only_the_first_optimum(tmp_path, capsys, monkeypatch):
+    """solve --solver brute writes the optimum count and the first optimum
+    from the oracle's class masks; the GridPartition tuple is built only
+    when ``partitions`` is read, which the command never does."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(brute_force_opt(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "brute_force_opt", recording)
+    grid, plan, manifest = tmp_path / "grid.txt", tmp_path / "plan.txt", tmp_path / "run.json"
+    grid.write_text("3 4 3\n" + "".join(f"{r} {c} {(r * c) % 3} {2 - (r * c) % 3}\n" for r in range(3) for c in range(4)))
+    argv = ["--manifest", str(manifest), "solve", str(grid), "--solver", "brute", "--plan-out", str(plan)]
+    assert main(argv) == 0
+    assert "status: optimal" in capsys.readouterr().out
+    (res,) = results
+    assert "partitions" not in vars(res)
+    p, kappa = read_instance(grid.read_text())
+    fresh = brute_force_opt(p, kappa)
+    assert "partitions" not in vars(fresh)
+    partitions = fresh.partitions
+    assert "partitions" in vars(fresh) and fresh.partitions is partitions
+    assert len(partitions) > 1
+    assert json.loads(manifest.read_text())["result"]["optima"] == len(partitions)
+    assert plan.read_text() == write_partition(partitions[0])
 
 
 def test_solve_canonical_manifest_counters(tmp_path, capsys):

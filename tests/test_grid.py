@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from effgap import grid
 from effgap.core import VoteCounts, total_effgap
+from effgap.county import ingest
 from effgap.grid import (
     GridPartition,
     GridPolygon,
@@ -29,9 +31,12 @@ from effgap.grid import (
 from effgap.yconvex import solve_yconvex
 from conftest import (
     cells_connected,
+    county_index,
+    enumerate_mask_partitions_reference,
     neighbors4,
     partition_vote_totals,
     polygon,
+    random_county_csv,
     random_polygon,
     read_partition,
     uniform_rect,
@@ -307,6 +312,52 @@ def test_enumeration_matches_naive_filter():
         assert list(_enumerate_mask_partitions(_MaskIndex.of_polygon(p), kappa, lo, hi)) == expected
         checked += len(expected)
     assert checked > 100
+
+
+def test_enumeration_order_matches_reference():
+    """The enumeration with its two-class split memo yields the reference's
+    partitions in the reference's order: polygons with zero-population
+    cells, county graphs and hardness gadgets with decoys, kappa 1..5, in
+    the exact, near and an explicit window."""
+    rng = random.Random(61)
+    indexes = [random_polygon(rng, rng.randint(6, 12), max_pop=3).mask_index for _ in range(24)]
+    indexes += [county_index(ingest(random_county_csv(200 + s, 9 + s, 2 + s % 3)).graph) for s in range(6)]
+    for values, decoys in (([4, 8, 12], 0), ([4, 4, 8], 1), ([8, 4], 2), ([4, 8, 4], 2)):
+        indexes.append(gen_hardness_instance(values, decoys, seed=decoys).polygon.mask_index)
+    checked = 0
+    for idx in indexes:
+        total = sum(idx.pop)
+        for kappa in range(1, 6):
+            windows = (
+                population_window(total, kappa),
+                population_window(total, kappa, Fraction(1, 6)),
+                (max(0, total // kappa - 2), total // kappa + 1),
+            )
+            for lo, hi in windows:
+                got = list(_enumerate_mask_partitions(idx, kappa, lo, hi))
+                assert got == list(enumerate_mask_partitions_reference(idx, kappa, lo, hi)), (kappa, lo, hi)
+                checked += len(got)
+    assert checked > 10000, checked
+
+
+def test_two_class_remainders_are_walked_once(monkeypatch):
+    """On 5x5 at kappa 5 the reference walks many two-class remainders more
+    than once; the oracle walks each distinct one once."""
+    walked = []
+    walk = grid._connected_submasks
+
+    def counting(idx, seed, allowed, pop_cap, whole_rest=False):
+        if whole_rest:
+            walked.append(allowed)
+        return walk(idx, seed, allowed, pop_cap, whole_rest)
+
+    monkeypatch.setattr(grid, "_connected_submasks", counting)
+    idx = uniform_rect(5, 5).mask_index
+    want = list(enumerate_mask_partitions_reference(idx, 5, 5, 5))
+    reference_walks, walked[:] = list(walked), []
+    assert list(_enumerate_mask_partitions(idx, 5, 5, 5)) == want
+    assert sorted(walked) == sorted(set(reference_walks))
+    assert len(walked) < len(reference_walks), (len(walked), len(reference_walks))
 
 
 def test_oracle_on_a_polygon_as_a_county_index():

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -27,6 +28,7 @@ from effgap.localsearch import (
     move_is_legal,
     run,
     run_iteration,
+    source_rejection,
 )
 from effgap.synthdata import synth_state_csv
 from effgap.yconvex import solve_yconvex
@@ -34,6 +36,7 @@ from conftest import (
     TOY_COUNTY_CSV,
     county_grid_csv,
     county_index,
+    move_is_legal_reference,
     partition_county_csv,
     random_county_csv,
     run_reference,
@@ -333,6 +336,42 @@ def test_move_is_legal_matches_full_validation(text, seed):
     assert validate_plan(graph, plan).ok
 
 
+def test_move_is_legal_matches_whole_plan_reference():
+    """move_is_legal, which sums only the source and target districts, gives
+    the whole-plan reference's report on random moves along random walks,
+    under the frozen bounds and under bounds wide enough to drain a district
+    to one node, and every reason comes up."""
+    seen = collections.Counter()
+    rng = random.Random(23)
+    for text in (synth_state_csv("WI", seed=0), county_grid_csv(7, side=12, bands=4)):
+        res = ingest(text)
+        wide = dataclasses.replace(res.graph, pop_lo=0, pop_hi=sum(res.graph.node_pop))
+        for graph in (res.graph, wide):
+            plan = list(res.plan)
+            drain = rng.choice(graph.district_ids)  # mostly its nodes are drawn
+            for _ in range(600):
+                members = [i for i, d in enumerate(plan) if d == drain]
+                i = rng.choice(members) if rng.random() < 0.5 else rng.randrange(len(plan))
+                others = sorted({plan[j] for j in graph.adj[i]} - {plan[i]})
+                target = rng.choice([plan[i], rng.choice(graph.district_ids)] + others * 3)
+                report = move_is_legal(graph, plan, graph.nodes[i], target)
+                assert report == move_is_legal_reference(graph, plan, graph.nodes[i], target)
+                seen[report.reason] += 1
+                if report.ok:
+                    plan[i] = target
+            assert validate_plan(graph, plan).ok
+    assert sum(seen.values()) >= 2000
+    assert set(seen) == {
+        None,
+        "target equals current district",
+        "target district not adjacent to node",
+        "district emptied",
+        "source below population bound",
+        "source disconnected",
+        "target above population bound",
+    }, seen
+
+
 def test_parallel_replicas_match_sequential_on_state():
     res = ingest(synth_state_csv("PA", seed=0))
     cfg = SearchConfig(mu=100, k=20, seed=5, replicas=4)
@@ -510,7 +549,7 @@ def test_state_gap_is_sum_of_district_effgaps():
             for _ in range(60):
                 i = rng.randrange(len(graph.nodes))
                 targets = sorted({state.dist[j] for j in graph.adj[i]} - {state.dist[i]})
-                if not targets or state.source_rejection(i) is not None:
+                if not targets or source_rejection(graph, state.dist, i, state.pop[state.dist[i]]) is not None:
                     continue
                 target = rng.choice(targets)
                 if state.pop[target] + graph.node_pop[i] > graph.pop_hi:

@@ -18,7 +18,15 @@ from effgap.yconvex import (
     solve_yconvex,
     transition_feasible,
 )
-from conftest import cells_connected, partition_vote_totals, polygon, random_column_polygon, uniform_rect
+from conftest import (
+    cells_connected,
+    column_table_reference,
+    partition_vote_totals,
+    polygon,
+    random_column_polygon,
+    successors_reference,
+    uniform_rect,
+)
 
 # Column 0 holds two runs, rows 0 and 2: outside the solver's scope.
 C_SHAPE = ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1))
@@ -268,3 +276,48 @@ def test_solver_steps_agree_with_transition_rule(monkeypatch):
                 assert step.ok and step.state == nkey, (col, key, segments, step.reason)
                 checked += 1
     assert checked >= 1000
+
+
+def test_successors_match_reference(monkeypatch):
+    """For every key the solver expands, the interval-order walk builds the
+    same (next key, segments) pairs as the reference that tries every cut of
+    the column against every label: kappa 2..5, zero-population cells, runs
+    of different lengths and polygons with a gap column."""
+    column_of = {}
+    steps = []
+    column_table, successors = yconvex._column_table, yconvex._successors
+
+    def recording_column_table(p, column, kappa, target):
+        table = column_table(p, column, kappa, target)
+        column_of[id(table)] = column
+        return table
+
+    def recording_successors(key, table, kappa, target):
+        out = successors(key, table, kappa, target)
+        steps.append((column_of[id(table)], key, out))
+        return out
+
+    monkeypatch.setattr(yconvex, "_column_table", recording_column_table)
+    monkeypatch.setattr(yconvex, "_successors", recording_successors)
+    rng = random.Random(53)
+    keys = successor_count = 0
+    for trial in range(200):
+        p = random_column_polygon(rng, max_cells=14, uniform=trial % 3 == 0)
+        if trial % 4 == 3 and p.cols > 1:  # an empty column after the first
+            p = GridPolygon(p.rows, p.cols + 1, {(r, c + (c > 0)): v for (r, c), v in p.votes.items()})
+        for kappa in range(2, min(5, p.size) + 1):
+            # Pad one cell so that kappa divides the total and the DP runs.
+            votes = dict(p.votes)
+            cell = rng.choice(sorted(votes))
+            votes[cell] += VoteCounts(0, -p.total_votes().population() % kappa)
+            q = GridPolygon(p.rows, p.cols, votes)
+            target = q.total_votes().population() // kappa
+            steps.clear()
+            column_of.clear()
+            solve_yconvex(q, kappa)
+            for col, key, out in steps:
+                want = successors_reference(key, column_table_reference(q, col, kappa, target), kappa, target)
+                assert len(out) == len(set(out)) and set(out) == set(want), (col, key)
+                keys += 1
+                successor_count += len(out)
+    assert keys >= 1000 and successor_count >= 2000, (keys, successor_count)
