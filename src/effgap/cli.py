@@ -13,6 +13,7 @@ rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -279,7 +280,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and shared by every ``main`` call.
+
+    Reuse is safe because ``parse_args`` makes a new namespace per call and
+    every default is immutable (``None``, ints, ``Fraction(1, 3)``).
+    """
     parser = argparse.ArgumentParser(
         prog="effgap",
         description="Compute and minimize the efficiency-gap measure of district plans.",
@@ -341,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = {
         k: (str(v) if isinstance(v, Fraction) else v)
         for k, v in vars(args).items()

@@ -292,7 +292,8 @@ def _run_replicas(
 
     The calling process runs its share while the workers run theirs.  A
     worker's exception is re-raised here, a worker that dies without
-    sending is a RuntimeError, and no worker outlives this call.
+    sending is a ChildProcessError (an OSError, so the CLI reports it as one
+    ``error:`` line), and no worker outlives this call.
     """
     jobs = max(1, min(jobs, cfg.replicas))
     if jobs > 1:
@@ -314,7 +315,7 @@ def _run_replicas(
                 share = recv.recv()
             except EOFError:
                 proc.join()
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"replica worker {w} exited with code {proc.exitcode} without sending its replicas"
                 ) from None
             if isinstance(share, BaseException):

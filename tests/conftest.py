@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -23,6 +24,11 @@ from effgap.county import (
 from effgap.grid import Cell, GridPartition, GridPolygon, _MaskIndex, validate_polygon
 from effgap.localsearch import MoveRecord, ReplicaState, SearchConfig, SearchTrace
 from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
+
+# A patch of a module reaches worker processes only when they are forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the start method is not fork"
+)
 
 
 def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -19,8 +20,9 @@ from effgap.grid import (
     write_instance,
     write_partition,
 )
+from effgap.synthdata import synth_state_csv
 from fractions import Fraction
-from conftest import TOY_COUNTY_CSV, county_grid_csv, polygon, read_partition
+from conftest import TOY_COUNTY_CSV, county_grid_csv, needs_fork, polygon, read_partition
 
 
 @pytest.fixture
@@ -55,6 +57,17 @@ def test_localsearch_runs_replicas_in_process_by_default(toy_file, tmp_path, cap
     assert outputs[0] == outputs[1]
 
 
+@needs_fork
+def test_dead_replica_worker_is_a_one_line_error(toy_file, monkeypatch, capsys):
+    monkeypatch.setattr(localsearch, "_worker", lambda *args: os._exit(3))
+    argv = ["localsearch", str(toy_file), "--k", "3", "--mu", "5", "--replicas", "2", "--jobs", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: replica worker 1 exited with code 3 without sending its replicas\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -74,6 +87,12 @@ def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, 
     assert cli._usable_cpus() == 64
 
 
+def _package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def test_importing_the_cli_loads_no_search_only_module(toy_file):
     """Only the worker processes of local search need multiprocessing, so
     every other command starts without it; and no command, a one-process
@@ -84,10 +103,82 @@ def test_importing_the_cli_loads_no_search_only_module(toy_file):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = effgap.cli.main(['localsearch', {str(toy_file)!r}, '--k', '3', '--mu', '10', '--jobs', '1'])\n"
             f"print(code, {loaded})")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n0 []\n"
+
+
+def test_the_parser_is_built_on_first_use_only(toy_file):
+    """Importing the CLI builds no parser, so a child import (the benchmark's
+    setup time) does not pay for one; the first ``main`` call builds the
+    parser and its five subparsers, and later calls reuse them."""
+    code = f"""\
+import argparse, contextlib, io
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import effgap.cli as cli
+seen = [(len(made), cli.build_parser.cache_info().currsize)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["stats", {str(toy_file)!r}]) == 0
+    seen.append((len(made), cli.build_parser.cache_info().currsize))
+print(seen)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
+    assert out.stdout == "[(0, 0), (6, 1), (6, 1), (6, 1)]\n"
+
+
+def _stderr_records(stderr: str) -> list:
+    """stderr's lines, each manifest parsed and stripped of its wall times."""
+    records: list = []
+    for line in stderr.splitlines():
+        if line.startswith("{"):
+            line = json.loads(line)
+            del line["wall_time_s"]
+            line.pop("replica_wall_s", None)
+        records.append(line)
+    return records
+
+
+def test_one_process_agrees_with_a_process_per_call(tmp_path, capsys):
+    """Mixed ``main`` calls in this process, which share one parser, give each
+    call the exit code, stdout, errors and manifest of the same command line
+    in a fresh ``python -m effgap``: no call leaves parser state to the next."""
+    wi, plan, grid = tmp_path / "wi.csv", tmp_path / "plan.csv", tmp_path / "grid.txt"
+    wi.write_text(synth_state_csv("WI", 0))
+    plan.write_text("district,county_id,assigned_district\n1,nowhere,1\n")
+    grid.write_text("3 4 2\n" + "".join(f"{r} {c} {(r + c) % 3} 2\n" for r in range(3) for c in range(4)))
+    calls = [
+        ["stats", str(wi), "--json"],
+        ["stats", str(wi), "--plan", str(plan)],
+        ["localsearch", str(wi), "--exact", "--replicas", "2", "--jobs", "2", "--seed", "7"],
+        ["localsearch", str(wi), "--seed", "3", "--mu", "40"],
+        ["solve", str(grid), "--solver", "brute", "--delta-near", "1/10"],
+        ["solve", str(grid), "--solver", "yconvex"],
+        ["solve", str(grid), "--kappa"],
+        ["gen-hardness", "1", "2", "3", "--scale", "4"],
+        ["stats", str(wi), "--json"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, _stderr_records(captured.err)))
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0, 0, 2, 0, 0]
+    for argv, ran in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "effgap", *argv], cwd=tmp_path,
+                               env=_package_env(), capture_output=True, text=True)
+        assert ran == (fresh.returncode, fresh.stdout, _stderr_records(fresh.stderr)), argv
+    configs = [records[-1]["config"] for code, _, records in in_process if code == 0]
+    assert [c["exact"] for c in configs[:3]] == [False, True, False]
+    assert configs[4]["delta_near"] is None
+    assert in_process[-1] == in_process[0]
 
 
 def test_stats_command(toy_file, capsys):

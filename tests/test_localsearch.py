@@ -37,6 +37,7 @@ from conftest import (
     county_grid_csv,
     county_index,
     move_is_legal_reference,
+    needs_fork,
     partition_county_csv,
     random_county_csv,
     run_reference,
@@ -408,12 +409,6 @@ def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
     assert seq.best_plan == par.best_plan
 
 
-# A patch of the module reaches worker processes only when they are forked.
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="the start method is not fork"
-)
-
-
 @needs_fork
 def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     real_replica = localsearch._run_replica
@@ -435,7 +430,7 @@ def test_worker_that_dies_without_sending_is_an_error(monkeypatch):
     """The caller holds no copy of a worker's send end, so its death reads as end of file."""
     monkeypatch.setattr(localsearch, "_worker", lambda *args: os._exit(3))
     res = ingest(SIX_NODE_CSV)
-    with pytest.raises(RuntimeError, match="replica worker 1 exited with code 3 without sending"):
+    with pytest.raises(ChildProcessError, match="replica worker 1 exited with code 3 without sending"):
         run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=2), jobs=2)
     assert multiprocessing.active_children() == []
 
