@@ -280,6 +280,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the code of every other bad input.
+
+    argparse would exit 2, which ``solve`` gives an infeasible instance.
+    The usage line and the ``prog: error: message`` line are argparse's;
+    subcommand parsers are made of this class too.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use and shared by every ``main`` call.
@@ -287,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     Reuse is safe because ``parse_args`` makes a new namespace per call and
     every default is immutable (``None``, ints, ``Fraction(1, 3)``).
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="effgap",
         description="Compute and minimize the efficiency-gap measure of district plans.",
     )

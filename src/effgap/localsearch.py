@@ -3,14 +3,18 @@
 Each outer iteration draws a random handful of nodes; a drawn boundary
 node is reassigned to a neighboring district when the move keeps every
 district connected and within the graph's frozen population bounds and
-strictly lowers the plan's total absolute gap.  The checks on the node's own
-district do not depend on the target, so they run first and once per
-drawn node.  The connectivity check assumes the district is connected
-before the move: the starting plan is validated and every accepted move
-keeps it so.  Runs are reproducible: replica streams derive from one
-root seed, nodes are drawn from a named generator, and neighbors are
-scanned in key order.  The generator is ``pcg64``'s plain-Python copy of
-numpy's PCG64 stream, so every trace is the one numpy's draws give.
+strictly lowers the plan's total absolute gap.  A drawn node's neighbors
+are scanned first, each needing only the O(1) target population bound
+and gap change.  The checks on the node's own district, whose
+connectivity check is a flood, do not depend on the target, so they run
+once and only for the first improving target: legality is checked only
+for the move the node would take.  The connectivity check assumes the
+district is connected before the move: the starting plan is validated
+and every accepted move keeps it so.  Runs are reproducible: replica
+streams derive from one root seed, nodes are drawn from a named
+generator, and neighbors are scanned in key order.  The generator is
+``pcg64``'s plain-Python copy of numpy's PCG64 stream, so every trace
+is the one numpy's draws give.
 
 The search works on the graph's node numbers: node i is
 ``graph.nodes[i]``, with votes ``graph.node_a[i]`` and
@@ -214,11 +218,14 @@ def run_iteration(
     """One outer iteration; mutates the state and returns accepted moves.
 
     ``draw(k, n)`` gives the iteration's nodes: r uniform in 0..k, then
-    r distinct node numbers below n.  A drawn boundary node is processed
-    once per iteration: the target-independent checks of
-    ``move_is_legal`` run once, then its neighbors are scanned in key
-    order, each needing only the target population bound, and the first
-    legal strictly improving reassignment is applied.
+    r distinct node numbers below n.  A drawn node is processed once per
+    iteration: its neighbors are scanned in key order, each needing only
+    the target population bound and the gap change, until the first
+    strictly improving one.  Only then do the target-independent checks
+    of ``move_is_legal`` (``source_rejection``) run, once; if they refuse,
+    they refuse every target and the node is left, and otherwise the move
+    is applied.  This accepts exactly the moves that checking the source
+    first would.  An interior node is skipped before any sum is read.
     """
     graph = state.graph
     adj, node_a, node_pop, pop_hi = graph.adj, graph.node_a, graph.node_pop, graph.pop_hi
@@ -232,8 +239,6 @@ def run_iteration(
                 break
         else:
             continue  # interior node; nothing to try
-        if source_rejection(graph, dist, i, pop[source]) is not None:
-            continue  # no target can take it
         a, p = node_a[i], node_pop[i]
         room = pop_hi - p
         before_abs = abs(state.signed)
@@ -246,8 +251,9 @@ def run_iteration(
             ta, tp = party_a[target], pop[target]
             after_abs = abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p)))
             if after_abs < before_abs:
-                records.append(MoveRecord(iteration, graph.nodes[i], source, target, before_abs, after_abs))
-                state.move(i, target)
+                if source_rejection(graph, dist, i, pop[source]) is None:
+                    records.append(MoveRecord(iteration, graph.nodes[i], source, target, before_abs, after_abs))
+                    state.move(i, target)
                 break
     return records
 

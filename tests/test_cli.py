@@ -170,7 +170,7 @@ def test_one_process_agrees_with_a_process_per_call(tmp_path, capsys):
             code = exc.code
         captured = capsys.readouterr()
         in_process.append((code, captured.out, _stderr_records(captured.err)))
-    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0, 0, 2, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0, 0, 1, 0, 0]
     for argv, ran in zip(calls, in_process):
         fresh = subprocess.run([sys.executable, "-m", "effgap", *argv], cwd=tmp_path,
                                env=_package_env(), capture_output=True, text=True)
@@ -609,10 +609,30 @@ def test_mutated_instances_parse_or_name_their_line(tmp_path, capsys):
 def test_bad_fraction_option_is_a_usage_error(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "grid.txt", option, value])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"effgap solve: error: argument {option}: invalid Fraction value: '{value}'"
     assert "Traceback" not in err
+
+
+def test_usage_error_and_infeasible_instance_have_their_own_codes(tmp_path, capsys):
+    """A bad command line exits 1, like every other bad input, and an
+    infeasible instance exits 2, in this process and in a fresh one;
+    ``--help`` still exits 0."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 2 2\n0 0 1 0\n0 1 0 2\n")
+    usage, infeasible = ["solve", str(grid), "--kappa"], ["solve", str(grid)]
+    with pytest.raises(SystemExit) as exc:
+        main(usage)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "effgap solve: error: argument --kappa: expected one argument"
+    assert main(infeasible) == 2
+    assert capsys.readouterr().out == "status: infeasible\n"
+    for argv, code in ((usage, 1), (infeasible, 2), (["solve", "--help"], 0), (["frob"], 1)):
+        fresh = subprocess.run([sys.executable, "-m", "effgap", *argv], env=_package_env(),
+                               capture_output=True, text=True)
+        assert fresh.returncode == code, (argv, fresh.stderr)
+        assert "Traceback" not in fresh.stderr
 
 
 def test_solve_infeasible_exit(tmp_path, capsys):

@@ -504,9 +504,23 @@ DIFFERENTIAL_GRAPHS = {
 }
 
 
-def test_search_matches_dict_based_reference():
+def test_search_matches_dict_based_reference(monkeypatch):
     """Every trace and final plan equals the dict-based search's, from the
-    ingested plan and from plans with districts drained to their bounds."""
+    ingested plan and from plans with districts drained to their bounds.
+
+    The reference checks the source side before it scans the targets, so
+    it is the oracle for the search's order, which checks it only for a
+    node's first improving target: the runs must meet nodes whose move
+    that check refuses, by connectivity and by the population bound."""
+    refused = collections.Counter()
+    real = localsearch.source_rejection
+
+    def counted(graph, dist, i, source_pop):
+        reason = real(graph, dist, i, source_pop)
+        refused[reason] += reason is not None
+        return reason
+
+    monkeypatch.setattr(localsearch, "source_rejection", counted)
     runs = accepted = 0
     for name, make in DIFFERENTIAL_GRAPHS.items():
         res = ingest(make())
@@ -524,6 +538,50 @@ def test_search_matches_dict_based_reference():
                 runs += 1
                 accepted += sum(len(t.moves) for t in want)
     assert runs >= 200 and accepted >= 500, (runs, accepted)
+    assert refused["source disconnected"] and refused["source below population bound"], refused
+
+
+def test_source_is_checked_only_for_an_improving_move(monkeypatch):
+    """``source_rejection`` runs only for a drawn node with an in-bounds,
+    strictly improving target, recomputed here from the whole plan, and
+    every check it passes is an accepted move: its calls are the accepted
+    moves plus the refused ones."""
+    real = localsearch.source_rejection
+    calls = refused = 0
+
+    def checked(graph, dist, i, source_pop):
+        nonlocal calls, refused
+        votes = district_votes(graph, dist)
+        assert source_pop == votes[dist[i]].population()
+
+        def gap_after(target):
+            trial = list(dist)
+            trial[i] = target
+            return abs(sum(map(district_effgap, district_votes(graph, trial).values())))
+
+        before = abs(sum(map(district_effgap, votes.values())))
+        targets = {dist[j] for j in graph.adj[i]} - {dist[i]}
+        assert any(
+            votes[t].population() + graph.node_pop[i] <= graph.pop_hi and gap_after(t) < before for t in targets
+        ), (graph.nodes[i], dist[i])
+        reason = real(graph, dist, i, source_pop)
+        calls += 1
+        refused += reason is not None
+        return reason
+
+    monkeypatch.setattr(localsearch, "source_rejection", checked)
+    texts = {name: synth_state_csv(name, seed=0) for name in ("WI", "TX", "VA", "PA")}
+    texts["grid"] = county_grid_csv(2)
+    counts = {}
+    for name, text in texts.items():
+        res = ingest(text)
+        calls = refused = 0
+        out = run(res.graph, res.plan, SearchConfig(mu=100, k=20, seed=11, replicas=2))
+        accepted = sum(len(t.moves) for t in out.traces)
+        assert calls == accepted + refused, (name, calls, accepted, refused)
+        counts[name] = (calls, accepted, refused)
+    assert all(accepted for _, accepted, _ in counts.values()), counts
+    print("source checks (calls, accepted, refused):", counts)
 
 
 def test_state_gap_is_sum_of_district_effgaps():
