@@ -20,8 +20,10 @@ only the bit order and the hole check, which floods the box's empty
 cells.  The oracle's enumeration and scoring, ``_optimum``, run as well
 on an index built from a county graph.  The enumeration walks each
 distinct two-class remainder once per call and replays its splits when
-the earlier classes leave it again, and the oracle keeps its argmins as
-class masks, converting them to partitions only when they are read.
+the earlier classes leave it again; that walk cuts every branch whose
+submasks would have to take in more of a cut-off part of the complement
+than the population cap allows.  The oracle keeps its argmins as class
+masks, converting them to partitions only when they are read.
 """
 
 from __future__ import annotations
@@ -281,6 +283,13 @@ def _connected_submasks(
     non-negative, so growth never shrinks a population).  With
     `whole_rest`, the caller only wants submasks whose complement in
     `allowed` is connected, and subtrees where that can never hold are cut.
+    Below a node, a submask can take only the cells its candidates reach
+    through free cells; the rest of the complement is fixed.  When the
+    complement is split, a connected complement below must lie in the
+    component K that holds the fixed cells, so each submask below takes
+    in the whole complement outside K.  A subtree is cut when the fixed
+    cells span two components, or when taking in the rest outside K
+    would pass pop_cap.  The walk order of what is kept does not change.
     """
     pops, adj, flood = idx.pop, idx.adj, idx.flood
     if whole_rest:
@@ -314,19 +323,18 @@ def _connected_submasks(
         free = allowed & ~(new_mask | child_banned)
         child_cand = remaining | adj[i] & free
         if whole_rest and new_pop < pop_cap:
-            # The subtree only takes cells that its candidates reach through
-            # free cells; every other cell stays in the complement of every
-            # submask below.  If two such fixed cells lie in different
-            # components of the current complement, no submask below (this
-            # one included) leaves a connected complement.  A connected
-            # complement passes after one flood, and a node at the cap has
-            # no subtree worth the check.
+            # The take-in cut of the docstring; this node, whose complement
+            # is disconnected, is no loss.  A connected complement passes
+            # after one flood, and a node at the cap has no subtree worth
+            # the check.
             rest = allowed & ~new_mask
             comp = flood(rest & -rest, rest)
             if comp != rest:
                 fixed = rest & ~flood(child_cand, free)
-                if fixed & ~comp and (fixed & comp or fixed & ~flood(fixed & -fixed, rest)):
-                    continue
+                if fixed:
+                    keep = comp if fixed & comp else flood(fixed & -fixed, rest)
+                    if fixed & ~keep or idx.votes(rest & ~keep).population() > pop_cap - new_pop:
+                        continue
         yield new_mask, new_pop
         stack.append((mask, pop, cand, banned, remaining))
         mask, pop, cand, banned, remaining = new_mask, new_pop, child_cand, child_banned, child_cand

@@ -21,12 +21,15 @@ the order of their previous intervals (``_successors`` has the proof),
 so the walk never tries a label it has passed, and it stops as soon as
 it passes one still short of the district population.  A segment joins
 a label only while that label stays within the district population, so
-over-full candidates are never built.
+over-full candidates are never built.  The walk reads only a key's label
+layout, not its vote totals, so each layout is walked once per column and
+its cuts are replayed for every key that shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import VoteCounts, district_effgap
 from .grid import GridPartition, GridPolygon, population_window
@@ -36,6 +39,7 @@ ACTIVE = 1
 FINISHED = 2
 
 Interval = tuple[int, int]  # inclusive (top_row, bottom_row)
+_VOTES = itemgetter(0, 1)  # a label state's (party_a, party_b)
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,17 @@ class YConvexResult:
     max_vote_vectors: int = 0  # distinct per-label accumulator vectors in any column
 
 
-def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[list[tuple]]:
+class _ColumnTable(list):
+    """A column's segment lists by top row (see ``_column_table``), with
+    ``walks``: the successor walk of every label layout met so far in the
+    column, so a layout is walked once per column of one solve."""
+
+    def __init__(self, rows: list[list[tuple]]):
+        super().__init__(rows)
+        self.walks: dict[tuple, list[tuple]] = {}
+
+
+def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> _ColumnTable:
     """The column's segments, grouped by top row.
 
     Entry j lists the segments whose top is the run's j-th row, by
@@ -150,10 +164,10 @@ def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> list[
                 break
             segments.append(((top, bottom), a, b, bottom - lo + 1))
         table.append(segments)
-    return table
+    return _ColumnTable(table)
 
 
-def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -> list[tuple]:
+def _successors(key: tuple, table: _ColumnTable, kappa: int, target: int) -> list[tuple]:
     """Successor keys of one state key, with the segments that produce them.
 
     Segments are built from the top row down.  Each continues an
@@ -163,15 +177,12 @@ def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -
     active label left without a segment finishes, so it must already
     hold the target.
 
-    Continuing labels are taken in the order of their previous intervals.
-    Suppose segment s1 lies above s2, s1 continues label I, s2 continues
-    label J, and J's interval lies above I's.  The overlaps would need
-    J.bottom >= s2.top > s1.bottom >= I.top > J.bottom, which is
-    impossible.  So the walk keeps a position in that order: a segment
-    may take any later label it overlaps, and a label passed over is
-    never taken.  A branch stops as soon as it passes over a label below
-    the target, which would be left short.  Returns ``(successor key,
-    ((label, interval), ...))`` pairs.
+    The walk reads only the key's layout: its active labels' previous
+    intervals, indices and room below the target, and the number of labels
+    used.  Keys with one layout differ only in their vote totals, so each
+    layout is walked once per column, kept in ``table.walks``, and every
+    key of it gets the same segments in the same order.  Returns
+    ``(successor key, ((label, interval), ...))`` pairs.
     """
     active = []  # (previous interval, index, room below the target), sorted top to bottom
     base = list(key)  # every active label finished
@@ -183,6 +194,33 @@ def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -
         if st[2] != UNSTARTED:
             used += 1
     active.sort()
+    layout = (tuple(active), used)
+    walks = table.walks.get(layout)
+    if walks is None:
+        walks = table.walks[layout] = _walk(active, used, table, kappa)
+    out = []
+    for chosen, segments in walks:
+        new = base[:]
+        for idx, (interval, a, b, _) in chosen:
+            st = key[idx]
+            new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
+        out.append((tuple(new), segments))
+    return out
+
+
+def _walk(active: list[tuple], used: int, table: list[list[tuple]], kappa: int) -> list[tuple]:
+    """Every way to cut the column for one layout of ``_successors``, as
+    ``(((label index, segment), ...), ((label, interval), ...))`` pairs.
+
+    Continuing labels are taken in the order of their previous intervals.
+    Suppose segment s1 lies above s2, s1 continues label I, s2 continues
+    label J, and J's interval lies above I's.  The overlaps would need
+    J.bottom >= s2.top > s1.bottom >= I.top > J.bottom, which is
+    impossible.  So the walk keeps a position in that order: a segment
+    may take any later label it overlaps, and a label passed over is
+    never taken.  A branch stops as soon as it passes over a label below
+    the target, which would be left short.
+    """
     n = len(active)
     end = len(table)
     if not table[0]:
@@ -197,21 +235,17 @@ def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -
         short[q] = min(active[q][0][1], hi) if active[q][2] else short[q + 1]
     out: list[tuple] = []
     chosen: list[tuple[int, tuple]] = []  # (label index, segment), top to bottom
-
-    def emit() -> None:
-        new = base[:]
-        for idx, (interval, a, b, _) in chosen:
-            st = key[idx]
-            new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
-        out.append((tuple(new), tuple([(idx + 1, seg[0]) for idx, seg in chosen])))
+    labelled: list[tuple[int, Interval]] = []  # (label, interval), top to bottom
 
     def take(label: int, seg: tuple, q: int, next_new: int) -> None:
         chosen.append((label, seg))
+        labelled.append((label + 1, seg[0]))
         if seg[3] == end:
-            emit()
+            out.append((tuple(chosen), tuple(labelled)))
         else:
             walk(seg[3], q, next_new)
         chosen.pop()
+        labelled.pop()
 
     def walk(j: int, q: int, next_new: int) -> None:
         segments = table[j]
@@ -240,6 +274,9 @@ def _successors(key: tuple, table: list[list[tuple]], kappa: int, target: int) -
                 take(next_new, seg, q, next_new + 1)
 
     walk(0, 0, used)
+    # walk and take refer to each other; clearing walk's cell breaks that
+    # cycle, so this frame (table included) goes without the cyclic GC.
+    del walk
     return out
 
 
@@ -259,14 +296,16 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     tables = {col: _column_table(p, col, kappa, target) for col in columns}
     if kappa == 1:
         labels = {cell: 1 for cell in p.votes}
-        return YConvexResult(True, abs(district_effgap(total)), GridPartition(labels), 1)
+        return YConvexResult(True, abs(district_effgap(total)), GridPartition(labels), 1, 1)
     if kappa > p.size or lo > target:
         return YConvexResult(False, None, None, 0)
 
     frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
-    # Backpointers keyed by (column, state key): identical states can recur
-    # across columns when columns carry no population.
-    back: dict[tuple[int, tuple], tuple[tuple, tuple]] = {}
+    # One dict per column maps each of its state keys to the key before it
+    # and the segments between them; its keys are the column's frontier.
+    # Identical keys can recur across columns when columns carry no
+    # population, so the backpointers are not pooled.
+    backs: list[dict[tuple, tuple[tuple, tuple]]] = []
     max_states = 1
     max_vectors = 1
     prev_col = columns[0] - 1
@@ -276,18 +315,18 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
             # Segments only extend into the adjacent column; a gap column
             # admits no transition.
             return YConvexResult(False, None, None, max_states, max_vectors)
-        table = tables[col]
+        table = tables.pop(col)
         prev_col = col
-        nxt: dict[tuple, None] = {}
+        back: dict[tuple, tuple[tuple, tuple]] = {}
         for key in sorted(frontier):
             for nkey, segments in _successors(key, table, kappa, target):
-                if nkey not in nxt:
-                    nxt[nkey] = None
-                    back[(col, nkey)] = (key, segments)
-        frontier = list(nxt)
+                if nkey not in back:
+                    back[nkey] = (key, segments)
+        del table  # frees its layout walks before the vote vectors are counted
+        backs.append(back)
+        frontier = list(back)
         max_states = max(max_states, len(frontier))
-        vectors = {tuple((st[0], st[1]) for st in key) for key in frontier}
-        max_vectors = max(max_vectors, len(vectors))
+        max_vectors = max(max_vectors, len({tuple(map(_VOTES, key)) for key in frontier}))
         if not frontier:
             return YConvexResult(False, None, None, max_states, max_vectors)
 
@@ -305,10 +344,9 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
 
     labels: dict[tuple[int, int], int] = {}
     key = best_key
-    for col in reversed(columns):
-        prev_key, segments = back[(col, key)]
+    for col, back in zip(reversed(columns), reversed(backs)):
+        key, segments = back[key]
         for lab, (top, bottom) in segments:
             for r in range(top, bottom + 1):
                 labels[(r, col)] = lab
-        key = prev_key
     return YConvexResult(True, best_value, GridPartition(labels), max_states, max_vectors)

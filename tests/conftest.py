@@ -614,6 +614,48 @@ def enumerate_mask_partitions_reference(idx: _MaskIndex, kappa: int, lo: int, hi
     yield from rec(idx.full, sum(idx.pop), kappa, ())
 
 
+def connected_submasks_whole_rest_reference(idx: _MaskIndex, seed: int, allowed: int, pop_cap: int):
+    """``grid._connected_submasks(..., whole_rest=True)`` with the connectivity
+    cut alone: a subtree goes only when its fixed cells, those no submask
+    below can take, span two components of the complement."""
+    flood = idx.flood
+    comp = flood(1 << seed, allowed)
+    if comp != allowed:
+        pop = idx.votes(comp).population()
+        if pop <= pop_cap:
+            yield comp, pop
+        return
+    stack = []
+    mask = pop = banned = 0
+    cand = remaining = 1 << seed
+    while True:
+        if not remaining:
+            if not stack:
+                return
+            mask, pop, cand, banned, remaining = stack.pop()
+            continue
+        bit = remaining & -remaining
+        remaining ^= bit
+        i = bit.bit_length() - 1
+        new_pop = pop + idx.pop[i]
+        if new_pop > pop_cap:
+            continue
+        child_banned = banned | (cand ^ remaining ^ bit)
+        new_mask = mask | bit
+        free = allowed & ~(new_mask | child_banned)
+        child_cand = remaining | idx.adj[i] & free
+        if new_pop < pop_cap:
+            rest = allowed & ~new_mask
+            comp = flood(rest & -rest, rest)
+            if comp != rest:
+                fixed = rest & ~flood(child_cand, free)
+                if fixed & ~comp and (fixed & comp or fixed & ~flood(fixed & -fixed, rest)):
+                    continue
+        yield new_mask, new_pop
+        stack.append((mask, pop, cand, banned, remaining))
+        mask, pop, cand, banned, remaining = new_mask, new_pop, child_cand, child_banned, child_cand
+
+
 def column_table_reference(p: GridPolygon, column: int, kappa: int, target: int) -> list[tuple]:
     """Every whole cut of the column's run into at most kappa segments, by
     ascending segment count and then lexicographic cut rows; each cut is a

@@ -31,6 +31,7 @@ from effgap.grid import (
 from effgap.yconvex import solve_yconvex
 from conftest import (
     cells_connected,
+    connected_submasks_whole_rest_reference,
     county_index,
     enumerate_mask_partitions_reference,
     neighbors4,
@@ -274,27 +275,81 @@ def _naive_partitions(p, kappa, lo, hi):
         yield from rec(idx.full, kappa, ())
 
 
+def _valid_splits(idx, allowed, walk):
+    """The submasks of a walk that leave a non-empty connected complement."""
+    return [m for m, _ in walk if m != allowed and idx.connected(allowed & ~m)]
+
+
+def _grid_graph_index(rng, p, extra):
+    """A county-style index of a polygon's cells: bits numbered densely in
+    cell order, 4-neighbour edges and `extra` random edges."""
+    cells = sorted(p.votes)
+    number = {cell: i for i, cell in enumerate(cells)}
+    adj = [{number[nb] for nb in neighbors4(cell) if nb in number} for cell in cells]
+    for _ in range(extra):
+        i, j = rng.sample(range(len(cells)), 2)
+        adj[i].add(j)
+        adj[j].add(i)
+    return _MaskIndex(cells, p.votes, [sorted(nbs) for nbs in adj])
+
+
 def test_pruned_walk_keeps_every_valid_submask_in_order():
+    """Polygons, county-style indexes of grids with random extra edges (both
+    with zero-population nodes) and county graphs; some with nodes left out
+    of what is allowed; caps drawn from a third of the total up, and the
+    exact window's cap at kappa 2..4."""
     rng = random.Random(41)
-    for trial in range(30):
+    indexes = []
+    for _ in range(30):
         p = random_polygon(rng, rng.randint(6, 12), max_pop=3)
-        idx = _MaskIndex.of_polygon(p)
-        total = p.total_votes().population()
-        cap = rng.randint(total // 3, total)
+        indexes += [p.mask_index, _grid_graph_index(rng, p, rng.randint(1, 4))]
+    indexes += [county_index(ingest(random_county_csv(300 + s, 8 + s, 2)).graph) for s in range(4)]
+    kept = cut = 0
+    for trial, idx in enumerate(indexes):
+        total = sum(idx.pop)
         allowed = idx.full
-        if trial % 2:
-            # Leave out a few cells, which may split what is allowed.
-            for cell in rng.sample(sorted(p.votes), 3):
-                allowed &= ~(1 << idx.index[cell])
+        if trial % 3 == 2:
+            # Leave out a few nodes, which may split what is allowed.
+            for i in rng.sample([i for i in range(len(idx.pop)) if allowed >> i & 1], 3):
+                allowed &= ~(1 << i)
         seed = (allowed & -allowed).bit_length() - 1
+        for cap in sorted({rng.randint(total // 3, total)} | {total // kappa for kappa in (2, 3, 4)}):
+            full_walk = list(_connected_submasks(idx, seed, allowed, cap))
+            pruned = list(_connected_submasks(idx, seed, allowed, cap, whole_rest=True))
+            valid = _valid_splits(idx, allowed, full_walk)
+            assert _valid_splits(idx, allowed, pruned) == valid
+            assert set(pruned) <= set(full_walk)
+            kept += len(valid)
+            cut += len(full_walk) - len(pruned)
+    assert kept > 1000 and cut > 1000, (kept, cut)
 
-        def valid(walk):
-            return [m for m, _ in walk if m != allowed and idx.connected(allowed & ~m)]
 
-        full_walk = list(_connected_submasks(idx, seed, allowed, cap))
-        pruned = list(_connected_submasks(idx, seed, allowed, cap, whole_rest=True))
-        assert valid(pruned) == valid(full_walk)
-        assert set(pruned) <= set(full_walk)
+def test_pruned_walk_cuts_what_the_complement_cannot_lose(monkeypatch):
+    """On the 4x6 kappa 3 and 5x5 kappa 5 pins, each two-class remainder's
+    walk keeps the valid splits of the walk with the connectivity cut alone
+    and, cutting subtrees that would have to take in too much of a cut-off
+    complement, yields fewer submasks in all."""
+    walks = []
+    walk = grid._connected_submasks
+
+    def recording(idx, seed, allowed, pop_cap, whole_rest=False):
+        if whole_rest:
+            walks.append((idx, seed, allowed, pop_cap))
+        return walk(idx, seed, allowed, pop_cap, whole_rest)
+
+    monkeypatch.setattr(grid, "_connected_submasks", recording)
+    for name in ("rect4x6-k3", "rect5x5-k5"):
+        p, kappa, _ = pin_instance(name)
+        walks.clear()
+        brute_force_opt(p, kappa, cell_limit=32)
+        pruned = connectivity_only = 0
+        for idx, seed, allowed, cap in walks:
+            new = list(walk(idx, seed, allowed, cap, True))
+            old = list(connected_submasks_whole_rest_reference(idx, seed, allowed, cap))
+            assert _valid_splits(idx, allowed, new) == _valid_splits(idx, allowed, old)
+            pruned += len(new)
+            connectivity_only += len(old)
+        assert pruned < connectivity_only, (name, pruned, connectivity_only)
 
 
 def test_enumeration_matches_naive_filter():

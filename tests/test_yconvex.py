@@ -115,6 +115,8 @@ def test_solve_kappa_one():
     res = solve_yconvex(p, 1)
     assert res.feasible
     assert res.value == abs(district_effgap(p.total_votes()))
+    # One state with one vote vector, as every kappa >= 2 solve starts.
+    assert (res.max_column_states, res.max_vote_vectors) == (1, 1)
 
 
 def test_solve_infeasible_population():
@@ -321,3 +323,36 @@ def test_successors_match_reference(monkeypatch):
                 keys += 1
                 successor_count += len(out)
     assert keys >= 1000 and successor_count >= 2000, (keys, successor_count)
+
+
+def test_each_layout_is_walked_once_per_column(monkeypatch):
+    """On the 4x6 kappa 3 and 5x5 kappa 5 pins, the DP walks each distinct
+    layout of a column once: the active labels' previous intervals, indices
+    and room below the target, with the number of labels used.  Keys that
+    share a layout share its walk, so there are fewer walks than keys.  On
+    a polygon with no voters the target is 0, so a finished label and an
+    unstarted one have the same room and only the count of used labels
+    tells their layouts apart."""
+    walked, expanded, tables = [], [], []
+    walk, successors = yconvex._walk, yconvex._successors
+
+    def recording_walk(active, used, table, kappa):
+        walked.append((id(table), tuple(active), used))
+        return walk(active, used, table, kappa)
+
+    def recording_successors(key, table, kappa, target):
+        tables.append(table)  # held, so that no table id is reused
+        active = sorted((st[3], i, target - st[0] - st[1]) for i, st in enumerate(key) if st[2] == ACTIVE)
+        expanded.append((id(table), tuple(active), sum(st[2] != UNSTARTED for st in key)))
+        return successors(key, table, kappa, target)
+
+    monkeypatch.setattr(yconvex, "_walk", recording_walk)
+    monkeypatch.setattr(yconvex, "_successors", recording_successors)
+    empty = GridPolygon(3, 4, {(r, c): VoteCounts(0, 0) for r in range(3) for c in range(4)})
+    for p, kappa in ((PINNED[2][0](), 3), (PINNED[3][0](), 5), (empty, 4)):
+        walked.clear()
+        expanded.clear()
+        solve_yconvex(p, kappa)
+        assert sorted(walked) == sorted(set(expanded))
+        if p is not empty:  # whose keys differ in layout alone
+            assert len(walked) < len(expanded), (len(walked), len(expanded))
