@@ -1,11 +1,12 @@
 """Command-line surface: statistics, local search, grid solvers, generators.
 
-Every invocation emits one run manifest (JSON) describing the command,
-input digests, configuration, tool version and result summary; a
-manifest plus the inputs reproduces the run.  Manifests go to stderr by
-default so stdout stays byte-stable for diffing; ``--manifest`` redirects
-them to a file.  A command writes its output files and the manifest
-file before it prints anything, so a failed command leaves stdout empty.
+Every run that does not fail emits one run manifest (JSON) describing the
+command, input digests, configuration, tool version and result summary;
+a manifest plus the inputs reproduces the run.  Manifests go to stderr
+by default so stdout stays byte-stable for diffing; ``--manifest``
+redirects them to a file.  A command writes its output files and the
+manifest file before it prints anything, so a failed command leaves
+stdout empty, prints one ``error:`` line and emits no manifest.
 Percentages print with two decimals; ``--exact`` adds the underlying
 rationals.
 """
@@ -27,7 +28,6 @@ from . import __version__
 from .core import PARTY_A, total_effgap, wasted_votes
 from .county import district_votes, ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
-    OracleLimitError,
     _masks_to_partition,
     brute_force_opt,
     gen_hardness_instance,
@@ -194,29 +194,19 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
         kappa = args.kappa
     if not 1 <= kappa <= polygon.size:
         raise ValueError(f"kappa must satisfy 1 <= kappa <= {polygon.size}, got {kappa}")
-    partition = None
     summary: dict = {"solver": args.solver, "kappa": kappa}
     out = []
     if args.solver == "brute":
         window = None
         if args.delta_near is not None:
             window = population_window(polygon.total_votes().population(), kappa, args.delta_near)
-        try:
-            res = brute_force_opt(polygon, kappa, window, cell_limit=args.oracle_limit)
-        except OracleLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1, {"result": summary}, [grid_path], ""
-        if not res.feasible:
-            summary["status"] = "infeasible"
-            return 2, {"result": summary}, [grid_path], "status: infeasible\n"
+        res = brute_force_opt(polygon, kappa, window, cell_limit=args.oracle_limit)
         value = res.value
-        partition = _masks_to_partition(res.index, res.optima[0])  # the others are never read
-        summary["optima"] = len(res.optima)
+        if value is not None:
+            partition = _masks_to_partition(res.index, res.optima[0])  # the others are never read
+            summary["optima"] = len(res.optima)
     elif args.solver == "yconvex":
         res = solve_yconvex(polygon, kappa)
-        if not res.feasible:
-            summary["status"] = "infeasible"
-            return 2, {"result": summary}, [grid_path], "status: infeasible\n"
         value = res.value
         partition = res.partition
     elif args.solver == "canonical":
@@ -234,10 +224,13 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
             out.append(f"stability ratio: {res.stability}")
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown solver {args.solver}")
+    if value is None:
+        summary["status"] = "infeasible"
+        return 2, {"result": summary}, [grid_path], "status: infeasible\n"
     out += ["status: optimal", f"value (scaled by 2): {value}", f"value: {format_half(value)}"]
     if args.exact:
         out.append(f"exact value: {Fraction(value, 2)}")
-    if args.plan_out and partition is not None:
+    if args.plan_out:
         Path(args.plan_out).write_text(write_partition(partition))
     summary["status"] = "optimal"
     summary["value_scaled"] = value
@@ -377,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
             "config": config,
             "inputs": {str(p): _digest(p) for p in inputs},
             **fields,
-            "rng": RNG_ALGORITHM,
             "version": __version__,
             "wall_time_s": round(time.perf_counter() - started, 6),
         }, sort_keys=True)

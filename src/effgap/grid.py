@@ -450,9 +450,9 @@ def _optimum(
 class OracleResult:
     """The oracle's optimum; ``optima`` holds every argmin as class masks
     of ``index``, in enumeration order.  ``partitions``, the same argmins as
-    ``GridPartition`` objects, is built on first access."""
+    ``GridPartition`` objects, is built on first access.  An infeasible
+    result has ``value`` None and no optima."""
 
-    feasible: bool
     value: int | None  # scaled: twice the minimum total absolute gap
     optima: tuple[tuple[int, ...], ...] = ()
     index: _MaskIndex | None = field(default=None, compare=False, repr=False)
@@ -468,10 +468,11 @@ def brute_force_opt(
     """Exhaustive minimum of the total absolute gap over valid partitions.
 
     Returns the scaled optimum together with every optimal partition, or
-    an infeasible result when no partition has every population inside
-    the window (by default the exact one).  The optimal partitions are
-    kept as class masks; ``OracleResult.partitions`` converts them when
-    first read.
+    a result whose value is None when no partition has every population
+    inside the window (by default the exact one).  The optimal partitions
+    are kept as class masks; ``OracleResult.partitions`` converts them
+    when first read.  An instance above ``cell_limit`` cells raises
+    ``OracleLimitError``, a ``ValueError``.
     """
     if p.size > cell_limit:
         raise OracleLimitError(
@@ -481,9 +482,7 @@ def brute_force_opt(
     lo, hi = window or exact
     idx = p.mask_index
     best, argmin = _optimum(idx, kappa, lo, hi)
-    if best is None:
-        return OracleResult(False, None)
-    return OracleResult(True, best, tuple(argmin), idx)
+    return OracleResult(best, tuple(argmin), idx)
 
 
 # ---------------------------------------------------------------------------

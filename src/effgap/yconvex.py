@@ -117,24 +117,16 @@ def is_yconvex_partition(q: GridPartition) -> bool:
 
 @dataclass(frozen=True)
 class YConvexResult:
-    feasible: bool
+    """The DP's optimum; ``value`` and ``partition`` are None when no
+    y-convex equipartition exists."""
+
     value: int | None  # scaled optimum
     partition: GridPartition | None
     max_column_states: int = 0
     max_vote_vectors: int = 0  # distinct per-label accumulator vectors in any column
 
 
-class _ColumnTable(list):
-    """A column's segment lists by top row (see ``_column_table``), with
-    ``walks``: the successor walk of every label layout met so far in the
-    column, so a layout is walked once per column of one solve."""
-
-    def __init__(self, rows: list[list[tuple]]):
-        super().__init__(rows)
-        self.walks: dict[tuple, list[tuple]] = {}
-
-
-def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> _ColumnTable:
+def _column_table(p: GridPolygon, column: int, target: int) -> list[list[tuple]]:
     """The column's segments, grouped by top row.
 
     Entry j lists the segments whose top is the run's j-th row, by
@@ -144,8 +136,6 @@ def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> _Colu
     target population fits no label, and neither does any longer one from
     the same top, so the list stops there.  Every interval tuple is made
     once per column and shared by all the state keys that hold it.
-    ``kappa`` is not read: each segment takes its own label, so
-    ``_successors`` never cuts a column into more than kappa segments.
     """
     lo, hi = _column_run(p, column)
     pre_a = [0]
@@ -164,10 +154,12 @@ def _column_table(p: GridPolygon, column: int, kappa: int, target: int) -> _Colu
                 break
             segments.append(((top, bottom), a, b, bottom - lo + 1))
         table.append(segments)
-    return _ColumnTable(table)
+    return table
 
 
-def _successors(key: tuple, table: _ColumnTable, kappa: int, target: int) -> list[tuple]:
+def _successors(
+    key: tuple, table: list[list[tuple]], walks: dict[tuple, list[tuple]], kappa: int, target: int
+) -> list[tuple]:
     """Successor keys of one state key, with the segments that produce them.
 
     Segments are built from the top row down.  Each continues an
@@ -180,8 +172,9 @@ def _successors(key: tuple, table: _ColumnTable, kappa: int, target: int) -> lis
     The walk reads only the key's layout: its active labels' previous
     intervals, indices and room below the target, and the number of labels
     used.  Keys with one layout differ only in their vote totals, so each
-    layout is walked once per column, kept in ``table.walks``, and every
-    key of it gets the same segments in the same order.  Returns
+    layout is walked once per column, kept in ``walks`` (the column's
+    layout -> walk memo), and every key of it gets the same segments in the
+    same order.  Returns
     ``(successor key, ((label, interval), ...))`` pairs.
     """
     active = []  # (previous interval, index, room below the target), sorted top to bottom
@@ -195,11 +188,11 @@ def _successors(key: tuple, table: _ColumnTable, kappa: int, target: int) -> lis
             used += 1
     active.sort()
     layout = (tuple(active), used)
-    walks = table.walks.get(layout)
-    if walks is None:
-        walks = table.walks[layout] = _walk(active, used, table, kappa)
+    cuts = walks.get(layout)
+    if cuts is None:
+        cuts = walks[layout] = _walk(active, used, table, kappa)
     out = []
-    for chosen, segments in walks:
+    for chosen, segments in cuts:
         new = base[:]
         for idx, (interval, a, b, _) in chosen:
             st = key[idx]
@@ -285,20 +278,17 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
 
     Requires every polygon column to be a single run, for every kappa.
     Returns the scaled optimum and a witness partition found by
-    backtracking, or an infeasible result when no y-convex equipartition
-    exists.  Frontier keys are expanded in sorted order and the first
-    path to reach a key is kept, so the witness is deterministic.
+    backtracking, or a result whose value is None when no y-convex
+    equipartition exists.  Every kappa, 1 included, runs the same sweep.
+    Frontier keys are expanded in sorted order and the first path to reach
+    a key is kept, so the witness is deterministic.
     """
-    total = p.total_votes()
-    lo, target = population_window(total.population(), kappa)  # checks kappa
+    lo, target = population_window(p.total_votes().population(), kappa)  # checks kappa
     columns = sorted({c for (_, c) in p.votes})
-    # Raises on multi-run columns before any shortcut or state expansion.
-    tables = {col: _column_table(p, col, kappa, target) for col in columns}
-    if kappa == 1:
-        labels = {cell: 1 for cell in p.votes}
-        return YConvexResult(True, abs(district_effgap(total)), GridPartition(labels), 1, 1)
+    # Raises on multi-run columns before any state expansion.
+    tables = {col: _column_table(p, col, target) for col in columns}
     if kappa > p.size or lo > target:
-        return YConvexResult(False, None, None, 0)
+        return YConvexResult(None, None)
 
     frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
     # One dict per column maps each of its state keys to the key before it
@@ -314,22 +304,25 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
         if col != prev_col + 1:
             # Segments only extend into the adjacent column; a gap column
             # admits no transition.
-            return YConvexResult(False, None, None, max_states, max_vectors)
+            frontier = []
+            break
         table = tables.pop(col)
+        walks: dict[tuple, list[tuple]] = {}  # label layout -> its walk, this column only
         prev_col = col
         back: dict[tuple, tuple[tuple, tuple]] = {}
         for key in sorted(frontier):
-            for nkey, segments in _successors(key, table, kappa, target):
+            for nkey, segments in _successors(key, table, walks, kappa, target):
                 if nkey not in back:
                     back[nkey] = (key, segments)
-        del table  # frees its layout walks before the vote vectors are counted
+        del table, walks  # freed before the vote vectors are counted
         backs.append(back)
         frontier = list(back)
         max_states = max(max_states, len(frontier))
         max_vectors = max(max_vectors, len({tuple(map(_VOTES, key)) for key in frontier}))
         if not frontier:
-            return YConvexResult(False, None, None, max_states, max_vectors)
+            break
 
+    # An empty frontier holds no key, so it ends in the one infeasible return.
     best_key = None
     best_value = None
     for key in sorted(frontier):
@@ -340,7 +333,7 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
             best_value = value
             best_key = key
     if best_key is None:
-        return YConvexResult(False, None, None, max_states, max_vectors)
+        return YConvexResult(None, None, max_states, max_vectors)
 
     labels: dict[tuple[int, int], int] = {}
     key = best_key
@@ -349,4 +342,4 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
         for lab, (top, bottom) in segments:
             for r in range(top, bottom + 1):
                 labels[(r, col)] = lab
-    return YConvexResult(True, best_value, GridPartition(labels), max_states, max_vectors)
+    return YConvexResult(best_value, GridPartition(labels), max_states, max_vectors)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -638,8 +639,56 @@ def test_usage_error_and_infeasible_instance_have_their_own_codes(tmp_path, caps
 def test_solve_infeasible_exit(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("1 2 2\n0 0 1 0\n0 1 0 2\n")
-    assert main(["solve", str(grid)]) == 2
-    assert "infeasible" in capsys.readouterr().out
+    for solver in ("brute", "yconvex"):
+        assert main(["solve", str(grid), "--solver", solver]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "status: infeasible\n"
+        result = json.loads(captured.err)["result"]
+        assert result == {"kappa": 2, "solver": solver, "status": "infeasible"}
+
+
+def test_oracle_limit_is_a_one_line_error(tmp_path, capsys):
+    """An instance above ``--oracle-limit`` fails like every other bad input:
+    one ``error:`` line and exit 1, with no manifest on stderr or in the
+    ``--manifest`` file."""
+    grid = tmp_path / "gadget.txt"
+    assert main(["gen-hardness", "1", "2", "3", "4", "5", "6", "--scale", "4", "-o", str(grid)]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "run.json"
+    for extra in ([], ["--manifest", str(manifest)]):
+        assert main([*extra, "solve", str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance too large for oracle (21 cells > limit 14)\n"
+    assert not manifest.exists()
+
+
+def test_every_command_manifest_has_the_listed_keys(toy_file, tmp_path, capsys):
+    """README "Command line" lists the manifest keys; only ``localsearch``
+    adds ``replica_wall_s`` and names its random generator, in ``result``.
+    ``inputs`` maps each input file to its SHA-256, both files for
+    ``stats --plan``."""
+    keys = {"command", "config", "inputs", "result", "version", "wall_time_s"}
+    grid, plan, out = tmp_path / "g.txt", tmp_path / "plan.csv", tmp_path / "out.csv"
+    runs = [
+        (["synth-data", "WI", "-o", str(out)], []),
+        (["gen-hardness", "3", "5", "8", "--scale", "4", "-o", str(grid)], []),
+        (["solve", str(grid)], [grid]),
+        (["localsearch", str(toy_file), "--mu", "2", "--k", "2", "--plan-out", str(plan)], [toy_file]),
+        (["stats", str(toy_file)], [toy_file]),
+        (["stats", str(toy_file), "--plan", str(plan)], [toy_file, plan]),
+    ]
+    manifest_path = tmp_path / "run.json"
+    for argv, inputs in runs:
+        assert main(["--manifest", str(manifest_path), *argv]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        search = argv[0] == "localsearch"
+        assert set(manifest) == keys | ({"replica_wall_s"} if search else set()), argv
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs
+        }
+        assert ("rng" in manifest["result"]) == search
+    capsys.readouterr()
 
 
 def test_gen_hardness_then_solve(tmp_path, capsys):

@@ -168,6 +168,15 @@ def test_margin_identity_requires_equipartition():
         margin_identity(stats, VoteCounts(20, 30))
 
 
+def test_margin_identity_rejects_other_totals_and_zero_population():
+    stats = total_effgap([VoteCounts(10, 10), VoteCounts(15, 5)])
+    with pytest.raises(ValueError, match="^stats do not aggregate to the given totals$"):
+        margin_identity(stats, VoteCounts(20, 20))
+    empty = total_effgap([VoteCounts(0, 0), VoteCounts(0, 0)])
+    with pytest.raises(ValueError, match="^total population is zero$"):
+        margin_identity(empty, VoteCounts(0, 0))
+
+
 def test_margin_identity_random_equipartitions():
     rng = random.Random(3)
     for _ in range(200):

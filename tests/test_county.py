@@ -182,6 +182,20 @@ def test_plan_csv_unknown_district():
         read_plan_csv(res.graph, text)
 
 
+def test_plan_csv_duplicate_node():
+    res = ingest(TOY_COUNTY_CSV)
+    text = write_plan_csv(res.graph, res.plan) + "1,A2,2\n"
+    with pytest.raises(IngestError, match=r"^row 6: duplicate node 1:A2$"):
+        read_plan_csv(res.graph, text)
+
+
+def test_plan_stats_rejects_an_invalid_plan():
+    res = ingest(TOY_COUNTY_CSV)
+    plan = [2, 2, 2, 2]
+    with pytest.raises(ValueError, match=r"^invalid plan: district 1 empty$"):
+        plan_stats(res.graph, plan)
+
+
 def test_plan_csv_keeps_emptied_district():
     three = (
         "District,County_id,County,Republicans,Democrats,Neighbors\n"

@@ -134,6 +134,29 @@ def test_kappa_range_enforced():
         validate_partition(p, q, 5)
 
 
+@pytest.mark.parametrize("labels, kappa, reason, witness", [
+    ({(0, 0): 1, (0, 1): 1, (1, 0): 2}, 2, "cell not labelled", (1, 1)),
+    ({(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 2}, 2,
+     "label for cell outside polygon", (2, 0)),
+    ({(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 3}, 2, "label 3 outside 1..2", (1, 1)),
+    ({(0, 0): 2, (0, 1): 2, (1, 0): 2, (1, 1): 2}, 2, "label 1 empty", None),
+], ids=["unlabelled", "outside", "label range", "empty label"])
+def test_partition_rejections_name_reason_and_cell(labels, kappa, reason, witness):
+    report = validate_partition(square2x2(), GridPartition(labels), kappa)
+    assert (report.ok, report.reason, report.witness) == (False, reason, witness)
+
+
+@pytest.mark.parametrize("rows, cols, votes, message", [
+    (0, 2, {}, "grid dimensions must be positive"),
+    (2, -1, {}, "grid dimensions must be positive"),
+    (2, 2, {(2, 0): VoteCounts(1, 1)}, r"cell \(2, 0\) outside the 2x2 grid"),
+    (2, 2, {(0, -1): VoteCounts(1, 1)}, r"cell \(0, -1\) outside the 2x2 grid"),
+])
+def test_polygon_constructor_rejects_bad_shapes(rows, cols, votes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridPolygon(rows, cols, votes)
+
+
 def test_near_mode_window():
     p = polygon({(0, 0): (0, 3), (0, 1): (0, 1), (1, 0): (0, 3), (1, 1): (0, 1)})
     rows = GridPartition({(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2})
@@ -446,7 +469,7 @@ def test_oracle_on_a_polygon_as_a_county_index():
 def test_oracle_2x2_top_vs_bottom():
     p = polygon({(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (0, 1)})
     res = brute_force_opt(p, 2)
-    assert res.feasible and res.value == 0
+    assert res.value == 0
     # The row split is the unique optimum; column splits give two ties.
     assert len(res.partitions) == 1
     assert res.partitions[0].labels[(0, 0)] == res.partitions[0].labels[(0, 1)]
@@ -465,7 +488,7 @@ def test_oracle_one_party_matches_attainable_minimum():
 def test_oracle_infeasible_split():
     p = polygon({(0, 0): (0, 1), (0, 1): (0, 2)})
     res = brute_force_opt(p, 2)
-    assert not res.feasible and res.value is None and res.partitions == ()
+    assert res.value is None and res.optima == () and res.partitions == ()
 
 
 def test_oracle_size_limit():
@@ -477,7 +500,7 @@ def test_oracle_size_limit():
 def test_oracle_reports_all_argmins():
     p = uniform_rect(2, 2)  # all pop 1, every 2-equipartition ties at the same value
     res = brute_force_opt(p, 2)
-    assert res.feasible
+    assert res.value is not None
     assert len(res.partitions) == 2  # row split and column split
     values = set()
     for q in res.partitions:
@@ -538,7 +561,7 @@ def pin_instance(name):
 def test_oracle_matches_pins(name):
     p, kappa, kwargs = pin_instance(name)
     res = brute_force_opt(p, kappa, cell_limit=32, **kwargs)
-    assert res.feasible and len(res.partitions) > 1
+    assert res.value is not None and len(res.partitions) > 1
     key = (res.value, [sorted(q.labels.items()) for q in res.partitions])
     assert hashlib.sha256(repr(key).encode()).hexdigest() == ORACLE_PINS[name]
 
@@ -654,3 +677,5 @@ def test_subset_sum_examples():
     )
     assert not subset_sum_oracle([2, 4, 8])
     assert not subset_sum_oracle([])
+    # An odd total has no half, though {7} sums to its floor.
+    assert not subset_sum_oracle([3, 5, 7])

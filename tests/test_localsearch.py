@@ -668,7 +668,7 @@ def test_hardness_gadget_as_a_county_graph_is_frozen():
         values = [4 * v for v in values]
         inst = gen_hardness_instance(values, decoy_count=rng.randint(0, 2), seed=g)
         dp = solve_yconvex(inst.polygon, inst.kappa)
-        assert dp.feasible and (dp.value == 0) == subset_sum_oracle(values), values
+        assert dp.value is not None and (dp.value == 0) == subset_sum_oracle(values), values
         yes += dp.value == 0
         res = ingest(partition_county_csv(inst.polygon, dp.partition))
         graph, plan = res.graph, res.plan

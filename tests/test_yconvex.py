@@ -5,6 +5,7 @@ import pytest
 
 from effgap.core import VoteCounts, district_effgap, total_effgap
 from effgap.grid import (
+    GridPartition,
     GridPolygon,
     enumerate_equipartitions,
     validate_partition,
@@ -91,7 +92,7 @@ def test_transition_rejects_segments_that_do_not_cut_the_column(segments, reason
 def test_solve_2x2_row_split():
     p = polygon({(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (0, 1)})
     res = solve_yconvex(p, 2)
-    assert res.feasible and res.value == 0
+    assert res.value == 0
     assert validate_partition(p, res.partition, 2).ok
     assert is_yconvex_partition(res.partition)
 
@@ -113,7 +114,7 @@ def test_solve_1x4_row():
 def test_solve_kappa_one():
     p = uniform_rect(2, 2, pop=3, a_cells=[(0, 0)])
     res = solve_yconvex(p, 1)
-    assert res.feasible
+    assert res.value is not None
     assert res.value == abs(district_effgap(p.total_votes()))
     # One state with one vote vector, as every kappa >= 2 solve starts.
     assert (res.max_column_states, res.max_vote_vectors) == (1, 1)
@@ -121,7 +122,7 @@ def test_solve_kappa_one():
 
 def test_solve_infeasible_population():
     p = polygon({(0, 0): (0, 1), (0, 1): (0, 2)})
-    assert not solve_yconvex(p, 2).feasible
+    assert solve_yconvex(p, 2).value is None
 
 
 def test_state_count_bound():
@@ -148,13 +149,49 @@ def test_agrees_with_oracle_restricted_to_yconvex():
                 stats = total_effgap(partition_vote_totals(p, q, kappa))
                 v = stats.total_scaled_abs
                 best = v if best is None else min(best, v)
-        assert (best is None) == (not res.feasible)
+        assert (best is None) == (res.value is None)
         if best is not None:
             feasible += 1
             assert res.value == best
             assert validate_partition(p, res.partition, kappa).ok
             assert is_yconvex_partition(res.partition)
     assert feasible >= 5
+
+
+def test_is_yconvex_partition_rejects_a_column_gap():
+    # Label 1 holds rows 0 and 2 of column 0, label 2 the row between them.
+    gap = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1}
+    assert is_yconvex_partition(GridPartition(gap)) is False
+    assert is_yconvex_partition(GridPartition({**gap, (2, 0): 2})) is True
+
+
+def test_yconvex_restriction_bites_on_rectangles():
+    """On 3x3 and 3x4 rectangles with 0-2 voters of each party per cell and
+    kappa 2, the y-convex filter rejects equipartitions and some instance's
+    y-convex optimum lies strictly above the unrestricted one; the DP still
+    equals the restricted optimum on every instance."""
+    rng = random.Random(1)
+    rejected = above = 0
+    for i in range(40):
+        m, n = 3, 3 + i % 2
+        while True:  # an even population, so the exact kappa-2 window is not empty
+            votes = {(r, c): VoteCounts(rng.randint(0, 2), rng.randint(0, 2))
+                     for r in range(m) for c in range(n)}
+            if sum(v.population() for v in votes.values()) % 2 == 0:
+                break
+        p = GridPolygon(m, n, votes)
+        best = ybest = None
+        for q in enumerate_equipartitions(p, 2):
+            v = total_effgap(partition_vote_totals(p, q, 2)).total_scaled_abs
+            best = v if best is None else min(best, v)
+            if is_yconvex_partition(q):
+                ybest = v if ybest is None else min(ybest, v)
+            else:
+                rejected += 1
+        assert solve_yconvex(p, 2).value == ybest, i
+        if ybest is not None and ybest > best:
+            above += 1
+    assert rejected >= 1 and above >= 1, (rejected, above)
 
 
 def test_deterministic_witness():
@@ -201,7 +238,7 @@ PINNED = [
 @pytest.mark.parametrize("build,kappa,value,states,vectors,digest", PINNED)
 def test_pinned_optimum_witness_and_counters(build, kappa, value, states, vectors, digest):
     res = solve_yconvex(build(), kappa)
-    assert res.feasible and res.value == value
+    assert res.value == value
     assert (res.max_column_states, res.max_vote_vectors) == (states, vectors)
     assert _witness_digest(res.partition) == digest
 
@@ -228,7 +265,7 @@ def test_witness_replays_through_transition_rule():
         p = random_column_polygon(rng, max_cells=12, uniform=rng.random() < 0.3)
         kappa = rng.choice([2, 3])
         res = solve_yconvex(p, kappa)
-        if not res.feasible:
+        if res.value is None:
             continue
         replayed += 1
         target = p.total_votes().population() // kappa
@@ -252,13 +289,13 @@ def test_solver_steps_agree_with_transition_rule(monkeypatch):
     steps = []
     column_table, successors = yconvex._column_table, yconvex._successors
 
-    def recording_column_table(p, column, kappa, target):
-        table = column_table(p, column, kappa, target)
+    def recording_column_table(p, column, target):
+        table = column_table(p, column, target)
         column_of[id(table)] = column
         return table
 
-    def recording_successors(key, table, kappa, target):
-        out = successors(key, table, kappa, target)
+    def recording_successors(key, table, walks, kappa, target):
+        out = successors(key, table, walks, kappa, target)
         steps.append((column_of[id(table)], key, out))
         return out
 
@@ -289,13 +326,13 @@ def test_successors_match_reference(monkeypatch):
     steps = []
     column_table, successors = yconvex._column_table, yconvex._successors
 
-    def recording_column_table(p, column, kappa, target):
-        table = column_table(p, column, kappa, target)
+    def recording_column_table(p, column, target):
+        table = column_table(p, column, target)
         column_of[id(table)] = column
         return table
 
-    def recording_successors(key, table, kappa, target):
-        out = successors(key, table, kappa, target)
+    def recording_successors(key, table, walks, kappa, target):
+        out = successors(key, table, walks, kappa, target)
         steps.append((column_of[id(table)], key, out))
         return out
 
@@ -340,11 +377,11 @@ def test_each_layout_is_walked_once_per_column(monkeypatch):
         walked.append((id(table), tuple(active), used))
         return walk(active, used, table, kappa)
 
-    def recording_successors(key, table, kappa, target):
+    def recording_successors(key, table, walks, kappa, target):
         tables.append(table)  # held, so that no table id is reused
         active = sorted((st[3], i, target - st[0] - st[1]) for i, st in enumerate(key) if st[2] == ACTIVE)
         expanded.append((id(table), tuple(active), sum(st[2] != UNSTARTED for st in key)))
-        return successors(key, table, kappa, target)
+        return successors(key, table, walks, kappa, target)
 
     monkeypatch.setattr(yconvex, "_walk", recording_walk)
     monkeypatch.setattr(yconvex, "_successors", recording_successors)
