@@ -177,7 +177,13 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
         "best_replica": run_result.best_replica,
         "rng": RNG_ALGORITHM,
     }
-    fields = {"result": summary, "replica_wall_s": [round(t.wall_time, 6) for t in run_result.traces]}
+    traces = run_result.traces
+    fields = {
+        "result": summary,
+        "replica_wall_s": [round(t.wall_time, 6) for t in traces],
+        "replica_stopped_at": [t.stopped_at for t in traces],
+        "replica_sweeps": [t.sweeps for t in traces],
+    }
     return 0, fields, [data_path], "\n".join(out) + "\n"
 
 
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localsearch", help="randomized improvement search on a county file")
     p.add_argument("data")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=int, default=100, help="outer iterations (default 100)")
+    p.add_argument("--mu", type=int, default=100, help="at most this many outer iterations (default 100)")
     p.add_argument("--k", type=int, default=20, help="per-iteration node budget (default 20)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,

@@ -30,6 +30,20 @@ it touches and W.  Every replica gives back its moves and final
 district list, which is its final plan; its final gap is that of its
 last move.
 
+``mu`` bounds the iterations; a replica stops sooner once it proves that
+it can never move again.  An iteration accepts a move only from a node
+that ``_moves`` passes, and ``_moves`` depends on the state alone, so if
+one scan of every node of a state passes none, no later draw changes
+that state.  That scan, a sweep, is the certificate: stopping on it
+leaves the moves, final plan and trace as ``mu`` iterations would give
+them.  A sweep runs once ceil(2n/k) iterations since the last move, or
+the last sweep, have accepted nothing: r is uniform on 0..k, so that is
+the expected number of iterations to draw n nodes, and a sweep costs
+about what the idle draws before it did.  Checking only the nodes of
+the two districts a move touched would not do: whether a move improves
+depends on the sign of the plan's total, and a move that flips it can
+make a far node's move improving.
+
 With ``jobs`` = N > 1 processes, the calling process is one of them: it
 runs replicas 0, N, 2N, ...  Each of N - 1 worker processes, started
 without a pool, runs replicas w, w + N, ... and sends their results
@@ -46,7 +60,7 @@ from __future__ import annotations
 
 import copy
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .county import CountyGraph, NodeKey, PlanReport, _reaches, validate_plan
@@ -57,7 +71,7 @@ RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    mu: int = 100  # outer iterations
+    mu: int = 100  # outer iterations at most; a replica stops once no node can move
     k: int = 20  # per-iteration node budget; the draw is uniform on 0..k
     seed: int = 0
     replicas: int = 1
@@ -91,7 +105,12 @@ class SearchTrace:
     final_scaled: int
     moves: tuple[MoveRecord, ...]
     final_plan: list[int]
-    wall_time: float = 0.0  # informational; excluded from the byte-stable text
+    # Informational, and excluded from the byte-stable text: the wall time,
+    # the iteration at which a sweep proved the replica could never move
+    # again (None when mu ran out first), and the sweeps run.
+    wall_time: float = 0.0
+    stopped_at: int | None = None
+    sweeps: int = 0
 
     def to_lines(self) -> str:
         lines = [f"replica={self.replica} seed={self.root_seed} initial={self.initial_scaled}"]
@@ -212,26 +231,23 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
     return PlanReport(True)
 
 
-def run_iteration(
-    state: ReplicaState, draw: Callable[[int, int], list[int]], iteration: int, k: int
-) -> list[MoveRecord]:
-    """One outer iteration; mutates the state and returns accepted moves.
+def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(i, target)`` for each node of ``nodes``, in order, that moves from the state as it is.
 
-    ``draw(k, n)`` gives the iteration's nodes: r uniform in 0..k, then
-    r distinct node numbers below n.  A drawn node is processed once per
-    iteration: its neighbors are scanned in key order, each needing only
-    the target population bound and the gap change, until the first
-    strictly improving one.  Only then do the target-independent checks
-    of ``move_is_legal`` (``source_rejection``) run, once; if they refuse,
-    they refuse every target and the node is left, and otherwise the move
-    is applied.  This accepts exactly the moves that checking the source
-    first would.  An interior node is skipped before any sum is read.
+    A node is scanned once: an interior node is skipped before any sum is
+    read; otherwise its neighbours are scanned in key order, each needing
+    only the target population bound and the gap change, until the first
+    strictly improving one.  Only then do the target-independent checks of
+    ``move_is_legal`` (``source_rejection``) run, once; if they refuse,
+    they refuse every target and the node is left.  This passes exactly
+    the moves that checking the source first would.  The caller may apply
+    a yielded move before it resumes: ``ReplicaState.move`` updates the
+    lists and dicts read here in place, and the gap is read per node.
     """
     graph = state.graph
     adj, node_a, node_pop, pop_hi = graph.adj, graph.node_a, graph.node_pop, graph.pop_hi
     dist, party_a, pop, base = state.dist, state.party_a, state.pop, state.base
-    records = []
-    for i in draw(k, len(dist)):
+    for i in nodes:
         source = dist[i]
         neighbors = adj[i]
         for j in neighbors:
@@ -249,34 +265,63 @@ def run_iteration(
             if target == source or pop[target] > room:
                 continue
             ta, tp = party_a[target], pop[target]
-            after_abs = abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p)))
-            if after_abs < before_abs:
+            if abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p))) < before_abs:
                 if source_rejection(graph, dist, i, pop[source]) is None:
-                    records.append(MoveRecord(iteration, graph.nodes[i], source, target, before_abs, after_abs))
-                    state.move(i, target)
+                    yield i, target
                 break
+
+
+def run_iteration(
+    state: ReplicaState, draw: Callable[[int, int], list[int]], iteration: int, k: int
+) -> list[MoveRecord]:
+    """One outer iteration; mutates the state and returns accepted moves.
+
+    ``draw(k, n)`` gives the iteration's nodes: r uniform in 0..k, then
+    r distinct node numbers below n.  Each drawn node is scanned once, by
+    ``_moves``, and its move, if any, is applied before the next node is
+    scanned.
+    """
+    nodes, dist = state.graph.nodes, state.dist
+    records = []
+    for i, target in _moves(state, draw(k, len(dist))):
+        source, before = dist[i], abs(state.signed)
+        state.move(i, target)
+        records.append(MoveRecord(iteration, nodes[i], source, target, before, abs(state.signed)))
     return records
 
 
-def _run_replica(
-    state0: ReplicaState, cfg: SearchConfig, replica: int
-) -> tuple[tuple[MoveRecord, ...], list[int], float]:
-    """(accepted moves, final district of each node, wall time) of one replica."""
+def _run_replica(state0: ReplicaState, cfg: SearchConfig, replica: int) -> SearchTrace:
+    """One replica's trace, cut at the first sweep that finds no mover (see the module docstring)."""
     from .pcg64 import replica_draw  # deferred: no other command needs it
 
     started = time.perf_counter()
     draw = replica_draw(cfg.seed, replica)
     state = copy.copy(state0)
     state.dist, state.party_a, state.pop = list(state0.dist), dict(state0.party_a), dict(state0.pop)
+    n = len(state.dist)
+    patience = -(-2 * n // cfg.k)  # iterations that draw n nodes, on average
     moves: list[MoveRecord] = []
+    idle = sweeps = 0
+    stopped_at = None
     for iteration in range(cfg.mu):
-        moves.extend(run_iteration(state, draw, iteration, cfg.k))
-    return tuple(moves), state.dist, time.perf_counter() - started
+        accepted = run_iteration(state, draw, iteration, cfg.k)
+        if accepted:
+            moves.extend(accepted)
+            idle = 0
+            continue
+        idle += 1
+        if idle == patience:
+            sweeps += 1
+            if next(_moves(state, range(n)), None) is None:
+                stopped_at = iteration
+                break
+            idle = 0
+    initial = abs(state0.signed)
+    return SearchTrace(replica, cfg.seed, initial, moves[-1].after_scaled if moves else initial, tuple(moves),
+                       state.dist, time.perf_counter() - started, stopped_at, sweeps)
 
 
-def _run_share(
-    state0: ReplicaState, cfg: SearchConfig, first: int, step: int
-) -> list[tuple[tuple[MoveRecord, ...], list[int], float]]:
+def _run_share(state0: ReplicaState, cfg: SearchConfig, first: int, step: int) -> list[SearchTrace]:
     """``_run_replica`` of replicas first, first + step, first + 2 * step, ..."""
     return [_run_replica(state0, cfg, i) for i in range(first, cfg.replicas, step)]
 
@@ -291,10 +336,8 @@ def _worker(state0: ReplicaState, cfg: SearchConfig, first: int, step: int, conn
     conn.close()
 
 
-def _run_replicas(
-    state0: ReplicaState, cfg: SearchConfig, jobs: int
-) -> list[tuple[tuple[MoveRecord, ...], list[int], float]]:
-    """Every replica's ``_run_replica`` result, in replica order, from ``jobs`` processes.
+def _run_replicas(state0: ReplicaState, cfg: SearchConfig, jobs: int) -> list[SearchTrace]:
+    """Every replica's trace, in replica order, from ``jobs`` processes.
 
     The calling process runs its share while the workers run theirs.  A
     worker's exception is re-raised here, a worker that dies without
@@ -344,9 +387,9 @@ def run(graph: CountyGraph, plan0: list[int], cfg: SearchConfig, jobs: int = 1) 
     to the lower index.  The starting state is built once, on the graph's
     node numbers, and each replica copies its district list and sums.
     Worker processes receive the state and config once, when they start.
-    Wherever it runs, a replica gives back its moves and final district
-    list; its final gap is that of its last move, and its final plan is
-    the list as it is.
+    Wherever it runs, a replica gives back its trace: its final gap is
+    that of its last move, and its final plan is its district list as it
+    is.
     """
     report = validate_plan(graph, plan0)
     if not report.ok:
@@ -354,12 +397,6 @@ def run(graph: CountyGraph, plan0: list[int], cfg: SearchConfig, jobs: int = 1) 
     if not cfg.k < len(graph.nodes):
         raise ValueError("k must be smaller than the number of nodes")
     state0 = ReplicaState(graph, plan0)
-    results = _run_replicas(state0, cfg, jobs)
-    initial = abs(state0.signed)
-    traces = tuple(
-        SearchTrace(i, cfg.seed, initial, moves[-1].after_scaled if moves else initial, moves, dist,
-                    wall_time)
-        for i, (moves, dist, wall_time) in enumerate(results)
-    )
+    traces = tuple(_run_replicas(state0, cfg, jobs))
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))
     return RunResult(traces[best].final_plan, best, traces)

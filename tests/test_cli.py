@@ -665,7 +665,8 @@ def test_oracle_limit_is_a_one_line_error(tmp_path, capsys):
 
 def test_every_command_manifest_has_the_listed_keys(toy_file, tmp_path, capsys):
     """README "Command line" lists the manifest keys; only ``localsearch``
-    adds ``replica_wall_s`` and names its random generator, in ``result``.
+    adds ``replica_wall_s``, ``replica_stopped_at`` and ``replica_sweeps``,
+    and names its random generator, in ``result``.
     ``inputs`` maps each input file to its SHA-256, both files for
     ``stats --plan``."""
     keys = {"command", "config", "inputs", "result", "version", "wall_time_s"}
@@ -683,7 +684,8 @@ def test_every_command_manifest_has_the_listed_keys(toy_file, tmp_path, capsys):
         assert main(["--manifest", str(manifest_path), *argv]) == 0
         manifest = json.loads(manifest_path.read_text())
         search = argv[0] == "localsearch"
-        assert set(manifest) == keys | ({"replica_wall_s"} if search else set()), argv
+        replica_keys = {"replica_wall_s", "replica_stopped_at", "replica_sweeps"}
+        assert set(manifest) == keys | (replica_keys if search else set()), argv
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs
         }

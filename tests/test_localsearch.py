@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 import multiprocessing
 import os
 import random
@@ -543,9 +544,11 @@ def test_search_matches_dict_based_reference(monkeypatch):
 
 def test_source_is_checked_only_for_an_improving_move(monkeypatch):
     """``source_rejection`` runs only for a drawn node with an in-bounds,
-    strictly improving target, recomputed here from the whole plan, and
-    every check it passes is an accepted move: its calls are the accepted
-    moves plus the refused ones."""
+    strictly improving target, recomputed here from the whole plan.  Every
+    check an iteration passes is an accepted move, and a replica's sweep
+    stops at its first passing check, which it does not apply; so the calls
+    are the accepted moves, the refused ones and one for each sweep that
+    found a mover, that is every sweep but a stopping one."""
     real = localsearch.source_rejection
     calls = refused = 0
 
@@ -578,7 +581,8 @@ def test_source_is_checked_only_for_an_improving_move(monkeypatch):
         calls = refused = 0
         out = run(res.graph, res.plan, SearchConfig(mu=100, k=20, seed=11, replicas=2))
         accepted = sum(len(t.moves) for t in out.traces)
-        assert calls == accepted + refused, (name, calls, accepted, refused)
+        movers = sum(t.sweeps - (t.stopped_at is not None) for t in out.traces)
+        assert calls == accepted + refused + movers, (name, calls, accepted, refused, movers)
         counts[name] = (calls, accepted, refused)
     assert all(accepted for _, accepted, _ in counts.values()), counts
     print("source checks (calls, accepted, refused):", counts)
@@ -616,14 +620,20 @@ def test_state_gap_is_sum_of_district_effgaps():
     assert plans == 3 * len(DIFFERENTIAL_GRAPHS) and ties and moves >= 200, (plans, ties, moves)
 
 
+def oracle_graphs() -> list[str]:
+    """Thirty county graphs small enough for the exhaustive oracle."""
+    graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
+    graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
+    graphs += [random_county_csv(100 + s, 13 + s % 6, 2 + s % 3) for s in range(10)]
+    return graphs
+
+
 def test_search_never_beats_the_exact_optimum():
     """The exhaustive oracle, run on a county graph's own mask index in the
     plan's frozen window, is a lower bound on every replica's final gap (its
     plan in that window), and each of its optima is a valid plan whose gap
     is that optimum."""
-    graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
-    graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
-    graphs += [random_county_csv(100 + s, 13 + s % 6, 2 + s % 3) for s in range(10)]
+    graphs = oracle_graphs()
     hits = still = optima = 0
     for seed, text in enumerate(graphs):
         res = ingest(text)
@@ -646,6 +656,70 @@ def test_search_never_beats_the_exact_optimum():
         still += not any(trace.moves for trace in result.traces)
     print(f"search reached the optimum on {hits} of {len(graphs)} graphs "
           f"and made no move on {still}; {optima} optima checked")
+
+
+def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monkeypatch):
+    """A replica's sweep stops it exactly when ``run_iteration``, given every
+    node in key order, accepts no move, and it runs once ceil(2n/k)
+    iterations have accepted nothing.
+
+    The sweep is watched in ``_run_replica`` itself, with draws that return
+    no node, so that every iteration is idle.  The states checked are the
+    ingested plan and drained plans, which can usually move, and every
+    replica's final plan after a search that the sweep stopped, which must
+    not; both verdicts must occur."""
+    from effgap import pcg64
+
+    texts = [synth_state_csv(name, seed=0) for name in ("WI", "TX", "VA", "PA")]
+    texts += [county_grid_csv(2), county_grid_csv(41, 40, 4)]
+    texts += [make() for make in DIFFERENTIAL_GRAPHS.values()] + oracle_graphs()
+    verdicts = collections.Counter()
+    for g, text in enumerate(texts):
+        res = ingest(text)
+        graph, n = res.graph, len(res.graph.nodes)
+        k = min(20 if n > 40 else 8, n - 1)
+        rng = random.Random(g)
+        plans = [res.plan] + [_drained_plan(graph, res.plan, rng, 12) for _ in range(2)]
+        searched = run(graph, res.plan, SearchConfig(mu=2000, k=k, seed=g, replicas=2))
+        assert all(t.stopped_at is not None for t in searched.traces), g
+        stuck_plans = [t.final_plan for t in searched.traces]
+        with monkeypatch.context() as m:
+            m.setattr(pcg64, "replica_draw", lambda seed, replica: lambda k, n: [])
+            for plan in plans + stuck_plans:
+                moved = run_iteration(ReplicaState(graph, plan), FixedDraw(list(range(n))), 0, k)
+                trace = localsearch._run_replica(ReplicaState(graph, plan), SearchConfig(mu=2 * n, k=k), 0)
+                assert trace.moves == () and trace.final_plan == plan, g
+                assert (trace.stopped_at is not None) == (not moved), (g, moved, trace.stopped_at)
+                if trace.stopped_at is not None:
+                    assert (trace.stopped_at, trace.sweeps) == (math.ceil(2 * n / k) - 1, 1), g
+                verdicts["stuck" if trace.stopped_at is not None else "movable"] += 1
+        for plan in stuck_plans:
+            assert not run_iteration(ReplicaState(graph, plan), FixedDraw(list(range(n))), 0, k), g
+    assert verdicts["stuck"] >= 2 * len(texts) and verdicts["movable"] >= len(texts), verdicts
+    print("sweep verdicts:", dict(verdicts))
+
+
+def test_the_stop_is_invisible():
+    """A replica that a sweep stopped at iteration s has the same trace and
+    final plan at mu = s + 1, 100 and 10,000, and the same as the dict-based
+    search, which never stops, at mu = 100."""
+    stopped = 0
+    for name in ("WI", "TX", "VA", "PA"):
+        res = ingest(synth_state_csv(name, seed=0))
+        graph, plan = res.graph, res.plan
+        cfg = SearchConfig(mu=100, k=20, seed=11, replicas=4)
+        base = run(graph, plan, cfg)
+        want = run_reference(graph, plan, cfg)
+        assert [t.to_lines() for t in base.traces] == [t.to_lines() for t in want], name
+        assert [t.final_plan for t in base.traces] == [t.final_plan for t in want], name
+        for mu in (10_000, *{t.stopped_at + 1 for t in base.traces if t.stopped_at is not None}):
+            other = run(graph, plan, dataclasses.replace(cfg, mu=mu))
+            for a, b in zip(base.traces, other.traces):
+                if a.stopped_at is not None and a.stopped_at < mu:
+                    assert (a.to_lines(), a.final_plan, a.stopped_at, a.sweeps) == (
+                        b.to_lines(), b.final_plan, b.stopped_at, b.sweeps), (name, mu, a.replica)
+                    stopped += 1
+    assert stopped >= 16, stopped
 
 
 def test_hardness_gadget_as_a_county_graph_is_frozen():
