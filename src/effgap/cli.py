@@ -28,6 +28,7 @@ from . import __version__
 from .core import PARTY_A, total_effgap, wasted_votes
 from .county import district_votes, ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
+    ORACLE_CELL_LIMIT,
     _masks_to_partition,
     brute_force_opt,
     gen_hardness_instance,
@@ -315,10 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localsearch", help="randomized improvement search on a county file")
     p.add_argument("data")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=int, default=100, help="at most this many outer iterations (default 100)")
-    p.add_argument("--k", type=int, default=20, help="per-iteration node budget (default 20)")
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--mu", type=int, default=SearchConfig.mu,
+                   help="at most this many outer iterations (default %(default)s)")
+    p.add_argument("--k", type=int, default=SearchConfig.k,
+                   help="per-iteration node budget (default %(default)s)")
+    p.add_argument("--replicas", type=int, default=SearchConfig.replicas)
     p.add_argument("--jobs", type=int, default=1,
                    help="processes running the replicas, this one included: N starts "
                         "N - 1 workers (default 1, in-process); "
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 3),
                    help="canonical accuracy parameter; the block side is ceil(1/epsilon) "
                         "(default 1/3)")
-    p.add_argument("--oracle-limit", type=int, default=14)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_CELL_LIMIT)
     p.add_argument("--plan-out")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_solve)

@@ -54,6 +54,11 @@ def winner(v: VoteCounts) -> str:
     return PARTY_A if 2 * v.party_a >= v.population() else PARTY_B
 
 
+def won_by_a(party_a: int, pop: int) -> int:
+    """A district's population if party A wins it (a tie goes to A), else 0; summed, W in 4A - P - 2W."""
+    return pop if 2 * party_a >= pop else 0
+
+
 def district_effgap(v: VoteCounts) -> ScaledEffgap:
     """Twice the district's efficiency gap, as an exact integer.
 

@@ -7,7 +7,7 @@ Cells are (row, col) pairs on an m x n unit grid.  Polygons must be
 exact (total / kappa) unless a slack delta is given.  The oracle
 enumerates every connected kappa-partition inside a window, so it is the
 ground truth the other solvers are checked against; it is only meant for
-desk-scale instances (the default cap is 14 cells).
+desk-scale instances (the default cap is ``ORACLE_CELL_LIMIT`` cells).
 
 The oracle, the polygon and partition checks and the canonical solver work
 on the bitmasks of ``_MaskIndex``, which pairs each bit with a node and
@@ -269,6 +269,10 @@ def validate_partition(
 # ---------------------------------------------------------------------------
 
 
+# The oracle's default cap on an instance's cells; the CLI's --oracle-limit default.
+ORACLE_CELL_LIMIT = 14
+
+
 class OracleLimitError(ValueError):
     pass
 
@@ -463,7 +467,7 @@ class OracleResult:
 
 
 def brute_force_opt(
-    p: GridPolygon, kappa: int, window: tuple[int, int] | None = None, cell_limit: int = 14
+    p: GridPolygon, kappa: int, window: tuple[int, int] | None = None, cell_limit: int = ORACLE_CELL_LIMIT
 ) -> OracleResult:
     """Exhaustive minimum of the total absolute gap over valid partitions.
 

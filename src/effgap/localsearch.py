@@ -63,6 +63,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
+from .core import won_by_a
 from .county import CountyGraph, NodeKey, PlanReport, _reaches, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
@@ -131,11 +132,6 @@ class RunResult:
     traces: tuple[SearchTrace, ...]
 
 
-def _won(party_a: int, pop: int) -> int:
-    """A district's part of W: its population if party A wins it (a tie goes to A), else 0."""
-    return pop if 2 * party_a >= pop else 0
-
-
 class ReplicaState:
     """One replica's plan on the graph's node numbers, with per-district sums kept current.
 
@@ -158,7 +154,7 @@ class ReplicaState:
         for d, a, p in zip(self.dist, graph.node_a, graph.node_pop):
             self.party_a[d] += a
             self.pop[d] += p
-        self.won = sum(_won(self.party_a[d], self.pop[d]) for d in graph.district_ids)
+        self.won = sum(won_by_a(self.party_a[d], self.pop[d]) for d in graph.district_ids)
 
     @property
     def signed(self) -> int:
@@ -171,10 +167,10 @@ class ReplicaState:
         a, p = self.graph.node_a[i], self.graph.node_pop[i]
         self.dist[i] = target
         for d, da, dp in ((source, -a, -p), (target, a, p)):
-            self.won -= _won(self.party_a[d], self.pop[d])
+            self.won -= won_by_a(self.party_a[d], self.pop[d])
             self.party_a[d] += da
             self.pop[d] += dp
-            self.won += _won(self.party_a[d], self.pop[d])
+            self.won += won_by_a(self.party_a[d], self.pop[d])
 
 
 def source_rejection(graph: CountyGraph, dist: list[int], i: int, source_pop: int) -> str | None:
@@ -259,13 +255,14 @@ def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int
         room = pop_hi - p
         before_abs = abs(state.signed)
         # W with i taken out of its district; each target adds its own change.
-        without = state.won - _won(party_a[source], pop[source]) + _won(party_a[source] - a, pop[source] - p)
+        without = (state.won - won_by_a(party_a[source], pop[source])
+                   + won_by_a(party_a[source] - a, pop[source] - p))
         for j in neighbors:  # key order
             target = dist[j]
             if target == source or pop[target] > room:
                 continue
             ta, tp = party_a[target], pop[target]
-            if abs(base - 2 * (without - _won(ta, tp) + _won(ta + a, tp + p))) < before_abs:
+            if abs(base - 2 * (without - won_by_a(ta, tp) + won_by_a(ta + a, tp + p))) < before_abs:
                 if source_rejection(graph, dist, i, pop[source]) is None:
                     yield i, target
                 break

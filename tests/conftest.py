@@ -163,6 +163,16 @@ def uniform_rect(m: int, n: int, pop: int = 1, a_cells=()) -> GridPolygon:
     return GridPolygon(m, n, votes)
 
 
+def random_even_rect(rng: random.Random, m: int, n: int) -> GridPolygon:
+    """An m x n rectangle with 0-2 voters of each party per cell and an even
+    population, so that the exact kappa-2 window is not empty.  On 3x3 and
+    3x4 rectangles some equipartitions are not y-convex."""
+    while True:
+        votes = {(r, c): VoteCounts(rng.randint(0, 2), rng.randint(0, 2)) for r in range(m) for c in range(n)}
+        if sum(v.population() for v in votes.values()) % 2 == 0:
+            return GridPolygon(m, n, votes)
+
+
 def random_blob(rng: random.Random, size: int, max_dim: int = 5) -> set[tuple[int, int]]:
     """Random hole-free 4-connected cell set of the requested size."""
     while True:

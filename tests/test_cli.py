@@ -108,6 +108,49 @@ def test_importing_the_cli_loads_no_search_only_module(toy_file):
     assert out.stdout == "[]\n0 []\n"
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("effgap", ["effgap"]),
+    ("effgap.localsearch", ["effgap", "effgap.core", "effgap.county", "effgap.localsearch"]),
+])
+def test_a_module_loads_only_what_it_imports(module, loaded):
+    """The package root is its version alone, so importing the search, as a
+    spawned replica worker does, loads none of the grid solvers."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'effgap' or m.startswith('effgap.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
+    assert out.stdout == f"{loaded}\n"
+
+
+@pytest.mark.parametrize("graph", ["toy", "WI"])
+def test_spawned_replica_workers_match_one_process(tmp_path, graph):
+    """Under the spawn start method (macOS's default) a worker imports the
+    package afresh and receives its state pickled; --jobs 2 must still write
+    the traces and plan of --jobs 1, and start one worker."""
+    data = tmp_path / "data.csv"
+    data.write_text(TOY_COUNTY_CSV if graph == "toy" else synth_state_csv("WI", 0))
+    extra = ["--k", "3", "--mu", "10"] if graph == "toy" else []
+    code = f"""\
+import contextlib, io, multiprocessing
+import effgap.cli
+multiprocessing.set_start_method("spawn")
+started = []
+start = multiprocessing.Process.start
+multiprocessing.Process.start = lambda self: (started.append(1), start(self))[1]
+for jobs in "12":
+    argv = ["localsearch", "data.csv", "--replicas", "4", "--jobs", jobs, "--seed", "5", *{extra!r},
+            "--trace-out", f"trace{{jobs}}.txt", "--plan-out", f"plan{{jobs}}.csv"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert effgap.cli.main(argv) == 0
+print(multiprocessing.get_start_method(), len(started))
+"""
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_package_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "spawn 1\n"
+    for name in ("trace1.txt", "plan1.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2")).read_bytes()
+    assert (tmp_path / "trace1.txt").read_text().count("replica=") == 4
+
+
 def test_the_parser_is_built_on_first_use_only(toy_file):
     """Importing the CLI builds no parser, so a child import (the benchmark's
     setup time) does not pay for one; the first ``main`` call builds the

@@ -13,6 +13,7 @@ from effgap.core import (
     total_effgap,
     wasted_votes,
     winner,
+    won_by_a,
 )
 
 
@@ -33,6 +34,19 @@ def test_winner_majority_and_tie():
     assert winner(VoteCounts(60, 40)) == PARTY_A
     assert winner(VoteCounts(50, 50)) == PARTY_A  # tie rule
     assert winner(VoteCounts(40, 60)) == PARTY_B
+
+
+@pytest.mark.parametrize("a, b", [(50, 50), (51, 50), (50, 51), (0, 0), (0, 1), (1, 0), (3, 4), (4, 3)])
+def test_won_by_a_keeps_the_tie_rule_of_winner_and_district_effgap(a, b):
+    """A tie (2a = pop), either side of one, and pop 0, where A "wins" an
+    empty district and it adds nothing to W."""
+    v = VoteCounts(a, b)
+    pop = v.population()
+    won = won_by_a(a, pop)
+    assert won == (pop if winner(v) == PARTY_A else 0)
+    assert district_effgap(v) == 4 * a - pop - 2 * won  # the margin identity, one district
+    if pop == 0:
+        assert winner(v) == PARTY_A and won == 0
 
 
 def test_district_effgap_matches_wasted_vote_arithmetic():

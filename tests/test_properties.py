@@ -61,6 +61,25 @@ def test_yconvex_is_the_oracle_over_yconvex_partitions(p, data):
 
 
 @st.composite
+def rectangles(draw):
+    """A 3x3 or 3x4 rectangle with 0-2 voters of each party per cell and an
+    even population; some of its equipartitions are not y-convex."""
+    cols = draw(st.integers(3, 4))
+    votes = {(r, c): VoteCounts(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+             for r in range(3) for c in range(cols)}
+    votes[0, 0] += VoteCounts(0, sum(v.population() for v in votes.values()) % 2)
+    return GridPolygon(3, cols, votes)
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(rectangles())
+def test_yconvex_is_the_oracle_over_yconvex_partitions_of_rectangles(p):
+    values = [total_effgap(partition_vote_totals(p, q, 2)).total_scaled_abs
+              for q in enumerate_equipartitions(p, 2) if is_yconvex_partition(q)]
+    assert solve_yconvex(p, 2).value == (min(values) if values else None)
+
+
+@st.composite
 def graphs(draw):
     """Votes and adjacency lists of 2..12 nodes: a random tree plus random edges."""
     n = draw(st.integers(2, 12))

@@ -25,6 +25,7 @@ from conftest import (
     partition_vote_totals,
     polygon,
     random_column_polygon,
+    random_even_rect,
     successors_reference,
     uniform_rect,
 )
@@ -173,13 +174,7 @@ def test_yconvex_restriction_bites_on_rectangles():
     rng = random.Random(1)
     rejected = above = 0
     for i in range(40):
-        m, n = 3, 3 + i % 2
-        while True:  # an even population, so the exact kappa-2 window is not empty
-            votes = {(r, c): VoteCounts(rng.randint(0, 2), rng.randint(0, 2))
-                     for r in range(m) for c in range(n)}
-            if sum(v.population() for v in votes.values()) % 2 == 0:
-                break
-        p = GridPolygon(m, n, votes)
+        p = random_even_rect(rng, 3, 3 + i % 2)
         best = ybest = None
         for q in enumerate_equipartitions(p, 2):
             v = total_effgap(partition_vote_totals(p, q, 2)).total_scaled_abs
