@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import PARTY_A, total_effgap, wasted_votes
+from .core import total_effgap, wasted_votes
 from .county import district_votes, ingest, plan_stats, read_plan_csv, write_plan_csv
 from .grid import (
     ORACLE_CELL_LIMIT,
@@ -102,7 +102,7 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
     for d, stat in zip(graph.district_ids, stats.per_district):
         votes = stat.votes
         wasted_d, wasted_r = wasted_votes(votes)
-        winner = "D" if stat.winner == PARTY_A else "R"
+        winner = "D" if stat.a_wins else "R"
         if args.json:
             out.append(json.dumps({
                 "district": d,
@@ -110,15 +110,15 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
                 "gop": votes.party_b,
                 "population": votes.population(),
                 "winner": winner,
-                "wasted_d": str(wasted_d),
-                "wasted_r": str(wasted_r),
+                "wasted_d": str(Fraction(wasted_d, 2)),
+                "wasted_r": str(Fraction(wasted_r, 2)),
                 "scaled_gap": stat.scaled_effgap,
             }, sort_keys=True))
         else:
             out.append(
                 f"{d:>8}  {votes.party_a:>10}  {votes.party_b:>10}  {votes.population():>11}  "
-                f"{winner:>6}  {format_half(int(2 * wasted_d)):>12}  "
-                f"{format_half(int(2 * wasted_r)):>12}  {format_half(stat.scaled_effgap):>12}"
+                f"{winner:>6}  {format_half(wasted_d):>12}  "
+                f"{format_half(wasted_r):>12}  {format_half(stat.scaled_effgap):>12}"
             )
     total = graph.total_votes()
     pop = total.population()

@@ -1,10 +1,11 @@
 """Exact arithmetic for the two-party efficiency-gap measure.
 
-Everything here is kept exact: a district's gap is stored as an integer
-scaled by 2 (the raw value may be a half-integer because of the 1/2 and
-3/2 coefficients in the formula), and any quantity that divides by a
-district count or a population is a :class:`fractions.Fraction`.  No
-floating point enters the math; floats appear only in display layers.
+Everything here is kept exact: a district's gap and its wasted votes are
+stored as integers scaled by 2 (the raw values may be half-integers
+because of the 1/2 and 3/2 coefficients in the formula), and any
+quantity that divides by a district count or a population is a
+:class:`fractions.Fraction`.  No floating point enters the math; floats
+appear only in display layers.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-PARTY_A = "A"
-PARTY_B = "B"
 
 # A district's efficiency gap multiplied by 2, which makes it integral:
 # 4*party_a - 3*pop when A wins, 4*party_a - pop otherwise.
@@ -49,9 +47,19 @@ class VoteCounts:
 ZERO_VOTES = VoteCounts(0, 0)
 
 
-def winner(v: VoteCounts) -> str:
-    """Winning party of a district; a tie goes to party A."""
-    return PARTY_A if 2 * v.party_a >= v.population() else PARTY_B
+@dataclass(frozen=True)
+class Report:
+    """A check's verdict: ok, or the first violation's reason and, where
+    the check names one, the offending cell."""
+
+    ok: bool
+    reason: str | None = None
+    witness: tuple[int, int] | None = None
+
+
+def a_wins(v: VoteCounts) -> bool:
+    """Whether party A wins the district; a tie goes to party A."""
+    return 2 * v.party_a >= v.population()
 
 
 def won_by_a(party_a: int, pop: int) -> int:
@@ -71,18 +79,19 @@ def district_effgap(v: VoteCounts) -> ScaledEffgap:
     return 4 * v.party_a - pop
 
 
-def wasted_votes(v: VoteCounts) -> tuple[Fraction, Fraction]:
-    """(A's wasted votes, B's wasted votes) as exact rationals."""
+def wasted_votes(v: VoteCounts) -> tuple[int, int]:
+    """(A's wasted votes, B's wasted votes), each scaled by 2 like the gap,
+    so that A's minus B's is ``district_effgap(v)``."""
     pop = v.population()
-    if winner(v) == PARTY_A:
-        return Fraction(2 * v.party_a - pop, 2), Fraction(v.party_b)
-    return Fraction(v.party_a), Fraction(2 * v.party_b - pop, 2)
+    if a_wins(v):
+        return 2 * v.party_a - pop, 2 * v.party_b
+    return 2 * v.party_a, 2 * v.party_b - pop
 
 
 class DistrictStat(NamedTuple):
     votes: VoteCounts
     scaled_effgap: ScaledEffgap
-    winner: str
+    a_wins: bool
 
 
 @dataclass(frozen=True)
@@ -118,12 +127,12 @@ def total_effgap(districts: Sequence[VoteCounts]) -> PlanStats:
     """
     if not districts:
         raise ValueError("no districts")
-    per = tuple(DistrictStat(v, district_effgap(v), winner(v)) for v in districts)
+    per = tuple(DistrictStat(v, district_effgap(v), a_wins(v)) for v in districts)
     signed = sum(stat.scaled_effgap for stat in per)
     total_abs = abs(signed)
     pop = sum(v.population() for v in districts)
     normalized = Fraction(total_abs, 2 * pop) if pop else Fraction(0)
-    seats_a = sum(1 for stat in per if stat.winner == PARTY_A)
+    seats_a = sum(stat.a_wins for stat in per)
     return PlanStats(per, total_abs, normalized, seats_a, len(per) - seats_a)
 
 

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import PlanStats, VoteCounts, total_effgap
+from .core import PlanStats, Report, VoteCounts, total_effgap
 
 NodeKey = tuple[int, str]
 
@@ -77,12 +77,6 @@ class CountyGraph:
     def total_votes(self) -> VoteCounts:
         party_a = sum(self.node_a)
         return VoteCounts(party_a, sum(self.node_pop) - party_a)
-
-
-@dataclass(frozen=True)
-class PlanReport:
-    ok: bool
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -266,29 +260,29 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     return IngestResult(graph, label, tuple(warnings))
 
 
-def validate_plan(graph: CountyGraph, dist: list[int]) -> PlanReport:
+def validate_plan(graph: CountyGraph, dist: list[int]) -> Report:
     """Full check: cover, non-empty connected districts, the graph's population bounds."""
     if len(dist) != len(graph.nodes):
-        return PlanReport(False, "assignment does not cover the graph")
+        return Report(False, "assignment does not cover the graph")
     pops = dict.fromkeys(graph.district_ids, 0)
     assigned: dict[int, set[int]] = {d: set() for d in graph.district_ids}
     for i, (d, pop) in enumerate(zip(dist, graph.node_pop)):
         if d not in pops:
-            return PlanReport(False, f"node assigned to unknown district {d}")
+            return Report(False, f"node assigned to unknown district {d}")
         pops[d] += pop
         assigned[d].add(i)
     for d, members in assigned.items():
         if not members:
-            return PlanReport(False, f"district {d} empty")
+            return Report(False, f"district {d} empty")
         if not _reaches(graph.adj, dist, d, next(iter(members)), (), members):
-            return PlanReport(False, f"district {d} disconnected")
+            return Report(False, f"district {d} disconnected")
         pop = pops[d]
         if not graph.pop_lo <= pop <= graph.pop_hi:
-            return PlanReport(
+            return Report(
                 False,
                 f"district {d} population {pop} outside [{graph.pop_lo}, {graph.pop_hi}]",
             )
-    return PlanReport(True)
+    return Report(True)
 
 
 def district_votes(graph: CountyGraph, dist: list[int]) -> dict[int, VoteCounts]:

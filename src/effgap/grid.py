@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .core import VoteCounts, ZERO_VOTES, district_effgap
+from .core import Report, VoteCounts, ZERO_VOTES, district_effgap
 
 Cell = tuple[int, int]
 
@@ -82,13 +82,6 @@ class GridPartition:
     labels: Mapping[Cell, int]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    reason: str | None = None
-    witness: Cell | None = None
-
-
 _BIT = (1).__lshift__  # _BIT(i) is the mask of bit i
 
 
@@ -96,10 +89,9 @@ class _MaskIndex:
     """Bitmask view of a node set with an adjacency, for fast subset enumeration.
 
     Bit i stands for ``cell_at[i]``, a node key, or None for a bit that is
-    no node; ``index`` maps each key to its bit, ``cells`` lists the keys
-    in bit order and ``full`` holds their bits.  ``adj[i]`` is the mask of
-    bit i's neighbours, and ``pop`` and ``party_a`` read 0 at bits that
-    are no node.  A county graph's index is built from ``graph.nodes``,
+    no node; ``index`` maps each key to its bit, in bit order, and ``full``
+    holds their bits.  ``adj[i]`` is the mask of bit i's neighbours, and
+    ``pop`` and ``party_a`` read 0 at bits that are no node.  A county graph's index is built from ``graph.nodes``,
     each node's votes and ``graph.adj``; a polygon's comes from
     ``of_polygon`` and is cached as ``GridPolygon.mask_index``.
     """
@@ -112,7 +104,6 @@ class _MaskIndex:
     ):
         self.cell_at = list(keys)
         self.index = {key: i for i, key in enumerate(keys) if key is not None}
-        self.cells = list(self.index)
         self.full = sum(1 << i for i in self.index.values())
         self.pop = [0 if key is None else votes[key].population() for key in keys]
         self.party_a = [0 if key is None else votes[key].party_a for key in keys]
@@ -177,7 +168,7 @@ class _MaskIndex:
         return VoteCounts(a, pop - a)
 
 
-def validate_polygon(p: GridPolygon) -> ValidationReport:
+def validate_polygon(p: GridPolygon) -> Report:
     """Check 4-connectivity and hole-freeness; reports the first violation.
 
     The witness is the smallest offending cell: the smallest cell not
@@ -185,12 +176,12 @@ def validate_polygon(p: GridPolygon) -> ValidationReport:
     bounding box that the box border does not reach through empty cells.
     """
     if not p.votes:
-        return ValidationReport(False, "empty", None)
+        return Report(False, "empty")
     idx = p.mask_index
     full = idx.full
     lost = full & ~idx.flood(full & -full, full)
     if lost:
-        return ValidationReport(False, "disconnected", idx.cell_at[(lost & -lost).bit_length() - 1])
+        return Report(False, "disconnected", idx.cell_at[(lost & -lost).bit_length() - 1])
     # Every empty cell outside the bounding box reaches the grid's outside
     # through empty cells, so a hole is an empty cell of the box that the
     # box border cannot reach.
@@ -198,8 +189,8 @@ def validate_polygon(p: GridPolygon) -> ValidationReport:
     hole = empty & ~idx.flood(empty & idx.border, empty)
     if hole:
         r, c = divmod((hole & -hole).bit_length() - 1, idx.width)
-        return ValidationReport(False, "hole", (idx.top + r, idx.left + c))
-    return ValidationReport(True)
+        return Report(False, "hole", (idx.top + r, idx.left + c))
+    return Report(True)
 
 
 def population_window(total_pop: int, kappa: int, delta: Fraction | None = None) -> tuple[int, int]:
@@ -226,7 +217,7 @@ def population_window(total_pop: int, kappa: int, delta: Fraction | None = None)
 
 def validate_partition(
     p: GridPolygon, q: GridPartition, kappa: int, window: tuple[int, int] | None = None
-) -> ValidationReport:
+) -> Report:
     """Check cover, disjointness, connectivity, label count and populations.
 
     kappa must satisfy 1 <= kappa <= |P|; the population window defaults
@@ -239,11 +230,11 @@ def validate_partition(
     if labelled != cells:
         missing = cells - labelled
         if missing:
-            return ValidationReport(False, "cell not labelled", min(missing))
-        return ValidationReport(False, "label for cell outside polygon", min(labelled - cells))
+            return Report(False, "cell not labelled", min(missing))
+        return Report(False, "label for cell outside polygon", min(labelled - cells))
     for cell, lab in q.labels.items():
         if not 1 <= lab <= kappa:
-            return ValidationReport(False, f"label {lab} outside 1..{kappa}", cell)
+            return Report(False, f"label {lab} outside 1..{kappa}", cell)
     lo, hi = window or population_window(p.total_votes().population(), kappa)
     idx = p.mask_index
     masks = [0] * (kappa + 1)
@@ -252,16 +243,16 @@ def validate_partition(
     for lab in range(1, kappa + 1):
         mask = masks[lab]
         if not mask:
-            return ValidationReport(False, f"label {lab} empty", None)
+            return Report(False, f"label {lab} empty")
         first = idx.cell_at[(mask & -mask).bit_length() - 1]
         if not idx.connected(mask):
-            return ValidationReport(False, f"label {lab} disconnected", first)
+            return Report(False, f"label {lab} disconnected", first)
         pop = idx.votes(mask).population()
         if not lo <= pop <= hi:
-            return ValidationReport(
+            return Report(
                 False, f"label {lab} population {pop} outside [{lo}, {hi}]", first
             )
-    return ValidationReport(True)
+    return Report(True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +350,7 @@ def _enumerate_mask_partitions(
     replayed.  Below kappa 4 one class comes before the split, so every
     remainder is new and nothing is kept.
     """
-    if lo > hi or idx.full == 0 or kappa > len(idx.cells):
+    if lo > hi or idx.full == 0 or kappa > len(idx.index):
         return
     splits: dict[int, list[tuple[int, int]]] = {}  # remainder -> its valid two-class splits
 

@@ -63,8 +63,8 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .core import won_by_a
-from .county import CountyGraph, NodeKey, PlanReport, _reaches, validate_plan
+from .core import Report, won_by_a
+from .county import CountyGraph, NodeKey, _reaches, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
@@ -195,7 +195,7 @@ def source_rejection(graph: CountyGraph, dist: list[int], i: int, source_pop: in
     return None
 
 
-def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> PlanReport:
+def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> Report:
     """Check a single-node reassignment.
 
     Legal when the target is a neighbor's district, the source district
@@ -210,9 +210,9 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
     source = dist[i]
     if target == source:
-        return PlanReport(False, "target equals current district")
+        return Report(False, "target equals current district")
     if target not in {dist[j] for j in graph.adj[i]}:
-        return PlanReport(False, "target district not adjacent to node")
+        return Report(False, "target district not adjacent to node")
     source_pop = target_pop = 0
     for d, p in zip(dist, graph.node_pop):
         if d == source:
@@ -221,10 +221,10 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
             target_pop += p
     reason = source_rejection(graph, dist, i, source_pop)
     if reason is not None:
-        return PlanReport(False, reason)
+        return Report(False, reason)
     if target_pop > graph.pop_hi - graph.node_pop[i]:
-        return PlanReport(False, "target above population bound")
-    return PlanReport(True)
+        return Report(False, "target above population bound")
+    return Report(True)
 
 
 def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int]]:

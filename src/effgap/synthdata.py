@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import VoteCounts, district_effgap, winner, PARTY_A
+from .core import VoteCounts, a_wins, district_effgap
 
 TOTAL_POP = 1_000_000
 
@@ -288,8 +288,7 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
         vp = sum(node_pop[cell] for cell in cells_of[b])
         if (va, vp) != (votes_a[b], pops[b]):
             raise AssertionError(f"district {b} aggregates drifted")
-        is_winner = winner(VoteCounts(va, vp - va)) == PARTY_A
-        if is_winner != (b in winners):
+        if a_wins(VoteCounts(va, vp - va)) != (b in winners):
             raise AssertionError(f"district {b} winner flipped by rounding")
     signed = sum(
         district_effgap(VoteCounts(votes_a[b], pops[b] - votes_a[b])) for b in range(kappa)

@@ -5,19 +5,22 @@ single vertical segment.  The DP sweeps columns left to right.  A state
 key holds one ``(party_a, party_b, status, interval)`` tuple per
 district label: the label's accumulated vote totals, its lifecycle
 status and its segment in the current column.  A step cuts the next
-column's cells into labelled segments, listed top to bottom as
-``((label, interval), ...)``.  Two contiguity rules beyond the vote
-recurrence keep every district connected: a label active in consecutive
-columns must overlap by at least one row, and a label that has gone
-inactive never reappears.
+column's cells into segments, top to bottom, and gives each to a label.
+Two contiguity rules beyond the vote recurrence keep every district
+connected: a label active in consecutive columns must overlap by at
+least one row, and a label that has gone inactive never reappears.
 
 ``transition_feasible`` states that single-step rule on a key and its
-segments, independently of the solver.  ``solve_yconvex`` applies it to
-the same tuples: each column's segments, grouped by top row and with
-vote totals from prefix sums, are tabulated once per solve.  A step
-builds the column's segments from the top row down and gives each to a
-continuing label or a new one.  Continuing labels can only be taken in
-the order of their previous intervals (``_successors`` has the proof),
+segments, written ``((label, interval), ...)``, independently of the
+solver.  ``solve_yconvex`` builds the same state keys: each column's
+segments, grouped by top row and with vote totals from prefix sums, are
+tabulated once per solve.  A step builds the column's segments from the
+top row down and gives each to a continuing label or a new one.  The
+solver keeps a cut as one record, ``((label index, segment), ...)`` top
+to bottom, with label index + 1 the label and the segment's first field
+its interval; the same record serves the successor keys, the
+back-pointers and the witness.  Continuing labels can only be taken in
+the order of their previous intervals (``_walk`` has the proof),
 so the walk never tries a label it has passed, and it stops as soon as
 it passes one still short of the district population.  A segment joins
 a label only while that label stays within the district population, so
@@ -160,7 +163,7 @@ def _column_table(p: GridPolygon, column: int, target: int) -> list[list[tuple]]
 def _successors(
     key: tuple, table: list[list[tuple]], walks: dict[tuple, list[tuple]], kappa: int, target: int
 ) -> list[tuple]:
-    """Successor keys of one state key, with the segments that produce them.
+    """Successor keys of one state key, with the cuts that produce them.
 
     Segments are built from the top row down.  Each continues an
     overlapping active label or starts the next unused one, so
@@ -173,9 +176,9 @@ def _successors(
     intervals, indices and room below the target, and the number of labels
     used.  Keys with one layout differ only in their vote totals, so each
     layout is walked once per column, kept in ``walks`` (the column's
-    layout -> walk memo), and every key of it gets the same segments in the
-    same order.  Returns
-    ``(successor key, ((label, interval), ...))`` pairs.
+    layout -> walk memo), and every key of it gets the same cuts in the
+    same order.  Returns ``(successor key, cut)`` pairs, each cut the
+    ``((label index, segment), ...)`` record of ``_walk``.
     """
     active = []  # (previous interval, index, room below the target), sorted top to bottom
     base = list(key)  # every active label finished
@@ -192,18 +195,18 @@ def _successors(
     if cuts is None:
         cuts = walks[layout] = _walk(active, used, table, kappa)
     out = []
-    for chosen, segments in cuts:
+    for cut in cuts:
         new = base[:]
-        for idx, (interval, a, b, _) in chosen:
+        for idx, (interval, a, b, _) in cut:
             st = key[idx]
             new[idx] = (st[0] + a, st[1] + b, ACTIVE, interval)
-        out.append((tuple(new), segments))
+        out.append((tuple(new), cut))
     return out
 
 
 def _walk(active: list[tuple], used: int, table: list[list[tuple]], kappa: int) -> list[tuple]:
-    """Every way to cut the column for one layout of ``_successors``, as
-    ``(((label index, segment), ...), ((label, interval), ...))`` pairs.
+    """Every way to cut the column for one layout of ``_successors``, each
+    as ``((label index, segment), ...)`` top to bottom.
 
     Continuing labels are taken in the order of their previous intervals.
     Suppose segment s1 lies above s2, s1 continues label I, s2 continues
@@ -228,17 +231,14 @@ def _walk(active: list[tuple], used: int, table: list[list[tuple]], kappa: int) 
         short[q] = min(active[q][0][1], hi) if active[q][2] else short[q + 1]
     out: list[tuple] = []
     chosen: list[tuple[int, tuple]] = []  # (label index, segment), top to bottom
-    labelled: list[tuple[int, Interval]] = []  # (label, interval), top to bottom
 
     def take(label: int, seg: tuple, q: int, next_new: int) -> None:
         chosen.append((label, seg))
-        labelled.append((label + 1, seg[0]))
         if seg[3] == end:
-            out.append((tuple(chosen), tuple(labelled)))
+            out.append(tuple(chosen))
         else:
             walk(seg[3], q, next_new)
         chosen.pop()
-        labelled.pop()
 
     def walk(j: int, q: int, next_new: int) -> None:
         segments = table[j]
@@ -292,7 +292,7 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
 
     frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
     # One dict per column maps each of its state keys to the key before it
-    # and the segments between them; its keys are the column's frontier.
+    # and the cut between them; its keys are the column's frontier.
     # Identical keys can recur across columns when columns carry no
     # population, so the backpointers are not pooled.
     backs: list[dict[tuple, tuple[tuple, tuple]]] = []
@@ -311,9 +311,9 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
         prev_col = col
         back: dict[tuple, tuple[tuple, tuple]] = {}
         for key in sorted(frontier):
-            for nkey, segments in _successors(key, table, walks, kappa, target):
+            for nkey, cut in _successors(key, table, walks, kappa, target):
                 if nkey not in back:
-                    back[nkey] = (key, segments)
+                    back[nkey] = (key, cut)
         del table, walks  # freed before the vote vectors are counted
         backs.append(back)
         frontier = list(back)
@@ -338,8 +338,8 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     labels: dict[tuple[int, int], int] = {}
     key = best_key
     for col, back in zip(reversed(columns), reversed(backs)):
-        key, segments = back[key]
-        for lab, (top, bottom) in segments:
+        key, cut = back[key]
+        for idx, ((top, bottom), *_) in cut:
             for r in range(top, bottom + 1):
-                labels[(r, col)] = lab
+                labels[(r, col)] = idx + 1
     return YConvexResult(best_value, GridPartition(labels), max_states, max_vectors)

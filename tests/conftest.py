@@ -11,14 +11,13 @@ import random
 import pytest
 
 from effgap import grid
-from effgap.core import ZERO_VOTES, VoteCounts, district_effgap
+from effgap.core import ZERO_VOTES, Report, VoteCounts, district_effgap
 from effgap.county import (
     CSV_COLUMNS,
     CountyGraph,
     IngestError,
     IngestResult,
     NodeKey,
-    PlanReport,
     _reaches,
 )
 from effgap.grid import Cell, GridPartition, GridPolygon, _MaskIndex, validate_polygon
@@ -284,6 +283,14 @@ def random_county_csv(seed: int, nodes: int, kappa: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def oracle_graphs() -> list[str]:
+    """Thirty county graphs small enough for the exhaustive oracle."""
+    graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
+    graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
+    graphs += [random_county_csv(100 + s, 13 + s % 6, 2 + s % 3) for s in range(10)]
+    return graphs
+
+
 def partition_county_csv(p: GridPolygon, q: GridPartition) -> str:
     """County CSV of a polygon cut by a partition, one node per cell.
 
@@ -440,31 +447,31 @@ def ingest_reference(text: str) -> IngestResult:
     return IngestResult(graph, plan, tuple(warnings))
 
 
-def validate_plan_reference(graph: CountyGraph, dist: list[int]) -> PlanReport:
+def validate_plan_reference(graph: CountyGraph, dist: list[int]) -> Report:
     """Reference plan check on a key -> district dict, summing one VoteCounts per node."""
     if len(dist) != len(graph.nodes):
-        return PlanReport(False, "assignment does not cover the graph")
+        return Report(False, "assignment does not cover the graph")
     recomputed: dict[int, VoteCounts] = {d: ZERO_VOTES for d in graph.district_ids}
     assigned: dict[int, set[NodeKey]] = {d: set() for d in graph.district_ids}
     votes = node_votes(graph)
     for key, d in assignment(graph, dist).items():
         if d not in recomputed:
-            return PlanReport(False, f"node assigned to unknown district {d}")
+            return Report(False, f"node assigned to unknown district {d}")
         recomputed[d] = recomputed[d] + votes[key]
         assigned[d].add(key)
     for d in graph.district_ids:
         members = assigned[d]
         if not members:
-            return PlanReport(False, f"district {d} empty")
+            return Report(False, f"district {d} empty")
         if not county_connected(graph, members):
-            return PlanReport(False, f"district {d} disconnected")
+            return Report(False, f"district {d} disconnected")
         pop = recomputed[d].population()
         if not graph.pop_lo <= pop <= graph.pop_hi:
-            return PlanReport(
+            return Report(
                 False,
                 f"district {d} population {pop} outside [{graph.pop_lo}, {graph.pop_hi}]",
             )
-    return PlanReport(True)
+    return Report(True)
 
 
 def _source_rejection_reference(sums: _PlanSums, node: NodeKey) -> str | None:
@@ -566,7 +573,7 @@ def toy_county_csv() -> str:
 # ---------------------------------------------------------------------------
 
 
-def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> PlanReport:
+def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> Report:
     """``move_is_legal`` as a whole-plan check: it builds a ``ReplicaState``,
     summing every district and W, and reads the two populations from it."""
     i = graph.index.get(node)
@@ -574,20 +581,20 @@ def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, 
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
     state = ReplicaState(graph, dist)
     if target == dist[i]:
-        return PlanReport(False, "target equals current district")
+        return Report(False, "target equals current district")
     if target not in {dist[j] for j in graph.adj[i]}:
-        return PlanReport(False, "target district not adjacent to node")
+        return Report(False, "target district not adjacent to node")
     source = dist[i]
     linked = [j for j in graph.adj[i] if dist[j] == source]
     if not linked:
-        return PlanReport(False, "district emptied")
+        return Report(False, "district emptied")
     if state.pop[source] - graph.node_pop[i] < graph.pop_lo:
-        return PlanReport(False, "source below population bound")
+        return Report(False, "source below population bound")
     if not _reaches(graph.adj, dist, source, linked[0], (i,), linked[1:]):
-        return PlanReport(False, "source disconnected")
+        return Report(False, "source disconnected")
     if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
-        return PlanReport(False, "target above population bound")
-    return PlanReport(True)
+        return Report(False, "target above population bound")
+    return Report(True)
 
 
 def enumerate_mask_partitions_reference(idx: _MaskIndex, kappa: int, lo: int, hi: int):
@@ -596,7 +603,7 @@ def enumerate_mask_partitions_reference(idx: _MaskIndex, kappa: int, lo: int, hi
     ``grid._connected_submasks`` is looked up at each call, so a test can
     count the walks of this reference and of the oracle alike.
     """
-    if lo > hi or idx.full == 0 or kappa > len(idx.cells):
+    if lo > hi or idx.full == 0 or kappa > len(idx.index):
         return
 
     def rec(remaining: int, pop_left: int, parts_left: int, acc: tuple[int, ...]):
@@ -686,6 +693,12 @@ def column_table_reference(p: GridPolygon, column: int, kappa: int, target: int)
             else:
                 table.append(tuple(cut))
     return table
+
+
+def cut_segments(cut: tuple) -> tuple:
+    """A y-convex solver cut, ``((label index, segment), ...)``, as the
+    ``((label, interval), ...)`` segments of ``transition_feasible``."""
+    return tuple((idx + 1, seg[0]) for idx, seg in cut)
 
 
 def successors_reference(key: tuple, table: list[tuple], kappa: int, target: int) -> list[tuple]:

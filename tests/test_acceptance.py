@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and a second line for criterion 9, the search against the exact optimum.
 
 Criteria 9 and 10 run against the synthetic state fixtures because the
 published county spreadsheets are no longer reliably downloadable; the
@@ -20,6 +21,8 @@ from effgap.core import (
 )
 from effgap.county import ingest, plan_stats, validate_plan
 from effgap.grid import (
+    _masks_to_partition,
+    _optimum,
     brute_force_opt,
     enumerate_equipartitions,
     gen_hardness_instance,
@@ -31,6 +34,8 @@ from effgap.synthdata import STATE_PROFILES, synth_state_csv
 from effgap.yconvex import is_yconvex_partition, solve_yconvex
 from conftest import (
     cells_connected,
+    county_index,
+    oracle_graphs,
     partition_vote_totals,
     random_column_polygon,
     random_even_rect,
@@ -360,6 +365,37 @@ def test_criterion_9_search_reduces_gap():
             f"{elapsed:.1f}s)"
         )
     report(9, ok, "; ".join(details))
+
+
+def test_search_never_beats_the_exact_optimum():
+    """The exhaustive oracle, run on a county graph's own mask index in the
+    plan's frozen window, is a lower bound on every replica's final gap (its
+    plan in that window), and each of its optima is a valid plan whose gap
+    is that optimum.  How often the search reaches the optimum is reported,
+    with no threshold."""
+    graphs = oracle_graphs()
+    hits = still = optima = 0
+    for seed, text in enumerate(graphs):
+        res = ingest(text)
+        graph, plan = res.graph, res.plan
+        idx = county_index(graph)
+        best, argmin = _optimum(idx, len(graph.district_ids), graph.pop_lo, graph.pop_hi)
+        assert best is not None  # the ingested plan is in its own window
+        cfg = SearchConfig(mu=100, k=min(8, len(graph.nodes) - 1), seed=seed, replicas=2)
+        result = run(graph, plan, cfg)
+        for trace in result.traces:
+            assert validate_plan(graph, trace.final_plan).ok, seed
+            assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
+        for masks in argmin:
+            labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
+            opt = [graph.district_ids[labels[key] - 1] for key in graph.nodes]
+            assert validate_plan(graph, opt).ok, (seed, masks)
+            assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
+        optima += len(argmin)
+        hits += result.traces[result.best_replica].final_scaled == best
+        still += not any(trace.moves for trace in result.traces)
+    report(9, True, f"search never beat the exact optimum on {len(graphs)} oracle graphs "
+                    f"({optima} optima checked); it reached the optimum on {hits} and made no move on {still}")
 
 
 def test_criterion_10_ingestion_reproduces_table():

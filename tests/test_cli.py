@@ -121,18 +121,23 @@ def test_a_module_loads_only_what_it_imports(module, loaded):
     assert out.stdout == f"{loaded}\n"
 
 
-@pytest.mark.parametrize("graph", ["toy", "WI"])
-def test_spawned_replica_workers_match_one_process(tmp_path, graph):
-    """Under the spawn start method (macOS's default) a worker imports the
-    package afresh and receives its state pickled; --jobs 2 must still write
-    the traces and plan of --jobs 1, and start one worker."""
+@pytest.mark.parametrize("graph, method", [
+    ("toy", "spawn"), ("WI", "spawn"), ("toy", "forkserver"), ("WI", "forkserver"),
+], ids=["toy", "WI", "toy-forkserver", "WI-forkserver"])
+def test_spawned_replica_workers_match_one_process(tmp_path, graph, method):
+    """Under the spawn start method (macOS's default) and forkserver
+    (Linux's from Python 3.14) a worker imports the package afresh and
+    receives its state pickled; --jobs 2 must still write the traces and
+    plan of --jobs 1, and start one worker."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
     data = tmp_path / "data.csv"
     data.write_text(TOY_COUNTY_CSV if graph == "toy" else synth_state_csv("WI", 0))
     extra = ["--k", "3", "--mu", "10"] if graph == "toy" else []
     code = f"""\
 import contextlib, io, multiprocessing
 import effgap.cli
-multiprocessing.set_start_method("spawn")
+multiprocessing.set_start_method({method!r})
 started = []
 start = multiprocessing.Process.start
 multiprocessing.Process.start = lambda self: (started.append(1), start(self))[1]
@@ -145,7 +150,7 @@ print(multiprocessing.get_start_method(), len(started))
 """
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_package_env(),
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "spawn 1\n"
+    assert out.stdout == f"{method} 1\n"
     for name in ("trace1.txt", "plan1.csv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2")).read_bytes()
     assert (tmp_path / "trace1.txt").read_text().count("replica=") == 4

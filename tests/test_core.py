@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from effgap.core import (
-    PARTY_A,
-    PARTY_B,
     VoteCounts,
+    a_wins,
     attainable_values,
     district_effgap,
     margin_identity,
     total_effgap,
     wasted_votes,
-    winner,
     won_by_a,
 )
 
@@ -31,9 +29,9 @@ def wasted_votes_oracle(a: int, b: int) -> Fraction:
 
 
 def test_winner_majority_and_tie():
-    assert winner(VoteCounts(60, 40)) == PARTY_A
-    assert winner(VoteCounts(50, 50)) == PARTY_A  # tie rule
-    assert winner(VoteCounts(40, 60)) == PARTY_B
+    assert a_wins(VoteCounts(60, 40))
+    assert a_wins(VoteCounts(50, 50))  # tie rule
+    assert not a_wins(VoteCounts(40, 60))
 
 
 @pytest.mark.parametrize("a, b", [(50, 50), (51, 50), (50, 51), (0, 0), (0, 1), (1, 0), (3, 4), (4, 3)])
@@ -43,10 +41,11 @@ def test_won_by_a_keeps_the_tie_rule_of_winner_and_district_effgap(a, b):
     v = VoteCounts(a, b)
     pop = v.population()
     won = won_by_a(a, pop)
-    assert won == (pop if winner(v) == PARTY_A else 0)
+    assert won == (pop if a_wins(v) else 0)
+    assert district_effgap(v) == (4 * a - 3 * pop if a_wins(v) else 4 * a - pop)
     assert district_effgap(v) == 4 * a - pop - 2 * won  # the margin identity, one district
     if pop == 0:
-        assert winner(v) == PARTY_A and won == 0
+        assert a_wins(v) and won == 0
 
 
 def test_district_effgap_matches_wasted_vote_arithmetic():
@@ -69,10 +68,17 @@ def test_district_effgap_tie_equals_minus_loser():
 
 
 def test_wasted_votes_halves():
-    wa, wb = wasted_votes(VoteCounts(60, 40))
-    assert (wa, wb) == (Fraction(10), Fraction(40))
-    wa, wb = wasted_votes(VoteCounts(20, 25))
-    assert (wa, wb) == (Fraction(20), Fraction(5, 2))
+    # Scaled by 2: A wastes 10 and B 40; then A wastes 20 and B 5/2.
+    assert wasted_votes(VoteCounts(60, 40)) == (20, 80)
+    assert wasted_votes(VoteCounts(20, 25)) == (40, 5)
+
+
+def test_scaled_wasted_votes_differ_by_the_scaled_gap():
+    for a in range(13):
+        for b in range(13):
+            v = VoteCounts(a, b)
+            wa, wb = wasted_votes(v)
+            assert wa - wb == district_effgap(v), (a, b)
 
 
 def test_effgap_bound():

@@ -227,7 +227,7 @@ def test_connected_submask_enumeration_matches_powerset():
     seed = 0
     allowed = (1 << 9) - 1
     mine = {mask for mask, _ in _connected_submasks(idx, seed, allowed, 10**9)}
-    cells = idx.cells
+    cells = list(idx.index)
     naive = set()
     for size in range(1, 10):
         for combo in combinations(range(9), size):

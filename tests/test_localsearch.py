@@ -13,7 +13,7 @@ import pytest
 
 from effgap import localsearch
 from effgap.core import district_effgap
-from effgap.grid import _masks_to_partition, _optimum, gen_hardness_instance, subset_sum_oracle
+from effgap.grid import gen_hardness_instance, subset_sum_oracle
 from effgap.county import (
     district_votes,
     ingest,
@@ -36,11 +36,10 @@ from effgap.yconvex import solve_yconvex
 from conftest import (
     TOY_COUNTY_CSV,
     county_grid_csv,
-    county_index,
     move_is_legal_reference,
     needs_fork,
+    oracle_graphs,
     partition_county_csv,
-    random_county_csv,
     run_reference,
 )
 
@@ -618,44 +617,6 @@ def test_state_gap_is_sum_of_district_effgaps():
                 ties += sum(2 * v.party_a == v.population() for v in votes)
                 moves += 1
     assert plans == 3 * len(DIFFERENTIAL_GRAPHS) and ties and moves >= 200, (plans, ties, moves)
-
-
-def oracle_graphs() -> list[str]:
-    """Thirty county graphs small enough for the exhaustive oracle."""
-    graphs = [county_grid_csv(seed, side=4, bands=2) for seed in range(10)]
-    graphs += [random_county_csv(seed, 6 + seed % 7, 2 + seed % 3) for seed in range(10)]
-    graphs += [random_county_csv(100 + s, 13 + s % 6, 2 + s % 3) for s in range(10)]
-    return graphs
-
-
-def test_search_never_beats_the_exact_optimum():
-    """The exhaustive oracle, run on a county graph's own mask index in the
-    plan's frozen window, is a lower bound on every replica's final gap (its
-    plan in that window), and each of its optima is a valid plan whose gap
-    is that optimum."""
-    graphs = oracle_graphs()
-    hits = still = optima = 0
-    for seed, text in enumerate(graphs):
-        res = ingest(text)
-        graph, plan = res.graph, res.plan
-        idx = county_index(graph)
-        best, argmin = _optimum(idx, len(graph.district_ids), graph.pop_lo, graph.pop_hi)
-        assert best is not None  # the ingested plan is in its own window
-        cfg = SearchConfig(mu=100, k=min(8, len(graph.nodes) - 1), seed=seed, replicas=2)
-        result = run(graph, plan, cfg)
-        for trace in result.traces:
-            assert validate_plan(graph, trace.final_plan).ok, seed
-            assert best <= trace.final_scaled <= trace.initial_scaled, (seed, best)
-        for masks in argmin:
-            labels = _masks_to_partition(idx, masks).labels  # class j + 1 is mask j
-            opt = [graph.district_ids[labels[key] - 1] for key in graph.nodes]
-            assert validate_plan(graph, opt).ok, (seed, masks)
-            assert plan_stats(graph, opt).total_scaled_abs == best, (seed, masks)
-        optima += len(argmin)
-        hits += result.traces[result.best_replica].final_scaled == best
-        still += not any(trace.moves for trace in result.traces)
-    print(f"search reached the optimum on {hits} of {len(graphs)} graphs "
-          f"and made no move on {still}; {optima} optima checked")
 
 
 def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monkeypatch):

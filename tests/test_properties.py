@@ -1,4 +1,5 @@
-"""Property tests of the exact solvers, on examples drawn by hypothesis.
+"""Property tests of the exact solvers and the local search, on examples
+drawn by hypothesis.
 
 The draws are derandomized and no example database is kept, so every run
 tries the same examples.
@@ -10,9 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from effgap.core import VoteCounts, total_effgap  # noqa: E402
+from effgap.county import ingest, validate_plan  # noqa: E402
 from effgap.grid import GridPolygon, _connected_submasks, _MaskIndex, enumerate_equipartitions  # noqa: E402
+from effgap.localsearch import ReplicaState, SearchConfig, run, run_iteration  # noqa: E402
 from effgap.yconvex import is_yconvex_partition, solve_yconvex  # noqa: E402
-from conftest import partition_vote_totals  # noqa: E402
+from conftest import partition_vote_totals, random_county_csv  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -113,3 +116,27 @@ def test_pruned_walk_keeps_exactly_the_valid_submasks(graph, data):
     pruned = list(_connected_submasks(idx, seed, allowed, cap, whole_rest=True))
     assert valid(pruned) == valid(full_walk)
     assert set(pruned) <= set(full_walk)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.integers(0, 2**16), st.integers(8, 24), st.integers(2, 4), st.data())
+def test_local_search_keeps_its_invariants(graph_seed, nodes, kappa, data):
+    """Every move strictly lowers the gap and leaves a valid plan, each
+    trace ends at its last move's gap and plan, and a replica that stopped
+    early can move no node at all from its final plan."""
+    res = ingest(random_county_csv(graph_seed, nodes, kappa))
+    graph = res.graph
+    cfg = SearchConfig(mu=data.draw(st.integers(1, 30)), k=data.draw(st.integers(1, nodes - 1)),
+                       seed=data.draw(st.integers(0, 1000)), replicas=2)
+    for trace in run(graph, res.plan, cfg).traces:
+        replay = list(res.plan)
+        last = trace.initial_scaled
+        for mv in trace.moves:
+            assert mv.before_scaled == last and mv.after_scaled < mv.before_scaled
+            replay[graph.index[mv.node]] = mv.to_district
+            assert validate_plan(graph, replay).ok
+            last = mv.after_scaled
+        assert last == trace.final_scaled and replay == trace.final_plan
+        if trace.stopped_at is not None:
+            state = ReplicaState(graph, trace.final_plan)
+            assert run_iteration(state, lambda k, n: range(n), cfg.mu, cfg.k) == []

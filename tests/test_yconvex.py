@@ -22,6 +22,7 @@ from effgap.yconvex import (
 from conftest import (
     cells_connected,
     column_table_reference,
+    cut_segments,
     partition_vote_totals,
     polygon,
     random_column_polygon,
@@ -305,7 +306,8 @@ def test_solver_steps_agree_with_transition_rule(monkeypatch):
         column_of.clear()
         solve_yconvex(p, kappa)
         for col, key, out in steps:
-            for nkey, segments in out:
+            for nkey, cut in out:
+                segments = cut_segments(cut)
                 step = transition_feasible(p, col, key, segments)
                 assert step.ok and step.state == nkey, (col, key, segments, step.reason)
                 checked += 1
@@ -350,6 +352,7 @@ def test_successors_match_reference(monkeypatch):
             column_of.clear()
             solve_yconvex(q, kappa)
             for col, key, out in steps:
+                out = [(nkey, cut_segments(cut)) for nkey, cut in out]
                 want = successors_reference(key, column_table_reference(q, col, kappa, target), kappa, target)
                 assert len(out) == len(set(out)) and set(out) == set(want), (col, key)
                 keys += 1
