@@ -155,13 +155,13 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
     jobs = args.jobs if args.jobs > 0 else _usable_cpus()
     run_result = run(graph, plan0, cfg, jobs=jobs)  # validates plan0
     before = total_effgap(list(district_votes(graph, plan0).values()))
-    after = plan_stats(graph, run_result.best_plan)
+    best_trace = run_result.traces[run_result.best_replica]
+    after = plan_stats(graph, best_trace.final_plan)
     out = [
         f"{'':10}  {'seats-D':>7}  {'seats-R':>7}  {'normalized gap':>15}",
         f"{'original':10}  {before.seats_a:>7}  {before.seats_b:>7}  {format_percent(before.normalized):>15}",
         f"{'new':10}  {after.seats_a:>7}  {after.seats_b:>7}  {format_percent(after.normalized):>15}",
     ]
-    best_trace = run_result.traces[run_result.best_replica]
     out.append(
         f"best replica: {run_result.best_replica} of {cfg.replicas}; "
         f"accepted moves: {len(best_trace.moves)}"
@@ -169,7 +169,7 @@ def cmd_localsearch(args: argparse.Namespace) -> tuple[int, dict, list[Path], st
     if args.exact:
         out.append(f"exact normalized gap: original {before.normalized}, new {after.normalized}")
     if args.plan_out:
-        Path(args.plan_out).write_text(write_plan_csv(graph, run_result.best_plan))
+        Path(args.plan_out).write_text(write_plan_csv(graph, best_trace.final_plan))
     if args.trace_out:
         Path(args.trace_out).write_text("".join(t.to_lines() for t in run_result.traces))
     summary = {

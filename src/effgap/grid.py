@@ -10,13 +10,13 @@ ground truth the other solvers are checked against; it is only meant for
 desk-scale instances (the default cap is ``ORACLE_CELL_LIMIT`` cells).
 
 The oracle, the polygon and partition checks and the canonical solver work
-on the bitmasks of ``_MaskIndex``, which pairs each bit with a node and
-its neighbours' mask, ``adj``.  ``_MaskIndex.flood`` reads only ``adj``,
-and it is the one connectivity routine.  A polygon's bits are the cells
-of its bounding box: cell (r, c) is bit r * width + c (rows and columns
-counted from the box's top-left corner), so bit order is sorted cell
-order and a full rectangle numbers its cells 0..m*n-1.  That layout fixes
-only the bit order and the hole check, which floods the box's empty
+on the bitmasks of ``_MaskIndex``, which takes its node tables in bit
+order: each node's key, party-A votes, population and neighbours' mask,
+``adj``.  ``_MaskIndex.flood`` reads only ``adj``, and it is the one
+connectivity routine.  Bit i is the i-th node in sorted order, for a
+polygon's cells as for a county graph's nodes, so a lowest-bit-first loop
+visits cells in sorted order and a full rectangle numbers its cells
+0..m*n-1.  The hole check floods an index of the bounding box's empty
 cells.  The oracle's enumeration and scoring, ``_optimum``, run as well
 on an index built from a county graph.  The enumeration walks each
 distinct two-class remainder once per call and replays its splits when
@@ -88,55 +88,38 @@ _BIT = (1).__lshift__  # _BIT(i) is the mask of bit i
 class _MaskIndex:
     """Bitmask view of a node set with an adjacency, for fast subset enumeration.
 
-    Bit i stands for ``cell_at[i]``, a node key, or None for a bit that is
-    no node; ``index`` maps each key to its bit, in bit order, and ``full``
-    holds their bits.  ``adj[i]`` is the mask of bit i's neighbours, and
-    ``pop`` and ``party_a`` read 0 at bits that are no node.  A county graph's index is built from ``graph.nodes``,
-    each node's votes and ``graph.adj``; a polygon's comes from
-    ``of_polygon`` and is cached as ``GridPolygon.mask_index``.
+    The tables run in bit order: bit i stands for the node ``cell_at[i]``,
+    with ``party_a[i]`` party-A votes, population ``pop[i]`` and the mask
+    ``adj[i]`` of its neighbours.  ``index`` maps each key to its bit and
+    ``full`` holds every bit.  A county graph's index is
+    ``_MaskIndex(graph.nodes, graph.node_a, graph.node_pop, graph.adj)``; a
+    polygon's comes from ``of_polygon`` and is cached as
+    ``GridPolygon.mask_index``.
     """
 
     def __init__(
         self,
-        keys: Sequence[Hashable | None],
-        votes: Mapping[Hashable, VoteCounts],
+        keys: Sequence[Hashable],
+        party_a: Sequence[int],
+        pop: Sequence[int],
         adj: Sequence[Iterable[int]],
     ):
         self.cell_at = list(keys)
-        self.index = {key: i for i, key in enumerate(keys) if key is not None}
-        self.full = sum(1 << i for i in self.index.values())
-        self.pop = [0 if key is None else votes[key].population() for key in keys]
-        self.party_a = [0 if key is None else votes[key].party_a for key in keys]
+        self.index = {key: i for i, key in enumerate(self.cell_at)}
+        self.full = (1 << len(self.cell_at)) - 1
+        self.party_a = party_a
+        self.pop = pop
         self.adj = [sum(map(_BIT, nbs)) for nbs in adj]
 
     @classmethod
     def of_polygon(cls, p: GridPolygon) -> "_MaskIndex":
-        """The polygon's index over its bounding box.
-
-        Cell (r, c) is bit ``(r - top) * width + (c - left)`` of the box,
-        so bits run in sorted cell order and a lowest-bit-first loop visits
-        cells in that order.  Each box bit's ``adj`` holds its 4-neighbours
-        in the box, empty cells included, which lets the hole check flood
-        the empty cells.  ``box`` holds every bit and ``border`` the box's
-        outer ring, the bits with fewer than four neighbours.
-        """
-        top = min((r for r, _ in p.votes), default=0)
-        left = min((c for _, c in p.votes), default=0)
-        width = max((c for _, c in p.votes), default=left) - left + 1
-        height = max((r for r, _ in p.votes), default=top) - top + 1
-        keys: list[Cell | None] = [None] * (height * width)
-        for r, c in p.votes:
-            keys[(r - top) * width + c - left] = (r, c)
-        adj = []
-        for i in range(height * width):
-            r, c = divmod(i, width)
-            sides = ((i - width, r > 0), (i - 1, c > 0), (i + 1, c < width - 1), (i + width, r < height - 1))
-            adj.append([j for j, inside in sides if inside])
-        idx = cls(keys, p.votes, adj)
-        idx.top, idx.left, idx.width = top, left, width
-        idx.box = (1 << len(keys)) - 1
-        idx.border = sum(1 << i for i, nbs in enumerate(adj) if len(nbs) < 4)
-        return idx
+        """The polygon's index: bit i is its i-th cell in sorted order, and
+        each cell's neighbours are its 4-neighbours in the polygon."""
+        cells = sorted(p.votes)
+        bit = {cell: i for i, cell in enumerate(cells)}
+        adj = [[bit[nb] for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)) if nb in bit] for r, c in cells]
+        votes = [p.votes[cell] for cell in cells]
+        return cls(cells, [v.party_a for v in votes], [v.population() for v in votes], adj)
 
     def flood(self, seed: int, within: int) -> int:
         """`seed` and the bits of `within` it reaches through bits of `within`."""
@@ -174,6 +157,7 @@ def validate_polygon(p: GridPolygon) -> Report:
     The witness is the smallest offending cell: the smallest cell not
     reached from the smallest cell, or else the smallest empty cell of the
     bounding box that the box border does not reach through empty cells.
+    The second check floods an index of the box's empty cells alone.
     """
     if not p.votes:
         return Report(False, "empty")
@@ -185,11 +169,21 @@ def validate_polygon(p: GridPolygon) -> Report:
     # Every empty cell outside the bounding box reaches the grid's outside
     # through empty cells, so a hole is an empty cell of the box that the
     # box border cannot reach.
-    empty = idx.box & ~full
-    hole = empty & ~idx.flood(empty & idx.border, empty)
-    if hole:
-        r, c = divmod((hole & -hole).bit_length() - 1, idx.width)
-        return Report(False, "hole", (idx.top + r, idx.left + c))
+    cells = idx.cell_at  # in sorted order
+    top, bottom = cells[0][0], cells[-1][0]
+    left, right = min(c for _, c in cells), max(c for _, c in cells)
+    empty = {
+        (r, c): ZERO_VOTES
+        for r in range(top, bottom + 1)
+        for c in range(left, right + 1)
+        if (r, c) not in p.votes
+    }
+    if empty:
+        gaps = _MaskIndex.of_polygon(GridPolygon(p.rows, p.cols, empty))
+        border = sum(1 << i for i, (r, c) in enumerate(gaps.cell_at) if r in (top, bottom) or c in (left, right))
+        hole = gaps.full & ~gaps.flood(border, gaps.full)
+        if hole:
+            return Report(False, "hole", gaps.cell_at[(hole & -hole).bit_length() - 1])
     return Report(True)
 
 
@@ -554,10 +548,6 @@ class HardnessInstance:
     kappa: int
     values_total: int  # sum of the generator's input values
     decoy_cells: tuple[Cell, ...] = field(default=())
-
-    @property
-    def decoy_count(self) -> int:
-        return len(self.decoy_cells)
 
 
 def gen_hardness_instance(

@@ -127,8 +127,7 @@ class SearchTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    best_plan: list[int]
-    best_replica: int
+    best_replica: int  # its trace's final_plan is the best plan
     traces: tuple[SearchTrace, ...]
 
 
@@ -396,4 +395,4 @@ def run(graph: CountyGraph, plan0: list[int], cfg: SearchConfig, jobs: int = 1) 
     state0 = ReplicaState(graph, plan0)
     traces = tuple(_run_replicas(state0, cfg, jobs))
     best = min(range(cfg.replicas), key=lambda i: (traces[i].final_scaled, i))
-    return RunResult(traces[best].final_plan, best, traces)
+    return RunResult(best, traces)

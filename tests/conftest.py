@@ -307,7 +307,7 @@ def partition_county_csv(p: GridPolygon, q: GridPartition) -> str:
 
 def county_index(graph: CountyGraph) -> _MaskIndex:
     """The oracle's mask index of a county graph: bit i is node i, ``graph.nodes[i]``."""
-    return _MaskIndex(graph.nodes, node_votes(graph), graph.adj)
+    return _MaskIndex(graph.nodes, graph.node_a, graph.node_pop, graph.adj)
 
 
 def assignment(graph: CountyGraph, dist: list[int]) -> dict[NodeKey, int]:
@@ -561,11 +561,6 @@ District,County_id,County,Republicans,Democrats,Neighbors
 2,B1,Gamma,50,10,"1:A1, 2:B2"
 2,B2,Delta,60,40,"1:A2, 2:B1"
 """
-
-
-@pytest.fixture
-def toy_county_csv() -> str:
-    return TOY_COUNTY_CSV
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_criterion_4_hardness_soundness_completeness():
         labels = res.partition.labels
         for cell in inst.decoy_cells:
             assert [c for c, lab in labels.items() if lab == labels[cell]] == [cell], values
-        decoys_seen += inst.decoy_count
+        decoys_seen += len(inst.decoy_cells)
     dp_elapsed = time.perf_counter() - started
     ok = agreements == 50 and brute_elapsed < 120 and dp_elapsed < 120
     report(
@@ -343,26 +343,29 @@ def test_criterion_9_search_reduces_gap():
     # synthesized state-scale graphs matching the published vote shares and
     # seat counts stand in, and the requirement is a >= 50% relative
     # reduction.  The gap the published run reached and the published-run
-    # thresholds are reported as context.
+    # thresholds are reported as context.  Every replica must also prove a
+    # local optimum and stop before mu runs out.
     thresholds_bp = {"WI": 600, "TX": 400, "VA": 600, "PA": 1200}
     details = []
     ok = True
     for code in STATES:
         res = ingest(synth_state_csv(code))
-        started = time.perf_counter()
         out = run(res.graph, res.plan, SearchConfig(mu=100, k=20, seed=20260810, replicas=10))
-        elapsed = time.perf_counter() - started
+        best_plan = out.traces[out.best_replica].final_plan
+        stops = [trace.stopped_at for trace in out.traces]
         before = plan_stats(res.graph, res.plan).normalized
-        after = plan_stats(res.graph, out.best_plan).normalized
-        assert validate_plan(res.graph, out.best_plan).ok
+        after = plan_stats(res.graph, best_plan).normalized
+        assert validate_plan(res.graph, best_plan).ok
         reduction = 1 - after / before
         within_published = after * 10000 <= thresholds_bp[code]
-        ok = ok and reduction >= Fraction(1, 2) and elapsed < 180
+        all_stopped = None not in stops
+        ok = ok and reduction >= Fraction(1, 2) and all_stopped
+        stopped = f"stopped at {min(stops)}-{max(stops)}" if all_stopped else f"{stops.count(None)} never stopped"
         details.append(
             f"{code} {float(before)*100:.2f}%->{float(after)*100:.2f}% "
             f"(published run {STATE_PROFILES[code].published_new_bp / 100:.2f}%, "
             f"cut {float(reduction)*100:.0f}%, published-threshold {'met' if within_published else 'missed'}, "
-            f"{elapsed:.1f}s)"
+            f"{stopped})"
         )
     report(9, ok, "; ".join(details))
 

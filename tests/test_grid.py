@@ -35,6 +35,7 @@ from conftest import (
     county_index,
     enumerate_mask_partitions_reference,
     neighbors4,
+    partition_county_csv,
     partition_vote_totals,
     polygon,
     random_county_csv,
@@ -237,8 +238,8 @@ def test_connected_submask_enumeration_matches_powerset():
                 naive.add(sum(1 << i for i in combo))
     assert mine == naive
 
-    # A diamond leaves grid bits unused and puts row ends next to the
-    # starts of the following rows in bit order.
+    # A diamond puts row ends next to the starts of the following rows in
+    # bit order.
     p = column_runs(4, ((1, 2), (0, 3), (0, 3), (1, 2)))
     idx = _MaskIndex.of_polygon(p)
     seed_cell = min(p.votes)
@@ -261,7 +262,8 @@ def test_mask_connectivity_matches_cell_search():
     p = polygon({cell: (0, 1) for cell in cells}, rows=4, cols=4)
     assert validate_polygon(p).ok
     idx = _MaskIndex.of_polygon(p)
-    assert idx.index[(1, 0)] == 4 and idx.index[(0, 3)] == 3
+    assert idx.cell_at == cells  # bit i is the i-th cell in sorted order
+    assert idx.index[(1, 0)] == 3 and idx.index[(0, 3)] == 2
     bit = {cell: 1 << idx.index[cell] for cell in cells}
     for wrap in (((0, 3), (1, 0)), ((1, 3), (2, 0))):
         assert not idx.connected(bit[wrap[0]] | bit[wrap[1]])
@@ -313,7 +315,8 @@ def _grid_graph_index(rng, p, extra):
         i, j = rng.sample(range(len(cells)), 2)
         adj[i].add(j)
         adj[j].add(i)
-    return _MaskIndex(cells, p.votes, [sorted(nbs) for nbs in adj])
+    votes = [p.votes[cell] for cell in cells]
+    return _MaskIndex(cells, [v.party_a for v in votes], [v.population() for v in votes], adj)
 
 
 def test_pruned_walk_keeps_every_valid_submask_in_order():
@@ -438,30 +441,40 @@ def test_two_class_remainders_are_walked_once(monkeypatch):
     assert len(walked) < len(reference_walks), (len(walked), len(reference_walks))
 
 
+def _classes(labels, cell_of=None):
+    """A partition's classes as a set of cell sets; `cell_of` maps node keys to cells."""
+    classes = {}
+    for key, lab in labels.items():
+        classes.setdefault(lab, set()).add(cell_of[key] if cell_of else key)
+    return frozenset(map(frozenset, classes.values()))
+
+
 def test_oracle_on_a_polygon_as_a_county_index():
-    """A polygon's optimum and optima do not depend on its bounding-box bit
-    layout: numbered densely, as a county graph's nodes are, the same
-    scoring gives the same partitions."""
+    """A polygon written as a one-district county CSV and ingested gives, on
+    the county graph's own index, the oracle's value and the same optima,
+    mapped back to cells: shapes with empty bounding-box cells and a
+    hardness gadget with a decoy, in exact and near windows."""
     shapes = [
         (column_runs(3, [(0, 2)] * 4, seed=1), (2, 3, 4)),
         (column_runs(2, [(0, 1)] * 6, seed=2), (2, 3)),
         (column_runs(4, [(0, 3)] * 3, seed=3), (2, 4)),
         (column_runs(4, ((1, 2), (0, 3), (0, 3), (1, 2)), seed=4), (2, 3, 4)),
+        (gen_hardness_instance([4, 8], decoy_count=1, seed=1).polygon, (3,)),
     ]
     optima = 0
     for p, kappas in shapes:
-        cells = sorted(p.votes)
-        number = {cell: i for i, cell in enumerate(cells)}
-        adj = [[number[nb] for nb in neighbors4(cell) if nb in number] for cell in cells]
-        dense = _MaskIndex(cells, p.votes, adj)
+        graph = ingest(partition_county_csv(p, GridPartition(dict.fromkeys(p.votes, 1)))).graph
+        idx = county_index(graph)
+        cell_of = {key: tuple(map(int, key[1][1:].split("c"))) for key in graph.nodes}
         total = p.total_votes().population()
         for kappa in kappas:
             for window in (population_window(total, kappa), population_window(total, kappa, Fraction(1, 8))):
                 res = brute_force_opt(p, kappa, window)
-                value, argmin = _optimum(dense, kappa, *window)
+                value, argmin = _optimum(idx, kappa, *window)
                 assert value == res.value, (kappa, window)
-                assert len(argmin) == len(res.partitions)
-                assert [_masks_to_partition(dense, m) for m in argmin] == list(res.partitions)
+                assert len(argmin) == len(res.optima)
+                county = {_classes(_masks_to_partition(idx, m).labels, cell_of) for m in argmin}
+                assert county == {_classes(q.labels) for q in res.partitions}
                 optima += len(argmin)
     assert optima >= 20, optima
 
@@ -662,7 +675,7 @@ def test_gadget_decoys_deterministic_and_hole_free():
     b = gen_hardness_instance([8, 16], decoy_count=3, seed=5)
     assert a.polygon.votes == b.polygon.votes
     assert validate_polygon(a.polygon).ok
-    assert a.kappa == 5 and a.decoy_count == 3
+    assert a.kappa == 5 and len(a.decoy_cells) == 3
     for cell in a.decoy_cells:
         v = a.polygon.votes[cell]
         assert v.population() == a.values_total

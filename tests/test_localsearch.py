@@ -182,7 +182,9 @@ def test_run_determinism_byte_identical():
     b = run(res.graph, res.plan, cfg)
     assert [t.to_lines() for t in a.traces] == [t.to_lines() for t in b.traces]
     assert a.best_replica == b.best_replica
-    assert write_plan_csv(res.graph, a.best_plan) == write_plan_csv(res.graph, b.best_plan)
+    assert write_plan_csv(res.graph, a.traces[a.best_replica].final_plan) == write_plan_csv(
+        res.graph, b.traces[b.best_replica].final_plan
+    )
 
 
 def test_final_never_worse_than_initial():
@@ -237,7 +239,6 @@ def test_parallel_replicas_match_sequential():
     assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
     assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
-    assert seq.best_plan == par.best_plan
     assert_final_gaps_match_plans(res.graph, seq, par)
 
 
@@ -304,7 +305,7 @@ def test_traces_match_pins(name):
     traces = "".join(t.to_lines() for t in result.traces)
     assert (
         hashlib.sha256(traces.encode()).hexdigest(),
-        hashlib.sha256(write_plan_csv(res.graph, result.best_plan).encode()).hexdigest(),
+        hashlib.sha256(write_plan_csv(res.graph, result.traces[result.best_replica].final_plan).encode()).hexdigest(),
     ) == TRACE_PINS[name]
 
 
@@ -381,7 +382,6 @@ def test_parallel_replicas_match_sequential_on_state():
     assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
     assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
-    assert seq.best_plan == par.best_plan
     assert_final_gaps_match_plans(res.graph, seq, par)
 
 
@@ -406,7 +406,6 @@ def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
     assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
     assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
     assert seq.best_replica == par.best_replica
-    assert seq.best_plan == par.best_plan
 
 
 @needs_fork

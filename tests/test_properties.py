@@ -103,7 +103,7 @@ def test_pruned_walk_keeps_exactly_the_valid_submasks(graph, data):
     allowed, which may split it."""
     votes, adj = graph
     nodes = range(len(votes))
-    idx = _MaskIndex(nodes, dict(enumerate(votes)), adj)
+    idx = _MaskIndex(nodes, [v.party_a for v in votes], [v.population() for v in votes], adj)
     left_out = data.draw(st.sets(st.sampled_from(nodes), max_size=min(3, len(nodes) - 1)))
     allowed = sum(1 << i for i in nodes if i not in left_out)
     seed = data.draw(st.sampled_from([i for i in nodes if i not in left_out]))
