@@ -45,11 +45,13 @@ depends on the sign of the plan's total, and a move that flips it can
 make a far node's move improving.
 
 With ``jobs`` = N > 1 processes, the calling process is one of them: it
-runs replicas 0, N, 2N, ...  Each of N - 1 worker processes, started
-without a pool, runs replicas w, w + N, ... and sends their results
-back once through its own one-way pipe.  A replica's result depends
-only on the starting state, the settings and its index, so the split
-never changes the output.
+runs replicas 0, N, 2N, ...  Worker w of N - 1 runs replicas w, w + N,
+...: a call sends it the starting state and the settings once, through
+its own pipe, and reads its traces back once.  The workers start with
+the first call that needs them and serve every later call in the
+process, so a process pays for their start once, not once per search.
+A replica's result depends only on the starting state, the settings and
+its index, so neither the split nor a reused worker changes the output.
 
 No worst-case approximation guarantee exists for this kind of strictly
 improving single-node search: adversarial instances stall it arbitrarily
@@ -58,7 +60,10 @@ far from the optimum, so its value is empirical.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import os
+import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -322,56 +327,147 @@ def _run_share(state0: ReplicaState, cfg: SearchConfig, first: int, step: int) -
     return [_run_replica(state0, cfg, i) for i in range(first, cfg.replicas, step)]
 
 
-def _worker(state0: ReplicaState, cfg: SearchConfig, first: int, step: int, conn) -> None:
-    """A worker process's whole life: run its share, then send it, or its exception, once."""
+# The replica workers of this process, in worker order: each one's process
+# and the caller's end of its pipe.  The first call that needs them starts
+# them, and one call at a time uses them.
+_workers: list = []
+_lock = threading.Lock()
+
+
+def _serve(conn) -> None:
+    """A worker process's life: for each task read, send back its share's traces, or its exception, once.
+
+    It ends at end of file, once the caller's end of the pipe is closed,
+    even when the caller was killed.  An interrupt is left to the caller,
+    which stops the workers of an interrupted call.  An exception that
+    would not survive the pipe is sent as a RuntimeError naming its type
+    and message, so the caller re-raises it and this worker lives on.
+    """
+    import pickle
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            state0, cfg, first, step = conn.recv()
+        except EOFError:
+            return
+        try:
+            share = _run_share(state0, cfg, first, step)
+        except Exception as exc:
+            share = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                share = RuntimeError(f"replica worker raised {type(exc).__qualname__}: {exc}")
+        conn.send(share)
+
+
+def _stop_workers() -> None:
+    """Stop and forget every worker; the next call that needs workers starts them afresh.
+
+    The caller holds ``_lock``, or no other thread searches.
+    """
+    for proc, conn in _workers:
+        conn.close()
+        proc.terminate()
+        proc.join()
+    _workers.clear()
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the inherited caller ends of the pipes and forget the parent's workers.
+
+    A worker holding a copy of a caller end, its own included, would never
+    read end of file on it, so it would outlive a killed caller.
+    """
+    global _lock
+    for _, conn in _workers:
+        conn.close()
+    _workers.clear()
+    _lock = threading.Lock()  # another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):  # Windows has no fork, and its workers inherit no pipe ends
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _live_workers(count: int) -> list:
+    """The first ``count`` workers, all alive: one found dead stops them all, and missing ones start."""
+    import multiprocessing  # deferred: a one-process run never needs it
+
+    if not all(proc.is_alive() for proc, _ in _workers):
+        _stop_workers()
+    while len(_workers) < count:
+        conn, theirs = multiprocessing.Pipe()
+        proc = multiprocessing.Process(target=_serve, args=(theirs,), daemon=True)
+        _workers.append((proc, conn))  # listed before the fork, so the worker closes its copy of conn
+        try:
+            proc.start()
+        except BaseException:
+            _workers.pop()
+            conn.close()
+            raise
+        finally:
+            theirs.close()  # the worker's is then the only copy, so its death reads as end of file
+    return _workers[:count]
+
+
+@contextlib.contextmanager
+def _death_reported(w: int, proc):
+    """Report worker w's end of the pipe closing, the sign of its death, as one ChildProcessError.
+
+    Only the worker holds that end, so it closes only when the worker
+    exits.  A receive then reads end of file, or a reset when the worker
+    left its task unread; a send finds the pipe broken.
+    """
     try:
-        share = _run_share(state0, cfg, first, step)
-    except Exception as exc:
-        share = exc
-    conn.send(share)
-    conn.close()
+        yield
+    except (EOFError, ConnectionError):
+        proc.join()
+        raise ChildProcessError(
+            f"replica worker {w} exited with code {proc.exitcode} without sending its replicas"
+        ) from None
 
 
 def _run_replicas(state0: ReplicaState, cfg: SearchConfig, jobs: int) -> list[SearchTrace]:
     """Every replica's trace, in replica order, from ``jobs`` processes.
 
-    The calling process runs its share while the workers run theirs.  A
-    worker's exception is re-raised here, a worker that dies without
-    sending is a ChildProcessError (an OSError, so the CLI reports it as one
-    ``error:`` line), and no worker outlives this call.
+    The calling process runs its share while the workers run theirs.  The
+    workers are started by the first call that needs them and serve every
+    later call in this process, one call at a time: a second caller waits.
+    A call sends each worker its task once and reads exactly one reply
+    from it.  A worker's exception is re-raised here once every reply is
+    read, and the workers are kept.  Any other failure stops every worker
+    before it propagates, so no later call reads a stale reply: the
+    caller's own exception or interrupt, or a worker that dies without
+    sending, which is a ChildProcessError (an OSError, so the CLI reports
+    it as one ``error:`` line).  The workers are daemons, so none outlives
+    this process: they are stopped when it exits, and read end of file
+    when it is killed.
     """
     jobs = max(1, min(jobs, cfg.replicas))
-    if jobs > 1:
-        import multiprocessing  # deferred: a one-process run never needs it
+    if jobs == 1:
+        return _run_share(state0, cfg, 0, 1)
     results: list = [None] * cfg.replicas
-    workers = []
-    try:
-        for w in range(1, jobs):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_worker, args=(state0, cfg, w, jobs, send))
-            try:
-                proc.start()
-            finally:
-                send.close()  # the worker's is then the only copy, so its death reads as EOF
-            workers.append((proc, recv))
-        results[::jobs] = _run_share(state0, cfg, 0, jobs)
-        for w, (proc, recv) in enumerate(workers, 1):
-            try:
-                share = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(
-                    f"replica worker {w} exited with code {proc.exitcode} without sending its replicas"
-                ) from None
-            if isinstance(share, BaseException):
-                raise share
-            results[w::jobs] = share
-    finally:
-        for proc, recv in workers:
-            recv.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+    with _lock:
+        try:
+            workers = _live_workers(jobs - 1)
+            for w, (proc, conn) in enumerate(workers, 1):
+                with _death_reported(w, proc):
+                    conn.send((state0, cfg, w, jobs))
+            results[::jobs] = _run_share(state0, cfg, 0, jobs)
+            shares = []
+            for w, (proc, conn) in enumerate(workers, 1):
+                with _death_reported(w, proc):
+                    shares.append(conn.recv())
+        except BaseException:
+            _stop_workers()
+            raise
+    for w, share in enumerate(shares, 1):
+        if isinstance(share, BaseException):
+            raise share
+        results[w::jobs] = share
     return results
 
 
@@ -382,7 +478,8 @@ def run(graph: CountyGraph, plan0: list[int], cfg: SearchConfig, jobs: int = 1) 
     reproducible and independent of scheduling; ties between replicas go
     to the lower index.  The starting state is built once, on the graph's
     node numbers, and each replica copies its district list and sums.
-    Worker processes receive the state and config once, when they start.
+    With ``jobs`` > 1 each call sends the state and config to each worker
+    process once; the workers outlive the call and serve later ones.
     Wherever it runs, a replica gives back its trace: its final gap is
     that of its last move, and its final plan is its district list as it
     is.

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from effgap import grid
+from effgap import grid, localsearch
 from effgap.core import ZERO_VOTES, Report, VoteCounts, district_effgap
 from effgap.county import (
     CSV_COLUMNS,
@@ -28,6 +28,16 @@ from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="the start method is not fork"
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    """Each test starts without replica workers, so the workers it uses are
+    forked with its patches, and ends with none: it stops those it started."""
+    localsearch._stop_workers()
+    yield
+    localsearch._stop_workers()
+    assert multiprocessing.active_children() == []
 
 
 def neighbors4(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:

@@ -4,8 +4,10 @@ import multiprocessing
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,7 +62,9 @@ def test_localsearch_runs_replicas_in_process_by_default(toy_file, tmp_path, cap
 
 @needs_fork
 def test_dead_replica_worker_is_a_one_line_error(toy_file, monkeypatch, capsys):
-    monkeypatch.setattr(localsearch, "_worker", lambda *args: os._exit(3))
+    real_replica = localsearch._run_replica
+    monkeypatch.setattr(localsearch, "_run_replica",
+                        lambda state0, cfg, replica: os._exit(3) if replica == 1 else real_replica(state0, cfg, replica))
     argv = ["localsearch", str(toy_file), "--k", "3", "--mu", "5", "--replicas", "2", "--jobs", "2"]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -128,7 +132,7 @@ def test_spawned_replica_workers_match_one_process(tmp_path, graph, method):
     """Under the spawn start method (macOS's default) and forkserver
     (Linux's from Python 3.14) a worker imports the package afresh and
     receives its state pickled; --jobs 2 must still write the traces and
-    plan of --jobs 1, and start one worker."""
+    plan of --jobs 1, and two such runs in one process start one worker."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     data = tmp_path / "data.csv"
@@ -141,7 +145,7 @@ multiprocessing.set_start_method({method!r})
 started = []
 start = multiprocessing.Process.start
 multiprocessing.Process.start = lambda self: (started.append(1), start(self))[1]
-for jobs in "12":
+for jobs in "122":
     argv = ["localsearch", "data.csv", "--replicas", "4", "--jobs", jobs, "--seed", "5", *{extra!r},
             "--trace-out", f"trace{{jobs}}.txt", "--plan-out", f"plan{{jobs}}.csv"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -154,6 +158,48 @@ print(multiprocessing.get_start_method(), len(started))
     for name in ("trace1.txt", "plan1.csv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2")).read_bytes()
     assert (tmp_path / "trace1.txt").read_text().count("replica=") == 4
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and has not exited; a zombie has, and only waits to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read process states from")
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+def test_no_replica_worker_outlives_its_process(toy_file, ending):
+    """A process that searched with --jobs 2 keeps its worker while it
+    lives; the worker is gone within 5 s of the process exiting normally,
+    or of its being killed while the worker waits for work."""
+    code = f"""\
+import contextlib, io, multiprocessing, sys, time
+import effgap.cli
+argv = ["localsearch", {str(toy_file)!r}, "--k", "3", "--mu", "10", "--replicas", "2", "--jobs", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert effgap.cli.main(argv) == 0
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "kill":
+    time.sleep(60)
+"""
+    child = subprocess.Popen([sys.executable, "-c", code, ending], env=_package_env(),
+                             stdout=subprocess.PIPE, text=True)
+    with child:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        if ending == "kill":
+            child.kill()
+        assert child.wait(timeout=30) == (-signal.SIGKILL if ending == "kill" else 0)
+    assert len(pids) == 1
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    outlived = [pid for pid in pids if _running(pid)]
+    for pid in outlived:
+        os.kill(pid, signal.SIGKILL)
+    assert outlived == []
 
 
 def test_the_parser_is_built_on_first_use_only(toy_file):

@@ -7,6 +7,9 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -62,12 +65,6 @@ District,County_id,County,Republicans,Democrats,Neighbors
 1,z,Z,1,1,"1:y"
 2,w,W,1,1,"1:y"
 """
-
-
-@pytest.fixture(autouse=True)
-def no_worker_outlives_a_test():
-    yield
-    assert multiprocessing.active_children() == []
 
 
 class FixedDraw:
@@ -385,13 +382,13 @@ def test_parallel_replicas_match_sequential_on_state():
     assert_final_gaps_match_plans(res.graph, seq, par)
 
 
-@pytest.mark.parametrize("replicas, jobs", [(5, 2), (5, 3), (2, 4)])
-def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
-    """Each process runs every jobs-th replica, and the results come back in replica order."""
-    res = ingest(county_grid_csv(1, 8, 2))
-    cfg = SearchConfig(mu=30, k=5, seed=4, replicas=replicas)
-    seq = run(res.graph, res.plan, cfg, jobs=1)
-    assert len({t.moves for t in seq.traces}) == replicas  # a misplaced share shows
+def _searched(result):
+    """Each replica's trace text and final plan, in replica order."""
+    return [(t.to_lines(), t.final_plan) for t in result.traces]
+
+
+def _counted_starts(monkeypatch) -> list:
+    """The processes started from now on, appended as each starts."""
     started = []
     real_start = multiprocessing.Process.start
 
@@ -400,12 +397,40 @@ def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
         real_start(proc)
 
     monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    return started
+
+
+@pytest.mark.parametrize("replicas, jobs", [(5, 2), (5, 3), (2, 4)])
+def test_uneven_worker_shares_match_sequential(monkeypatch, replicas, jobs):
+    """Each process runs every jobs-th replica, and the results come back in replica order."""
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfg = SearchConfig(mu=30, k=5, seed=4, replicas=replicas)
+    seq = run(res.graph, res.plan, cfg, jobs=1)
+    assert len({t.moves for t in seq.traces}) == replicas  # a misplaced share shows
+    started = _counted_starts(monkeypatch)
     par = run(res.graph, res.plan, cfg, jobs=jobs)
     assert len(started) == min(jobs, replicas) - 1  # the caller is one of the jobs
-    assert multiprocessing.active_children() == []
-    assert [t.to_lines() for t in seq.traces] == [t.to_lines() for t in par.traces]
-    assert [t.final_plan for t in seq.traces] == [t.final_plan for t in par.traces]
+    assert set(multiprocessing.active_children()) == set(started)  # kept for later calls
+    assert _searched(seq) == _searched(par)
     assert seq.best_replica == par.best_replica
+
+
+def test_workers_start_once_and_serve_every_later_call(monkeypatch):
+    """Five searches start one worker, and each gives the traces of one process."""
+    res = ingest(county_grid_csv(1, 8, 2))
+    started = _counted_starts(monkeypatch)
+    for seed in range(5):
+        cfg = SearchConfig(mu=30, k=5, seed=seed, replicas=4)
+        assert _searched(run(res.graph, res.plan, cfg, jobs=2)) == _searched(run(res.graph, res.plan, cfg, jobs=1))
+    assert len(started) == 1
+    assert multiprocessing.active_children() == started
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but its pickle calls ``__init__`` with one argument, so it does not unpickle."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
 
 
 @needs_fork
@@ -421,13 +446,51 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     res = ingest(SIX_NODE_CSV)
     with pytest.raises(ValueError, match="replica 1 failed"):
         run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=4), jobs=2)
-    assert multiprocessing.active_children() == []
+    assert len(multiprocessing.active_children()) == 1  # the worker is kept
+
+
+@needs_fork
+@pytest.mark.parametrize("exc, reported", [
+    (ValueError("replica 1 failed", lambda: None), r"ValueError: \('replica 1 failed', <function "),
+    (NeedsTwoArguments("replica 1", "failed"), "NeedsTwoArguments: replica 1 failed$"),
+], ids=["does-not-pickle", "does-not-unpickle"])
+def test_worker_exception_that_cannot_cross_the_pipe_is_reported(monkeypatch, exc, reported):
+    """The caller gets a RuntimeError with the type and message, and the
+    worker lives on to serve the next call."""
+    real_replica = localsearch._run_replica
+
+    def failing(state0, cfg, replica):
+        if replica == 1 and cfg.seed == 11:
+            raise exc
+        return real_replica(state0, cfg, replica)
+
+    monkeypatch.setattr(localsearch, "_run_replica", failing)
+    res = ingest(county_grid_csv(1, 8, 2))
+    with pytest.raises(RuntimeError, match="^replica worker raised " + reported):
+        run(res.graph, res.plan, SearchConfig(mu=30, k=5, seed=11, replicas=4), jobs=2)
+    [worker] = multiprocessing.active_children()
+    cfg = SearchConfig(mu=30, k=5, seed=12, replicas=4)
+    assert _searched(run(res.graph, res.plan, cfg, jobs=2)) == _searched(run(res.graph, res.plan, cfg, jobs=1))
+    assert multiprocessing.active_children() == [worker]
 
 
 @needs_fork
 def test_worker_that_dies_without_sending_is_an_error(monkeypatch):
-    """The caller holds no copy of a worker's send end, so its death reads as end of file."""
-    monkeypatch.setattr(localsearch, "_worker", lambda *args: os._exit(3))
+    """The caller holds no copy of a worker's end of the pipe, so its death reads as end of file."""
+    real_replica = localsearch._run_replica
+    monkeypatch.setattr(localsearch, "_run_replica", lambda state0, cfg, replica:
+                        os._exit(3) if replica == 1 else real_replica(state0, cfg, replica))
+    res = ingest(SIX_NODE_CSV)
+    with pytest.raises(ChildProcessError, match="replica worker 1 exited with code 3 without sending"):
+        run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=2), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_that_dies_before_reading_its_task_is_an_error(monkeypatch):
+    """A worker that exits with its task unread resets the pipe, or breaks
+    it before the task is sent; either is the same error as end of file."""
+    monkeypatch.setattr(localsearch, "_serve", lambda conn: os._exit(3))
     res = ingest(SIX_NODE_CSV)
     with pytest.raises(ChildProcessError, match="replica worker 1 exited with code 3 without sending"):
         run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=2), jobs=2)
@@ -451,6 +514,85 @@ def test_caller_failure_terminates_the_workers(monkeypatch):
         run(res.graph, res.plan, SearchConfig(mu=8, k=4, seed=11, replicas=3), jobs=3)
     assert multiprocessing.active_children() == []
     assert time.perf_counter() - started < 30  # terminated, not waited for
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["worker raises", "worker dies", "caller raises", "idle worker killed"])
+def test_the_call_after_a_failure_reads_no_stale_reply(monkeypatch, failure):
+    """Whatever went wrong in one call, or between calls, the next call's
+    traces are those of one process.  In the failing call (seed 1) a
+    worker's reply is still unread when the failure is raised, except when
+    a worker raises: then the caller reads the other replies first."""
+    real_replica = localsearch._run_replica
+
+    def failing(state0, cfg, replica):
+        if cfg.seed == 1:
+            if failure == "worker raises" and replica == 1:
+                raise ValueError("replica 1 failed")
+            if failure == "worker dies" and replica == 1:
+                os._exit(3)
+            if failure == "caller raises" and replica == 0:
+                raise ValueError("replica 0 failed")
+        return real_replica(state0, cfg, replica)
+
+    monkeypatch.setattr(localsearch, "_run_replica", failing)
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfg = SearchConfig(mu=30, k=5, seed=1, replicas=6)
+    if failure == "idle worker killed":
+        run(res.graph, res.plan, cfg, jobs=3)
+        worker = multiprocessing.active_children()[0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(5)
+        assert worker.exitcode == -signal.SIGKILL
+    else:
+        error = ChildProcessError if failure == "worker dies" else ValueError
+        with pytest.raises(error):
+            run(res.graph, res.plan, cfg, jobs=3)
+    cfg = dataclasses.replace(cfg, seed=2)
+    assert _searched(run(res.graph, res.plan, cfg, jobs=3)) == _searched(run(res.graph, res.plan, cfg, jobs=1))
+    assert len(multiprocessing.active_children()) == 2
+
+
+def test_an_interrupt_leaves_an_idle_worker_to_its_caller():
+    """A Ctrl-C reaches a terminal's whole process group; an idle worker
+    ignores it and serves the next call, and the caller handles it."""
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfg = SearchConfig(mu=30, k=5, seed=3, replicas=4)
+    run(res.graph, res.plan, cfg, jobs=2)
+    [worker] = multiprocessing.active_children()
+    os.kill(worker.pid, signal.SIGINT)
+    worker.join(0.5)
+    assert worker.is_alive()
+    assert _searched(run(res.graph, res.plan, cfg, jobs=2)) == _searched(run(res.graph, res.plan, cfg, jobs=1))
+    assert multiprocessing.active_children() == [worker]
+
+
+def test_concurrent_callers_take_turns():
+    """Two threads searching at once both get the traces of one process:
+    the second waits for the workers instead of reading the first's replies."""
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfgs = [SearchConfig(mu=30, k=5, seed=seed, replicas=4) for seed in (1, 2)]
+    want = [_searched(run(res.graph, res.plan, cfg, jobs=1)) for cfg in cfgs]
+    run(res.graph, res.plan, cfgs[0], jobs=2)  # start the worker now: forking with threads alive warns
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            got = [None, None]
+
+            def search(i):
+                got[i] = _searched(run(res.graph, res.plan, cfgs[i], jobs=2))
+
+            threads = [threading.Thread(target=search, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(multiprocessing.active_children()) == 1
 
 
 def _drained_plan(graph, plan, rng, steps):
