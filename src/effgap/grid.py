@@ -398,18 +398,6 @@ def _masks_to_partition(idx: _MaskIndex, masks: Sequence[int]) -> GridPartition:
     return GridPartition(labels)
 
 
-def enumerate_equipartitions(
-    p: GridPolygon, kappa: int, window: tuple[int, int] | None = None
-) -> Iterator[GridPartition]:
-    """Every connected kappa-partition of `p` with populations in the window
-    (by default the exact one)."""
-    exact = population_window(p.total_votes().population(), kappa)  # checks kappa
-    lo, hi = window or exact
-    idx = p.mask_index
-    for masks in _enumerate_mask_partitions(idx, kappa, lo, hi):
-        yield _masks_to_partition(idx, masks)
-
-
 def _optimum(
     idx: _MaskIndex, kappa: int, lo: int, hi: int
 ) -> tuple[int | None, list[tuple[int, ...]]]:

@@ -20,7 +20,16 @@ from effgap.county import (
     NodeKey,
     _reaches,
 )
-from effgap.grid import Cell, GridPartition, GridPolygon, _MaskIndex, validate_polygon
+from effgap.grid import (
+    Cell,
+    GridPartition,
+    GridPolygon,
+    _enumerate_mask_partitions,
+    _MaskIndex,
+    _masks_to_partition,
+    population_window,
+    validate_polygon,
+)
 from effgap.localsearch import MoveRecord, ReplicaState, SearchConfig, SearchTrace
 from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
 
@@ -600,6 +609,14 @@ def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, 
     if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
         return Report(False, "target above population bound")
     return Report(True)
+
+
+def enumerate_equipartitions(p: GridPolygon, kappa: int, window: tuple[int, int] | None = None):
+    """Every connected kappa-partition of `p` with populations in the window
+    (by default the exact one), as the oracle enumerates them."""
+    lo, hi = window or population_window(p.total_votes().population(), kappa)
+    idx = p.mask_index
+    return (_masks_to_partition(idx, masks) for masks in _enumerate_mask_partitions(idx, kappa, lo, hi))
 
 
 def enumerate_mask_partitions_reference(idx: _MaskIndex, kappa: int, lo: int, hi: int):

@@ -24,7 +24,6 @@ from effgap.grid import (
     _masks_to_partition,
     _optimum,
     brute_force_opt,
-    enumerate_equipartitions,
     gen_hardness_instance,
     subset_sum_oracle,
     validate_partition,
@@ -35,6 +34,7 @@ from effgap.yconvex import is_yconvex_partition, solve_yconvex
 from conftest import (
     cells_connected,
     county_index,
+    enumerate_equipartitions,
     oracle_graphs,
     partition_vote_totals,
     random_column_polygon,

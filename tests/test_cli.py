@@ -93,9 +93,11 @@ def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, 
 
 
 def _package_env() -> dict[str, str]:
-    """The environment of a fresh interpreter that imports this checkout's package."""
+    """The environment of a fresh interpreter that imports this checkout's
+    package, and in which any warning is an error."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "PYTHONWARNINGS": "error"}
 
 
 def test_importing_the_cli_loads_no_search_only_module(toy_file):
@@ -126,13 +128,15 @@ def test_a_module_loads_only_what_it_imports(module, loaded):
 
 
 @pytest.mark.parametrize("graph, method", [
-    ("toy", "spawn"), ("WI", "spawn"), ("toy", "forkserver"), ("WI", "forkserver"),
-], ids=["toy", "WI", "toy-forkserver", "WI-forkserver"])
+    ("toy", "spawn"), ("WI", "spawn"), ("toy", "forkserver"), ("WI", "forkserver"), ("WI", "fork"),
+], ids=["toy", "WI", "toy-forkserver", "WI-forkserver", "WI-fork"])
 def test_spawned_replica_workers_match_one_process(tmp_path, graph, method):
     """Under the spawn start method (macOS's default) and forkserver
     (Linux's from Python 3.14) a worker imports the package afresh and
-    receives its state pickled; --jobs 2 must still write the traces and
-    plan of --jobs 1, and two such runs in one process start one worker."""
+    receives its state pickled; under fork (Linux's up to Python 3.13) it
+    inherits both.  Each way, --jobs 2 must write the traces and plan of
+    --jobs 1, and two such runs in one process start one worker and both
+    match."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     data = tmp_path / "data.csv"
@@ -145,9 +149,9 @@ multiprocessing.set_start_method({method!r})
 started = []
 start = multiprocessing.Process.start
 multiprocessing.Process.start = lambda self: (started.append(1), start(self))[1]
-for jobs in "122":
+for call, jobs in enumerate("122"):
     argv = ["localsearch", "data.csv", "--replicas", "4", "--jobs", jobs, "--seed", "5", *{extra!r},
-            "--trace-out", f"trace{{jobs}}.txt", "--plan-out", f"plan{{jobs}}.csv"]
+            "--trace-out", f"trace{{call}}.txt", "--plan-out", f"plan{{call}}.csv"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert effgap.cli.main(argv) == 0
 print(multiprocessing.get_start_method(), len(started))
@@ -155,9 +159,10 @@ print(multiprocessing.get_start_method(), len(started))
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_package_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout == f"{method} 1\n"
-    for name in ("trace1.txt", "plan1.csv"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2")).read_bytes()
-    assert (tmp_path / "trace1.txt").read_text().count("replica=") == 4
+    for name in ("trace{}.txt", "plan{}.csv"):
+        one, *two = [(tmp_path / name.format(call)).read_bytes() for call in range(3)]
+        assert two == [one, one], name
+    assert (tmp_path / "trace0.txt").read_text().count("replica=") == 4
 
 
 def _running(pid: int) -> bool:
@@ -255,6 +260,8 @@ def test_one_process_agrees_with_a_process_per_call(tmp_path, capsys):
         ["solve", str(grid), "--solver", "yconvex"],
         ["solve", str(grid), "--kappa"],
         ["gen-hardness", "1", "2", "3", "--scale", "4"],
+        ["synth-data", "WI"],
+        ["solve", str(grid), "--solver", "canonical"],
         ["stats", str(wi), "--json"],
     ]
     in_process = []
@@ -265,7 +272,7 @@ def test_one_process_agrees_with_a_process_per_call(tmp_path, capsys):
             code = exc.code
         captured = capsys.readouterr()
         in_process.append((code, captured.out, _stderr_records(captured.err)))
-    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     for argv, ran in zip(calls, in_process):
         fresh = subprocess.run([sys.executable, "-m", "effgap", *argv], cwd=tmp_path,
                                env=_package_env(), capture_output=True, text=True)
@@ -468,14 +475,17 @@ def test_localsearch_negative_seed_rejected(toy_file, capsys):
 
 
 def test_solve_brute_and_yconvex_agree(tmp_path, capsys):
+    """Both exact solvers print the same value lines: 0 where the votes
+    split evenly, and 8 on a uniform grid, whose two districts both tie."""
     grid = tmp_path / "grid.txt"
-    grid.write_text("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n")
-    assert main(["solve", str(grid), "--solver", "brute"]) == 0
-    brute_out = capsys.readouterr().out
-    assert main(["solve", str(grid), "--solver", "yconvex"]) == 0
-    yconvex_out = capsys.readouterr().out
-    assert "value (scaled by 2): 0" in brute_out
-    assert "value (scaled by 2): 0" in yconvex_out
+    for text, value in (("2 2 2\n0 0 1 0\n0 1 1 0\n1 0 0 1\n1 1 0 1\n", 0),
+                        ("2 2 2\n0 0 1 1\n0 1 1 1\n1 0 1 1\n1 1 1 1\n", 8)):
+        grid.write_text(text)
+        values = []
+        for solver in ("brute", "yconvex"):
+            assert main(["solve", str(grid), "--solver", solver]) == 0
+            values.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("value")])
+        assert values[0] == values[1] == [f"value (scaled by 2): {value}", f"value: {value // 2}"]
 
 
 def test_solve_kappa_one(tmp_path, capsys):
@@ -723,7 +733,7 @@ def test_usage_error_and_infeasible_instance_have_their_own_codes(tmp_path, caps
     assert capsys.readouterr().err.splitlines()[-1] == "effgap solve: error: argument --kappa: expected one argument"
     assert main(infeasible) == 2
     assert capsys.readouterr().out == "status: infeasible\n"
-    for argv, code in ((usage, 1), (infeasible, 2), (["solve", "--help"], 0), (["frob"], 1)):
+    for argv, code in ((usage, 1), (infeasible, 2), (["--help"], 0), (["solve", "--help"], 0), (["frob"], 1)):
         fresh = subprocess.run([sys.executable, "-m", "effgap", *argv], env=_package_env(),
                                capture_output=True, text=True)
         assert fresh.returncode == code, (argv, fresh.stderr)
@@ -831,16 +841,17 @@ def test_gen_hardness_equal_split_past_30_values(tmp_path, capsys, count, split)
 
 
 def test_solve_canonical_subcommand(tmp_path, capsys):
+    """Two 6x6 grids: a Democratic centre at epsilon 1/5 (one block), and
+    diagonal stripes of 0, 1 and 2 Democrats in 2 at the default epsilon
+    1/3, whose block side 3 gives two block rows."""
     grid = tmp_path / "grid.txt"
-    lines = ["6 6 2"]
-    for r in range(6):
-        for c in range(6):
-            a = 4 if (r, c) in {(2, 2), (2, 3), (3, 2), (3, 3)} else 0
-            lines.append(f"{r} {c} {a} {4 - a}")
-    grid.write_text("\n".join(lines) + "\n")
-    assert main(["solve", str(grid), "--solver", "canonical", "--epsilon", "1/5"]) == 0
-    out = capsys.readouterr().out
-    assert "nearness achieved" in out and "status: optimal" in out
+    for a_votes, pop, extra in ((lambda r, c: 4 if r in (2, 3) and c in (2, 3) else 0, 4, ["--epsilon", "1/5"]),
+                                (lambda r, c: (r + c) % 3, 2, [])):
+        grid.write_text("6 6 2\n" + "".join(f"{r} {c} {a_votes(r, c)} {pop - a_votes(r, c)}\n"
+                                           for r in range(6) for c in range(6)))
+        assert main(["solve", str(grid), "--solver", "canonical", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "nearness achieved" in out and "status: optimal" in out
 
 
 @pytest.mark.parametrize("solver", ["brute", "canonical"])
@@ -954,6 +965,19 @@ def test_synth_data_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "normalized efficiency gap: 14.76 %" in out
     assert "vote share: Democrats 50.75 % / GOP 49.25 %" in out
+
+
+def test_written_plan_has_the_printed_gap(tmp_path, capsys):
+    """``stats --plan`` on the plan that ``localsearch --plan-out`` wrote
+    prints the normalized gap of the search's ``new`` row."""
+    wi, plan = tmp_path / "wi.csv", tmp_path / "plan.csv"
+    wi.write_text(synth_state_csv("WI", 0))
+    assert main(["localsearch", str(wi), "--replicas", "4", "--plan-out", str(plan)]) == 0
+    rows = {line.split()[0]: " ".join(line.split()[3:]) for line in capsys.readouterr().out.splitlines()[1:3]}
+    assert rows["new"] != rows["original"]
+    assert main(["stats", str(wi), "--plan", str(plan)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("normalized efficiency gap: ")]
+    assert printed == [f"normalized efficiency gap: {rows['new']}"]
 
 
 def test_env_data_dir_resolution(toy_file, monkeypatch, capsys):

@@ -13,7 +13,6 @@ from effgap.grid import (
     GridPolygon,
     OracleLimitError,
     brute_force_opt,
-    enumerate_equipartitions,
     gen_hardness_instance,
     population_window,
     read_instance,
@@ -33,6 +32,7 @@ from conftest import (
     cells_connected,
     connected_submasks_whole_rest_reference,
     county_index,
+    enumerate_equipartitions,
     enumerate_mask_partitions_reference,
     neighbors4,
     partition_county_csv,
@@ -195,13 +195,11 @@ def test_population_window_matches_inline_formula():
 @pytest.mark.parametrize("kappa", [0, -2])
 @pytest.mark.parametrize("window", [None, (0, 4)])
 def test_solvers_reject_kappa_below_one_with_one_message(kappa, window):
-    """The oracle, the enumeration and the DP all take population_window's rule."""
+    """The oracle and the DP both take population_window's rule."""
     p = uniform_rect(2, 2)
     message = f"^kappa must be at least 1, got {kappa}$"
     with pytest.raises(ValueError, match=message):
         brute_force_opt(p, kappa, window)
-    with pytest.raises(ValueError, match=message):
-        next(enumerate_equipartitions(p, kappa, window))
     if window is None:
         with pytest.raises(ValueError, match=message):
             solve_yconvex(p, kappa)

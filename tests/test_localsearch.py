@@ -803,8 +803,8 @@ def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monke
 
 def test_the_stop_is_invisible():
     """A replica that a sweep stopped at iteration s has the same trace and
-    final plan at mu = s + 1, 100 and 10,000, and the same as the dict-based
-    search, which never stops, at mu = 100."""
+    final plan at mu = s + 1, 100, 10,000 and 1,000,000, and the same as the
+    dict-based search, which never stops, at mu = 100."""
     stopped = 0
     for name in ("WI", "TX", "VA", "PA"):
         res = ingest(synth_state_csv(name, seed=0))
@@ -814,7 +814,7 @@ def test_the_stop_is_invisible():
         want = run_reference(graph, plan, cfg)
         assert [t.to_lines() for t in base.traces] == [t.to_lines() for t in want], name
         assert [t.final_plan for t in base.traces] == [t.final_plan for t in want], name
-        for mu in (10_000, *{t.stopped_at + 1 for t in base.traces if t.stopped_at is not None}):
+        for mu in (10_000, 1_000_000, *{t.stopped_at + 1 for t in base.traces if t.stopped_at is not None}):
             other = run(graph, plan, dataclasses.replace(cfg, mu=mu))
             for a, b in zip(base.traces, other.traces):
                 if a.stopped_at is not None and a.stopped_at < mu:

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from effgap.core import VoteCounts, total_effgap  # noqa: E402
 from effgap.county import ingest, validate_plan  # noqa: E402
-from effgap.grid import GridPolygon, _connected_submasks, _MaskIndex, enumerate_equipartitions  # noqa: E402
+from effgap.grid import GridPolygon, _connected_submasks, _MaskIndex  # noqa: E402
 from effgap.localsearch import ReplicaState, SearchConfig, run, run_iteration  # noqa: E402
 from effgap.yconvex import is_yconvex_partition, solve_yconvex  # noqa: E402
-from conftest import partition_vote_totals, random_county_csv  # noqa: E402
+from conftest import enumerate_equipartitions, partition_vote_totals, random_county_csv  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 

@@ -7,7 +7,6 @@ from effgap.core import VoteCounts, district_effgap, total_effgap
 from effgap.grid import (
     GridPartition,
     GridPolygon,
-    enumerate_equipartitions,
     validate_partition,
 )
 from effgap import yconvex
@@ -23,6 +22,7 @@ from conftest import (
     cells_connected,
     column_table_reference,
     cut_segments,
+    enumerate_equipartitions,
     partition_vote_totals,
     polygon,
     random_column_polygon,
