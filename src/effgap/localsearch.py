@@ -33,16 +33,23 @@ last move.
 ``mu`` bounds the iterations; a replica stops sooner once it proves that
 it can never move again.  An iteration accepts a move only from a node
 that ``_moves`` passes, and ``_moves`` depends on the state alone, so if
-one scan of every node of a state passes none, no later draw changes
-that state.  That scan, a sweep, is the certificate: stopping on it
-leaves the moves, final plan and trace as ``mu`` iterations would give
-them.  A sweep runs once ceil(2n/k) iterations since the last move, or
-the last sweep, have accepted nothing: r is uniform on 0..k, so that is
-the expected number of iterations to draw n nodes, and a sweep costs
-about what the idle draws before it did.  Checking only the nodes of
-the two districts a move touched would not do: whether a move improves
-depends on the sign of the plan's total, and a move that flips it can
-make a far node's move improving.
+no node of a state passes, no later draw changes that state.  The state
+keeps ``proven``, the boundary nodes ``_moves`` has passed over since
+the last move: each is refused by the state as it is, so later draws
+skip it before any sum is read, and a move empties the set.  A sweep
+scans every node not in ``proven``; one that passes none is the
+certificate, and stopping on it leaves the moves, final plan and trace
+as ``mu`` iterations would give them.  A sweep that finds a mover does
+not apply it, and another before the next move would find it again, so
+a sweep runs at most once per move: once ceil(n/(2k)) iterations since
+the last move (or the start) have accepted nothing.  On the synthetic
+states a full sweep of a stuck plan costs 2.8-6.7 idle iterations,
+about 0.6n/k, since an idle iteration draws k/2 nodes on average, so the
+patience sits just under that break-even; nodes already proven make the
+sweep cheaper still.  Checking only the nodes of the two districts a
+move touched would not do: whether a move improves depends on the sign
+of the plan's total, and a move that flips it can make a far node's
+move improving.
 
 With ``jobs`` = N > 1 processes, the calling process is one of them: it
 runs replicas 0, N, 2N, ...  Worker w of N - 1 runs replicas w, w + N,
@@ -144,10 +151,12 @@ class ReplicaState:
     district keeps its party-A votes and population, and ``won`` is W,
     the population of the districts party A wins.  By the margin identity the signed gap is
     ``base - 2 * won`` with ``base = 4A - P``, so a move updates two
-    districts and W in O(1).
+    districts and W in O(1).  ``proven`` holds the boundary nodes that
+    ``_moves`` has passed over since the last move, each refused by the
+    state as it is; a move empties it.
     """
 
-    __slots__ = ("graph", "base", "dist", "party_a", "pop", "won")
+    __slots__ = ("graph", "base", "dist", "party_a", "pop", "won", "proven")
 
     def __init__(self, graph: CountyGraph, dist: list[int]) -> None:
         self.graph = graph
@@ -159,6 +168,7 @@ class ReplicaState:
             self.party_a[d] += a
             self.pop[d] += p
         self.won = sum(won_by_a(self.party_a[d], self.pop[d]) for d in graph.district_ids)
+        self.proven: set[int] = set()
 
     @property
     def signed(self) -> int:
@@ -170,6 +180,7 @@ class ReplicaState:
         source = self.dist[i]
         a, p = self.graph.node_a[i], self.graph.node_pop[i]
         self.dist[i] = target
+        self.proven.clear()
         for d, da, dp in ((source, -a, -p), (target, a, p)):
             self.won -= won_by_a(self.party_a[d], self.pop[d])
             self.party_a[d] += da
@@ -234,19 +245,22 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
 def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int]]:
     """``(i, target)`` for each node of ``nodes``, in order, that moves from the state as it is.
 
-    A node is scanned once: an interior node is skipped before any sum is
-    read; otherwise its neighbours are scanned in key order, each needing
-    only the target population bound and the gap change, until the first
-    strictly improving one.  Only then do the target-independent checks of
+    A node is scanned once: an interior node, and then a node in
+    ``state.proven``, is skipped before any sum is read; otherwise its
+    neighbours are scanned in key order, each needing only the target
+    population bound and the gap change, until the first strictly
+    improving one.  Only then do the target-independent checks of
     ``move_is_legal`` (``source_rejection``) run, once; if they refuse,
     they refuse every target and the node is left.  This passes exactly
-    the moves that checking the source first would.  The caller may apply
-    a yielded move before it resumes: ``ReplicaState.move`` updates the
-    lists and dicts read here in place, and the gap is read per node.
+    the moves that checking the source first would.  A boundary node left
+    joins ``state.proven``; a yielded one does not.  The caller may apply a
+    yielded move before it resumes: ``ReplicaState.move`` updates the
+    lists and dicts read here in place and empties ``proven``, and the
+    gap is read per node.
     """
     graph = state.graph
     adj, node_a, node_pop, pop_hi = graph.adj, graph.node_a, graph.node_pop, graph.pop_hi
-    dist, party_a, pop, base = state.dist, state.party_a, state.pop, state.base
+    dist, party_a, pop, base, proven = state.dist, state.party_a, state.pop, state.base, state.proven
     for i in nodes:
         source = dist[i]
         neighbors = adj[i]
@@ -255,6 +269,8 @@ def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int
                 break
         else:
             continue  # interior node; nothing to try
+        if i in proven:
+            continue
         a, p = node_a[i], node_pop[i]
         room = pop_hi - p
         before_abs = abs(state.signed)
@@ -269,7 +285,11 @@ def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int
             if abs(base - 2 * (without - won_by_a(ta, tp) + won_by_a(ta + a, tp + p))) < before_abs:
                 if source_rejection(graph, dist, i, pop[source]) is None:
                     yield i, target
+                else:
+                    proven.add(i)
                 break
+        else:
+            proven.add(i)
 
 
 def run_iteration(
@@ -278,9 +298,9 @@ def run_iteration(
     """One outer iteration; mutates the state and returns accepted moves.
 
     ``draw(k, n)`` gives the iteration's nodes: r uniform in 0..k, then
-    r distinct node numbers below n.  Each drawn node is scanned once, by
-    ``_moves``, and its move, if any, is applied before the next node is
-    scanned.
+    r distinct node numbers below n.  Each drawn node not in
+    ``state.proven`` is scanned once, by ``_moves``, and its move, if any,
+    is applied before the next node is scanned.
     """
     nodes, dist = state.graph.nodes, state.dist
     records = []
@@ -299,8 +319,9 @@ def _run_replica(state0: ReplicaState, cfg: SearchConfig, replica: int) -> Searc
     draw = replica_draw(cfg.seed, replica)
     state = copy.copy(state0)
     state.dist, state.party_a, state.pop = list(state0.dist), dict(state0.party_a), dict(state0.pop)
+    state.proven = set()
     n = len(state.dist)
-    patience = -(-2 * n // cfg.k)  # iterations that draw n nodes, on average
+    patience = -(-n // (2 * cfg.k))  # just under a sweep's cost in idle iterations
     moves: list[MoveRecord] = []
     idle = sweeps = 0
     stopped_at = None
@@ -311,12 +332,11 @@ def _run_replica(state0: ReplicaState, cfg: SearchConfig, replica: int) -> Searc
             idle = 0
             continue
         idle += 1
-        if idle == patience:
+        if idle == patience:  # at most once per move: idle then runs past patience until a move
             sweeps += 1
             if next(_moves(state, range(n)), None) is None:
                 stopped_at = iteration
                 break
-            idle = 0
     initial = abs(state0.signed)
     return SearchTrace(replica, cfg.seed, initial, moves[-1].after_scaled if moves else initial, tuple(moves),
                        state.dist, time.perf_counter() - started, stopped_at, sweeps)

@@ -762,11 +762,12 @@ def test_state_gap_is_sum_of_district_effgaps():
 
 def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monkeypatch):
     """A replica's sweep stops it exactly when ``run_iteration``, given every
-    node in key order, accepts no move, and it runs once ceil(2n/k)
-    iterations have accepted nothing.
+    node in key order, accepts no move, and it runs once ceil(n/(2k))
+    iterations have accepted nothing, and then not again until a move.
 
     The sweep is watched in ``_run_replica`` itself, with draws that return
-    no node, so that every iteration is idle.  The states checked are the
+    no node, so that every iteration is idle and a movable state has one
+    sweep in 2n iterations.  The states checked are the
     ingested plan and drained plans, which can usually move, and every
     replica's final plan after a search that the sweep stopped, which must
     not; both verdicts must occur."""
@@ -792,8 +793,9 @@ def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monke
                 trace = localsearch._run_replica(ReplicaState(graph, plan), SearchConfig(mu=2 * n, k=k), 0)
                 assert trace.moves == () and trace.final_plan == plan, g
                 assert (trace.stopped_at is not None) == (not moved), (g, moved, trace.stopped_at)
+                assert trace.sweeps == 1, (g, trace.sweeps)
                 if trace.stopped_at is not None:
-                    assert (trace.stopped_at, trace.sweeps) == (math.ceil(2 * n / k) - 1, 1), g
+                    assert (trace.stopped_at, trace.sweeps) == (math.ceil(n / (2 * k)) - 1, 1), g
                 verdicts["stuck" if trace.stopped_at is not None else "movable"] += 1
         for plan in stuck_plans:
             assert not run_iteration(ReplicaState(graph, plan), FixedDraw(list(range(n))), 0, k), g
@@ -803,13 +805,19 @@ def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monke
 
 def test_the_stop_is_invisible():
     """A replica that a sweep stopped at iteration s has the same trace and
-    final plan at mu = s + 1, 100, 10,000 and 1,000,000, and the same as the
-    dict-based search, which never stops, at mu = 100."""
+    final plan at mu = s + 1, 10,000 and 1,000,000, and the same as the
+    dict-based search, which never stops or skips a node: on the states at
+    mu = 100 with 4 replicas, and at mu = 1,000 with 10 on a 40x40 grid,
+    whose iterations often make several moves, and on every differential
+    graph."""
+    runs = [(name, synth_state_csv(name, seed=0), 100, 4) for name in ("WI", "TX", "VA", "PA")]
+    runs.append(("grid40", county_grid_csv(41, 40, 4), 1000, 10))
+    runs += [(name, make(), 1000, 10) for name, make in DIFFERENTIAL_GRAPHS.items()]
     stopped = 0
-    for name in ("WI", "TX", "VA", "PA"):
-        res = ingest(synth_state_csv(name, seed=0))
+    for name, text, mu, replicas in runs:
+        res = ingest(text)
         graph, plan = res.graph, res.plan
-        cfg = SearchConfig(mu=100, k=20, seed=11, replicas=4)
+        cfg = SearchConfig(mu=mu, k=min(20, len(graph.nodes) - 1), seed=11, replicas=replicas)
         base = run(graph, plan, cfg)
         want = run_reference(graph, plan, cfg)
         assert [t.to_lines() for t in base.traces] == [t.to_lines() for t in want], name
@@ -822,6 +830,99 @@ def test_the_stop_is_invisible():
                         b.to_lines(), b.final_plan, b.stopped_at, b.sweeps), (name, mu, a.replica)
                     stopped += 1
     assert stopped >= 16, stopped
+
+
+PAPER_SIZE = SearchConfig(mu=1000, k=20, seed=20260810, replicas=10)
+
+
+def test_a_node_is_refused_once_per_plan(monkeypatch):
+    """Within a replica, ``source_rejection`` never refuses the same node on
+    the same plan twice: a node that ``_moves`` refuses joins ``proven``,
+    which later draws and sweeps skip until a move changes the plan.  No
+    plan recurs, since every move strictly lowers the gap."""
+    real_check, real_replica = localsearch.source_rejection, localsearch._run_replica
+    refused = set()
+    repeats = refusals = 0
+
+    def checked(graph, dist, i, source_pop):
+        nonlocal repeats, refusals
+        reason = real_check(graph, dist, i, source_pop)
+        if reason is not None:
+            key = (i, tuple(dist))
+            repeats += key in refused
+            refusals += 1
+            refused.add(key)
+        return reason
+
+    def replica(state0, cfg, index):
+        refused.clear()
+        return real_replica(state0, cfg, index)
+
+    monkeypatch.setattr(localsearch, "source_rejection", checked)
+    monkeypatch.setattr(localsearch, "_run_replica", replica)
+    for name in ("WI", "VA"):
+        res = ingest(synth_state_csv(name))
+        run(res.graph, res.plan, PAPER_SIZE)
+    assert refusals >= 50 and repeats == 0, (refusals, repeats)
+
+
+def test_no_sweep_repeats_on_an_unchanged_state(monkeypatch):
+    """Between any two sweeps of a replica lies an iteration that accepted a
+    move.  A sweep that finds a mover does not apply it, so a second sweep
+    before the next move could only find it again.  Every node in
+    ``proven`` is refused by the state as it is, checked before and after
+    each iteration on the states.  The runs are the four states and a
+    40x40 grid at paper size."""
+    real_iteration, real_moves, real_replica = localsearch.run_iteration, localsearch._moves, localsearch._run_replica
+    events = []  # per replica: whether each iteration moved, and None for a sweep
+    checking = in_iteration = False
+
+    def all_refused(state):
+        proven, state.proven = state.proven, set()
+        try:
+            return next(real_moves(state, sorted(proven)), None) is None
+        finally:
+            state.proven = proven
+
+    def iteration(state, draw, number, k):
+        nonlocal in_iteration
+        assert not checking or all_refused(state), number
+        in_iteration = True
+        try:
+            accepted = real_iteration(state, draw, number, k)
+        finally:
+            in_iteration = False
+        assert not checking or all_refused(state), number
+        events[-1].append(bool(accepted))
+        return accepted
+
+    def moves(state, nodes):
+        if not in_iteration:
+            events[-1].append(None)
+        return real_moves(state, nodes)
+
+    def replica(state0, cfg, index):
+        events.append([])
+        return real_replica(state0, cfg, index)
+
+    monkeypatch.setattr(localsearch, "run_iteration", iteration)
+    monkeypatch.setattr(localsearch, "_moves", moves)
+    monkeypatch.setattr(localsearch, "_run_replica", replica)
+    texts = {name: synth_state_csv(name) for name in ("WI", "TX", "VA", "PA")}
+    texts["grid40"] = county_grid_csv(41, 40, 4)
+    pairs = 0
+    for name, text in texts.items():
+        checking = name != "grid40"
+        res = ingest(text)
+        events.clear()
+        out = run(res.graph, res.plan, PAPER_SIZE)
+        for trace, seen in zip(out.traces, events):
+            sweeps = [at for at, event in enumerate(seen) if event is None]
+            assert len(sweeps) == trace.sweeps, (name, trace.replica)
+            for first, second in zip(sweeps, sweeps[1:]):
+                assert any(seen[first:second]), (name, trace.replica, first, second)
+                pairs += 1
+    assert pairs >= 10, pairs
 
 
 def test_hardness_gadget_as_a_county_graph_is_frozen():
