@@ -156,8 +156,8 @@ def _reaches(
     return not left
 
 
-def ingest(source: str | io.TextIOBase) -> IngestResult:
-    """Parse a county CSV into a graph and its initial district plan.
+def ingest(text: str) -> IngestResult:
+    """Parse county CSV text into a graph and its initial district plan.
 
     The graph's district ids and population bounds are those of the
     District column's plan.
@@ -168,7 +168,6 @@ def ingest(source: str | io.TextIOBase) -> IngestResult:
     0 (the normalized gap divides by it), a disconnected graph, or a
     disconnected initial district.
     """
-    text = source.read() if hasattr(source, "read") else source
     header_error = f"header must be exactly {','.join(CSV_COLUMNS)}; got {{got}}"
     rows = []
     row_of: dict[NodeKey, int] = {}

@@ -217,8 +217,8 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
     stays non-empty and connected, and both touched districts stay
     within the graph's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
-    Only the source and target populations are summed.  A node not in
-    the graph is a ValueError.
+    The populations are the district sums of a ``ReplicaState`` of the
+    plan.  A node not in the graph is a ValueError.
     """
     i = graph.index.get(node)
     if i is None:
@@ -228,18 +228,11 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
         return Report(False, "target equals current district")
     if target not in {dist[j] for j in graph.adj[i]}:
         return Report(False, "target district not adjacent to node")
-    source_pop = target_pop = 0
-    for d, p in zip(dist, graph.node_pop):
-        if d == source:
-            source_pop += p
-        elif d == target:
-            target_pop += p
-    reason = source_rejection(graph, dist, i, source_pop)
-    if reason is not None:
-        return Report(False, reason)
-    if target_pop > graph.pop_hi - graph.node_pop[i]:
-        return Report(False, "target above population bound")
-    return Report(True)
+    pop = ReplicaState(graph, dist).pop
+    reason = source_rejection(graph, dist, i, pop[source])
+    if reason is None and pop[target] > graph.pop_hi - graph.node_pop[i]:
+        reason = "target above population bound"
+    return Report(reason is None, reason)
 
 
 def _moves(state: ReplicaState, nodes: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -99,7 +99,13 @@ def replica_draw(seed: int, replica: int) -> Callable[[int, int], list[int]]:
     s_hi, s_lo, i_hi, i_lo = seed_state(seed, replica)
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
     # numpy's seeding: one step from state 0, add the seed, one more step.
-    next32 = _next32(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc).__next__
+    return stream_draw(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc)
+
+
+def stream_draw(state: int, inc: int) -> Callable[[int, int], list[int]]:
+    """``draw(k, n)`` from a PCG64 ``state`` and ``inc`` as numpy's
+    ``bit_generator.state["state"]`` holds them, with no half word buffered."""
+    next32 = _next32(state, inc).__next__
 
     def draw(k: int, n: int) -> list[int]:
         r = 0

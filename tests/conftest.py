@@ -18,7 +18,6 @@ from effgap.county import (
     IngestError,
     IngestResult,
     NodeKey,
-    _reaches,
 )
 from effgap.grid import (
     Cell,
@@ -30,7 +29,7 @@ from effgap.grid import (
     population_window,
     validate_polygon,
 )
-from effgap.localsearch import MoveRecord, ReplicaState, SearchConfig, SearchTrace
+from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
 from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
 
 # A patch of a module reaches worker processes only when they are forked.
@@ -521,41 +520,30 @@ def _trial_value_reference(sums: _PlanSums, node: NodeKey, target: int, signed: 
     )
 
 
-def run_iteration_reference(sums: _PlanSums, rng, iteration: int, k: int) -> list[MoveRecord]:
-    """Dict-based search iteration on a key -> district dict: same draws, same rule."""
+def _move_reference(sums: _PlanSums, node: NodeKey) -> int | None:
+    """The node's first legal, strictly improving target in key order, its
+    source side checked first; None when it has none."""
     graph, assigned = sums.graph, sums.assignment
-    keys = graph.nodes
-    r = int(rng.integers(0, k + 1))
-    if r == 0:
-        return []
-    picked = [keys[i] for i in rng.choice(len(keys), size=min(r, len(keys)), replace=False)]
-    records = []
+    source = assigned[node]
+    nbs = neighbors(graph, node)
+    if all(assigned[nb] == source for nb in nbs) or _source_rejection_reference(sums, node) is not None:
+        return None
+    room = graph.pop_hi - sums.node_votes[node].population()
     signed = sums.signed_scaled_effgap()
-    for node in picked:
-        source = assigned[node]
-        nbs = neighbors(graph, node)
-        if all(assigned[nb] == source for nb in nbs):
-            continue
-        if _source_rejection_reference(sums, node) is not None:
-            continue
-        room = graph.pop_hi - sums.node_votes[node].population()
-        before_abs = abs(signed)
-        for nb in nbs:
-            target = assigned[nb]
-            if target == source or sums.votes[target].population() > room:
-                continue
-            new_signed = _trial_value_reference(sums, node, target, signed)
-            if abs(new_signed) < before_abs:
-                records.append(MoveRecord(iteration, node, source, target, before_abs, abs(new_signed)))
-                sums.move(node, target)
-                signed = new_signed
-                break
-    return records
+    for nb in nbs:
+        target = assigned[nb]
+        if (target != source and sums.votes[target].population() <= room
+                and abs(_trial_value_reference(sums, node, target, signed)) < abs(signed)):
+            return target
+    return None
 
 
 def run_reference(graph: CountyGraph, plan0: list[int], cfg: SearchConfig) -> list[SearchTrace]:
-    """Every replica's trace from the dict-based search, run in-process, with
-    numpy's own generator drawing the nodes."""
+    """Every replica's trace from the dict-based search on a key -> district
+    dict, run in-process, with numpy's own generator drawing the nodes: the
+    same draws and the same rule.  A replica stops only when an iteration
+    accepts nothing and no node of its plan has a move, since no later
+    iteration can then change the plan."""
     np = pytest.importorskip("numpy")
 
     traces = []
@@ -564,9 +552,21 @@ def run_reference(graph: CountyGraph, plan0: list[int], cfg: SearchConfig) -> li
         rng = np.random.Generator(np.random.PCG64(seed_seq))
         sums = _PlanSums(graph, plan0)
         initial = abs(sums.signed_scaled_effgap())
-        moves = []
+        moves, checked = [], None  # len(moves) when the plan was last checked
         for iteration in range(cfg.mu):
-            moves.extend(run_iteration_reference(sums, rng, iteration, cfg.k))
+            r = int(rng.integers(0, cfg.k + 1))
+            made = len(moves)
+            for i in rng.choice(len(graph.nodes), size=min(r, len(graph.nodes)), replace=False) if r else ():
+                node = graph.nodes[i]
+                target = _move_reference(sums, node)
+                if target is not None:
+                    source, before = sums.assignment[node], abs(sums.signed_scaled_effgap())
+                    sums.move(node, target)
+                    moves.append(MoveRecord(iteration, node, source, target, before, abs(sums.signed_scaled_effgap())))
+            if len(moves) == made != checked:  # an idle iteration on a plan not yet checked
+                if all(_move_reference(sums, key) is None for key in graph.nodes):
+                    break
+                checked = len(moves)
         final = abs(sums.signed_scaled_effgap())
         final_plan = [sums.assignment[key] for key in graph.nodes]
         traces.append(SearchTrace(replica, cfg.seed, initial, final, tuple(moves), final_plan))
@@ -588,27 +588,19 @@ District,County_id,County,Republicans,Democrats,Neighbors
 
 
 def move_is_legal_reference(graph: CountyGraph, dist: list[int], node: NodeKey, target: int) -> Report:
-    """``move_is_legal`` as a whole-plan check: it builds a ``ReplicaState``,
-    summing every district and W, and reads the two populations from it."""
-    i = graph.index.get(node)
-    if i is None:
+    """``move_is_legal`` on a key -> district dict: the dict-based source-side
+    check, then the target's population bound, from VoteCounts sums."""
+    if node not in graph.index:
         raise ValueError(f"unknown node {node[0]}:{node[1]}")
-    state = ReplicaState(graph, dist)
-    if target == dist[i]:
+    sums = _PlanSums(graph, dist)
+    if target == sums.assignment[node]:
         return Report(False, "target equals current district")
-    if target not in {dist[j] for j in graph.adj[i]}:
+    if target not in {sums.assignment[nb] for nb in neighbors(graph, node)}:
         return Report(False, "target district not adjacent to node")
-    source = dist[i]
-    linked = [j for j in graph.adj[i] if dist[j] == source]
-    if not linked:
-        return Report(False, "district emptied")
-    if state.pop[source] - graph.node_pop[i] < graph.pop_lo:
-        return Report(False, "source below population bound")
-    if not _reaches(graph.adj, dist, source, linked[0], (i,), linked[1:]):
-        return Report(False, "source disconnected")
-    if state.pop[target] > graph.pop_hi - graph.node_pop[i]:
-        return Report(False, "target above population bound")
-    return Report(True)
+    reason = _source_rejection_reference(sums, node)
+    if reason is None and sums.votes[target].population() + sums.node_votes[node].population() > graph.pop_hi:
+        reason = "target above population bound"
+    return Report(reason is None, reason)
 
 
 def enumerate_equipartitions(p: GridPolygon, kappa: int, window: tuple[int, int] | None = None):

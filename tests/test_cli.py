@@ -291,6 +291,17 @@ def test_stats_command(toy_file, capsys):
     assert "seats: Democrats 1 / GOP 1" in out
 
 
+def test_stats_exact_lines(toy_file, capsys):
+    """The toy plan's gaps, scaled by 2, are 10 - 140 and 100 - 60, so the
+    total is |-130 + 40| = 90, and 45 of 310 votes is 9/62."""
+    assert main(["stats", str(toy_file), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "normalized efficiency gap: 14.52 %",
+        "exact normalized gap: 9/62",
+        "total gap (scaled by 2): 90",
+    ]
+
+
 def test_stats_json_records(toy_file, capsys):
     assert main(["stats", str(toy_file), "--json"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -474,6 +485,16 @@ def test_localsearch_negative_seed_rejected(toy_file, capsys):
     assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--mu", "0", "mu must be at least 1"),
+    ("--k", "0", "k must be positive"),
+    ("--replicas", "0", "replicas must be at least 1"),
+])
+def test_localsearch_settings_out_of_range_rejected(toy_file, capsys, option, value, message):
+    assert main(["localsearch", str(toy_file), option, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_solve_brute_and_yconvex_agree(tmp_path, capsys):
     """Both exact solvers print the same value lines: 0 where the votes
     split evenly, and 8 on a uniform grid, whose two districts both tie."""
@@ -486,6 +507,18 @@ def test_solve_brute_and_yconvex_agree(tmp_path, capsys):
             assert main(["solve", str(grid), "--solver", solver]) == 0
             values.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("value")])
         assert values[0] == values[1] == [f"value (scaled by 2): {value}", f"value: {value // 2}"]
+
+
+@pytest.mark.parametrize("solver", ["brute", "yconvex"])
+def test_solve_exact_value_line(tmp_path, capsys, solver):
+    """One district of 3 A and 4 B votes: A wastes 3 and B 4 - 7/2, so the
+    value is 5/2, which only ``--exact`` prints as a fraction."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 2 1\n0 0 3 1\n0 1 0 3\n")
+    assert main(["solve", str(grid), "--solver", solver, "--exact"]) == 0
+    assert capsys.readouterr().out == (
+        "status: optimal\nvalue (scaled by 2): 5\nvalue: 2.5\nexact value: 5/2\n"
+    )
 
 
 def test_solve_kappa_one(tmp_path, capsys):
@@ -814,6 +847,16 @@ def test_gen_hardness_then_solve(tmp_path, capsys):
 def test_gen_hardness_divisibility_hint(capsys):
     assert main(["gen-hardness", "10", "30"]) == 1
     assert "--scale 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["4", "8", "--decoys", "-1"], "decoy_count must be non-negative"),
+    (["4", "0"], "values must be positive integers"),
+    (["4", "-8", "--scale", "4"], "values must be positive integers"),
+])
+def test_gen_hardness_rejects_bad_values_and_decoys(capsys, argv, message):
+    assert main(["gen-hardness", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["-o", "stdout"])

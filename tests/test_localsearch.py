@@ -336,8 +336,8 @@ def test_move_is_legal_matches_full_validation(text, seed):
 
 
 def test_move_is_legal_matches_whole_plan_reference():
-    """move_is_legal, which sums only the source and target districts, gives
-    the whole-plan reference's report on random moves along random walks,
+    """move_is_legal gives the report of the dict-based reference, which
+    shares none of its checks, on random moves along random walks,
     under the frozen bounds and under bounds wide enough to drain a district
     to one node, and every reason comes up."""
     seen = collections.Counter()
@@ -806,7 +806,8 @@ def test_sweep_finds_nothing_exactly_when_a_full_iteration_accepts_nothing(monke
 def test_the_stop_is_invisible():
     """A replica that a sweep stopped at iteration s has the same trace and
     final plan at mu = s + 1, 10,000 and 1,000,000, and the same as the
-    dict-based search, which never stops or skips a node: on the states at
+    dict-based search, which skips no node and stops only when its own
+    check of every node finds no legal, improving move: on the states at
     mu = 100 with 4 replicas, and at mu = 1,000 with 10 on a 40x40 grid,
     whose iterations often make several moves, and on every differential
     graph."""

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from effgap.pcg64 import replica_draw, seed_state
+from effgap.pcg64 import _PCG_MULT, replica_draw, seed_state, stream_draw
 
 
 def numpy_draw(seed: int, replica: int, replicas: int):
@@ -47,6 +47,59 @@ def test_rejected_draws_match_numpy():
         got, want = replica_draw(seed, 2), numpy_draw(seed, 2, 3)
         for iteration in range(20):
             assert got(40, n) == want(40, n), (seed, n, iteration)
+
+
+def stream_with_zero_word(rng: random.Random, word: int) -> tuple[int, int]:
+    """A random PCG64 ``(state, inc)`` whose 32-bit word number ``word``
+    (from 0: the low half of the first output, then its high half) is 0.
+
+    With the top six bits of a state zero, XSL-RR rotates by 0, so the
+    output is the state's high half xor its low half; such a state is built
+    directly and stepped back, the multiplier being odd."""
+    inc = rng.getrandbits(128) | 1
+    hi, lo = rng.getrandbits(58), rng.getrandbits(64)
+    half = 32 * (word % 2)
+    lo ^= ((hi ^ lo) >> half & 0xFFFFFFFF) << half
+    state = hi << 64 | lo
+    for _ in range(word // 2 + 1):
+        state = (state - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+    return state, inc
+
+
+def test_redraws_on_a_zero_word_match_numpy():
+    """A 32-bit word of 0 is rejected by every bounded draw whose bound is
+    not a power of two, which random words almost never are.  Placed at the
+    draw of r, and in the shuffle of the picks, it makes numpy's generator,
+    set to the same stream, take exactly one word more than a draw without
+    a re-draw; ``stream_draw`` gives its picks and then its next draw."""
+    np = pytest.importorskip("numpy")
+    k, n = 20, 60
+    rng = random.Random(21)
+    for place, word in (("r", 0), ("shuffle", 20)):
+        for _ in range(100):
+            start, inc = stream_with_zero_word(rng, word)
+            bitgen = np.random.PCG64()
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen = np.random.Generator(bitgen)
+            r = int(gen.integers(0, k + 1))
+            # Without a re-draw, r takes word 0, Floyd's picks words 1..r and
+            # the shuffle words r + 1..2r - 1, word w with bound 2r + 1 - w,
+            # which must not be a power of two.
+            if r and (place == "r" or r + 1 <= word <= 2 * r - 1 and (2 * r + 1 - word) & (2 * r - word)):
+                break
+        else:
+            pytest.fail(f"no stream puts the zero word in the draw of {place}")
+        want = gen.choice(n, size=r, replace=False).tolist()
+        states = [start]
+        while len(states) < 4 * k:
+            states.append((states[-1] * _PCG_MULT + inc) % (1 << 128))
+        steps = states.index(bitgen.state["state"]["state"])
+        assert 2 * steps - bitgen.state["has_uint32"] == 2 * r + 1, (place, r, steps)
+        draw = stream_draw(start, inc)
+        assert draw(k, n) == want, place
+        r = int(gen.integers(0, k + 1))
+        assert draw(k, n) == (gen.choice(n, size=r, replace=False).tolist() if r else []), place
 
 
 def test_tail_shuffle_path_matches_numpy():
