@@ -229,8 +229,6 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
         out.append(f"nearness achieved: {res.delta_achieved} (bound {res.delta_bound})")
         if res.stability is not None:
             out.append(f"stability ratio: {res.stability}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown solver {args.solver}")
     if value is None:
         summary["status"] = "infeasible"
         return 2, {"result": summary}, [grid_path], "status: infeasible\n"

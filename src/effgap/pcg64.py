@@ -20,9 +20,7 @@ byte-identical without numpy:
 - ``choice``: Floyd's algorithm and a shuffle of the picks, or, when
   n > 10000 and r > n // 50, a shuffle of the last r places of 0..n-1.
 
-The bounded draw is written out in each loop rather than called: the
-draws are a measurable part of a search iteration.  n must stay below
-2**32 - 1, where numpy switches to its 64-bit path.
+n must stay below 2**32 - 1, where numpy switches to its 64-bit path.
 """
 
 from __future__ import annotations
@@ -107,16 +105,17 @@ def stream_draw(state: int, inc: int) -> Callable[[int, int], list[int]]:
     ``bit_generator.state["state"]`` holds them, with no half word buffered."""
     next32 = _next32(state, inc).__next__
 
+    def below(m: int) -> int:
+        """Lemire's uniform draw on 0..m - 1."""
+        x = next32() * m
+        if (x & _MASK32) < m:
+            t = (1 << 32) % m
+            while (x & _MASK32) < t:
+                x = next32() * m
+        return x >> 32
+
     def draw(k: int, n: int) -> list[int]:
-        r = 0
-        if k:
-            m = k + 1
-            x = next32() * m
-            if (x & _MASK32) < m:
-                t = (1 << 32) % m
-                while (x & _MASK32) < t:
-                    x = next32() * m
-            r = min(x >> 32, n)
+        r = min(below(k + 1), n) if k else 0
         if r == 0:
             return []
         if n > 10000 and r > n // 50:
@@ -128,13 +127,7 @@ def stream_draw(state: int, inc: int) -> Callable[[int, int], list[int]]:
             picks, first = [0] if start == 0 else [], 1  # 0..0 takes no draw
             taken = set(picks)
             for j in range(max(start, 1), n):
-                m = j + 1
-                x = next32() * m
-                if (x & _MASK32) < m:
-                    t = (1 << 32) % m
-                    while (x & _MASK32) < t:
-                        x = next32() * m
-                v = x >> 32
+                v = below(j + 1)
                 if v in taken:
                     v = j
                 taken.add(v)
@@ -142,13 +135,7 @@ def stream_draw(state: int, inc: int) -> Callable[[int, int], list[int]]:
         # numpy's shuffle: swap place i with a uniform place in 0..i, for i
         # from the last place down to ``first``.
         for i in range(len(picks) - 1, first - 1, -1):
-            m = i + 1
-            x = next32() * m
-            if (x & _MASK32) < m:
-                t = (1 << 32) % m
-                while (x & _MASK32) < t:
-                    x = next32() * m
-            j = x >> 32
+            j = below(i + 1)
             picks[i], picks[j] = picks[j], picks[i]
         return picks[len(picks) - r:]
 

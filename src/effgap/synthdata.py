@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import VoteCounts, a_wins, district_effgap
+from .county import CSV_COLUMNS
 
 TOTAL_POP = 1_000_000
 
@@ -299,7 +300,7 @@ def synth_state_csv(code: str, seed: int = 0) -> str:
     def county_id(cell: tuple[int, int]) -> str:
         return f"{code}{cell[0] * ncols + cell[1]:04d}"
 
-    lines = ["District,County_id,County,Republicans,Democrats,Neighbors"]
+    lines = [",".join(CSV_COLUMNS)]
     for r in range(nrows):
         for c in range(ncols):
             cell = (r, c)

@@ -249,9 +249,6 @@ def _walk(active: list[tuple], used: int, table: list[list[tuple]], kappa: int) 
             if active[q][2]:
                 return
             q += 1
-        if kappa - next_new + n - q == 1:
-            # One label is left to take, so one segment must reach the bottom.
-            segments = segments[-1:] if segments[-1][3] == end else ()
         for seg in segments:
             interval, a, b, _ = seg
             bottom = interval[1]

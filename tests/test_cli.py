@@ -73,6 +73,19 @@ def test_dead_replica_worker_is_a_one_line_error(toy_file, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_worker_that_fails_to_start_is_a_one_line_error(toy_file, monkeypatch, capsys):
+    def failing_start(proc):
+        raise OSError("cannot start a worker")
+
+    monkeypatch.setattr(multiprocessing.Process, "start", failing_start)
+    argv = ["localsearch", str(toy_file), "--k", "3", "--mu", "5", "--replicas", "2", "--jobs", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot start a worker\n"
+    assert localsearch._workers == []
+
+
 def test_jobs_zero_uses_the_cpus_this_process_may_run_on(toy_file, monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -300,6 +313,21 @@ def test_stats_exact_lines(toy_file, capsys):
         "exact normalized gap: 9/62",
         "total gap (scaled by 2): 90",
     ]
+
+
+def test_stats_warns_of_a_one_sided_listing_and_reports_the_symmetrized_file(toy_file, tmp_path, capsys):
+    """A1 no longer lists B1, which still lists A1: the warning comes before
+    the manifest, and the report is that of the file listing both ways."""
+    one_sided = tmp_path / "one_sided.csv"
+    one_sided.write_text(TOY_COUNTY_CSV.replace('"1:A2, 2:B1"', '"1:A2"', 1))
+    assert main(["stats", str(toy_file)]) == 0
+    want = capsys.readouterr().out
+    assert main(["stats", str(one_sided)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    warning, manifest = captured.err.splitlines()
+    assert warning == "warning: one-sided neighbor listing 2:B1 -> 1:A1; symmetrized"
+    assert json.loads(manifest)["command"] == "stats"
 
 
 def test_stats_json_records(toy_file, capsys):

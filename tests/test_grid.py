@@ -668,6 +668,11 @@ def test_gadget_divisibility_error():
         gen_hardness_instance([10, 30])
 
 
+def test_gadget_needs_a_value():
+    with pytest.raises(ValueError, match="^need at least one value$"):
+        gen_hardness_instance([])
+
+
 def test_gadget_decoys_deterministic_and_hole_free():
     a = gen_hardness_instance([8, 16], decoy_count=3, seed=5)
     b = gen_hardness_instance([8, 16], decoy_count=3, seed=5)

@@ -497,6 +497,32 @@ def test_worker_that_dies_before_reading_its_task_is_an_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs", [2, 3], ids=["first-start", "second-start"])
+def test_a_worker_that_fails_to_start_is_raised_and_stops_the_others(monkeypatch, jobs):
+    """The last start raises, so at jobs=3 one worker is already running: it
+    is stopped, none is listed, and the next call starts afresh."""
+    real_start = multiprocessing.Process.start
+    started = []
+
+    def start(proc):
+        if len(started) == jobs - 2:
+            raise OSError("cannot start a worker")
+        started.append(proc)
+        real_start(proc)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    res = ingest(county_grid_csv(1, 8, 2))
+    cfg = SearchConfig(mu=30, k=5, seed=6, replicas=4)
+    with pytest.raises(OSError, match="^cannot start a worker$"):
+        run(res.graph, res.plan, cfg, jobs=jobs)
+    assert localsearch._workers == []
+    assert multiprocessing.active_children() == []
+    assert not any(proc.is_alive() for proc in started)
+    monkeypatch.undo()
+    assert _searched(run(res.graph, res.plan, cfg, jobs=jobs)) == _searched(run(res.graph, res.plan, cfg, jobs=1))
+    assert len(multiprocessing.active_children()) == jobs - 1
+
+
 @needs_fork
 def test_caller_failure_terminates_the_workers(monkeypatch):
     real_replica = localsearch._run_replica

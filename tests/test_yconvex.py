@@ -91,6 +91,20 @@ def test_transition_rejects_segments_that_do_not_cut_the_column(segments, reason
     assert not res.ok and res.reason.endswith(reason)
 
 
+def test_transition_over_a_column_with_no_cells():
+    """Column 1 holds no cell: no segments finish every active label and
+    leave the others as they were, and any segment is refused."""
+    p = polygon({(0, 0): (1, 0), (1, 0): (0, 1)}, cols=2)
+    key = ((1, 0, ACTIVE, (0, 0)), (0, 1, ACTIVE, (1, 1)), (3, 2, FINISHED, None), (0, 0, UNSTARTED, None))
+    res = transition_feasible(p, 1, key, ())
+    assert res.ok
+    assert res.state == ((1, 0, FINISHED, None), (0, 1, FINISHED, None), (3, 2, FINISHED, None),
+                         (0, 0, UNSTARTED, None))
+    for segments in (((1, (0, 0)),), ((4, (0, 1)),), ((1, (0, 0)), (2, (1, 1)))):
+        res = transition_feasible(p, 1, key, segments)
+        assert not res.ok and res.reason == "segments do not cut column 1"
+
+
 def test_solve_2x2_row_split():
     p = polygon({(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (0, 1)})
     res = solve_yconvex(p, 2)
