@@ -92,7 +92,12 @@ def cmd_stats(args: argparse.Namespace) -> tuple[int, dict, list[Path], str]:
         plan_path = _resolve(args.plan)
         plan = read_plan_csv(graph, plan_path.read_text())
         inputs.append(plan_path)
-    stats = plan_stats(graph, plan)
+        stats = plan_stats(graph, plan)
+    else:
+        # ingest has checked the District column's plan: it covers the
+        # graph, its districts are the graph's ids and connected, and the
+        # population bounds are its own districts' smallest and largest.
+        stats = total_effgap(list(district_votes(graph, plan).values()))
     out = []
     if not args.json:
         out.append(

@@ -18,10 +18,14 @@ those numbers.  A plan is a list, ``plan[i]`` the district of node i;
 the district ids and the population bounds every plan must keep are the
 graph's, frozen by ``ingest`` from the District column.  Keys and
 numbers are translated only at the file edges: ``ingest``,
-``read_plan_csv`` and ``write_plan_csv``.  Every connectivity check
-(whole graph, initial districts, ``validate_plan`` and the local search's
-source check) is one search, ``_reaches``, over a label list such as a
-plan's: a node is inside district d when its label is d.
+``read_plan_csv`` and ``write_plan_csv``.  Each whole-plan check (the
+graph and its initial districts in ``ingest``, and ``validate_plan``) is
+one sweep, ``_components``, over a label list such as a plan's: it
+numbers each node's component among the nodes that share its label, so a
+district is connected when it has one component, and the graph when a
+list of equal labels has one.  The local search's source check needs
+only a few nodes reached, so it keeps its own search that stops early
+(``localsearch._reaches``).
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import PlanStats, Report, VoteCounts, total_effgap
 
@@ -122,38 +125,27 @@ def _parse_neighbor_token(token: str) -> NodeKey:
     return (int(head), tail.strip())
 
 
-def _reaches(
-    adj: Sequence[Sequence[int]],
-    label: Sequence[int],
-    d: int,
-    start: int,
-    excluded: Iterable[int],
-    targets: Collection[int],
-) -> bool:
-    """Whether paths from `start` through the nodes labelled `d` reach every node of `targets`.
+def _components(adj: Sequence[Iterable[int]], label: Sequence[int]) -> tuple[list[int], int]:
+    """(comp, count): ``comp[i]`` numbers node i's component among the nodes labelled ``label[i]``.
 
-    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``, and
-    node i is inside when ``label[i] == d``.  The search never enters
-    `excluded`.  It runs breadth first and stops as soon as the last
-    target is reached, so a caller whose targets lie a few steps from the
-    start pays for a few levels, not for the whole district.
+    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``.  The
+    components are numbered 0 to count - 1 in the order of their lowest
+    node.
     """
-    left = len(targets) - (start in targets)
-    seen = {start, *excluded}
-    level = [start]
-    while left and level:
-        next_level = []
-        for i in level:
-            for nb in adj[i]:
-                if label[nb] == d and nb not in seen:
-                    seen.add(nb)
-                    next_level.append(nb)
-                    if nb in targets:
-                        left -= 1
-                        if not left:
-                            return True
-        level = next_level
-    return not left
+    comp = [-1] * len(adj)
+    count = 0
+    for start, d in enumerate(label):
+        if comp[start] >= 0:
+            continue
+        comp[start] = count
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if comp[nb] < 0 and label[nb] == d:
+                    comp[nb] = count
+                    stack.append(nb)
+        count += 1
+    return comp, count
 
 
 def ingest(text: str) -> IngestResult:
@@ -239,8 +231,7 @@ def ingest(text: str) -> IngestResult:
         (d, cid), (nb_d, nb_cid) = keys[i], keys[j]
         warnings.append(f"one-sided neighbor listing {d}:{cid} -> {nb_d}:{nb_cid}; symmetrized")
 
-    # Keys are sorted, so the ids come in ascending order and each initial
-    # district's nodes are one run of them.
+    # Keys are sorted, so the ids come in ascending order.
     label = [d for d, _ in keys]
     pops = dict.fromkeys(label, 0)
     for d, pop in zip(label, node_pop):
@@ -249,13 +240,14 @@ def ingest(text: str) -> IngestResult:
     graph = CountyGraph(tuple(keys), tuple(node_a), tuple(node_pop), adj, tuple(pops),
                         min(pops.values()), max(pops.values()))
 
-    if not _reaches(graph.adj, [0] * len(keys), 0, 0, (), range(len(keys))):
+    if _components(adj, [0] * len(keys))[1] != 1:
         raise IngestError("graph disconnected")
-    for d, group in itertools.groupby(range(len(keys)), label.__getitem__):
-        members = list(group)
-        if not _reaches(graph.adj, label, d, members[0], (), range(members[0], members[-1] + 1)):
-            member_rows = sorted(row_of[keys[i]] for i in members)
-            raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
+    comp, count = _components(adj, label)
+    if count > len(pops):
+        comp_labels = list(dict(zip(comp, label)).values())
+        d = min(d for d in pops if comp_labels.count(d) > 1)
+        member_rows = sorted(row_of[key] for key in keys if key[0] == d)
+        raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, label, tuple(warnings))
 
 
@@ -264,16 +256,18 @@ def validate_plan(graph: CountyGraph, dist: list[int]) -> Report:
     if len(dist) != len(graph.nodes):
         return Report(False, "assignment does not cover the graph")
     pops = dict.fromkeys(graph.district_ids, 0)
-    assigned: dict[int, set[int]] = {d: set() for d in graph.district_ids}
-    for i, (d, pop) in enumerate(zip(dist, graph.node_pop)):
+    for d, pop in zip(dist, graph.node_pop):
         if d not in pops:
             return Report(False, f"node assigned to unknown district {d}")
         pops[d] += pop
-        assigned[d].add(i)
-    for d, members in assigned.items():
-        if not members:
+    parts = dict.fromkeys(graph.district_ids, 0)
+    comp, _ = _components(graph.adj, dist)
+    for d in dict(zip(comp, dist)).values():
+        parts[d] += 1
+    for d, n in parts.items():
+        if not n:
             return Report(False, f"district {d} empty")
-        if not _reaches(graph.adj, dist, d, next(iter(members)), (), members):
+        if n > 1:
             return Report(False, f"district {d} disconnected")
         pop = pops[d]
         if not graph.pop_lo <= pop <= graph.pop_hi:

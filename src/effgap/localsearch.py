@@ -72,11 +72,11 @@ import copy
 import os
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import Report, won_by_a
-from .county import CountyGraph, NodeKey, _reaches, validate_plan
+from .county import CountyGraph, NodeKey, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
@@ -186,6 +186,40 @@ class ReplicaState:
             self.party_a[d] += da
             self.pop[d] += dp
             self.won += won_by_a(self.party_a[d], self.pop[d])
+
+
+def _reaches(
+    adj: Sequence[Sequence[int]],
+    label: Sequence[int],
+    d: int,
+    start: int,
+    excluded: Iterable[int],
+    targets: Collection[int],
+) -> bool:
+    """Whether paths from `start` through the nodes labelled `d` reach every node of `targets`.
+
+    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``, and
+    node i is inside when ``label[i] == d``.  The search never enters
+    `excluded`.  It runs breadth first and stops as soon as the last
+    target is reached, so a caller whose targets lie a few steps from the
+    start pays for a few levels, not for the whole district.
+    """
+    left = len(targets) - (start in targets)
+    seen = {start, *excluded}
+    level = [start]
+    while left and level:
+        next_level = []
+        for i in level:
+            for nb in adj[i]:
+                if label[nb] == d and nb not in seen:
+                    seen.add(nb)
+                    next_level.append(nb)
+                    if nb in targets:
+                        left -= 1
+                        if not left:
+                            return True
+        level = next_level
+    return not left
 
 
 def source_rejection(graph: CountyGraph, dist: list[int], i: int, source_pop: int) -> str | None:

@@ -429,6 +429,28 @@ def test_localsearch_validates_each_plan_once(toy_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_stats_validates_only_a_read_plan(toy_file, tmp_path, monkeypatch, capsys):
+    """``ingest`` has checked the District column's plan; a ``--plan`` file is checked once."""
+    plan = tmp_path / "plan.csv"
+    res = county.ingest(TOY_COUNTY_CSV)
+    plan.write_text(county.write_plan_csv(res.graph, res.plan))
+    checked = []
+    real = county.validate_plan
+
+    def counting(graph, dist):
+        checked.append(dist)
+        return real(graph, dist)
+
+    monkeypatch.setattr(county, "validate_plan", counting)
+    outputs = []
+    for extra, calls in (([], 0), (["--json"], 0), (["--plan", str(plan)], 1)):
+        checked.clear()
+        assert main(["stats", str(toy_file), *extra]) == 0
+        assert len(checked) == calls, extra
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+
+
 def test_localsearch_reproducible_stdout(toy_file, tmp_path, capsys):
     argv = ["localsearch", str(toy_file), "--seed", "42", "--mu", "10", "--k", "3",
             "--replicas", "2", "--jobs", "1",

@@ -123,6 +123,17 @@ District,County_id,County,Republicans,Democrats,Neighbors
         ingest(csv_text)
 
 
+def test_disconnected_graph_is_reported_before_a_split_district():
+    csv_text = """\
+District,County_id,County,Republicans,Democrats,Neighbors
+1,A1,Alpha,1,1,"2:B1"
+1,A2,Beta,1,1,""
+2,B1,Gamma,1,1,"1:A1"
+"""
+    with pytest.raises(IngestError, match=r"^graph disconnected$"):
+        ingest(csv_text)
+
+
 def test_round_trip_graph_and_plan():
     res = ingest(TOY_COUNTY_CSV)
     text = serialize_graph(res.graph)
@@ -348,7 +359,8 @@ def _mutated_county_csv(rng: random.Random, base: str) -> str:
 
 
 def test_ingest_matches_reference_on_mutated_inputs():
-    """Same nodes, plan, warnings and errors as the DictReader parser."""
+    """Same nodes, plan, warnings and errors as the DictReader parser, and
+    every plan ingest accepts passes ``validate_plan``."""
     rng = random.Random(8)
     bases = [county_grid_csv(seed, side, 2) for seed in range(4) for side in (4, 5, 6)]
     bases.append(synth_state_csv("WI", 0))
@@ -363,6 +375,8 @@ def test_ingest_matches_reference_on_mutated_inputs():
         else:
             tally["valid"] += 1
             tally["warned"] += bool(expected[2])
+            res = ingest(text)
+            assert validate_plan(res.graph, res.plan).ok, text
     assert tally["valid"] >= 300 and tally["warned"] >= 50 and tally["error"] >= 300, tally
 
 
@@ -409,7 +423,7 @@ def _break_plan(rng: random.Random, graph, plan):
 def test_validate_plan_matches_reference_on_broken_plans():
     rng = random.Random(8)
     reasons = {}
-    for text in (synth_state_csv("WI", 0), county_grid_csv(3)):
+    for text in (synth_state_csv("WI", 0), county_grid_csv(3), synth_state_csv("TX", 0)):
         res = ingest(text)
         for _ in range(300):
             graph, plan = _break_plan(rng, res.graph, res.plan)
