@@ -20,11 +20,11 @@ graph's, frozen by ``ingest`` from the District column.  Keys and
 numbers are translated only at the file edges: ``ingest``,
 ``read_plan_csv`` and ``write_plan_csv``.  Each whole-plan check (the
 graph and its initial districts in ``ingest``, and ``validate_plan``) is
-one sweep, ``_components``, over a label list such as a plan's: it
-numbers each node's component among the nodes that share its label, so a
-district is connected when it has one component, and the graph when a
-list of equal labels has one.  The local search's source check needs
-only a few nodes reached, so it keeps its own search that stops early
+one sweep, ``_components``, over a label list such as a plan's: it gives
+each district its component count and its population, so a district is
+connected when it has one component, and the graph when a list of equal
+labels has one.  The local search's source check needs only a few nodes
+reached, so it keeps its own search that stops early
 (``localsearch._reaches``).
 """
 
@@ -125,27 +125,32 @@ def _parse_neighbor_token(token: str) -> NodeKey:
     return (int(head), tail.strip())
 
 
-def _components(adj: Sequence[Iterable[int]], label: Sequence[int]) -> tuple[list[int], int]:
-    """(comp, count): ``comp[i]`` numbers node i's component among the nodes labelled ``label[i]``.
+def _components(adj: Sequence[Iterable[int]], label: Sequence[int],
+                pop: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """(parts, pops): for each label, the components its nodes form and their summed population.
 
-    ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``.  The
-    components are numbered 0 to count - 1 in the order of their lowest
-    node.
+    One sweep gives both.  ``adj[i]`` gives node i's neighbours, as in
+    ``CountyGraph.adj``, and ``pop[i]`` is node i's population.  Both
+    dicts have one entry per label, in the order of its first node.
     """
-    comp = [-1] * len(adj)
-    count = 0
+    seen = [False] * len(adj)
+    parts: dict[int, int] = {}
+    pops: dict[int, int] = {}
     for start, d in enumerate(label):
-        if comp[start] >= 0:
+        if seen[start]:
             continue
-        comp[start] = count
+        seen[start] = True
+        total = pop[start]
         stack = [start]
         while stack:
             for nb in adj[stack.pop()]:
-                if comp[nb] < 0 and label[nb] == d:
-                    comp[nb] = count
+                if not seen[nb] and label[nb] == d:
+                    seen[nb] = True
+                    total += pop[nb]
                     stack.append(nb)
-        count += 1
-    return comp, count
+        parts[d] = parts.get(d, 0) + 1
+        pops[d] = pops.get(d, 0) + total
+    return parts, pops
 
 
 def ingest(text: str) -> IngestResult:
@@ -231,23 +236,18 @@ def ingest(text: str) -> IngestResult:
         (d, cid), (nb_d, nb_cid) = keys[i], keys[j]
         warnings.append(f"one-sided neighbor listing {d}:{cid} -> {nb_d}:{nb_cid}; symmetrized")
 
+    adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
+    if _components(adj, [0] * len(keys), node_pop)[0] != {0: 1}:
+        raise IngestError("graph disconnected")
     # Keys are sorted, so the ids come in ascending order.
     label = [d for d, _ in keys]
-    pops = dict.fromkeys(label, 0)
-    for d, pop in zip(label, node_pop):
-        pops[d] += pop
-    adj = tuple(tuple(sorted(nbs)) for nbs in neighbor_sets)
+    parts, pops = _components(adj, label, node_pop)
+    split = [d for d, n in parts.items() if n > 1]
+    if split:
+        member_rows = sorted(row_of[key] for key in keys if key[0] == split[0])
+        raise IngestError(f"initial district {split[0]} disconnected (rows {member_rows})")
     graph = CountyGraph(tuple(keys), tuple(node_a), tuple(node_pop), adj, tuple(pops),
                         min(pops.values()), max(pops.values()))
-
-    if _components(adj, [0] * len(keys))[1] != 1:
-        raise IngestError("graph disconnected")
-    comp, count = _components(adj, label)
-    if count > len(pops):
-        comp_labels = list(dict(zip(comp, label)).values())
-        d = min(d for d in pops if comp_labels.count(d) > 1)
-        member_rows = sorted(row_of[key] for key in keys if key[0] == d)
-        raise IngestError(f"initial district {d} disconnected (rows {member_rows})")
     return IngestResult(graph, label, tuple(warnings))
 
 
@@ -255,25 +255,21 @@ def validate_plan(graph: CountyGraph, dist: list[int]) -> Report:
     """Full check: cover, non-empty connected districts, the graph's population bounds."""
     if len(dist) != len(graph.nodes):
         return Report(False, "assignment does not cover the graph")
-    pops = dict.fromkeys(graph.district_ids, 0)
-    for d, pop in zip(dist, graph.node_pop):
-        if d not in pops:
+    parts, pops = _components(graph.adj, dist, graph.node_pop)
+    known = set(graph.district_ids)
+    for d in parts:
+        if d not in known:
             return Report(False, f"node assigned to unknown district {d}")
-        pops[d] += pop
-    parts = dict.fromkeys(graph.district_ids, 0)
-    comp, _ = _components(graph.adj, dist)
-    for d in dict(zip(comp, dist)).values():
-        parts[d] += 1
-    for d, n in parts.items():
+    for d in graph.district_ids:
+        n = parts.get(d)
         if not n:
             return Report(False, f"district {d} empty")
         if n > 1:
             return Report(False, f"district {d} disconnected")
-        pop = pops[d]
-        if not graph.pop_lo <= pop <= graph.pop_hi:
+        if not graph.pop_lo <= pops[d] <= graph.pop_hi:
             return Report(
                 False,
-                f"district {d} population {pop} outside [{graph.pop_lo}, {graph.pop_hi}]",
+                f"district {d} population {pops[d]} outside [{graph.pop_lo}, {graph.pop_hi}]",
             )
     return Report(True)
 

@@ -193,19 +193,19 @@ def _reaches(
     label: Sequence[int],
     d: int,
     start: int,
-    excluded: Iterable[int],
+    excluded: int,
     targets: Collection[int],
 ) -> bool:
     """Whether paths from `start` through the nodes labelled `d` reach every node of `targets`.
 
     ``adj[i]`` gives node i's neighbours, as in ``CountyGraph.adj``, and
     node i is inside when ``label[i] == d``.  The search never enters
-    `excluded`.  It runs breadth first and stops as soon as the last
+    node `excluded`.  It runs breadth first and stops as soon as the last
     target is reached, so a caller whose targets lie a few steps from the
     start pays for a few levels, not for the whole district.
     """
     left = len(targets) - (start in targets)
-    seen = {start, *excluded}
+    seen = {start, excluded}
     level = [start]
     while left and level:
         next_level = []
@@ -239,7 +239,7 @@ def source_rejection(graph: CountyGraph, dist: list[int], i: int, source_pop: in
         return "source below population bound"
     # The district stays connected exactly when one of i's neighbours in
     # it reaches all the others, which are usually a couple of steps apart.
-    if not _reaches(adj, dist, source, linked[0], (i,), linked[1:]):
+    if not _reaches(adj, dist, source, linked[0], i, linked[1:]):
         return "source disconnected"
     return None
 

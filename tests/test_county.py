@@ -16,6 +16,7 @@ from effgap.county import (
     validate_plan,
     write_plan_csv,
 )
+from effgap.localsearch import SearchConfig, run
 from effgap.synthdata import synth_state_csv
 from conftest import (
     TOY_COUNTY_CSV,
@@ -438,3 +439,72 @@ def test_validate_plan_matches_reference_on_broken_plans():
         "district N disconnected",
         "district N population N outside [N, N]",
     }, reasons
+
+
+def test_unknown_ids_are_reported_in_node_order():
+    """Of two unknown ids, the one on the lower node is named, whichever is smaller."""
+    res = ingest(synth_state_csv("WI", 0))
+    graph, top = res.graph, max(res.graph.district_ids)
+    for i, j in ((0, 95), (3, 40), (57, 58)):
+        for low, high in ((top + 1, top + 2), (top + 2, top + 1), (-1, top + 1)):
+            dist = list(res.plan)
+            dist[i], dist[j] = low, high
+            report = validate_plan(graph, dist)
+            assert report.reason == f"node assigned to unknown district {low}"
+            assert report == validate_plan_reference(graph, dist)
+
+
+def _scaled_csv(text: str, c: int) -> str:
+    """The county CSV with every row's Democrats and Republicans times c."""
+    rows = list(csv.reader(io.StringIO(text)))
+    for row in rows[1:]:
+        row[3], row[4] = str(c * int(row[3])), str(c * int(row[4]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _scaled_reason(reason: str | None, c: int) -> str | None:
+    """A report's reason with the populations in it times c."""
+    m = re.fullmatch(r"district (-?\d+) population (\d+) outside \[(\d+), (\d+)\]", reason or "")
+    if m is None:
+        return reason
+    d, pop, lo, hi = map(int, m.groups())
+    return f"district {d} population {c * pop} outside [{c * lo}, {c * hi}]"
+
+
+def test_county_path_scales_with_the_unit_of_population():
+    """Votes times c give the same graph, plan, verdicts and search, with
+    every population, bound and gap times c."""
+    cfg = SearchConfig(mu=100, k=20, seed=11, replicas=2)
+    reasons = set()
+    for code in ("WI", "VA", "TX", "PA"):
+        text = synth_state_csv(code, 0)
+        base = ingest(text)
+        g = base.graph
+        found = run(g, base.plan, cfg)
+        for c in range(2, 8):
+            scaled = ingest(_scaled_csv(text, c))
+            h = scaled.graph
+            assert (h.nodes, h.adj, h.district_ids, scaled.plan) == (g.nodes, g.adj, g.district_ids, base.plan)
+            assert h.node_pop == tuple(c * p for p in g.node_pop)
+            assert (h.pop_lo, h.pop_hi) == (c * g.pop_lo, c * g.pop_hi)
+            rng_g, rng_h = random.Random(c), random.Random(c)
+            for _ in range(20):
+                broken_g, plan_g = _break_plan(rng_g, g, base.plan)
+                broken_h, plan_h = _break_plan(rng_h, h, base.plan)
+                assert plan_h == plan_g
+                report = validate_plan(broken_g, plan_g)
+                assert validate_plan(broken_h, plan_h) == dataclasses.replace(
+                    report, reason=_scaled_reason(report.reason, c))
+                reasons.add("ok" if report.ok else re.sub(r"-?\d+", "N", report.reason))
+            result = run(h, scaled.plan, cfg)
+            assert result.best_replica == found.best_replica
+            for t, u in zip(found.traces, result.traces, strict=True):
+                assert (u.initial_scaled, u.final_scaled) == (c * t.initial_scaled, c * t.final_scaled)
+                assert [(m.iteration, m.node, m.from_district, m.to_district) for m in u.moves] == [
+                    (m.iteration, m.node, m.from_district, m.to_district) for m in t.moves]
+                assert [(m.before_scaled, m.after_scaled) for m in u.moves] == [
+                    (c * m.before_scaled, c * m.after_scaled) for m in t.moves]
+                assert (u.final_plan, u.stopped_at) == (t.final_plan, t.stopped_at)
+    assert {"ok", "district N disconnected", "district N population N outside [N, N]"} <= reasons, reasons
