@@ -114,10 +114,7 @@ class PlanStats:
         return len(self.per_district)
 
     def total_votes(self) -> VoteCounts:
-        total = ZERO_VOTES
-        for stat in self.per_district:
-            total = total + stat.votes
-        return total
+        return sum((stat.votes for stat in self.per_district), ZERO_VOTES)
 
 
 def total_effgap(districts: Sequence[VoteCounts]) -> PlanStats:

@@ -64,10 +64,7 @@ class GridPolygon:
         return len(self.votes)
 
     def total_votes(self) -> VoteCounts:
-        total = ZERO_VOTES
-        for v in self.votes.values():
-            total = total + v
-        return total
+        return sum(self.votes.values(), ZERO_VOTES)
 
     @functools.cached_property
     def mask_index(self) -> "_MaskIndex":

@@ -22,13 +22,13 @@ The search works on the graph's node numbers: node i is
 ``ingest``, and a plan's ``dist[i]`` is its district.  A replica
 searches on a ReplicaState, which reads those tables and the bounds
 from the graph as they are and keeps a copy of ``dist``, each
-district's vote sums and W, the population of the districts party A
-wins.  The signed gap is 4A - P - 2W (the margin identity), so a drawn
-node's effect on W in its own district is computed once and each
-target's in one step, and an accepted move updates the two districts
-it touches and W.  Every replica gives back its moves and final
-district list, which is its final plan; its final gap is that of its
-last move.
+district's vote sums, which start as ``county.district_votes``'s, and
+W, the population of the districts party A wins.  The signed gap is
+4A - P - 2W (the margin identity), so a drawn node's effect on W in
+its own district is computed once and each target's in one step, and
+an accepted move updates the two districts it touches and W.  Every
+replica gives back its moves and final district list, which is its
+final plan; its final gap is that of its last move.
 
 ``mu`` bounds the iterations; a replica stops sooner once it proves that
 it can never move again.  An iteration accepts a move only from a node
@@ -76,7 +76,7 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import Report, won_by_a
-from .county import CountyGraph, NodeKey, validate_plan
+from .county import CountyGraph, NodeKey, district_votes, validate_plan
 
 # numpy's name for the stream that ``pcg64`` reproduces; manifests record it.
 RNG_ALGORITHM = "numpy-pcg64-seedsequence-spawn"
@@ -148,26 +148,25 @@ class ReplicaState:
 
     The node tables, adjacency and bounds are read from ``graph``, which
     is never copied, and ``dist[i]`` is node i's district.  Each
-    district keeps its party-A votes and population, and ``won`` is W,
-    the population of the districts party A wins.  By the margin identity the signed gap is
-    ``base - 2 * won`` with ``base = 4A - P``, so a move updates two
-    districts and W in O(1).  ``proven`` holds the boundary nodes that
-    ``_moves`` has passed over since the last move, each refused by the
-    state as it is; a move empties it.
+    district keeps its party-A votes and population, taken at the start
+    from ``district_votes``, and ``won`` is W, the population of the
+    districts party A wins.  By the margin identity the signed gap is
+    ``base - 2 * won`` with ``base = 4A - P`` summed over those districts,
+    so a move updates two districts and W in O(1).  ``proven`` holds the
+    boundary nodes that ``_moves`` has passed over since the last move,
+    each refused by the state as it is; a move empties it.
     """
 
     __slots__ = ("graph", "base", "dist", "party_a", "pop", "won", "proven")
 
     def __init__(self, graph: CountyGraph, dist: list[int]) -> None:
         self.graph = graph
-        self.base = 4 * sum(graph.node_a) - sum(graph.node_pop)
         self.dist = list(dist)
-        self.party_a = dict.fromkeys(graph.district_ids, 0)
-        self.pop = dict.fromkeys(graph.district_ids, 0)
-        for d, a, p in zip(self.dist, graph.node_a, graph.node_pop):
-            self.party_a[d] += a
-            self.pop[d] += p
-        self.won = sum(won_by_a(self.party_a[d], self.pop[d]) for d in graph.district_ids)
+        votes = district_votes(graph, self.dist)
+        self.party_a = {d: v.party_a for d, v in votes.items()}
+        self.pop = {d: v.population() for d, v in votes.items()}
+        self.base = 4 * sum(self.party_a.values()) - sum(self.pop.values())
+        self.won = sum(won_by_a(self.party_a[d], self.pop[d]) for d in votes)
         self.proven: set[int] = set()
 
     @property
@@ -251,8 +250,8 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
     stays non-empty and connected, and both touched districts stay
     within the graph's population bounds.  Source-side reasons are
     decided before the target's; the plan's districts must be connected.
-    The populations are the district sums of a ``ReplicaState`` of the
-    plan.  A node not in the graph is a ValueError.
+    The populations are ``district_votes``'s sums of the plan.  A node
+    not in the graph is a ValueError.
     """
     i = graph.index.get(node)
     if i is None:
@@ -262,9 +261,9 @@ def move_is_legal(graph: CountyGraph, dist: list[int], node: NodeKey, target: in
         return Report(False, "target equals current district")
     if target not in {dist[j] for j in graph.adj[i]}:
         return Report(False, "target district not adjacent to node")
-    pop = ReplicaState(graph, dist).pop
-    reason = source_rejection(graph, dist, i, pop[source])
-    if reason is None and pop[target] > graph.pop_hi - graph.node_pop[i]:
+    votes = district_votes(graph, dist)
+    reason = source_rejection(graph, dist, i, votes[source].population())
+    if reason is None and votes[target].population() > graph.pop_hi - graph.node_pop[i]:
         reason = "target above population bound"
     return Report(reason is None, reason)
 

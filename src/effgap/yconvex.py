@@ -121,7 +121,9 @@ def is_yconvex_partition(q: GridPartition) -> bool:
 @dataclass(frozen=True)
 class YConvexResult:
     """The DP's optimum; ``value`` and ``partition`` are None when no
-    y-convex equipartition exists."""
+    y-convex equipartition exists.  The counters are taken after the
+    sweep from the columns it kept, the start state counting as one key
+    with one vote vector; both are 0 when no sweep runs."""
 
     value: int | None  # scaled optimum
     partition: GridPartition | None
@@ -287,14 +289,12 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     if kappa > p.size or lo > target:
         return YConvexResult(None, None)
 
-    frontier: list[tuple] = [((0, 0, UNSTARTED, None),) * kappa]
+    frontier = [((0, 0, UNSTARTED, None),) * kappa]
     # One dict per column maps each of its state keys to the key before it
     # and the cut between them; its keys are the column's frontier.
     # Identical keys can recur across columns when columns carry no
     # population, so the backpointers are not pooled.
     backs: list[dict[tuple, tuple[tuple, tuple]]] = []
-    max_states = 1
-    max_vectors = 1
     prev_col = columns[0] - 1
 
     for col in columns:
@@ -311,13 +311,15 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
             for nkey, cut in _successors(key, table, walks, kappa, target):
                 if nkey not in back:
                     back[nkey] = (key, cut)
-        del table, walks  # freed before the vote vectors are counted
+        del table, walks  # not kept alive through the counts and the witness
         backs.append(back)
-        frontier = list(back)
-        max_states = max(max_states, len(frontier))
-        max_vectors = max(max_vectors, len({tuple(map(_VOTES, key)) for key in frontier}))
+        frontier = back
         if not frontier:
             break
+    # Counted after the sweep, off the kept columns; the start is one key and one vector.
+    # Every column's dict is alive here, so a vote vector is one flat tuple, not pairs.
+    max_states = max([1, *map(len, backs)])
+    max_vectors = max([1, *(len({sum(map(_VOTES, key), ()) for key in back}) for back in backs)])
 
     # An empty frontier holds no key, so it ends in the one infeasible return.
     best_key = None

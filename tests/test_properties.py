@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from effgap.core import VoteCounts, total_effgap  # noqa: E402
 from effgap.county import ingest, validate_plan  # noqa: E402
-from effgap.grid import GridPolygon, _connected_submasks, _MaskIndex  # noqa: E402
+from effgap.grid import GridPolygon, _connected_submasks, _MaskIndex, brute_force_opt  # noqa: E402
 from effgap.localsearch import ReplicaState, SearchConfig, run, run_iteration  # noqa: E402
 from effgap.yconvex import is_yconvex_partition, solve_yconvex  # noqa: E402
 from conftest import enumerate_equipartitions, partition_vote_totals, random_county_csv  # noqa: E402
@@ -140,3 +140,79 @@ def test_local_search_keeps_its_invariants(graph_seed, nodes, kappa, data):
         if trace.stopped_at is not None:
             state = ReplicaState(graph, trace.final_plan)
             assert run_iteration(state, lambda k, n: range(n), cfg.mu, cfg.k) == []
+
+
+# Metamorphic relations of the exact solvers: each compares two solves, so
+# none needs the oracle's answer to be right.
+
+
+def _padded(p, data, kappa, odd=False):
+    """p with party-B votes added to one drawn cell so that kappa divides its
+    population, and with ``odd`` so that the district population is odd."""
+    pop = p.total_votes().population()
+    pad = (kappa - pop) % (2 * kappa) if odd else -pop % kappa
+    cell = data.draw(st.sampled_from(sorted(p.votes)))
+    return GridPolygon(p.rows, p.cols, {**p.votes, cell: p.votes[cell] + VoteCounts(0, pad)})
+
+
+def _revoted(p, votes):
+    """p with ``votes(v)`` in place of each cell's votes v."""
+    return GridPolygon(p.rows, p.cols, {cell: votes(v) for cell, v in p.votes.items()})
+
+
+def _moved(p, rows, cols, place):
+    """A rows x cols polygon with each cell's votes at ``place(cell)``."""
+    return GridPolygon(rows, cols, {place(cell): v for cell, v in p.votes.items()})
+
+
+def _solves(p, kappa):
+    return brute_force_opt(p, kappa), solve_yconvex(p, kappa)
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(column_polygons(), st.integers(2, 7), st.data())
+def test_scaling_the_votes_scales_the_exact_values(p, c, data):
+    """Brute keeps the same optima in the same order, and the y-convex DP
+    the same witness."""
+    kappa = data.draw(st.integers(2, 3))
+    p = _padded(p, data, kappa)
+    brute, dp = _solves(p, kappa)
+    scaled = _revoted(p, lambda v: VoteCounts(c * v.party_a, c * v.party_b))
+    scaled_brute, scaled_dp = _solves(scaled, kappa)
+    assert scaled_brute.value == (None if brute.value is None else c * brute.value)
+    assert scaled_brute.optima == brute.optima
+    assert scaled_dp.value == (None if dp.value is None else c * dp.value)
+    assert scaled_dp.partition == dp.partition
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(column_polygons(), st.data())
+def test_mirroring_keeps_the_exact_values(p, data):
+    kappa = data.draw(st.integers(2, 3))
+    p = _padded(p, data, kappa)
+    brute, dp = _solves(p, kappa)
+    mirrors = (lambda cell: (p.rows - 1 - cell[0], cell[1]),  # the rows
+               lambda cell: (cell[0], p.cols - 1 - cell[1]))  # the columns
+    for place in mirrors:
+        mirror_brute, mirror_dp = _solves(_moved(p, p.rows, p.cols, place), kappa)
+        assert (mirror_brute.value, mirror_dp.value) == (brute.value, dp.value)
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(rectangles())
+def test_transposing_keeps_the_oracle_value(p):
+    """A transposed y-convex partition need not be y-convex, so only brute is checked."""
+    transposed = _moved(p, p.cols, p.rows, lambda cell: cell[::-1])
+    assert brute_force_opt(transposed, 2).value == brute_force_opt(p, 2).value
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(column_polygons(), st.data())
+def test_swapping_the_parties_keeps_the_exact_values(p, data):
+    """With an odd district population no district ties, and a tie is the
+    one outcome the swap does not mirror: it goes to A either way."""
+    kappa = data.draw(st.integers(2, 3))
+    p = _padded(p, data, kappa, odd=True)
+    brute, dp = _solves(p, kappa)
+    swapped_brute, swapped_dp = _solves(_revoted(p, lambda v: VoteCounts(v.party_b, v.party_a)), kappa)
+    assert (swapped_brute.value, swapped_dp.value) == (brute.value, dp.value)

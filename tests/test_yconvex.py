@@ -253,6 +253,39 @@ def test_pinned_optimum_witness_and_counters(build, kappa, value, states, vector
     assert _witness_digest(res.partition) == digest
 
 
+# (instance, kappa, max_column_states, max_vote_vectors, columns swept) on the
+# early exits PINNED never reaches; none has a y-convex equipartition.
+EARLY_EXITS = [
+    # Column 1 holds no cell, so no segment crosses it after column 0.
+    (lambda: polygon({(0, 0): (1, 0), (1, 0): (0, 1), (2, 0): (1, 0),
+                      (0, 2): (0, 1), (1, 2): (1, 0), (2, 2): (0, 1)}), 2, 3, 3, 1),
+    # The frontier empties at the third of four columns.
+    (lambda: random_column_polygon(random.Random(50), max_cells=12), 2, 7, 6, 3),
+    # It empties at the first, whose top cell holds more than a district:
+    # the counts are the start state's.
+    (lambda: polygon({(0, 0): (3, 0), (0, 1): (0, 1)}), 2, 1, 1, 1),
+    # kappa above the cell count, with a window that is not empty: no sweep.
+    (lambda: polygon({(0, 0): (1, 0), (0, 1): (1, 1)}), 3, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("build,kappa,states,vectors,swept", EARLY_EXITS)
+def test_early_exits_keep_their_counters(monkeypatch, build, kappa, states, vectors, swept):
+    tables = []
+    successors = yconvex._successors
+
+    def recording_successors(key, table, walks, kappa, target):
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+        return successors(key, table, walks, kappa, target)
+
+    monkeypatch.setattr(yconvex, "_successors", recording_successors)
+    res = solve_yconvex(build(), kappa)
+    assert (res.value, res.partition) == (None, None)
+    assert (res.max_column_states, res.max_vote_vectors) == (states, vectors)
+    assert len(tables) == swept
+
+
 def _witness_segments(p, partition):
     """Per polygon column, the witness's ``((label, interval), ...)``, top to bottom."""
     columns = sorted({c for _, c in p.votes})
