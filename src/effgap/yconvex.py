@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import VoteCounts, district_effgap
+from .core import won_by_a
 from .grid import GridPartition, GridPolygon, population_window
 
 UNSTARTED = 0
@@ -280,9 +280,12 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     backtracking, or a result whose value is None when no y-convex
     equipartition exists.  Every kappa, 1 included, runs the same sweep.
     Frontier keys are expanded in sorted order and the first path to reach
-    a key is kept, so the witness is deterministic.
+    a key is kept, so the witness is deterministic.  The value comes from
+    result 1, |4A - P - 2W| with W the population of the districts A
+    wins, and ties go to the smallest complete key.
     """
-    lo, target = population_window(p.total_votes().population(), kappa)  # checks kappa
+    total = p.total_votes()
+    lo, target = population_window(total.population(), kappa)  # checks kappa
     columns = sorted({c for (_, c) in p.votes})
     # Raises on multi-run columns before any state expansion.
     tables = {col: _column_table(p, col, target) for col in columns}
@@ -295,17 +298,15 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     # Identical keys can recur across columns when columns carry no
     # population, so the backpointers are not pooled.
     backs: list[dict[tuple, tuple[tuple, tuple]]] = []
-    prev_col = columns[0] - 1
 
     for col in columns:
-        if col != prev_col + 1:
+        if col != columns[0] + len(backs):
             # Segments only extend into the adjacent column; a gap column
             # admits no transition.
             frontier = []
             break
         table = tables.pop(col)
         walks: dict[tuple, list[tuple]] = {}  # label layout -> its walk, this column only
-        prev_col = col
         back: dict[tuple, tuple[tuple, tuple]] = {}
         for key in sorted(frontier):
             for nkey, cut in _successors(key, table, walks, kappa, target):
@@ -321,16 +322,14 @@ def solve_yconvex(p: GridPolygon, kappa: int) -> YConvexResult:
     max_states = max([1, *map(len, backs)])
     max_vectors = max([1, *(len({sum(map(_VOTES, key), ()) for key in back}) for back in backs)])
 
-    # An empty frontier holds no key, so it ends in the one infeasible return.
-    best_key = None
-    best_value = None
-    for key in sorted(frontier):
-        if any(st[2] == UNSTARTED or st[0] + st[1] != target for st in key):
-            continue
-        value = abs(sum(district_effgap(VoteCounts(st[0], st[1])) for st in key))
-        if best_value is None or value < best_value:
-            best_value = value
-            best_key = key
+    # Every complete key is an exact equipartition; an empty frontier holds none.
+    base = 4 * total.party_a - total.population()
+    complete = (
+        (abs(base - 2 * sum(won_by_a(st[0], target) for st in key)), key)
+        for key in frontier
+        if all(st[2] != UNSTARTED and st[0] + st[1] == target for st in key)
+    )
+    best_value, best_key = min(complete, default=(None, None))
     if best_key is None:
         return YConvexResult(None, None, max_states, max_vectors)
 

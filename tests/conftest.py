@@ -30,6 +30,7 @@ from effgap.grid import (
     validate_polygon,
 )
 from effgap.localsearch import MoveRecord, SearchConfig, SearchTrace
+from effgap.synthdata import synth_state_csv
 from effgap.yconvex import ACTIVE, FINISHED, UNSTARTED
 
 # A patch of a module reaches worker processes only when they are forked.
@@ -299,6 +300,56 @@ def random_county_csv(seed: int, nodes: int, kappa: int) -> str:
         nbs = ", ".join(f"{district[j]}:n{j}" for j in sorted(adj[i]))
         lines.append(f'{district[i]},n{i},N,{rng.randint(0, 20)},{rng.randint(0, 20)},"{nbs}"')
     return "\n".join(lines) + "\n"
+
+
+def ring_csv(side: int = 5) -> str:
+    """District 1 is the border ring of a side x side grid, district 2 the rest.
+
+    Removing a ring node leaves its two ring neighbours joined only the
+    long way round, so a connectivity search must go past its first level.
+    """
+    def district(r, c):
+        return 1 if r in (0, side - 1) or c in (0, side - 1) else 2
+
+    lines = ["District,County_id,County,Republicans,Democrats,Neighbors"]
+    for r in range(side):
+        for c in range(side):
+            nbs = ", ".join(
+                f"{district(rr, cc)}:r{rr}_{cc}"
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < side and 0 <= cc < side
+            )
+            lines.append(f'{district(r, c)},r{r}_{c},R,{1 + (r + c) % 2},{1 + r % 3},"{nbs}"')
+    return "\n".join(lines) + "\n"
+
+
+def equal_pop_csv(text: str, seed: int) -> str:
+    """The county CSV with every node's population set to 2, split at random.
+
+    Equal populations put district populations on a lattice, so moves meet
+    the population bounds with equality.
+    """
+    rng = random.Random(seed)
+    rows = list(csv.reader(io.StringIO(text)))
+    for row in rows[1:]:
+        dem = rng.randint(0, 2)
+        row[3], row[4] = str(2 - dem), str(dem)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+DIFFERENTIAL_GRAPHS = {
+    "grid6x2": lambda: county_grid_csv(1, side=6, bands=2),
+    "grid9x3": lambda: county_grid_csv(2, side=9, bands=3),
+    "grid12x4": lambda: county_grid_csv(3, side=12, bands=4),
+    "grid16x4": lambda: county_grid_csv(4, side=16, bands=4),
+    **{name: (lambda name=name: synth_state_csv(name, seed=0)) for name in ("WI", "TX", "VA", "PA")},
+    "equal8x3": lambda: equal_pop_csv(county_grid_csv(5, side=8, bands=3), 5),
+    "equal10x4": lambda: equal_pop_csv(county_grid_csv(6, side=10, bands=4), 6),
+    "ring5": lambda: ring_csv(5),
+    "ring7": lambda: ring_csv(7),
+}
 
 
 def oracle_graphs() -> list[str]:

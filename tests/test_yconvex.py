@@ -169,6 +169,8 @@ def test_agrees_with_oracle_restricted_to_yconvex():
         if best is not None:
             feasible += 1
             assert res.value == best
+            # The result-1 score against the witness's own district gaps.
+            assert total_effgap(partition_vote_totals(p, res.partition, kappa)).total_scaled_abs == res.value
             assert validate_partition(p, res.partition, kappa).ok
             assert is_yconvex_partition(res.partition)
     assert feasible >= 5
