@@ -356,10 +356,10 @@ def test_pruned_walk_cuts_what_the_complement_cannot_lose(monkeypatch):
     walks = []
     walk = grid._connected_submasks
 
-    def recording(idx, seed, allowed, pop_cap, whole_rest=False):
+    def recording(idx, seed, allowed, pop_cap, whole_rest=False, low_comp=None):
         if whole_rest:
             walks.append((idx, seed, allowed, pop_cap))
-        return walk(idx, seed, allowed, pop_cap, whole_rest)
+        return walk(idx, seed, allowed, pop_cap, whole_rest, low_comp)
 
     monkeypatch.setattr(grid, "_connected_submasks", recording)
     for name in ("rect4x6-k3", "rect5x5-k5"):
@@ -425,10 +425,10 @@ def test_two_class_remainders_are_walked_once(monkeypatch):
     walked = []
     walk = grid._connected_submasks
 
-    def counting(idx, seed, allowed, pop_cap, whole_rest=False):
+    def counting(idx, seed, allowed, pop_cap, whole_rest=False, low_comp=None):
         if whole_rest:
             walked.append(allowed)
-        return walk(idx, seed, allowed, pop_cap, whole_rest)
+        return walk(idx, seed, allowed, pop_cap, whole_rest, low_comp)
 
     monkeypatch.setattr(grid, "_connected_submasks", counting)
     idx = uniform_rect(5, 5).mask_index
@@ -437,6 +437,25 @@ def test_two_class_remainders_are_walked_once(monkeypatch):
     assert list(_enumerate_mask_partitions(idx, 5, 5, 5)) == want
     assert sorted(walked) == sorted(set(reference_walks))
     assert len(walked) < len(reference_walks), (len(walked), len(reference_walks))
+
+
+def test_oracle_finds_each_complement_component_once(monkeypatch):
+    """On the 4x6 kappa 3 and 5x5 kappa 5 pins, one brute_force_opt finds
+    the component of a mask's lowest bit at most once per mask.  The
+    optima and their order are pinned by ``ORACLE_PINS``."""
+    found = []
+    low_component = _MaskIndex.low_component
+
+    def recording(self, mask):
+        found.append(mask)
+        return low_component(self, mask)
+
+    monkeypatch.setattr(_MaskIndex, "low_component", recording)
+    for name in ("rect4x6-k3", "rect5x5-k5"):
+        p, kappa, _ = pin_instance(name)
+        found.clear()
+        brute_force_opt(p, kappa, cell_limit=32)
+        assert len(found) == len(set(found)) > 1000, name
 
 
 def _classes(labels, cell_of=None):

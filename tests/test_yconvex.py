@@ -151,29 +151,38 @@ def test_state_count_bound():
         assert res.max_vote_vectors <= (pop + 1) ** (2 * kappa)
 
 
-def test_agrees_with_oracle_restricted_to_yconvex():
+def _oracle_instances():
+    """60 random column polygons of at most 10 cells at kappa 2 or 3, then
+    3x4 and 4x4 rectangles at kappa 3 and 4, whose y-convex equipartitions,
+    and so the complete keys of the last column, differ in value."""
     rng = random.Random(12)
-    feasible = 0
     for i in range(60):
-        uniform = i % 2 == 0
-        p = random_column_polygon(rng, max_cells=10, uniform=uniform)
-        kappa = rng.choice([2, 3])
+        p = random_column_polygon(rng, max_cells=10, uniform=i % 2 == 0)
+        yield p, rng.choice([2, 3])
+    for seed in range(12):
+        m, kappa = ((3, 3), (3, 4), (4, 4))[seed % 3]
+        yield _seeded_rect(m, 4, 100 + seed), kappa
+
+
+def test_agrees_with_oracle_restricted_to_yconvex():
+    feasible = spread = 0
+    for p, kappa in _oracle_instances():
         res = solve_yconvex(p, kappa)
-        best = None
+        values = set()
         for q in enumerate_equipartitions(p, kappa):
             if is_yconvex_partition(q):
-                stats = total_effgap(partition_vote_totals(p, q, kappa))
-                v = stats.total_scaled_abs
-                best = v if best is None else min(best, v)
+                values.add(total_effgap(partition_vote_totals(p, q, kappa)).total_scaled_abs)
+        best = min(values, default=None)
         assert (best is None) == (res.value is None)
         if best is not None:
             feasible += 1
+            spread += len(values) > 1
             assert res.value == best
             # The result-1 score against the witness's own district gaps.
             assert total_effgap(partition_vote_totals(p, res.partition, kappa)).total_scaled_abs == res.value
             assert validate_partition(p, res.partition, kappa).ok
             assert is_yconvex_partition(res.partition)
-    assert feasible >= 5
+    assert feasible >= 20 and spread >= 10, (feasible, spread)
 
 
 def test_is_yconvex_partition_rejects_a_column_gap():
